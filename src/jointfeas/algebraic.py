@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Union
 
 from .errors import UnsupportedNumberError, ValidationError
@@ -251,13 +251,3 @@ def enclosure(value: ExactNumber, width: Fraction = Fraction(1, 10**12)) -> tupl
         return value.enclosure(width)
     return value, value
 
-
-def _primitive_key(f: Fraction) -> tuple[int, int]:  # pragma: no cover - debug aid
-    return f.numerator, f.denominator
-
-
-def gcd_many(values: list[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g

@@ -29,6 +29,7 @@ from typing import Callable, Mapping, Sequence, Union
 from .algebraic import as_fraction
 from .errors import ConstraintMismatchError, SizeCapError, ValidationError
 from .geometry import cone_membership
+from .linalg import solve
 from .probability import Atom, FiniteRandomVariable, JointDistribution
 from .simplex import solve_equality_feasibility
 
@@ -294,24 +295,26 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
         lo, hi = problem.monomial_range(c)
         if _range_violated(c, lo, hi):
             cert = _range_certificate(problem, idx, lo, hi)
-            result = FeasibilityResult(
+            if not verify_certificate(problem, cert):  # soundness gate, never expected
+                raise AssertionError("range check produced an invalid infeasibility certificate")
+            return FeasibilityResult(
                 "infeasible",
                 None,
                 cert,
                 "range-check",
                 {"constraint": c.describe(), "achievable": (lo, hi)},
             )
-            assert verify_certificate(problem, cert)
-            return result
 
     atoms = list(problem.atom_space())
     rows, rhs = _constraint_rows(problem, atoms, with_slacks=True)
     lp = solve_equality_feasibility(rows, rhs)
     if lp.feasible:
-        assert lp.solution is not None
+        if lp.solution is None:
+            raise AssertionError("simplex reported feasible without a solution")
         witness = _witness_from_masses(problem, atoms, lp.solution[: len(atoms)])
         return FeasibilityResult("feasible", witness, None, "simplex", {"pivots": lp.pivots})
-    assert lp.farkas is not None
+    if lp.farkas is None:
+        raise AssertionError("simplex reported infeasible without a Farkas vector")
     cert = tuple(lp.farkas)
     if not verify_certificate(problem, cert):  # soundness gate, never expected
         raise AssertionError("simplex produced an invalid infeasibility certificate")
@@ -392,7 +395,8 @@ def brute_force_oracle(
 
     membership = cone_membership(generators, target)
     if membership.member:
-        assert membership.combination is not None
+        if membership.combination is None:
+            raise AssertionError("cone oracle reported membership without a combination")
         masses: dict[Atom, Fraction] = {}
         for gen_idx, weight in membership.combination.items():
             rep = representatives[gen_idx]
@@ -407,7 +411,8 @@ def brute_force_oracle(
             if not _satisfies(got, c):
                 raise AssertionError(f"oracle witness violates {c.describe()}")
         return FeasibilityResult("feasible", witness, None, "cone-rays", {})
-    assert membership.separator is not None
+    if membership.separator is None:
+        raise AssertionError("cone oracle reported non-membership without a separator")
     # Separator coordinates are (normalization, constraints...); the
     # certificate convention puts normalization last.
     sep = membership.separator
@@ -460,44 +465,6 @@ def _as_table(variable: FiniteRandomVariable, signmap: SignMap) -> dict[Fraction
     return table
 
 
-def _derivable_expectation(
-    problem: MomentProblem, atoms: list[Atom], rows: list[list[Fraction]],
-    rhs: list[Fraction], g: list[Fraction],
-) -> Fraction | None:
-    """E(g) when g is a linear combination of the constraint monomials.
-
-    rows span the determined linear functionals on atom masses (the
-    constraint monomials and the all-ones row); if g lies in their span
-    with coefficients lam, then E(g) = lam . rhs for every distribution
-    meeting the constraints.  Returns None when g is not in the span.
-    """
-    # Solve rows^T . lam = g by elimination over the atom coordinates.
-    aug = [[rows[r][a] for r in range(len(rows))] + [g[a]] for a in range(len(atoms))]
-    ncols = len(rows)
-    pivots: list[tuple[int, int]] = []
-    row_at = 0
-    for col in range(ncols):
-        sel = next((i for i in range(row_at, len(aug)) if aug[i][col] != 0), None)
-        if sel is None:
-            continue
-        aug[row_at], aug[sel] = aug[sel], aug[row_at]
-        inv = 1 / aug[row_at][col]
-        aug[row_at] = [x * inv for x in aug[row_at]]
-        for i in range(len(aug)):
-            if i != row_at and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row_at])]
-        pivots.append((row_at, col))
-        row_at += 1
-    lam = [_ZERO] * ncols
-    for r, c in pivots:
-        lam[c] = aug[r][-1]
-    for i in range(row_at, len(aug)):
-        if aug[i][-1] != 0:
-            return None  # inconsistent: g is outside the span
-    return sum((l * b for l, b in zip(lam, rhs)), _ZERO)
-
-
 def reduce_then_test(
     problem: MomentProblem, signmaps: Mapping[str, SignMap]
 ) -> ReduceThenTestResult:
@@ -536,27 +503,28 @@ def reduce_then_test(
             out.append(Fraction(value))
         return out
 
-    derived: dict[str, Fraction] = {}
-    missing: list[str] = []
-    for name in problem.names:
-        e = _derivable_expectation(problem, atoms, rows, rhs, lifted([name]))
-        if e is None:
-            missing.append(f"E(f({name}))")
-        else:
-            derived[f"E(f({name}))"] = e
-
     constrained_pairs: list[tuple[str, str]] = []
     for c in problem.constraints:
         touched = [n for n, _ in c.exponents]
         for a, b in itertools.combinations(sorted(touched), 2):
             if (a, b) not in constrained_pairs:
                 constrained_pairs.append((a, b))
-    for a, b in constrained_pairs:
-        e = _derivable_expectation(problem, atoms, rows, rhs, lifted([a, b]))
-        if e is None:
-            missing.append(f"E(f({a})f({b}))")
+    wanted = [(f"E(f({name}))", lifted([name])) for name in problem.names]
+    wanted += [(f"E(f({a})f({b}))", lifted([a, b])) for a, b in constrained_pairs]
+
+    # The rows span the determined linear functionals on atom masses (the
+    # constraint monomials and the all-ones row).  When g = rows^T . lam,
+    # E(g) = lam . rhs for every distribution meeting the constraints;
+    # when g is outside their span, E(g) is not determined.
+    per_atom = list(zip(*rows))  # one equation rows^T . lam = g per atom
+    solutions = solve(per_atom, [g for _, g in wanted])
+    derived: dict[str, Fraction] = {}
+    missing: list[str] = []
+    for (label, _), lam in zip(wanted, solutions):
+        if lam is None:
+            missing.append(label)
         else:
-            derived[f"E(f({a})f({b}))"] = e
+            derived[label] = sum((l * b for l, b in zip(lam, rhs)), _ZERO)
 
     if missing:
         return ReduceThenTestResult("underdetermined", None, None, tuple(missing), derived)

@@ -200,6 +200,15 @@ def _parse_variables(spec: Any, path: str) -> tuple[FiniteRandomVariable, ...]:
     return tuple(out)
 
 
+def _parse_atom_cap(options: Mapping[str, Any]) -> int | None:
+    atom_cap = options.get("atom_cap")
+    if atom_cap is not None and (
+        isinstance(atom_cap, bool) or not isinstance(atom_cap, int) or atom_cap <= 0
+    ):
+        raise _fail("options.atom_cap", "expected a positive integer")
+    return atom_cap
+
+
 def _parse_finite_moment(obj: Mapping[str, Any]) -> dict[str, Any]:
     _expect_keys(
         obj,
@@ -210,9 +219,7 @@ def _parse_finite_moment(obj: Mapping[str, Any]) -> dict[str, Any]:
     variables = _parse_variables(obj["variables"], "variables")
     options = obj.get("options", {})
     _expect_keys(options, "options", set(), {"atom_cap", "allow_higher_order"})
-    atom_cap = options.get("atom_cap")
-    if atom_cap is not None and (not isinstance(atom_cap, int) or atom_cap <= 0):
-        raise _fail("options.atom_cap", "expected a positive integer")
+    atom_cap = _parse_atom_cap(options)
     allow_higher = bool(options.get("allow_higher_order", False))
 
     has_constraints = "constraints" in obj
@@ -309,7 +316,7 @@ def _parse_ghz(obj: Mapping[str, Any]) -> dict[str, Any]:
         "label": obj.get("label", ""),
         "config": config,
         "problem": build_ghz_problem(config),
-        "atom_cap": obj.get("options", {}).get("atom_cap"),
+        "atom_cap": _parse_atom_cap(obj.get("options", {})),
     }
 
 
@@ -327,8 +334,13 @@ def _parse_gaussian(obj: Mapping[str, Any]) -> dict[str, Any]:
         raise _fail("matrix", str(exc)) from None
     n = corr.dimension
     names = obj.get("names", [f"X{i+1}" for i in range(n)])
-    if len(names) != n or len(set(names)) != n:
-        raise _fail("names", f"expected {n} distinct names")
+    if (
+        not isinstance(names, list)
+        or not all(isinstance(name, str) for name in names)
+        or len(names) != n
+        or len(set(names)) != n
+    ):
+        raise _fail("names", f"expected a list of {n} distinct strings")
     tol = obj.get("options", {}).get("tol", None)
     if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float)) or tol < 0):
         raise _fail("options.tol", "expected a nonnegative number")

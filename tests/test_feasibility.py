@@ -1,3 +1,6 @@
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -71,6 +74,38 @@ class TestDecide:
         assert result.verdict == "infeasible"
         assert result.method == "range-check"
         assert verify_certificate(prob, result.certificate)
+
+    def test_range_check_gate_survives_python_O(self):
+        # python -O strips assert statements; the soundness gate must not be one
+        script = textwrap.dedent(
+            """
+            import sys
+            from jointfeas import MomentConstraint, MomentProblem, feasibility, pm_one
+
+            real = feasibility.verify_certificate
+            checked = []
+
+            def spy(problem, cert):
+                checked.append(real(problem, cert))
+                return checked[-1]
+
+            feasibility.verify_certificate = spy
+            prob = MomentProblem((pm_one("X"),), (MomentConstraint.of({"X": 1}, 2),))
+            result = feasibility.decide(prob)
+            feasibility.verify_certificate = lambda problem, cert: False
+            try:
+                feasibility.decide(prob)
+                gate = "skipped"
+            except AssertionError:
+                gate = "raised"
+            print(sys.flags.optimize, result.method, checked, gate)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "range-check", "[True]", "raised"]
 
     def test_atom_cap(self):
         vs = tuple(pm_one(f"X{i}") for i in range(12))

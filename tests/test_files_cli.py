@@ -177,6 +177,27 @@ class TestCLI:
         obj["constraints"][0]["exponents"] = {}
         assert run(["decide", self.write(tmp_path, obj)]) == 2
 
+    def test_boolean_atom_cap_is_status_2(self, tmp_path, capsys):
+        obj = triple_file(["0", "0", "0"])
+        obj["options"] = {"atom_cap": True}
+        assert run(["decide", self.write(tmp_path, obj)]) == 2
+        assert "options.atom_cap" in capsys.readouterr().err
+        ghz = {"schema": PROBLEM_SCHEMA, "kind": "ghz", "options": {"atom_cap": "many"}}
+        assert run(["decide", self.write(tmp_path, ghz, "ghz.json")]) == 2
+        assert "options.atom_cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names", [5, "XYZ", ["X", "Y", 3], ["X", "X", "Y"], ["X", "Y"]])
+    def test_bad_gaussian_names_are_status_2(self, tmp_path, capsys, names):
+        obj = {
+            "schema": PROBLEM_SCHEMA,
+            "kind": "gaussian",
+            "matrix": [["1", "1/2", "1/2"], ["1/2", "1", "1/2"], ["1/2", "1/2", "1"]],
+            "names": names,
+        }
+        # a TypeError would escape run() as a traceback with exit status 1
+        assert run(["inequalities", self.write(tmp_path, obj)]) == 2
+        assert "names:" in capsys.readouterr().err
+
     def test_hidden_variable_from_distribution(self, tmp_path, capsys):
         obj = {
             "schema": PROBLEM_SCHEMA,

@@ -1,7 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
-from jointfeas.geometry import cone_membership, dual_rays, nullspace
+from hypothesis import given, settings, strategies as st
+
+from jointfeas import linalg
+from jointfeas.geometry import _extreme_rays_pointed, cone_membership, dual_rays, nullspace
 
 F = Fraction
 
@@ -85,3 +90,208 @@ def test_randomized_membership_matches_direct_check(rng=None):
         for idx, w in res.combination.items():
             recombined = [t + w * g for t, g in zip(recombined, points[idx])]
         assert tuple(recombined) == target
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free kernel and integer double description against definitions
+# ---------------------------------------------------------------------------
+
+
+def ref_rref(rows):
+    """Textbook reduced row echelon form over Fraction: (rows, pivot columns)."""
+    mat = [[F(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat[: len(pivots)], pivots
+
+
+def ref_rank(rows):
+    return len(ref_rref(rows)[1]) if rows else 0
+
+
+def ref_nullspace(rows, ncols):
+    """Rational basis of {x : rows . x = 0}."""
+    if not rows:
+        return [tuple(F(int(i == j)) for j in range(ncols)) for i in range(ncols)]
+    mat, pivots = ref_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [F(0)] * ncols
+        vec[fc] = F(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][fc]
+        basis.append(vec)
+    return basis
+
+
+def as_primitive(vec):
+    den = 1
+    for x in vec:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in vec]
+    g = gcd(*ints)
+    return tuple(F(x // g) for x in ints)
+
+
+def dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), F(0))
+
+
+def ref_dual_rays(gens, dim):
+    """Extreme rays of {u in span(gens) : u.g >= 0}, by brute force.
+
+    A ray of the dual cone inside the span is fixed by rank - 1 tight
+    generators: it spans the nullspace of those generators together
+    with the lineality space (the span's orthogonal complement).
+    """
+    rank = ref_rank(gens)
+    lineality = ref_nullspace(gens, dim)
+    rays = set()
+    for subset in combinations(gens, rank - 1):
+        null = ref_nullspace(list(subset) + lineality, dim)
+        if len(null) != 1:
+            continue
+        for u in (null[0], [-x for x in null[0]]):
+            if all(dot(u, g) >= 0 for g in gens):
+                rays.add(as_primitive(u))
+    return rays
+
+
+int_matrix = st.integers(1, 5).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.integers(-4, 4), min_size=cols, max_size=cols), min_size=1, max_size=6
+    )
+)
+
+generator_sets = st.integers(1, 4).flatmap(
+    lambda dim: st.lists(
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(
+            lambda xs: tuple(F(x) for x in xs)
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrix)
+def test_echelon_is_a_multiple_of_the_reduced_form(rows):
+    mat, pivots, d = linalg.echelon(rows)
+    ref, ref_pivots = ref_rref(rows)
+    assert pivots == ref_pivots
+    assert [[F(x, d) for x in row] for row in mat[: len(pivots)]] == ref
+    assert all(not any(row) for row in mat[len(pivots):])
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrix)
+def test_rank_and_independent_rows_match_definition(rows):
+    chosen = linalg.independent_rows(rows)
+    assert len(chosen) == ref_rank(rows)
+    # greedy from the front: row i is chosen iff it raises the rank of rows[:i]
+    for i in range(len(rows)):
+        raises = ref_rank(rows[: i + 1]) > ref_rank(rows[:i])
+        assert (i in chosen) == raises
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrix)
+def test_nullspace_matches_definition(rows):
+    ncols = len(rows[0])
+    basis = linalg.nullspace(rows)
+    assert len(basis) == ncols - ref_rank(rows)
+    if basis:
+        assert ref_rank(basis) == len(basis)
+    for v in basis:
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+        assert gcd(*v) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrix, st.data())
+def test_solve_and_inverse_match_definition(rows, data):
+    ncols = len(rows[0])
+    rhs = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+    fractional = [F(b, 3) for b in rhs]
+    x, y = linalg.solve(rows, [rhs, fractional])
+    solvable = ref_rank(rows) == ref_rank([row + [b] for row, b in zip(rows, rhs)])
+    assert (x is not None) == solvable
+    for sol, b in ((x, rhs), (y, fractional)):
+        if sol is not None:
+            assert len(sol) == ncols
+            assert [dot(row, sol) for row in rows] == list(b)
+    square = [row[: len(rows)] for row in rows] if ncols >= len(rows) else None
+    if square and ref_rank(square) == len(square):
+        adj, d = linalg.inverse(square)
+        n = len(square)
+        product = [[sum(square[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        assert product == [[d * int(i == j) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets)
+def test_dual_rays_match_brute_force_reference(gens):
+    dim = len(gens[0])
+    lineality, rays = dual_rays(gens)
+    assert len(set(rays)) == len(rays)
+    if ref_rank(gens) == 0:
+        assert rays == []
+        return
+    assert set(rays) == ref_dual_rays(gens, dim)
+    assert len(lineality) == dim - ref_rank(gens)
+    assert all(dot(line, g) == 0 for line in lineality for g in gens)
+
+
+halfspace_sets = st.integers(3, 5).flatmap(
+    lambda dim: st.lists(
+        st.tuples(st.just(1), *[st.integers(-1, 1)] * (dim - 1))
+        | st.tuples(*[st.integers(-2, 2)] * dim),
+        min_size=dim,
+        max_size=dim + 4,
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(halfspace_sets)
+def test_double_description_on_degenerate_cones(halfspaces):
+    # 0/+-1 normals put many normals through each ray, where the
+    # combinatorial adjacency test, not the bit-count prefilter, decides.
+    dim = len(halfspaces[0])
+    normals = [tuple(F(x) for x in h) for h in halfspaces]
+    if ref_rank(normals) < dim:
+        return
+    rays = _extreme_rays_pointed(halfspaces)
+    assert len(set(rays)) == len(rays)
+    assert {tuple(F(x) for x in r) for r in rays} == ref_dual_rays(normals, dim)
+
+
+def test_public_functions_return_fraction_tuples():
+    def is_fraction_tuple(v):
+        return isinstance(v, tuple) and all(type(x) is F for x in v)
+
+    gens = [vec(1, 0, 0), vec(1, F(1, 2), 0), vec(1, 0, F(2, 3))]
+    lineality, rays = dual_rays(gens + [vec(0, 0, 0)])
+    assert rays and all(is_fraction_tuple(r) for r in rays)
+    lineality, _ = dual_rays([vec(1, 1, 0)])
+    assert lineality and all(is_fraction_tuple(v) for v in lineality)
+    assert all(is_fraction_tuple(v) for v in nullspace([vec(1, F(1, 2), 3)]))
+    outside = cone_membership(gens, vec(1, -1, 0))
+    assert not outside.member and is_fraction_tuple(outside.separator)
+    off_span = cone_membership([vec(1, 1, 0)], vec(1, 0, 0))
+    assert not off_span.member and is_fraction_tuple(off_span.separator)
+    inside = cone_membership(gens, vec(1, F(1, 8), F(1, 9)))
+    assert inside.member
+    assert all(type(w) is F and w > 0 for w in inside.combination.values())
