@@ -128,46 +128,27 @@ def _compare(expected: Any, actual: Any, path: str, mismatches: list[str]) -> No
         mismatches.append(f"{path}: expected {expected!r}, got {actual!r}")
 
 
-def _triple_grid(step: Fraction) -> dict[str, int]:
+def _zero_mean_grid(
+    step: Fraction,
+    names: tuple[str, ...],
+    pairs: tuple[tuple[str, str], ...],
+    evaluate: Callable[..., Any],
+) -> dict[str, int]:
+    """Closed form versus ``decide`` on every grid point of the pair moments.
+
+    The observables are zero-mean +-1 variables; each pair moment runs
+    over -1, -1 + step, ... up to 1.
+    """
     values = []
     v = Fraction(-1)
     while v <= 1:
         values.append(v)
         v += step
-    variables = (pm_one("X"), pm_one("Y"), pm_one("Z"))
-    pairs = (("X", "Y"), ("Y", "Z"), ("X", "Z"))
-    cases = disagreements = 0
-    for exy, eyz, exz in itertools.product(values, repeat=3):
-        cases += 1
-        report = eval_triple_moment_bounds(exy, eyz, exz)
-        problem = MomentProblem(
-            variables,
-            tuple(
-                [MomentConstraint.of({n: 1}, 0) for n in "XYZ"]
-                + [
-                    MomentConstraint.of({a: 1, b: 1}, m)
-                    for (a, b), m in zip(pairs, (exy, eyz, exz))
-                ]
-            ),
-        )
-        if report.satisfied != decide(problem).feasible:
-            disagreements += 1
-    return {"cases": cases, "disagreements": disagreements}
-
-
-def _chsh_grid(step: Fraction) -> dict[str, int]:
-    values = []
-    v = Fraction(-1)
-    while v <= 1:
-        values.append(v)
-        v += step
-    names = ("A", "Ap", "B", "Bp")
     variables = tuple(pm_one(n) for n in names)
-    pairs = (("A", "B"), ("A", "Bp"), ("Ap", "B"), ("Ap", "Bp"))
     cases = disagreements = 0
-    for moments in itertools.product(values, repeat=4):
+    for moments in itertools.product(values, repeat=len(pairs)):
         cases += 1
-        report = eval_chsh(*moments)
+        report = evaluate(*moments)
         problem = MomentProblem(
             variables,
             tuple(
@@ -243,10 +224,20 @@ def _run_checks(case: dict) -> dict[str, Any]:
         return {"verdict": report.verdict, "slack": encode_exact(report.slack)}
 
     if kind == "triple_grid":
-        return _triple_grid(as_fraction(case["step"]))
+        return _zero_mean_grid(
+            as_fraction(case["step"]),
+            ("X", "Y", "Z"),
+            (("X", "Y"), ("Y", "Z"), ("X", "Z")),
+            eval_triple_moment_bounds,
+        )
 
     if kind == "chsh_grid":
-        return _chsh_grid(as_fraction(case["step"]))
+        return _zero_mean_grid(
+            as_fraction(case["step"]),
+            ("A", "Ap", "B", "Bp"),
+            (("A", "B"), ("A", "Bp"), ("Ap", "B"), ("Ap", "Bp")),
+            eval_chsh,
+        )
 
     if kind == "exchangeable_grid":
         return _exchangeable_grid(as_fraction(case["step"]))

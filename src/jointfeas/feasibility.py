@@ -9,14 +9,16 @@ per moment), decided here in exact rational arithmetic.
 Two independent decision paths are provided and cross-checked in the
 test suite:
 
-* :func:`decide` - exact phase-1 simplex (Bland's rule).  Returns a
-  witness distribution or a Farkas certificate.
+* :func:`decide` - phase-1 simplex (Bland's rule), guided in floating
+  point and settled by an exact basis solve (:mod:`jointfeas.simplex`).
+  Returns a witness distribution or a Farkas certificate.
 * :func:`brute_force_oracle` - dual-cone ray enumeration
   (double description) over the deduplicated atom moment vectors.
 
 Both produce results that verify by construction: witnesses satisfy
 every constraint exactly and certificates pass
-:func:`verify_certificate`.
+:func:`verify_certificate`.  Those two gates are plain rational
+arithmetic on the problem and share no code with either path.
 """
 
 from __future__ import annotations
@@ -125,6 +127,8 @@ class MomentProblem:
             if key in seen:
                 raise ValidationError(f"duplicate constraint on exponents {c.exponents}")
             seen.add(key)
+        # name -> position, built once: monomial_value is the hot lookup.
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -147,9 +151,8 @@ class MomentProblem:
 
     def monomial_value(self, constraint: MomentConstraint, atom: Atom) -> Fraction:
         value = _ONE
-        index = {v.name: i for i, v in enumerate(self.variables)}
         for name, k in constraint.exponents:
-            i = index[name]
+            i = self._index[name]
             value *= self.variables[i].support[atom[i]] ** k
         return value
 
@@ -282,7 +285,11 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
     """Exact feasibility verdict with witness or verified certificate.
 
     Deterministic for a fixed problem: atoms are enumerated in
-    lexicographic index order and the simplex uses Bland's rule.
+    lexicographic index order and the simplex uses Bland's rule.  Float
+    arithmetic only picks the simplex's final basis; the verdict comes
+    from an exact solve on that basis (or from the exact Bland loop when
+    the basis proves nothing) and then passes the exact witness recheck
+    or :func:`verify_certificate`.
     """
     count = problem.atom_count()
     if count > atom_cap:
@@ -369,7 +376,10 @@ def brute_force_oracle(
     Feasibility holds exactly when the homogenized target vector lies in
     the convex cone of the atoms' homogenized moment vectors; that
     membership is decided by enumerating the dual cone's extreme rays.
-    Shares no code path with the simplex.
+    It shares no pivoting with the simplex; both use the exact kernel in
+    :mod:`jointfeas.linalg`, so the witness recheck and
+    :func:`verify_certificate`, which use neither, are the independent
+    gates.
     """
     count = problem.atom_count()
     if count > atom_cap:

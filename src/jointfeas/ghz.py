@@ -40,6 +40,7 @@ from .probability import (
     event_product,
     event_value,
     event_where,
+    expectation,
     pm_one,
 )
 
@@ -219,16 +220,7 @@ def _satisfied_constraints(dist: JointDistribution) -> set[int]:
     satisfied = set()
     for i, quad in enumerate(DEFAULT_QUADRUPLES):
         names = [variable_name(f, p) for f, p in zip(FAMILIES, quad)]
-        target = phase_target(quad)
-        # E(prod) over the distribution, exactly.
-        total = Fraction(0)
-        for atom, p in dist.mass.items():
-            asg = dist.assignment(atom)
-            value = Fraction(1)
-            for n in names:
-                value *= asg[n]
-            total += p * value
-        if total == target:
+        if expectation(dist, {n: 1 for n in names}) == phase_target(quad):
             satisfied.add(i)
     return satisfied
 

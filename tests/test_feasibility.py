@@ -107,6 +107,66 @@ class TestDecide:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["1", "range-check", "[True]", "raised"]
 
+    def test_simplex_certification_survives_python_O(self):
+        # The float guide's basis is only accepted through explicit exact
+        # checks; with asserts stripped a basis that proves nothing must
+        # still be rejected, and the certificate gate must still raise.
+        script = textwrap.dedent(
+            """
+            import sys
+            from jointfeas import MomentConstraint, MomentProblem, feasibility, pm_one, simplex
+
+            names = ("X", "Y", "Z")
+            pairs = (("X", "Y"), ("Y", "Z"), ("X", "Z"))
+
+            def triple(pair):
+                return MomentProblem(
+                    tuple(pm_one(n) for n in names),
+                    tuple(
+                        [MomentConstraint.of({n: 1}, 0) for n in names]
+                        + [MomentConstraint.of({a: 1, b: 1}, pair) for a, b in pairs]
+                    ),
+                )
+
+            def outcome(result):
+                mass = result.witness.mass if result.witness else None
+                return result.method, result.verdict, result.certificate, mass
+
+            problems = (triple("-1/2"), triple("-1/3"))
+            guided = [feasibility.decide(p) for p in problems]
+
+            real_loop = simplex._exact_bland
+            fallbacks = []
+
+            def loop(*args):
+                fallbacks.append(args)
+                return real_loop(*args)
+
+            simplex._exact_bland = loop
+            # the all-artificial start basis certifies neither problem
+            simplex._float_guide = lambda tab, n, m: (list(range(n, n + m)), 0)
+            forced = [feasibility.decide(p) for p in problems]
+            rejected = len(fallbacks)
+            same = [outcome(a) == outcome(b) for a, b in zip(guided, forced)]
+
+            feasibility.verify_certificate = lambda problem, cert: False
+            try:
+                feasibility.decide(problems[0])
+                gate = "skipped"
+            except AssertionError:
+                gate = "raised"
+            print(sys.flags.optimize, *(r.method for r in guided), *(r.verdict for r in guided),
+                  rejected, *same, gate)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [
+            "1", "simplex", "simplex", "infeasible", "feasible", "2", "True", "True", "raised"
+        ]
+
     def test_atom_cap(self):
         vs = tuple(pm_one(f"X{i}") for i in range(12))
         prob = MomentProblem(vs, (MomentConstraint.of({"X0": 1}, 0),))
