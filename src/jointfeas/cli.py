@@ -6,7 +6,8 @@
     jointfeas corpus [--json] [--dir PATH]
 
 Exit status: 0 feasible (or success), 1 infeasible (or corpus drift),
-2 validation/usage error.  Reports are canonical JSON on stdout (or
+2 validation/usage error, 3 internal error (a bug, such as a failed
+soundness gate).  Reports are canonical JSON on stdout (or
 ``--out``): a fixed build produces byte-identical reports for identical
 inputs.  The bundled corpus directory can be overridden with the
 ``JOINTFEAS_CORPUS`` environment variable or ``--dir``.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -53,6 +55,7 @@ from .inequalities import (
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -383,6 +386,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (JointfeasError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
+    except Exception as exc:  # never let a bug read as a verdict (exit 1)
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n{traceback.format_exc()}")
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -15,10 +15,12 @@ test suite:
 * :func:`brute_force_oracle` - dual-cone ray enumeration
   (double description) over the deduplicated atom moment vectors.
 
-Both produce results that verify by construction: witnesses satisfy
-every constraint exactly and certificates pass
-:func:`verify_certificate`.  Those two gates are plain rational
-arithmetic on the problem and share no code with either path.
+Both paths read their inputs from one row builder,
+:func:`_constraint_rows`.  Every verdict then passes an exact gate that
+shares no code with that builder: a witness has each moment recomputed
+by :func:`jointfeas.probability.expectation`, and a certificate passes
+:func:`verify_certificate`, which evaluates atoms through
+:meth:`MomentProblem.monomial_value`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .algebraic import as_fraction
 from .errors import ConstraintMismatchError, SizeCapError, ValidationError
 from .geometry import cone_membership
 from .linalg import solve
-from .probability import Atom, FiniteRandomVariable, JointDistribution
+from .probability import Atom, FiniteRandomVariable, JointDistribution, expectation
 from .simplex import solve_equality_feasibility
 
 __all__ = [
@@ -78,7 +80,7 @@ class MomentConstraint:
         if len(set(names)) != len(names):
             raise ValidationError(f"repeated variable in exponent map: {names}")
         for name, k in self.exponents:
-            if not isinstance(k, int) or k <= 0:
+            if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
                 raise ValidationError(f"exponent for {name} must be a positive integer")
         if self.relation not in _RELATIONS:
             raise ValidationError(f"relation must be one of {_RELATIONS}")
@@ -127,7 +129,7 @@ class MomentProblem:
             if key in seen:
                 raise ValidationError(f"duplicate constraint on exponents {c.exponents}")
             seen.add(key)
-        # name -> position, built once: monomial_value is the hot lookup.
+        # name -> position, built once: every name lookup goes through it.
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
 
     @property
@@ -135,10 +137,10 @@ class MomentProblem:
         return tuple(v.name for v in self.variables)
 
     def variable(self, name: str) -> FiniteRandomVariable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise ConstraintMismatchError(f"unknown variable {name!r}")
+        try:
+            return self.variables[self._index[name]]
+        except KeyError:
+            raise ConstraintMismatchError(f"unknown variable {name!r}") from None
 
     def atom_count(self) -> int:
         count = 1
@@ -193,6 +195,23 @@ class FeasibilityResult:
         return self.verdict == "feasible"
 
 
+def _product_row(
+    atoms: Sequence[Atom], factors: Sequence[tuple[int, Sequence]]
+) -> list[Fraction]:
+    """Per atom, the product of ``table[atom[position]]`` over the factors.
+
+    A factor is a variable position and a table of values indexed by
+    support position, e.g. the support raised to an exponent.
+    """
+    row = []
+    for atom in atoms:
+        value = _ONE
+        for i, table in factors:
+            value *= table[atom[i]]
+        row.append(value)
+    return row
+
+
 def _constraint_rows(
     problem: MomentProblem, atoms: list[Atom], with_slacks: bool = False
 ) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -203,30 +222,15 @@ def _constraint_rows(
     pure equalities; the normalization row has zeros there since slack
     is not probability mass.
     """
+    constraints = problem.constraints
+    slack_owners = [i for i, c in enumerate(constraints) if c.relation != "=="] if with_slacks else []
     rows = []
-    rhs = []
-    # Precompute per-variable powered supports once; the inner loop is hot.
-    index = {v.name: i for i, v in enumerate(problem.variables)}
-    slack_owners = [i for i, c in enumerate(problem.constraints) if c.relation != "=="]
-    for ci, c in enumerate(problem.constraints):
-        powered = [(index[n], [val**k for val in problem.variables[index[n]].support]) for n, k in c.exponents]
-        row = []
-        for atom in atoms:
-            value = _ONE
-            for i, table in powered:
-                value *= table[atom[i]]
-            row.append(value)
-        if with_slacks:
-            for owner in slack_owners:
-                if owner != ci:
-                    row.append(_ZERO)
-                else:
-                    row.append(_ONE if c.relation == "<=" else Fraction(-1))
-        rows.append(row)
-        rhs.append(c.target)
-    rows.append([_ONE] * len(atoms) + ([_ZERO] * len(slack_owners) if with_slacks else []))
-    rhs.append(_ONE)
-    return rows, rhs
+    for ci, c in enumerate(constraints):
+        factors = [(problem._index[n], [x**k for x in problem.variable(n).support]) for n, k in c.exponents]
+        sign = _ONE if c.relation == "<=" else -_ONE
+        rows.append(_product_row(atoms, factors) + [sign if owner == ci else _ZERO for owner in slack_owners])
+    rows.append([_ONE] * len(atoms) + [_ZERO] * len(slack_owners))
+    return rows, [c.target for c in constraints] + [_ONE]
 
 
 def _satisfies(value: Fraction, constraint: MomentConstraint) -> bool:
@@ -237,16 +241,15 @@ def _satisfies(value: Fraction, constraint: MomentConstraint) -> bool:
     return value == constraint.target
 
 
-def _witness_from_masses(
-    problem: MomentProblem, atoms: list[Atom], masses: Sequence[Fraction]
-) -> JointDistribution:
-    mass = {atom: m for atom, m in zip(atoms, masses) if m > 0}
+def _checked_witness(problem: MomentProblem, mass: Mapping[Atom, Fraction]) -> JointDistribution:
+    """The distribution with these atom masses, every moment rechecked exactly.
+
+    The recheck uses :func:`expectation`, not the row builder, so a
+    fault in the builder cannot vouch for its own output.
+    """
     witness = JointDistribution(problem.variables, mass)
-    for c in problem.constraints:  # soundness: exact recheck of every moment
-        got = sum(
-            (p * problem.monomial_value(c, atom) for atom, p in witness.mass.items()),
-            _ZERO,
-        )
+    for c in problem.constraints:
+        got = expectation(witness, c.exponent_map)
         if not _satisfies(got, c):
             raise AssertionError(f"witness violates {c.describe()}: got {got}")
     return witness
@@ -318,7 +321,7 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
     if lp.feasible:
         if lp.solution is None:
             raise AssertionError("simplex reported feasible without a solution")
-        witness = _witness_from_masses(problem, atoms, lp.solution[: len(atoms)])
+        witness = _checked_witness(problem, {a: m for a, m in zip(atoms, lp.solution) if m > 0})
         return FeasibilityResult("feasible", witness, None, "simplex", {"pivots": lp.pivots})
     if lp.farkas is None:
         raise AssertionError("simplex reported infeasible without a Farkas vector")
@@ -376,7 +379,8 @@ def brute_force_oracle(
     Feasibility holds exactly when the homogenized target vector lies in
     the convex cone of the atoms' homogenized moment vectors; that
     membership is decided by enumerating the dual cone's extreme rays.
-    It shares no pivoting with the simplex; both use the exact kernel in
+    It shares no pivoting with the simplex; both read their inputs from
+    :func:`_constraint_rows` and use the exact kernel in
     :mod:`jointfeas.linalg`, so the witness recheck and
     :func:`verify_certificate`, which use neither, are the independent
     gates.
@@ -385,41 +389,29 @@ def brute_force_oracle(
     if count > atom_cap:
         raise SizeCapError(f"oracle cap is {atom_cap} atoms, problem has {count}")
 
+    # Generators are the columns of the LP rows with the normalization row
+    # first.  Atoms sharing a moment vector merge into one generator,
+    # represented by the first of them; slack columns (after the atoms)
+    # represent no atom.
     atoms = list(problem.atom_space())
-    by_vector: dict[tuple[Fraction, ...], Atom] = {}
-    for atom in atoms:
-        vec = (_ONE,) + tuple(problem.monomial_value(c, atom) for c in problem.constraints)
-        by_vector.setdefault(vec, atom)  # first atom represents its moment class
-    generators = list(by_vector.keys())
-    representatives: list[Atom | None] = list(by_vector.values())
-    m = len(problem.constraints)
-    for i, c in enumerate(problem.constraints):
-        if c.relation == "==":
-            continue
-        # slack direction for a bounded moment; not probability mass
-        slack = [_ZERO] * (m + 1)
-        slack[i + 1] = _ONE if c.relation == "<=" else Fraction(-1)
-        generators.append(tuple(slack))
-        representatives.append(None)
-    target = (_ONE,) + tuple(c.target for c in problem.constraints)
+    rows, rhs = _constraint_rows(problem, atoms, with_slacks=True)
+    representatives: dict[tuple[Fraction, ...], Atom | None] = {}
+    for column, atom in itertools.zip_longest(zip(rows[-1], *rows[:-1]), atoms):
+        representatives.setdefault(column, atom)
+    generators = list(representatives)
+    target = (rhs[-1], *rhs[:-1])
 
     membership = cone_membership(generators, target)
     if membership.member:
         if membership.combination is None:
             raise AssertionError("cone oracle reported membership without a combination")
-        masses: dict[Atom, Fraction] = {}
-        for gen_idx, weight in membership.combination.items():
-            rep = representatives[gen_idx]
-            if weight > 0 and rep is not None:
-                masses[rep] = weight
-        witness = JointDistribution(problem.variables, masses)
-        for c in problem.constraints:
-            got = sum(
-                (p * problem.monomial_value(c, atom) for atom, p in witness.mass.items()),
-                _ZERO,
-            )
-            if not _satisfies(got, c):
-                raise AssertionError(f"oracle witness violates {c.describe()}")
+        atom_of = list(representatives.values())
+        mass = {
+            atom_of[g]: w
+            for g, w in membership.combination.items()
+            if w > 0 and atom_of[g] is not None
+        }
+        witness = _checked_witness(problem, mass)
         return FeasibilityResult("feasible", witness, None, "cone-rays", {})
     if membership.separator is None:
         raise AssertionError("cone oracle reported non-membership without a separator")
@@ -501,17 +493,9 @@ def reduce_then_test(
     atoms = list(problem.atom_space())
     rows, rhs = _constraint_rows(problem, atoms)  # includes all-ones row, rhs 1
 
-    index = {v.name: i for i, v in enumerate(problem.variables)}
-
     def lifted(names: Sequence[str]) -> list[Fraction]:
-        out = []
-        for atom in atoms:
-            value = _ONE
-            for n in names:
-                v = problem.variables[index[n]].support[atom[index[n]]]
-                value *= tables[n][v]
-            out.append(Fraction(value))
-        return out
+        factors = [(problem._index[n], [tables[n][x] for x in problem.variable(n).support]) for n in names]
+        return _product_row(atoms, factors)
 
     constrained_pairs: list[tuple[str, str]] = []
     for c in problem.constraints:

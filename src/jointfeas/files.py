@@ -220,7 +220,9 @@ def _parse_finite_moment(obj: Mapping[str, Any]) -> dict[str, Any]:
     options = obj.get("options", {})
     _expect_keys(options, "options", set(), {"atom_cap", "allow_higher_order"})
     atom_cap = _parse_atom_cap(options)
-    allow_higher = bool(options.get("allow_higher_order", False))
+    allow_higher = options.get("allow_higher_order", False)
+    if not isinstance(allow_higher, bool):
+        raise _fail("options.allow_higher_order", "expected true or false")
 
     has_constraints = "constraints" in obj
     has_distribution = "distribution" in obj
@@ -247,7 +249,7 @@ def _parse_finite_moment(obj: Mapping[str, Any]) -> dict[str, Any]:
             if not isinstance(exps, Mapping) or not exps:
                 raise _fail(f"{cpath}.exponents", "expected a non-empty object")
             for n, k in exps.items():
-                if not isinstance(k, int) or k <= 0:
+                if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
                     raise _fail(f"{cpath}.exponents.{n}", "exponents are positive integers")
             relation = item.get("relation", "==")
             if relation not in ("==", "<=", ">="):

@@ -183,7 +183,7 @@ def expectation(dist: JointDistribution, exponents: Mapping[str, int]) -> Fracti
     if not exponents:
         raise ValidationError("at least one exponent is required")
     for name, k in exponents.items():
-        if not isinstance(k, int) or k <= 0:
+        if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
             raise ValidationError(f"exponent for {name} must be a positive integer")
     positions = {name: dist.index(name) for name in exponents}
     total = Fraction(0)

@@ -4,6 +4,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jointfeas import (
     FiniteRandomVariable,
@@ -12,11 +13,13 @@ from jointfeas import (
     brute_force_oracle,
     decide,
     expectation,
+    feasibility,
     pm_one,
     reduce_then_test,
     verify_certificate,
 )
 from jointfeas.errors import SizeCapError, ValidationError
+from jointfeas.feasibility import _constraint_rows
 
 from conftest import random_problem
 
@@ -166,6 +169,23 @@ class TestDecide:
         assert proc.stdout.split() == [
             "1", "simplex", "simplex", "infeasible", "feasible", "2", "True", "True", "raised"
         ]
+
+    @pytest.mark.parametrize("solver", [decide, brute_force_oracle])
+    def test_gates_catch_a_corrupt_row_builder(self, solver, monkeypatch):
+        # Both solvers read their inputs from _product_row; the witness and
+        # certificate gates must not, or a fault there would pass itself.
+        real = feasibility._product_row
+
+        def corrupt(atoms, factors):
+            row = real(atoms, factors)
+            row[1] += F(1, 7)
+            return row
+
+        monkeypatch.setattr(feasibility, "_product_row", corrupt)
+        with pytest.raises(AssertionError, match="witness violates"):
+            solver(triple([0] * 3, ["1/2", "-1/2", "-1/2"]))
+        with pytest.raises(AssertionError, match="invalid .*certificate"):
+            solver(triple([0] * 3, ["-1/2"] * 3))
 
     def test_atom_cap(self):
         vs = tuple(pm_one(f"X{i}") for i in range(12))
@@ -334,6 +354,74 @@ class TestBoundedMoments:
             )
             prob = MomentProblem(base.variables, constraints)
             assert decide(prob).verdict == brute_force_oracle(prob).verdict
+
+    @pytest.mark.parametrize("bound,verdict", [("-1/2", "feasible"), ("-3/4", "infeasible")])
+    def test_oracle_merges_shared_columns_beside_a_slack(self, bound, verdict):
+        # No constraint mentions Y, so atoms (x, -1) and (x, 1) share a moment
+        # vector; the oracle merges them and keeps the E(X) <= bound slack.
+        vs = (FiniteRandomVariable("X", (F(-1), F(0), F(1))), pm_one("Y"))
+        prob = MomentProblem(
+            vs,
+            (
+                MomentConstraint.of({"X": 1}, bound, "<="),
+                MomentConstraint.of({"X": 2}, "1/2"),
+            ),
+        )
+        oracle, lp = brute_force_oracle(prob), decide(prob)
+        assert oracle.verdict == lp.verdict == verdict
+        if oracle.feasible:
+            # each merged class is represented by its first atom, Y = -1
+            assert {atom[1] for atom in oracle.witness.mass} == {0}
+            assert expectation(oracle.witness, {"X": 1}) <= F(bound)
+        else:
+            assert verify_certificate(prob, oracle.certificate)
+
+
+rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def moment_problems(draw):
+    names = [f"V{i}" for i in range(draw(st.integers(1, 3)))]
+    supports = [
+        sorted(draw(st.lists(rationals, min_size=1, max_size=3, unique=True))) for _ in names
+    ]
+    constraint = st.tuples(
+        st.dictionaries(st.sampled_from(names), st.integers(1, 3), min_size=1),
+        rationals,
+        st.sampled_from(["==", "<=", ">="]),
+    )
+    specs = draw(
+        st.lists(constraint, max_size=4, unique_by=lambda s: (tuple(sorted(s[0].items())), s[2]))
+    )
+    return MomentProblem(
+        tuple(FiniteRandomVariable(n, tuple(s)) for n, s in zip(names, supports)),
+        tuple(MomentConstraint.of(e, t, r) for e, t, r in specs),
+        allow_higher_order=True,
+    )
+
+
+def reference_rows(problem, atoms, with_slacks):
+    """LP rows built entry by entry from monomial_value."""
+    bounded = [i for i, c in enumerate(problem.constraints) if with_slacks and c.relation != "=="]
+    rows = []
+    for i, c in enumerate(problem.constraints):
+        slack = F(1) if c.relation == "<=" else F(-1)
+        rows.append(
+            [problem.monomial_value(c, atom) for atom in atoms]
+            + [slack if j == i else F(0) for j in bounded]
+        )
+    rows.append([F(1)] * len(atoms) + [F(0)] * len(bounded))
+    return rows, [c.target for c in problem.constraints] + [F(1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(moment_problems(), st.booleans())
+def test_constraint_rows_match_monomial_values(problem, with_slacks):
+    atoms = list(problem.atom_space())
+    assert _constraint_rows(problem, atoms, with_slacks=with_slacks) == reference_rows(
+        problem, atoms, with_slacks
+    )
 
 
 class TestMonotonicity:

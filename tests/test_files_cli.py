@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from jointfeas import MomentConstraint, cli, expectation, pm_one, point_mass
 from jointfeas.algebraic import Surd, sqrt_fraction
 from jointfeas.errors import ValidationError
 from jointfeas.files import (
@@ -197,6 +198,38 @@ class TestCLI:
         # a TypeError would escape run() as a traceback with exit status 1
         assert run(["inequalities", self.write(tmp_path, obj)]) == 2
         assert "names:" in capsys.readouterr().err
+
+    def test_boolean_exponent_is_status_2(self, tmp_path, capsys):
+        obj = triple_file(["0", "0", "0"])
+        obj["constraints"][0]["exponents"] = {"X": True}  # bool is an int subclass
+        assert run(["decide", self.write(tmp_path, obj)]) == 2
+        assert "constraints[0].exponents.X" in capsys.readouterr().err
+        with pytest.raises(ValidationError):
+            MomentConstraint.of({"X": True}, 0)
+        with pytest.raises(ValidationError):
+            expectation(point_mass((pm_one("X"),), (0,)), {"X": True})
+
+    @pytest.mark.parametrize("flag", ["no", "false", 1, 0, None])
+    def test_non_boolean_allow_higher_order_is_status_2(self, tmp_path, capsys, flag):
+        obj = triple_file(["0", "0", "0"])
+        obj["constraints"][0]["exponents"] = {"X": 3}
+        obj["options"] = {"allow_higher_order": flag}
+        assert run(["decide", self.write(tmp_path, obj)]) == 2
+        assert "options.allow_higher_order" in capsys.readouterr().err
+        obj["options"] = {"allow_higher_order": True}
+        assert run(["decide", self.write(tmp_path, obj)]) == 0
+
+    def test_internal_error_is_status_3(self, tmp_path, capsys, monkeypatch):
+        def broken_gate(problem, **kwargs):
+            raise AssertionError("simplex produced an invalid infeasibility certificate")
+
+        monkeypatch.setattr(cli, "decide", broken_gate)
+        path = self.write(tmp_path, triple_file(["-1/2", "-1/2", "-1/2"]))
+        # an escaped exception used to exit 1, which reads as "infeasible"
+        assert run(["decide", path]) == cli.EXIT_INTERNAL == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: AssertionError: simplex produced")
 
     def test_hidden_variable_from_distribution(self, tmp_path, capsys):
         obj = {
