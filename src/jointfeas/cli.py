@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .corpus import run_corpus
-from .errors import JointfeasError, ValidationError
+from .errors import JointfeasError, SizeCapError, ValidationError
 from .feasibility import (
     DEFAULT_ATOM_CAP,
     FeasibilityResult,
@@ -90,11 +90,19 @@ def _require_problem(parsed: dict[str, Any], *, allow_distribution: bool) -> Any
     raise ValidationError("constraint targets must be rational for the LP engine")
 
 
+def _atom_cap(args: argparse.Namespace, parsed: dict[str, Any]) -> int:
+    """The ``--atom-cap`` flag, else the file's ``options.atom_cap``, else the default."""
+    if args.atom_cap is None:
+        return parsed.get("atom_cap") or DEFAULT_ATOM_CAP
+    if args.atom_cap <= 0:
+        raise ValidationError("--atom-cap: expected a positive integer")
+    return args.atom_cap
+
+
 def cmd_decide(args: argparse.Namespace) -> int:
     parsed = load_problem_file(args.problem)
     problem = _require_problem(parsed, allow_distribution=False)
-    atom_cap = args.atom_cap or parsed.get("atom_cap") or DEFAULT_ATOM_CAP
-    result = decide(problem, atom_cap=atom_cap)
+    result = decide(problem, atom_cap=_atom_cap(args, parsed))
     payload = _feasibility_payload(problem, result)
     if args.oracle:
         oracle = brute_force_oracle(problem)
@@ -120,11 +128,11 @@ def _serialize_model(model) -> dict[str, Any]:
 def cmd_hidden_variable(args: argparse.Namespace) -> int:
     parsed = load_problem_file(args.problem)
     problem = _require_problem(parsed, allow_distribution=True)
+    atom_cap = _atom_cap(args, parsed)
     if problem is None:
         dist = parsed["distribution"]
         payload: dict[str, Any] = {"verdict": "feasible", "source": "explicit distribution"}
     else:
-        atom_cap = args.atom_cap or parsed.get("atom_cap") or DEFAULT_ATOM_CAP
         result = decide(problem, atom_cap=atom_cap)
         payload = _feasibility_payload(problem, result)
         payload["source"] = "feasibility witness"
@@ -284,6 +292,7 @@ def cmd_inequalities(args: argparse.Namespace) -> int:
     parsed = load_problem_file(args.problem)
     if parsed["kind"] == "ghz":
         raise ValidationError("inequality evaluation expects finite-moment or gaussian files")
+    atom_cap = _atom_cap(args, parsed)
     which = [] if args.which in (None, "all") else [s.strip() for s in args.which.split(",")]
     if parsed["kind"] == "finite-moment" and "constraints" not in parsed:
         raise ValidationError("inequality evaluation needs moment constraints")
@@ -295,16 +304,16 @@ def cmd_inequalities(args: argparse.Namespace) -> int:
     }
     if parsed["kind"] == "finite-moment":
         if parsed.get("rational_targets") and "problem" in parsed:
-            problem = parsed["problem"]
-            if problem.atom_count() <= (args.atom_cap or DEFAULT_ATOM_CAP):
-                result = decide(problem, atom_cap=args.atom_cap or DEFAULT_ATOM_CAP)
+            try:
+                result = decide(parsed["problem"], atom_cap=atom_cap)
+            except SizeCapError:
+                payload["cross_check"] = {"skipped": "atom cap exceeded"}
+            else:
                 payload["cross_check"] = {
                     "decide_verdict": result.verdict,
                     "note": "closed-form verdicts need not match joint-distribution "
                     "feasibility unless the inequality is exact for the case",
                 }
-            else:
-                payload["cross_check"] = {"skipped": "atom cap exceeded"}
         else:
             payload["cross_check"] = {"skipped": "non-rational targets"}
     _emit(render_report("inequalities", parsed["echo"], payload), args.out)

@@ -101,7 +101,7 @@ def parse_exact(value: Any, path: str = "value") -> ExactNumber:
         if "minus_cos_degrees" in value:
             _expect_keys(value, path, {"minus_cos_degrees"}, set())
             deg = value["minus_cos_degrees"]
-            if not isinstance(deg, int):
+            if isinstance(deg, bool) or not isinstance(deg, int):
                 raise _fail(path, "minus_cos_degrees must be an integer")
             reduced = deg % 360
             if reduced > 180:
@@ -305,7 +305,7 @@ def _parse_ghz(obj: Mapping[str, Any]) -> dict[str, Any]:
                 not isinstance(quad, Sequence)
                 or isinstance(quad, str)
                 or len(quad) != 4
-                or not all(isinstance(p, int) for p in quad)
+                or not all(isinstance(p, int) and not isinstance(p, bool) for p in quad)
             ):
                 raise _fail(f"quadruples[{i}]", "expected four integer half-pi phases")
             parsed.append(tuple(quad))

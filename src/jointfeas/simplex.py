@@ -4,9 +4,9 @@ Decides whether {x >= 0 : A x = b} is nonempty by minimizing the sum of
 artificial variables with Bland's smallest-index rule (finite, no
 cycling).  The decision takes three steps:
 
-1. **Float guide.**  The Bland pivots run on a float64 copy of the
-   sign-normalized tableau, with a tolerance on every sign test and a
-   hard pivot cap.  Its only output is a final basis.
+1. **Float guide.**  The Bland loop (``_bland``) runs on a float64
+   copy of the sign-normalized tableau, with a tolerance on every sign
+   test and a hard pivot cap.  Its only output is a final basis.
 2. **Exact certificate.**  That basis is settled in exact integer
    arithmetic (:mod:`jointfeas.linalg`): feasible when the solution of
    ``B x_B = b`` is nonnegative with every artificial at zero,
@@ -14,15 +14,16 @@ cycling).  The decision takes three steps:
    vector.  No float value reaches a result; only the basis does.
 3. **Exact fallback.**  When the guide stops early (pivot cap, no
    leaving row, an entry beyond float range), or its basis is singular
-   or fails both exact checks, the same Bland loop runs on a dense
-   ``Fraction`` tableau from a cold start.
+   or fails both exact checks, the same ``_bland`` loop runs from a
+   cold start on an object tableau of ``Fraction`` values, with
+   tolerance 0 and no cap, and its final basis goes to step 2.
 
 On success the basic feasible solution is returned; on failure the dual
 multipliers of the phase-1 optimum yield a Farkas vector u with
 u.A >= 0 componentwise and u.b < 0, an independently checkable
-certificate of emptiness.  Either way the result is what the exact loop
-returns from the same final basis, so a guide that follows Bland's path
-gives the exact loop's solution, Farkas vector and pivot count.
+certificate of emptiness.  Every result is read off a final basis by
+step 2, so a guide that follows Bland's exact path gives the fallback's
+solution, Farkas vector and pivot count.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def solve_equality_feasibility(
         try:
             # Overflow to inf or nan only misguides; the exact checks catch it.
             with np.errstate(over="ignore", invalid="ignore"):
-                guide = _float_guide(_float_tableau(rows, rhs, signs), n, m)
+                guide = _float_guide(_tableau(rows, rhs, signs, float), n, m)
         except OverflowError:  # an entry beyond float range
             guide = None
         if guide is not None:
@@ -89,56 +90,64 @@ def solve_equality_feasibility(
     return _exact_bland(rows, rhs, signs)
 
 
-def _float_tableau(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], signs: list[int]
+def _tableau(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], signs: list[int], dtype
 ) -> np.ndarray:
-    """Sign-normalized phase-1 tableau [A | I | b] with the cost row appended."""
+    """Sign-normalized phase-1 tableau [A | I | b] with the cost row appended.
+
+    Every cell is filled from ``_ZERO``, ``_ONE`` and the inputs, so an
+    object tableau holds only ``Fraction`` values.
+    """
     m = len(rows)
     n = len(rows[0])
-    tab = np.zeros((m + 1, n + m + 1))
+    tab = np.full((m + 1, n + m + 1), _ZERO, dtype)
     tab[:m, :n] = rows
     tab[:m, -1] = rhs
-    tab[:m] *= np.array(signs, dtype=float)[:, None]
-    tab[np.arange(m), n + np.arange(m)] = 1.0
+    tab[:m] *= np.array(signs)[:, None]
+    tab[np.arange(m), n + np.arange(m)] = _ONE
     tab[m] = -tab[:m].sum(axis=0)
-    tab[m, n : n + m] += 1.0  # artificial columns carry cost 1
+    tab[m, n : n + m] = _ZERO  # cost 1 minus the column sum 1
     return tab
 
 
 def _float_guide(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int] | None:
-    """Run Bland's rule on the float tableau in place.
+    """Bland's rule on the float tableau, with tolerance and pivot cap."""
+    return _bland(tab, n, m, _TOL, _PIVOT_CAP_PER_COLUMN * (n + m))
 
-    Returns the final basis (column index per row) and the pivot count,
-    or None when the pivot cap is hit or no leaving row exists.
+
+def _bland(
+    tab: np.ndarray, n: int, m: int, tol: float, cap: int | None
+) -> tuple[list[int], int] | None:
+    """Run Bland's rule on the tableau in place from the all-artificial basis.
+
+    Entries within ``tol`` of zero count as zero and ratios within ``tol``
+    of the minimum as ties.  Returns the final basis (column index per
+    row) and the pivot count, or None when ``cap`` pivots are reached or
+    no leaving row exists.
     """
     basis = np.arange(n, n + m)
     cost = tab[m, : n + m]
     rhs = tab[:m, -1]
     update = np.empty_like(tab)
-    cap = _PIVOT_CAP_PER_COLUMN * (n + m)
     pivots = 0
     while True:
-        entering = int(np.argmax(cost < -_TOL))
-        if cost[entering] >= -_TOL:
+        entering = int(np.argmax(cost < -tol))
+        if cost[entering] >= -tol:
             return basis.tolist(), pivots
-        if pivots >= cap:
+        if cap is not None and pivots >= cap:
             return None
         column = tab[:m, entering]
-        candidates = np.flatnonzero(column > _TOL)
+        candidates = np.flatnonzero(column > tol)
         if candidates.size == 0:
             return None
         ratios = rhs[candidates] / column[candidates]
-        ties = candidates[ratios <= ratios.min() + _TOL]
+        ties = candidates[ratios <= ratios.min() + tol]
         leaving = int(ties[np.argmin(basis[ties])])
 
-        prow = tab[leaving]
-        prow /= prow[entering]
-        factors = tab[:, entering].copy()
-        factors[leaving] = 0.0
-        np.multiply.outer(factors, prow, out=update)
+        prow = tab[leaving] / tab[leaving, entering]
+        np.multiply.outer(tab[:, entering], prow, out=update)
         tab -= update
-        tab[:, entering] = 0.0
-        tab[leaving, entering] = 1.0
+        tab[leaving] = prow
         basis[leaving] = entering
         pivots += 1
 
@@ -150,7 +159,7 @@ def _certify(
     basis: list[int],
     pivots: int,
 ) -> EqualityFeasibility | None:
-    """Settle the guide's final basis exactly, or None when it proves nothing.
+    """Settle a final Bland basis exactly, or None when it proves nothing.
 
     Row i of the sign-normalized system is scaled by the positive
     integer ``dens[i]`` to clear its denominators, so the scaled system
@@ -211,90 +220,14 @@ def _certify(
 def _exact_bland(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], signs: list[int]
 ) -> EqualityFeasibility:
-    """Bland's rule on a dense ``Fraction`` tableau from the all-artificial basis."""
+    """Bland's rule on a ``Fraction`` tableau from the all-artificial basis."""
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    tab = [
-        [s * v for v in row] + [_ONE if i == j else _ZERO for j in range(m)] + [s * b]
-        for i, (row, b, s) in enumerate(zip(rows, rhs, signs))
-    ]
-    width = n + m + 1
-
-    # Reduced-cost row for min(sum of artificials): z_j - c_j bookkeeping
-    # collapses to cost[j] = -sum_i tab[i][j] for structural columns.
-    cost = [_ZERO] * width
-    for j in range(width):
-        acc = _ZERO
-        for i in range(m):
-            acc += tab[i][j]
-        cost[j] = -acc
-    for j in range(n, n + m):
-        cost[j] += _ONE  # artificial columns carry cost 1
-
-    basis = list(range(n, n + m))
-    pivots = 0
-
-    while True:
-        entering = -1
-        for j in range(n + m):
-            if cost[j] < 0:
-                entering = j
-                break
-        if entering < 0:
-            break
-
-        leaving = -1
-        best_ratio: Fraction | None = None
-        for i in range(m):
-            coeff = tab[i][entering]
-            if coeff > 0:
-                ratio = tab[i][-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
-            # Phase-1 objective is bounded below by 0; this cannot happen.
-            raise AssertionError("unbounded phase-1 objective")
-
-        pivot = tab[leaving][entering]
-        prow = tab[leaving]
-        if pivot != 1:
-            inv = 1 / pivot
-            for j in range(width):
-                prow[j] *= inv
-        for i in range(m):
-            if i != leaving:
-                factor = tab[i][entering]
-                if factor != 0:
-                    row = tab[i]
-                    for j in range(width):
-                        row[j] -= factor * prow[j]
-        factor = cost[entering]
-        if factor != 0:
-            for j in range(width):
-                cost[j] -= factor * prow[j]
-        basis[leaving] = entering
-        pivots += 1
-
-    objective = _ZERO
-    for i in range(m):
-        if basis[i] >= n:
-            objective += tab[i][-1]
-
-    if objective == 0:
-        x = [_ZERO] * n
-        for i in range(m):
-            if basis[i] < n:
-                x[basis[i]] = tab[i][-1]
-        return EqualityFeasibility(True, tuple(x), None, pivots)
-
-    # Dual multipliers: the reduced cost of artificial i is 1 - y_i, so
-    # y_i = 1 - cost[n+i].  Then y.(sign-normalized A) <= 0 on structural
-    # columns and y.(normalized b) = objective > 0; take u = -y and undo
-    # the sign normalization per row.
-    farkas = tuple(-(_ONE - cost[n + i]) * signs[i] for i in range(m))
-    return EqualityFeasibility(False, None, farkas, pivots)
+    if m == 0:
+        return EqualityFeasibility(True, (), None, 0)
+    n = len(rows[0])
+    final = _bland(_tableau(rows, rhs, signs, object), n, m, 0, None)
+    result = None if final is None else _certify(rows, rhs, signs, *final)
+    if result is None:
+        # An exact phase-1 optimum always exists and certifies.
+        raise AssertionError("exact Bland loop ended without a certified basis")
+    return result

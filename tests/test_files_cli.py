@@ -52,6 +52,9 @@ class TestExactParsing:
         assert parse_exact({"minus_cos_degrees": 135}) == sqrt_fraction(2) / 2
         with pytest.raises(ValidationError):
             parse_exact({"minus_cos_degrees": 10})
+        for flag in (True, False):  # bool is an int subclass, not an angle
+            with pytest.raises(ValidationError, match="minus_cos_degrees must be an integer"):
+                parse_exact({"minus_cos_degrees": flag})
 
     def test_poly_interval_roundtrip(self):
         value = F(3, 2) - sqrt_fraction(3)
@@ -186,6 +189,47 @@ class TestCLI:
         ghz = {"schema": PROBLEM_SCHEMA, "kind": "ghz", "options": {"atom_cap": "many"}}
         assert run(["decide", self.write(tmp_path, ghz, "ghz.json")]) == 2
         assert "options.atom_cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_minus_cos_degrees_is_status_2(self, tmp_path, capsys, flag):
+        obj = triple_file([{"minus_cos_degrees": flag}, "0", "0"])
+        assert run(["decide", self.write(tmp_path, obj)]) == 2
+        assert "constraints[3].target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("phase", [True, False])
+    def test_boolean_ghz_phase_is_status_2(self, tmp_path, capsys, phase):
+        ghz = {"schema": PROBLEM_SCHEMA, "kind": "ghz", "quadruples": [[phase, 0, 0, 0]]}
+        assert run(["decide", self.write(tmp_path, ghz, "ghz.json")]) == 2
+        assert "quadruples[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["decide", "hidden-variable", "inequalities"])
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_non_positive_atom_cap_flag_is_status_2(self, tmp_path, capsys, command, cap):
+        path = self.write(tmp_path, triple_file(["1/2", "-1/2", "-1/2"]))
+        assert run([command, path, "--atom-cap", cap]) == 2
+        assert "--atom-cap" in capsys.readouterr().err
+
+    def test_atom_cap_rule_is_shared_by_all_commands(self, tmp_path, capsys):
+        # 8 atoms; the flag overrides the file's options.atom_cap
+        obj = triple_file(["-1/2", "-1/2", "-1/2"])
+        obj["options"] = {"atom_cap": 4}
+        path = self.write(tmp_path, obj)
+        for command in ("decide", "hidden-variable"):
+            assert run([command, path]) == 2
+            assert "above the cap 4" in capsys.readouterr().err
+            assert run([command, path, "--atom-cap", "8"]) == 1
+            capsys.readouterr()
+        assert run(["inequalities", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["cross_check"] == {"skipped": "atom cap exceeded"}
+        assert run(["inequalities", path, "--atom-cap", "8"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["cross_check"]["decide_verdict"] == "infeasible"
+        del obj["options"]
+        path = self.write(tmp_path, obj, "uncapped.json")
+        assert run(["inequalities", path, "--atom-cap", "7"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["cross_check"] == {"skipped": "atom cap exceeded"}
 
     @pytest.mark.parametrize("names", [5, "XYZ", ["X", "Y", 3], ["X", "X", "Y"], ["X", "Y"]])
     def test_bad_gaussian_names_are_status_2(self, tmp_path, capsys, names):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,10 @@ def check_farkas(rows, rhs, farkas):
     for j in range(n):
         assert sum(farkas[i] * rows[i][j] for i in range(len(rows))) >= 0
     assert sum(farkas[i] * rhs[i] for i in range(len(rows))) < 0
+
+
+def test_empty_system_is_feasible():
+    assert solve_equality_feasibility([], []) == simplex.EqualityFeasibility(True, (), None, 0)
 
 
 def test_simple_feasible_system():
@@ -262,3 +267,52 @@ def test_pivot_cap_fallback_keeps_decide_results(monkeypatch):
     for a, b in zip(guided, forced):
         assert (a.verdict, a.certificate, a.detail) == (b.verdict, b.certificate, b.detail)
         assert (a.witness and a.witness.mass) == (b.witness and b.witness.mass)
+
+
+def equal_pair_moment_lp(n, pair):
+    """+-1 variables with zero means and every pair moment equal to ``pair``."""
+    names = [f"X{i}" for i in range(n)]
+    problem = MomentProblem(
+        tuple(pm_one(v) for v in names),
+        tuple(
+            [MomentConstraint.of({v: 1}, 0) for v in names]
+            + [MomentConstraint.of({a: 1, b: 1}, pair) for a, b in combinations(names, 2)]
+        ),
+    )
+    return feasibility._constraint_rows(problem, list(problem.atom_space()), with_slacks=True)
+
+
+# Verdicts and pivot counts recorded from an exact Bland loop written
+# independently of _bland (a list-of-lists Fraction tableau); they pin
+# the entering and leaving choices, tie-breaks included.
+PINNED_BLAND_PATHS = [
+    pytest.param(6, F(-1, 6), True, 76, id="n6-feasible"),
+    pytest.param(6, F(-1, 4), False, 62, id="n6-infeasible"),
+    pytest.param(7, F(-1, 8), True, 352, id="n7-feasible"),
+    pytest.param(7, F(-1, 5), False, 122, id="n7-infeasible"),
+]
+
+
+@pytest.mark.parametrize("n,pair,feasible,pivots", PINNED_BLAND_PATHS)
+def test_bland_path_is_pinned_on_equal_pair_moments(n, pair, feasible, pivots):
+    rows, rhs = equal_pair_moment_lp(n, pair)
+    signs = [(-1 if b < 0 else 1) for b in rhs]
+    # The capped guide first: a loop that leaves Bland's path fails here
+    # rather than cycling in the uncapped exact loop.
+    guide = simplex._float_guide(simplex._tableau(rows, rhs, signs, float), len(rows[0]), len(rows))
+    assert guide is not None and guide[1] == pivots
+    res = solve_equality_feasibility(rows, rhs)
+    assert (res.feasible, res.pivots) == (feasible, pivots)
+    check_result(rows, rhs, res)
+    if n == 6:
+        assert exact_loop(rows, rhs) == res
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_exact_tableau_holds_only_fractions(system):
+    rows, rhs = system
+    m, n = len(rows), len(rows[0])
+    tab = simplex._tableau(rows, rhs, [(-1 if b < 0 else 1) for b in rhs], object)
+    assert simplex._bland(tab, n, m, 0, None) is not None
+    assert all(type(v) is Fraction for v in tab.flat)
