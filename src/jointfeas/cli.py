@@ -16,6 +16,7 @@ inputs.  The bundled corpus directory can be overridden with the
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from pathlib import Path
@@ -350,7 +351,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_INFEASIBLE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="jointfeas",
         description="Exact joint-distribution feasibility, hidden variables, and moment inequalities.",
@@ -388,8 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit status, argparse's own included."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors and --help end here, not in the caller
+        return exc.code
     try:
         return args.func(args)
     except (JointfeasError, OSError) as exc:

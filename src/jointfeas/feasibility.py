@@ -15,12 +15,16 @@ test suite:
 * :func:`brute_force_oracle` - dual-cone ray enumeration
   (double description) over the deduplicated atom moment vectors.
 
-Both paths read their inputs from one row builder,
-:func:`_constraint_rows`.  Every verdict then passes an exact gate that
-shares no code with that builder: a witness has each moment recomputed
-by :func:`jointfeas.probability.expectation`, and a certificate passes
-:func:`verify_certificate`, which evaluates atoms through
-:meth:`MomentProblem.monomial_value`.
+Both paths, and :func:`reduce_then_test`, read their inputs from one
+integer row builder, :func:`_constraint_rows`: each support over its
+common denominator, each moment row a numpy product of numerator tables
+over the lattice with one denominator per row, in int64 when a bound
+computed first fits and in Python ints otherwise.  Every verdict then
+passes an exact gate that shares no code with that builder: a witness
+has each moment recomputed by :func:`jointfeas.probability.expectation`,
+and a certificate passes :func:`verify_certificate`, which scales the
+functional to integers and evaluates it over the lattice in chunks with
+tables of its own, again in int64 only when a bound proves it safe.
 """
 
 from __future__ import annotations
@@ -28,7 +32,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm, prod
 from typing import Callable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .algebraic import as_fraction
 from .errors import ConstraintMismatchError, SizeCapError, ValidationError
@@ -55,6 +62,10 @@ ORACLE_ATOM_CAP = 4096
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+_INT64_MAX = (1 << 63) - 1
+# Atoms per vectorized step of the certificate gate.
+_CHUNK = 1 << 16
 
 
 _RELATIONS = ("==", "<=", ">=")
@@ -195,42 +206,79 @@ class FeasibilityResult:
         return self.verdict == "feasible"
 
 
-def _product_row(
-    atoms: Sequence[Atom], factors: Sequence[tuple[int, Sequence]]
-) -> list[Fraction]:
-    """Per atom, the product of ``table[atom[position]]`` over the factors.
+def _integer_support(variable: FiniteRandomVariable) -> tuple[int, list[int]]:
+    """The support's common denominator and the support values times it."""
+    den = lcm(*(x.denominator for x in variable.support))
+    return den, [x.numerator * (den // x.denominator) for x in variable.support]
 
-    A factor is a variable position and a table of values indexed by
-    support position, e.g. the support raised to an exponent.
+
+def _lattice_product(
+    shape: tuple[int, ...], factors: Sequence[tuple[int, Sequence[int]]], dtype
+) -> np.ndarray:
+    """Per atom, in ``atom_space`` order, the product of ``table[atom[position]]``.
+
+    A factor is a variable position and a table of integers indexed by
+    support position.  The lattice is one numpy broadcast in C order,
+    which is the order of :meth:`MomentProblem.atom_space`.
     """
-    row = []
-    for atom in atoms:
-        value = _ONE
-        for i, table in factors:
-            value *= table[atom[i]]
-        row.append(value)
-    return row
+    out = np.ones((1,) * len(shape), dtype)
+    for position, table in factors:
+        axes = [1] * len(shape)
+        axes[position] = shape[position]
+        out = out * np.array(table, dtype).reshape(axes)
+    return np.broadcast_to(out, shape).reshape(-1)
 
 
 def _constraint_rows(
-    problem: MomentProblem, atoms: list[Atom], with_slacks: bool = False
-) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """LP rows: one per constraint, then the normalization row.
+    problem: MomentProblem, with_slacks: bool = False
+) -> tuple[np.ndarray, list[int], list[Fraction]]:
+    """LP rows in integers: one per constraint, then the normalization row.
+
+    Returns ``(matrix, dens, rhs)``: row i over the atoms, in
+    ``atom_space`` order, is ``matrix[i] / dens[i]``.  Each support is
+    put over its common denominator D_v, so a constraint's row holds
+    products of support numerators raised to their exponents, over
+    ``prod(D_v ** k)``.  The normalization row is all ones over 1.  The
+    matrix is int64 when a bound on every entry, computed first, fits;
+    otherwise it holds Python ints.
 
     With ``with_slacks`` every inequality constraint gets one extra
-    nonnegative column (+1 for <=, -1 for >=) turning the system into
-    pure equalities; the normalization row has zeros there since slack
-    is not probability mass.
+    nonnegative column (+den for <=, -den for >=) turning the system
+    into pure equalities; the normalization row has zeros there since
+    slack is not probability mass.
     """
-    constraints = problem.constraints
-    slack_owners = [i for i, c in enumerate(constraints) if c.relation != "=="] if with_slacks else []
-    rows = []
-    for ci, c in enumerate(constraints):
-        factors = [(problem._index[n], [x**k for x in problem.variable(n).support]) for n, k in c.exponents]
-        sign = _ONE if c.relation == "<=" else -_ONE
-        rows.append(_product_row(atoms, factors) + [sign if owner == ci else _ZERO for owner in slack_owners])
-    rows.append([_ONE] * len(atoms) + [_ZERO] * len(slack_owners))
-    return rows, [c.target for c in constraints] + [_ONE]
+    shape = tuple(len(v.support) for v in problem.variables)
+    count = prod(shape)
+    supports = [_integer_support(v) for v in problem.variables]
+    specs = []
+    bound = 1
+    for c in problem.constraints:
+        factors, den, top = [], 1, 1
+        for name, k in c.exponents:
+            i = problem._index[name]
+            d, numerators = supports[i]
+            factors.append((i, [x**k for x in numerators]))
+            den *= d**k
+            top *= max(1, *(abs(x) for x in numerators)) ** k  # bounds partial products too
+        specs.append((factors, den))
+        bound = max(bound, top, den)
+    dtype = np.int64 if bound <= _INT64_MAX else object
+
+    owners = [i for i, c in enumerate(problem.constraints) if c.relation != "=="] if with_slacks else []
+    matrix = np.zeros((len(specs) + 1, count + len(owners)), dtype)
+    for i, (factors, _) in enumerate(specs):
+        matrix[i, :count] = _lattice_product(shape, factors, dtype)
+    matrix[-1, :count] = 1
+    for j, i in enumerate(owners, count):
+        den = specs[i][1]
+        matrix[i, j] = den if problem.constraints[i].relation == "<=" else -den
+    dens = [den for _, den in specs] + [1]
+    return matrix, dens, [c.target for c in problem.constraints] + [_ONE]
+
+
+def _atom(shape: tuple[int, ...], index: int) -> Atom:
+    """The atom at this position of ``atom_space`` order."""
+    return tuple(int(i) for i in np.unravel_index(index, shape))
 
 
 def _satisfies(value: Fraction, constraint: MomentConstraint) -> bool:
@@ -315,13 +363,14 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
                 {"constraint": c.describe(), "achievable": (lo, hi)},
             )
 
-    atoms = list(problem.atom_space())
-    rows, rhs = _constraint_rows(problem, atoms, with_slacks=True)
-    lp = solve_equality_feasibility(rows, rhs)
+    matrix, dens, rhs = _constraint_rows(problem, with_slacks=True)
+    lp = solve_equality_feasibility(matrix, rhs, dens)
     if lp.feasible:
         if lp.solution is None:
             raise AssertionError("simplex reported feasible without a solution")
-        witness = _checked_witness(problem, {a: m for a, m in zip(atoms, lp.solution) if m > 0})
+        shape = tuple(len(v.support) for v in problem.variables)
+        mass = {_atom(shape, j): x for j, x in enumerate(lp.solution[:count]) if x > 0}
+        witness = _checked_witness(problem, mass)
         return FeasibilityResult("feasible", witness, None, "simplex", {"pivots": lp.pivots})
     if lp.farkas is None:
         raise AssertionError("simplex reported infeasible without a Farkas vector")
@@ -356,12 +405,46 @@ def verify_certificate(problem: MomentProblem, certificate: Sequence[Fraction]) 
     constant += cert[m]
     if constant >= 0:
         return False
-    for atom in problem.atom_space():
-        value = cert[m]
-        for c, w in zip(problem.constraints, cert):
-            if w:
-                value += w * problem.monomial_value(c, atom)
-        if value < 0:
+
+    # Integer form: with L the lcm of the certificate's denominators and
+    # T the lcm of the value denominators of its monomials, T*L times the
+    # functional at an atom is  base + sum_i weight_i * M_i(atom), where
+    # M_i multiplies support numerators raised to their exponents.  The
+    # tables are built here, not by the row builder, so a fault there
+    # cannot vouch for its own output.
+    scale = lcm(*(w.denominator for w in cert))
+    monomials = []
+    for c, w in zip(problem.constraints, cert):
+        if w:
+            factors, den = [], 1
+            for name, k in c.exponents:
+                i = problem._index[name]
+                support = problem.variables[i].support
+                d = lcm(*(x.denominator for x in support))
+                factors.append((i, [(x.numerator * (d // x.denominator)) ** k for x in support]))
+                den *= d**k
+            monomials.append((w.numerator * (scale // w.denominator), den, factors))
+    common = lcm(*(den for _, den, _ in monomials))
+    base = cert[m].numerator * (scale // cert[m].denominator) * common
+    weights = [(w * (common // den), factors) for w, den, factors in monomials]
+    # Every partial sum and product below is at most this in magnitude.
+    bound = abs(base) + sum(
+        abs(w) * prod(max(1, *(abs(x) for x in table)) for _, table in factors) for w, factors in weights
+    )
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    terms = [(w, [(i, np.array(table, dtype)) for i, table in factors]) for w, factors in weights]
+
+    shape = tuple(len(v.support) for v in problem.variables)
+    count = prod(shape)
+    for start in range(0, count, _CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + _CHUNK, count)), shape)
+        value = np.full(len(index[0]), base, dtype)
+        for w, factors in terms:
+            term = np.full(len(index[0]), w, dtype)
+            for i, table in factors:
+                term *= table[index[i]]
+            value += term
+        if (value < 0).any():
             return False
     return True
 
@@ -393,11 +476,12 @@ def brute_force_oracle(
     # first.  Atoms sharing a moment vector merge into one generator,
     # represented by the first of them; slack columns (after the atoms)
     # represent no atom.
-    atoms = list(problem.atom_space())
-    rows, rhs = _constraint_rows(problem, atoms, with_slacks=True)
-    representatives: dict[tuple[Fraction, ...], Atom | None] = {}
-    for column, atom in itertools.zip_longest(zip(rows[-1], *rows[:-1]), atoms):
-        representatives.setdefault(column, atom)
+    matrix, dens, rhs = _constraint_rows(problem, with_slacks=True)
+    values = matrix.tolist()
+    representatives: dict[tuple[Fraction, ...], int] = {}
+    for j, column in enumerate(zip(values[-1], *values[:-1])):
+        key = (Fraction(column[0]), *(Fraction(v, d) for v, d in zip(column[1:], dens)))
+        representatives.setdefault(key, j)
     generators = list(representatives)
     target = (rhs[-1], *rhs[:-1])
 
@@ -405,11 +489,12 @@ def brute_force_oracle(
     if membership.member:
         if membership.combination is None:
             raise AssertionError("cone oracle reported membership without a combination")
-        atom_of = list(representatives.values())
+        shape = tuple(len(v.support) for v in problem.variables)
+        column_of = list(representatives.values())
         mass = {
-            atom_of[g]: w
+            _atom(shape, column_of[g]): w
             for g, w in membership.combination.items()
-            if w > 0 and atom_of[g] is not None
+            if w > 0 and column_of[g] < count
         }
         witness = _checked_witness(problem, mass)
         return FeasibilityResult("feasible", witness, None, "cone-rays", {})
@@ -490,12 +575,12 @@ def reduce_then_test(
         )
     tables = {v.name: _as_table(v, signmaps[v.name]) for v in problem.variables}
 
-    atoms = list(problem.atom_space())
-    rows, rhs = _constraint_rows(problem, atoms)  # includes all-ones row, rhs 1
+    matrix, dens, rhs = _constraint_rows(problem)  # includes all-ones row, rhs 1
+    shape = tuple(len(v.support) for v in problem.variables)
 
-    def lifted(names: Sequence[str]) -> list[Fraction]:
+    def lifted(names: Sequence[str]) -> list[int]:
         factors = [(problem._index[n], [tables[n][x] for x in problem.variable(n).support]) for n in names]
-        return _product_row(atoms, factors)
+        return _lattice_product(shape, factors, np.int64).tolist()
 
     constrained_pairs: list[tuple[str, str]] = []
     for c in problem.constraints:
@@ -509,16 +594,18 @@ def reduce_then_test(
     # The rows span the determined linear functionals on atom masses (the
     # constraint monomials and the all-ones row).  When g = rows^T . lam,
     # E(g) = lam . rhs for every distribution meeting the constraints;
-    # when g is outside their span, E(g) is not determined.
-    per_atom = list(zip(*rows))  # one equation rows^T . lam = g per atom
+    # when g is outside their span, E(g) is not determined.  Row i is
+    # matrix[i] / dens[i], so the integer system is solved for
+    # mu_i = lam_i / dens[i].
+    per_atom = matrix.T.tolist()  # one equation matrix^T . mu = g per atom
     solutions = solve(per_atom, [g for _, g in wanted])
     derived: dict[str, Fraction] = {}
     missing: list[str] = []
-    for (label, _), lam in zip(wanted, solutions):
-        if lam is None:
+    for (label, _), mu in zip(wanted, solutions):
+        if mu is None:
             missing.append(label)
         else:
-            derived[label] = sum((l * b for l, b in zip(lam, rhs)), _ZERO)
+            derived[label] = sum((u * d * b for u, d, b in zip(mu, dens, rhs)), _ZERO)
 
     if missing:
         return ReduceThenTestResult("underdetermined", None, None, tuple(missing), derived)

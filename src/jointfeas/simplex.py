@@ -2,16 +2,25 @@
 
 Decides whether {x >= 0 : A x = b} is nonempty by minimizing the sum of
 artificial variables with Bland's smallest-index rule (finite, no
-cycling).  The decision takes three steps:
+cycling).  The rows arrive as integers with one positive denominator
+per row (``A[i] = matrix[i] / dens[i]``), as :mod:`jointfeas.feasibility`
+builds them; rational rows are put over their least common denominators
+once, on entry.  The decision takes three steps:
 
 1. **Float guide.**  The Bland loop (``_bland``) runs on a float64
    copy of the sign-normalized tableau, with a tolerance on every sign
-   test and a hard pivot cap.  Its only output is a final basis.
+   test and a hard pivot cap.  Each cell is ``matrix[i, j] / dens[i]``
+   correctly rounded: float64 division when both are below 2**53 in
+   magnitude, Python int division otherwise, so the tableau equals the
+   one filled with ``float(Fraction)`` bit for bit.  Its only output is
+   a final basis.
 2. **Exact certificate.**  That basis is settled in exact integer
-   arithmetic (:mod:`jointfeas.linalg`): feasible when the solution of
-   ``B x_B = b`` is nonnegative with every artificial at zero,
-   infeasible when the solution of ``B^T y = c_B`` gives a Farkas
-   vector.  No float value reaches a result; only the basis does.
+   arithmetic (:mod:`jointfeas.linalg`) on the integer rows, with only
+   the right-hand side denominators folded in: feasible when the
+   solution of ``B x_B = b`` is nonnegative with every artificial at
+   zero, infeasible when the solution of ``B^T y = c_B`` gives a Farkas
+   vector, whose column test is one vectorized product with the matrix.
+   No float value reaches a result; only the basis does.
 3. **Exact fallback.**  When the guide stops early (pivot cap, no
    leaving row, an entry beyond float range), or its basis is singular
    or fails both exact checks, the same ``_bland`` loop runs from a
@@ -48,6 +57,10 @@ _ONE = Fraction(1)
 _TOL = 1e-9
 _PIVOT_CAP_PER_COLUMN = 50
 
+_INT64_MAX = (1 << 63) - 1
+# Integers below this in magnitude are exact doubles.
+_EXACT_DOUBLE = 1 << 53
+
 
 @dataclass(frozen=True)
 class EqualityFeasibility:
@@ -58,50 +71,85 @@ class EqualityFeasibility:
 
 
 def solve_equality_feasibility(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    rows: Sequence[Sequence], rhs: Sequence[Fraction], dens: Sequence[int] | None = None
 ) -> EqualityFeasibility:
     """Feasibility of {x >= 0 : rows . x = rhs}, exactly.
 
+    ``rows`` holds rationals, or, when ``dens`` is given, integers with
+    row i standing for ``rows[i] / dens[i]`` (each den a positive int).
     The Farkas vector is expressed against the rows as given (before the
     internal sign normalization).
     """
     m = len(rows)
     if m != len(rhs):
         raise ValueError("row/rhs length mismatch")
-    n = len(rows[0]) if m else 0
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("ragged constraint matrix")
+    if m == 0:
+        return EqualityFeasibility(True, (), None, 0)
+    if dens is None:
+        matrix, dens = _integral_rows(rows)
+    else:
+        matrix = np.asarray(rows)
+        if matrix.ndim != 2 or len(dens) != m:
+            raise ValueError("integer rows need a 2-d matrix and one denominator per row")
+    n = matrix.shape[1]
 
     # Normalize to b >= 0, remembering the sign applied to each row.
     signs = [(-1 if b < 0 else 1) for b in rhs]
-    if m:
-        try:
-            # Overflow to inf or nan only misguides; the exact checks catch it.
-            with np.errstate(over="ignore", invalid="ignore"):
-                guide = _float_guide(_tableau(rows, rhs, signs, float), n, m)
-        except OverflowError:  # an entry beyond float range
-            guide = None
-        if guide is not None:
-            basis, pivots = guide
-            result = _certify(rows, rhs, signs, basis, pivots)
-            if result is not None:
-                return result
-    return _exact_bland(rows, rhs, signs)
+    try:
+        # Overflow to inf or nan only misguides; the exact checks catch it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            guide = _float_guide(_tableau(matrix, dens, rhs, signs, float), n, m)
+    except OverflowError:  # an entry beyond float range
+        guide = None
+    if guide is not None:
+        basis, pivots = guide
+        result = _certify(matrix, dens, rhs, signs, basis, pivots)
+        if result is not None:
+            return result
+    return _exact_bland(matrix, dens, rhs, signs)
+
+
+def _integral_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, list[int]]:
+    """Each rational row over its least common denominator: ``(matrix, dens)``.
+
+    The matrix is int64 when every numerator fits, else Python ints.
+    """
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise ValueError("ragged constraint matrix")
+    dens = [lcm(*(v.denominator for v in row)) for row in rows]
+    values = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(rows, dens)]
+    fits = all(abs(v) <= _INT64_MAX for row in values for v in row)
+    return np.array(values, np.int64 if fits else object), dens
+
+
+def _quotients(matrix: np.ndarray, dens: Sequence[int], dtype) -> np.ndarray:
+    """``matrix[i] / dens[i]`` as ``Fraction`` values or as correctly rounded floats.
+
+    float64 division is correctly rounded when both operands are exact
+    doubles (below 2**53 in magnitude); otherwise Python's int true
+    division is, so either way each cell equals ``float(Fraction)``.
+    """
+    if dtype is object:
+        return np.array(
+            [[Fraction(v, d) for v in row] for row, d in zip(matrix.tolist(), dens)], object
+        ).reshape(matrix.shape)
+    if max(dens) < _EXACT_DOUBLE and np.abs(matrix).max(initial=0) < _EXACT_DOUBLE:
+        return matrix.astype(float) / np.array(dens, float)[:, None]
+    return (matrix.astype(object) / np.array(dens, object)[:, None]).astype(float)
 
 
 def _tableau(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], signs: list[int], dtype
+    matrix: np.ndarray, dens: Sequence[int], rhs: Sequence[Fraction], signs: list[int], dtype
 ) -> np.ndarray:
     """Sign-normalized phase-1 tableau [A | I | b] with the cost row appended.
 
     Every cell is filled from ``_ZERO``, ``_ONE`` and the inputs, so an
     object tableau holds only ``Fraction`` values.
     """
-    m = len(rows)
-    n = len(rows[0])
+    m, n = matrix.shape
     tab = np.full((m + 1, n + m + 1), _ZERO, dtype)
-    tab[:m, :n] = rows
+    tab[:m, :n] = _quotients(matrix, dens, dtype)
     tab[:m, -1] = rhs
     tab[:m] *= np.array(signs)[:, None]
     tab[np.arange(m), n + np.arange(m)] = _ONE
@@ -153,7 +201,8 @@ def _bland(
 
 
 def _certify(
-    rows: Sequence[Sequence[Fraction]],
+    matrix: np.ndarray,
+    dens: Sequence[int],
     rhs: Sequence[Fraction],
     signs: list[int],
     basis: list[int],
@@ -162,27 +211,23 @@ def _certify(
     """Settle a final Bland basis exactly, or None when it proves nothing.
 
     Row i of the sign-normalized system is scaled by the positive
-    integer ``dens[i]`` to clear its denominators, so the scaled system
-    has the same solutions and artificial column i becomes
-    ``dens[i] * e_i``.
+    integer ``scale[i]``, the lcm of ``dens[i]`` and the denominator of
+    ``rhs[i]``, so the scaled system is integral, has the same solutions,
+    and artificial column i becomes ``scale[i] * e_i``.
     """
-    m = len(rows)
-    n = len(rows[0])
-    dens = [lcm(b.denominator, *(v.denominator for v in row)) for row, b in zip(rows, rhs)]
-    scaled = [
-        [s * v.numerator * (d // v.denominator) for v in (*row, b)]
-        for row, b, s, d in zip(rows, rhs, signs, dens)
+    m, n = matrix.shape
+    scale = [lcm(d, b.denominator) for d, b in zip(dens, rhs)]
+    factor = [s * (l // d) for s, l, d in zip(signs, scale, dens)]
+    b = [s * v.numerator * (l // v.denominator) for s, v, l in zip(signs, rhs, scale)]
+    picked = matrix[:, [j if j < n else 0 for j in basis]].tolist()
+    # basic[i][k]: the scaled entry of row i in basis column basis[k].
+    basic = [
+        [f * v if j < n else (l if j - n == i else 0) for v, j in zip(row, basis)]
+        for i, (row, f, l) in enumerate(zip(picked, factor, scale))
     ]
 
-    def entry(i: int, j: int) -> int:
-        if j < n:
-            return scaled[i][j]
-        return dens[i] if j - n == i else 0
-
     # Primal: B x_B = b.
-    mat, piv, d = echelon(
-        [[entry(i, j) for j in basis] + [scaled[i][n]] for i in range(m)], pivot_cols=m
-    )
+    mat, piv, d = echelon([row + [bi] for row, bi in zip(basic, b)], pivot_cols=m)
     if len(piv) != m:  # singular basis
         return None
     x_basic = [Fraction(mat[k][m], d) for k in range(m)]
@@ -196,9 +241,10 @@ def _certify(
         return EqualityFeasibility(True, tuple(x), None, pivots)
 
     # Dual: B^T y' = c_B in the scaled rows; the phase-1 multipliers of
-    # the unscaled rows are y_i = dens[i] * y'_i, with y' = w / |d|.
+    # the unscaled rows are y_i = scale[i] * y'_i, with y' = w / |d|.
     mat, piv, d = echelon(
-        [[entry(i, j) for i in range(m)] + [int(j >= n)] for j in basis], pivot_cols=m
+        [[basic[i][k] for i in range(m)] + [int(j >= n)] for k, j in enumerate(basis)],
+        pivot_cols=m,
     )
     if len(piv) != m:
         return None
@@ -206,27 +252,23 @@ def _certify(
     w = [sign * mat[i][m] for i in range(m)]
     # u = -y (then unsigned per row) is a Farkas vector exactly when
     # y'.A'_j <= 0 on every structural column and y'.b' > 0.
-    for j in range(n):
-        if sum(wi * row[j] for wi, row in zip(w, scaled) if wi) > 0:
-            return None
-    if sum(wi * row[n] for wi, row in zip(w, scaled)) <= 0:
+    if n and (np.array([wi * f for wi, f in zip(w, factor)], object) @ matrix > 0).any():
+        return None
+    if sum(wi * bi for wi, bi in zip(w, b)) <= 0:
         return None
     farkas = tuple(
-        Fraction(-s * dn * wi, abs(d)) for s, dn, wi in zip(signs, dens, w)
+        Fraction(-s * l * wi, abs(d)) for s, l, wi in zip(signs, scale, w)
     )
     return EqualityFeasibility(False, None, farkas, pivots)
 
 
 def _exact_bland(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], signs: list[int]
+    matrix: np.ndarray, dens: Sequence[int], rhs: Sequence[Fraction], signs: list[int]
 ) -> EqualityFeasibility:
     """Bland's rule on a ``Fraction`` tableau from the all-artificial basis."""
-    m = len(rows)
-    if m == 0:
-        return EqualityFeasibility(True, (), None, 0)
-    n = len(rows[0])
-    final = _bland(_tableau(rows, rhs, signs, object), n, m, 0, None)
-    result = None if final is None else _certify(rows, rhs, signs, *final)
+    m, n = matrix.shape
+    final = _bland(_tableau(matrix, dens, rhs, signs, object), n, m, 0, None)
+    result = None if final is None else _certify(matrix, dens, rhs, signs, *final)
     if result is None:
         # An exact phase-1 optimum always exists and certifies.
         raise AssertionError("exact Bland loop ended without a certified basis")

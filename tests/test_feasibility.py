@@ -3,6 +3,7 @@ import sys
 import textwrap
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,18 +171,50 @@ class TestDecide:
             "1", "simplex", "simplex", "infeasible", "feasible", "2", "True", "True", "raised"
         ]
 
+    def test_certificate_gate_overflow_survives_python_O(self):
+        # Each coefficient fits int64 but the functional at an atom does
+        # not; the bound check must send both to Python ints under -O.
+        script = textwrap.dedent(
+            """
+            import sys
+            from fractions import Fraction as F
+            from jointfeas import FiniteRandomVariable, MomentConstraint, MomentProblem, pm_one
+            from jointfeas.feasibility import verify_certificate
+
+            big = 2**62
+            # 2^62+1 + (2^62+1) X: 0 at X=-1, 2^63+2 at X=1; target value -(2^62+1)
+            valid = verify_certificate(
+                MomentProblem((pm_one("X"),), (MomentConstraint.of({"X": 1}, -2),)),
+                [F(big + 1), F(big + 1)],
+            )
+            # -(2^62+1) - 2^62 X on X in {1, 2}: -2^63-1 and -2^63-2^62-1,
+            # both of which wrap to nonnegative values in int64
+            support = FiniteRandomVariable("X", (F(1), F(2)))
+            invalid = verify_certificate(
+                MomentProblem((support,), (MomentConstraint.of({"X": 1}, 0),)),
+                [F(-big), F(-big - 1)],
+            )
+            print(sys.flags.optimize, valid, invalid)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "True", "False"]
+
     @pytest.mark.parametrize("solver", [decide, brute_force_oracle])
     def test_gates_catch_a_corrupt_row_builder(self, solver, monkeypatch):
-        # Both solvers read their inputs from _product_row; the witness and
-        # certificate gates must not, or a fault there would pass itself.
-        real = feasibility._product_row
+        # Both solvers read their inputs from _constraint_rows; the witness
+        # and certificate gates must not, or a fault there would pass itself.
+        real = feasibility._constraint_rows
 
-        def corrupt(atoms, factors):
-            row = real(atoms, factors)
-            row[1] += F(1, 7)
-            return row
+        def corrupt(*args, **kwargs):
+            matrix, dens, rhs = real(*args, **kwargs)
+            matrix[3, 1] += 1  # the XY monomial at atom (0, 0, 1): 1 becomes 2
+            return matrix, dens, rhs
 
-        monkeypatch.setattr(feasibility, "_product_row", corrupt)
+        monkeypatch.setattr(feasibility, "_constraint_rows", corrupt)
         with pytest.raises(AssertionError, match="witness violates"):
             solver(triple([0] * 3, ["1/2", "-1/2", "-1/2"]))
         with pytest.raises(AssertionError, match="invalid .*certificate"):
@@ -378,13 +411,15 @@ class TestBoundedMoments:
 
 
 rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+# Numerators above 10**10: cubed, they overflow int64 and take the object path.
+large = st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**12))
 
 
 @st.composite
-def moment_problems(draw):
+def moment_problems(draw, values=rationals):
     names = [f"V{i}" for i in range(draw(st.integers(1, 3)))]
     supports = [
-        sorted(draw(st.lists(rationals, min_size=1, max_size=3, unique=True))) for _ in names
+        sorted(draw(st.lists(values, min_size=1, max_size=3, unique=True))) for _ in names
     ]
     constraint = st.tuples(
         st.dictionaries(st.sampled_from(names), st.integers(1, 3), min_size=1),
@@ -401,8 +436,9 @@ def moment_problems(draw):
     )
 
 
-def reference_rows(problem, atoms, with_slacks):
+def reference_rows(problem, with_slacks):
     """LP rows built entry by entry from monomial_value."""
+    atoms = list(problem.atom_space())
     bounded = [i for i, c in enumerate(problem.constraints) if with_slacks and c.relation != "=="]
     rows = []
     for i, c in enumerate(problem.constraints):
@@ -416,12 +452,77 @@ def reference_rows(problem, atoms, with_slacks):
 
 
 @settings(max_examples=200, deadline=None)
-@given(moment_problems(), st.booleans())
+@given(st.one_of(moment_problems(), moment_problems(st.one_of(rationals, large))), st.booleans())
 def test_constraint_rows_match_monomial_values(problem, with_slacks):
-    atoms = list(problem.atom_space())
-    assert _constraint_rows(problem, atoms, with_slacks=with_slacks) == reference_rows(
-        problem, atoms, with_slacks
+    matrix, dens, rhs = _constraint_rows(problem, with_slacks=with_slacks)
+    assert all(isinstance(d, int) and d > 0 for d in dens)
+    rows = [[F(v, d) for v in row] for row, d in zip(matrix.tolist(), dens)]
+    assert (rows, rhs) == reference_rows(problem, with_slacks)
+
+
+def test_constraint_rows_use_python_ints_past_int64():
+    small = MomentProblem((pm_one("X"),), (MomentConstraint.of({"X": 3}, 0),), allow_higher_order=True)
+    big = FiniteRandomVariable("X", (F(-(10**7)), F(10**7, 3)))
+    large_rows = MomentProblem((big,), (MomentConstraint.of({"X": 3}, 0),), allow_higher_order=True)
+    assert _constraint_rows(small)[0].dtype == np.int64
+    matrix, dens, _ = _constraint_rows(large_rows)
+    assert matrix.dtype == object and dens == [27, 1]
+    assert matrix.tolist() == [[-(27 * 10**21), 10**21], [1, 1]]
+
+
+def reference_verify_certificate(problem, certificate):
+    """The certificate check in Fraction arithmetic, atom by atom."""
+    m = len(problem.constraints)
+    cert = [F(c) for c in certificate]
+    for c, w in zip(problem.constraints, cert):
+        if (c.relation == "<=" and w < 0) or (c.relation == ">=" and w > 0):
+            return False
+    if sum((c.target * w for c, w in zip(problem.constraints, cert)), F(0)) + cert[m] >= 0:
+        return False
+    return all(
+        cert[m] + sum((w * problem.monomial_value(c, atom) for c, w in zip(problem.constraints, cert)), F(0))
+        >= 0
+        for atom in problem.atom_space()
     )
+
+
+@st.composite
+def certificates(draw):
+    """A problem and a candidate certificate, valid or not."""
+    problem = draw(moment_problems(st.one_of(rationals, large)))
+    m = len(problem.constraints)
+    mode = draw(st.sampled_from(["random", "tight", "decided"]))
+    if mode == "decided":
+        result = decide(problem)
+        if result.certificate is not None:
+            cert = list(result.certificate)
+            if draw(st.booleans()):
+                cert[draw(st.integers(0, m))] += draw(rationals)
+            return problem, cert
+    weights = draw(st.lists(st.one_of(rationals, large), min_size=m, max_size=m))
+    if mode == "random":
+        return problem, weights + [draw(st.one_of(rationals, large))]
+    # combined target value just below 0: the atoms decide
+    constant = sum((c.target * w for c, w in zip(problem.constraints, weights)), F(0))
+    return problem, weights + [-constant - draw(st.builds(F, st.integers(1, 4), st.integers(1, 9)))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(certificates())
+def test_integer_certificate_gate_matches_fraction_reference(case):
+    problem, cert = case
+    assert verify_certificate(problem, cert) == reference_verify_certificate(problem, cert)
+
+
+def test_certificate_gate_spans_chunks(monkeypatch):
+    # 2**10 atoms in chunks of 100; every target is 2, out of range on purpose.
+    variables = tuple(pm_one(f"X{i}") for i in range(10))
+    prob = MomentProblem(variables, tuple(MomentConstraint.of({v.name: 1}, 2) for v in variables))
+    monkeypatch.setattr(feasibility, "_CHUNK", 100)
+    # 10 - sum(X) >= 0 on every atom, and its target value -10 is negative
+    assert verify_certificate(prob, [F(-1)] * 10 + [F(10)])
+    # 9 - sum(X) is negative only at the all-ones atom, the last of the last chunk
+    assert not verify_certificate(prob, [F(-1)] * 10 + [F(9)])
 
 
 class TestMonotonicity:

@@ -275,6 +275,36 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err.startswith("internal error: AssertionError: simplex produced")
 
+    @pytest.mark.parametrize(
+        "argv,status",
+        [
+            (["decide", "x.json", "--atom-cap", "abc"], 2),
+            (["decide"], 2),
+            (["no-such-command"], 2),
+            (["--help"], 0),
+            (["decide", "--help"], 0),
+        ],
+    )
+    def test_argument_parsing_returns_its_status(self, capsys, argv, status):
+        # argparse exits; run() turns that into a return value
+        assert run(argv) == status
+        captured = capsys.readouterr()
+        assert ("usage: jointfeas" in captured.err) if status else ("usage: jointfeas" in captured.out)
+
+    def test_parser_is_built_once_and_flags_do_not_leak(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        path = self.write(tmp_path, triple_file(["-1/2", "-1/2", "-1/2"]))
+        out = tmp_path / "report.json"
+        assert run(["decide", path, "--oracle", "--atom-cap", "4", "--out", str(out)]) == 2
+        capsys.readouterr()
+        # neither --atom-cap 4, --oracle nor --out carries over to the next run
+        assert run(["decide", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert "oracle" not in report["results"]
+        assert not out.exists()
+        args = cli.build_parser().parse_args(["decide", path])
+        assert (args.atom_cap, args.oracle, args.out) == (None, False, None)
+
     def test_hidden_variable_from_distribution(self, tmp_path, capsys):
         obj = {
             "schema": PROBLEM_SCHEMA,

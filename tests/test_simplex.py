@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_problem
-from jointfeas import MomentConstraint, MomentProblem, decide, feasibility, pm_one, simplex
+from jointfeas import FiniteRandomVariable, MomentConstraint, MomentProblem, decide, feasibility, pm_one, simplex
 from jointfeas.simplex import solve_equality_feasibility
 
 F = Fraction
@@ -86,7 +87,13 @@ def test_exactness_with_awkward_fractions():
 # ---------------------------------------------------------------------------
 
 def exact_loop(rows, rhs):
-    return simplex._exact_bland(rows, rhs, [(-1 if b < 0 else 1) for b in rhs])
+    matrix, dens = simplex._integral_rows(rows)
+    return simplex._exact_bland(matrix, dens, rhs, [(-1 if b < 0 else 1) for b in rhs])
+
+
+def fraction_rows(matrix, dens):
+    """The rational rows ``matrix[i] / dens[i]``."""
+    return [[F(v, d) for v in row] for row, d in zip(matrix.tolist(), dens)]
 
 
 def check_result(rows, rhs, res):
@@ -150,14 +157,10 @@ def test_guide_follows_bland_path_on_moment_problems(monkeypatch):
     # so every field (including the pivot count) matches the exact loop,
     # and the exact certificate accepts every final basis.
     rng = random.Random(7)
-    lps = []
-    for _ in range(150):
-        problem = random_problem(rng)
-        atoms = list(problem.atom_space())
-        lps.append(feasibility._constraint_rows(problem, atoms, with_slacks=True))
-    expected = [exact_loop(rows, rhs) for rows, rhs in lps]
+    lps = [feasibility._constraint_rows(random_problem(rng), with_slacks=True) for _ in range(150)]
+    expected = [exact_loop(fraction_rows(matrix, dens), rhs) for matrix, dens, rhs in lps]
     calls = spy_exact_loop(monkeypatch)
-    assert [solve_equality_feasibility(rows, rhs) for rows, rhs in lps] == expected
+    assert [solve_equality_feasibility(matrix, rhs, dens) for matrix, dens, rhs in lps] == expected
     assert calls == []
 
 
@@ -279,7 +282,8 @@ def equal_pair_moment_lp(n, pair):
             + [MomentConstraint.of({a: 1, b: 1}, pair) for a, b in combinations(names, 2)]
         ),
     )
-    return feasibility._constraint_rows(problem, list(problem.atom_space()), with_slacks=True)
+    matrix, dens, rhs = feasibility._constraint_rows(problem, with_slacks=True)
+    return fraction_rows(matrix, dens), rhs
 
 
 # Verdicts and pivot counts recorded from an exact Bland loop written
@@ -299,7 +303,8 @@ def test_bland_path_is_pinned_on_equal_pair_moments(n, pair, feasible, pivots):
     signs = [(-1 if b < 0 else 1) for b in rhs]
     # The capped guide first: a loop that leaves Bland's path fails here
     # rather than cycling in the uncapped exact loop.
-    guide = simplex._float_guide(simplex._tableau(rows, rhs, signs, float), len(rows[0]), len(rows))
+    matrix, dens = simplex._integral_rows(rows)
+    guide = simplex._float_guide(simplex._tableau(matrix, dens, rhs, signs, float), len(rows[0]), len(rows))
     assert guide is not None and guide[1] == pivots
     res = solve_equality_feasibility(rows, rhs)
     assert (res.feasible, res.pivots) == (feasible, pivots)
@@ -313,6 +318,70 @@ def test_bland_path_is_pinned_on_equal_pair_moments(n, pair, feasible, pivots):
 def test_exact_tableau_holds_only_fractions(system):
     rows, rhs = system
     m, n = len(rows), len(rows[0])
-    tab = simplex._tableau(rows, rhs, [(-1 if b < 0 else 1) for b in rhs], object)
+    matrix, dens = simplex._integral_rows(rows)
+    tab = simplex._tableau(matrix, dens, rhs, [(-1 if b < 0 else 1) for b in rhs], object)
     assert simplex._bland(tab, n, m, 0, None) is not None
     assert all(type(v) is Fraction for v in tab.flat)
+
+
+def fraction_filled_tableau(rows, rhs, signs):
+    """The float tableau filled cell by cell from Fraction rows: float(Fraction) per cell."""
+    m, n = len(rows), len(rows[0])
+    tab = np.full((m + 1, n + m + 1), 0.0)
+    tab[:m, :n] = rows
+    tab[:m, -1] = rhs
+    tab[:m] *= np.array(signs)[:, None]
+    tab[np.arange(m), n + np.arange(m)] = 1.0
+    tab[m] = -tab[:m].sum(axis=0)
+    tab[m, n : n + m] = 0.0
+    return tab
+
+
+wide = st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+
+
+@st.composite
+def integer_lps(draw):
+    """Integer rows with their denominators: cleared rational systems, or moment LPs."""
+    if draw(st.booleans()):
+        rows, rhs = draw(systems())
+        rows = [[draw(st.one_of(st.just(v), wide)) for v in row] for row in rows]
+        matrix, dens = simplex._integral_rows(rows)
+        return matrix, dens, rhs
+    values = st.builds(F, st.integers(-(10**9), 10**9), st.integers(1, 10**9))
+    names = ["X", "Y"][: draw(st.integers(1, 2))]
+    variables = tuple(
+        FiniteRandomVariable(v, tuple(sorted(draw(st.sets(values, min_size=1, max_size=3)))))
+        for v in names
+    )
+    monomial = st.dictionaries(st.sampled_from(names), st.integers(1, 3), min_size=1)
+    exponents = draw(
+        st.lists(monomial, min_size=1, max_size=3, unique_by=lambda e: tuple(sorted(e.items())))
+    )
+    problem = MomentProblem(
+        variables,
+        tuple(MomentConstraint.of(e, draw(values), draw(st.sampled_from(["==", "<="]))) for e in exponents),
+        allow_higher_order=True,
+    )
+    return feasibility._constraint_rows(problem, with_slacks=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_lps())
+def test_float_tableau_is_bit_identical_to_fraction_fill(lp):
+    matrix, dens, rhs = lp
+    signs = [(-1 if b < 0 else 1) for b in rhs]
+    rows = fraction_rows(matrix, dens)
+    tab = simplex._tableau(matrix, dens, rhs, signs, float)
+    assert tab.tobytes() == fraction_filled_tableau(rows, rhs, signs).tobytes()
+
+
+def test_float_tableau_uses_both_division_paths():
+    # float64 division would misround the last two: an entry or a
+    # denominator that is not an exact double.
+    small = np.array([[5, -(2**52)], [1, 1]], np.int64)
+    large = np.array([[5, 2**53 + 1], [1, 1]], np.int64)
+    for matrix, dens in ((small, [7, 1]), (large, [3, 1]), (small, [3**40, 1])):
+        rhs, signs = [F(1), F(1)], [1, 1]
+        expected = fraction_filled_tableau(fraction_rows(matrix, dens), rhs, signs)
+        assert simplex._tableau(matrix, dens, rhs, signs, float).tobytes() == expected.tobytes()
