@@ -1,14 +1,19 @@
 """Exact arithmetic in a single real quadratic extension Q(sqrt(d)).
 
 Every irrational number the inequality evaluators meet has the form
-``a + b*sqrt(d)`` with rational ``a``, ``b`` and a squarefree integer
-``d`` (for example ``-sqrt(3)/2`` or ``2*sqrt(2)``).  Values of this
-form admit exact signs, exact comparisons against rationals, and
-rational interval enclosures of any requested width, so no verdict in
-the package ever depends on floating point.
+``a + b*sqrt(d)`` with rational ``a``, ``b`` and a non-square integer
+``d > 1`` (for example ``-sqrt(3)/2`` or ``2*sqrt(2)``).  Square factors
+f*f with f up to ``_SQUARE_FACTOR_BOUND`` are moved out of ``d``; a
+larger square factor may stay inside, since finding it would take
+factoring ``d``.  Values of this form admit exact signs, exact
+comparisons against rationals, and rational interval enclosures of any
+requested width, so no verdict in the package ever depends on floating
+point.
 
-Mixing two different radicands (say sqrt(2) + sqrt(3)) is not needed
-anywhere and raises :class:`UnsupportedNumberError`.
+Two radicands whose product is a perfect square name the same field
+(sqrt(p*p*q) = p*sqrt(q)) and combine.  Mixing any other two radicands
+(say sqrt(2) + sqrt(3)) is not needed anywhere and raises
+:class:`UnsupportedNumberError`.
 """
 
 from __future__ import annotations
@@ -49,16 +54,31 @@ def as_fraction(value: Union[int, str, Fraction]) -> Fraction:
     raise ValidationError(f"not a rational number: {value!r}")
 
 
+# Trial division for square factors stops here, so no radicand costs
+# more than this many divisions however large it is.
+_SQUARE_FACTOR_BOUND = 1000
+
+
+def _is_square(n: int) -> bool:
+    return isqrt(n) ** 2 == n
+
+
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, d) with n == s*s*d and d squarefree."""
+    """Return (s, d) with n == s*s*d, where d is 1 or not a perfect square.
+
+    Square factors f*f are removed for f up to ``_SQUARE_FACTOR_BOUND``;
+    a cofactor that is a perfect square is absorbed whole.
+    """
     if n < 0:
         raise ValidationError("negative radicand")
     s, d, f = 1, n, 2
-    while f * f <= d:
+    while f <= _SQUARE_FACTOR_BOUND and f * f <= d:
         while d % (f * f) == 0:
             d //= f * f
             s *= f
         f += 1
+    if _is_square(d):
+        return s * isqrt(d), 1
     return s, d
 
 
@@ -66,8 +86,9 @@ def _squarefree_split(n: int) -> tuple[int, int]:
 class Surd:
     """The exact real number ``a + b*sqrt(d)``.
 
-    Normalized so that ``b != 0`` and ``d`` is a squarefree integer > 1;
-    purely rational values are plain :class:`Fraction` objects instead.
+    Normalized so that ``b != 0`` and ``d`` is an integer > 1 that is
+    not a perfect square; purely rational values are plain
+    :class:`Fraction` objects instead.
     """
 
     a: Fraction
@@ -75,18 +96,21 @@ class Surd:
     d: int
 
     def __post_init__(self) -> None:
-        if self.b == 0 or self.d <= 1:
-            raise ValidationError("Surd requires b != 0 and squarefree d > 1")
+        if self.b == 0 or self.d <= 1 or _is_square(self.d):
+            raise ValidationError("Surd requires b != 0 and a non-square d > 1")
 
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other: object) -> tuple[Fraction, Fraction]:
         if isinstance(other, Surd):
-            if other.d != self.d:
+            if other.d == self.d:
+                return other.a, other.b
+            # sqrt(e) = sqrt(d*e) / d * sqrt(d) when d*e is a perfect square.
+            if not _is_square(self.d * other.d):
                 raise UnsupportedNumberError(
                     f"cannot combine sqrt({self.d}) with sqrt({other.d})"
                 )
-            return other.a, other.b
+            return other.a, other.b * isqrt(self.d * other.d) / self.d
         return as_fraction(other), Fraction(0)  # type: ignore[arg-type]
 
     def __add__(self, other: object) -> "ExactNumber":
@@ -118,11 +142,11 @@ class Surd:
 
     def __truediv__(self, other: object) -> "ExactNumber":
         if isinstance(other, Surd):
-            oa, ob = self._coerce(other)
-            norm = oa * oa - ob * ob * other.d
+            oa, ob = self._coerce(other)  # other == oa + ob*sqrt(self.d)
+            norm = oa * oa - ob * ob * self.d
             if norm == 0:  # pragma: no cover - zero is never a Surd
                 raise ZeroDivisionError
-            inv = make_surd(oa / norm, -ob / norm, other.d)
+            inv = make_surd(oa / norm, -ob / norm, self.d)
             return self * inv
         q = as_fraction(other)  # type: ignore[arg-type]
         return make_surd(self.a / q, self.b / q, self.d)
@@ -139,7 +163,7 @@ class Surd:
         if a < 0 and b < 0:
             return -1
         # Mixed signs: compare a^2 with b^2 d. Equality cannot occur for
-        # squarefree d > 1 because sqrt(d) is irrational.
+        # a non-square d > 1 because sqrt(d) is irrational.
         if a * a > b * b * self.d:
             return 1 if a > 0 else -1
         return 1 if b > 0 else -1
@@ -161,6 +185,20 @@ class Surd:
 
     def __ge__(self, other: object) -> bool:
         return self._cmp(other) >= 0
+
+    # Equal values may carry different radicands (sqrt(p*p*q) and
+    # p*sqrt(q) when p is above the bound); b*sqrt(d) is fixed by the
+    # sign of b and by b*b*d, so compare and hash those.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Surd):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple[Fraction, bool, Fraction]:
+        return self.a, self.b > 0, self.b * self.b * self.d
 
     def __abs__(self) -> "Surd":
         return self if self.sign() >= 0 else -self

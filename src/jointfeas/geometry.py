@@ -9,9 +9,13 @@ Membership is decided by enumerating the generators' dual description
 (the extreme rays of {u : u.g_i >= 0 for all i}) with the classic
 incremental double-description method using the combinatorial adjacency
 test (Fukuda & Prodon, "Double description method revisited", 1996).
-A violated dual ray is itself a Farkas-style separation certificate;
-when the target is a member, an explicit conic combination is recovered
-by descending through faces.
+A violated dual ray is itself a Farkas-style separation certificate.
+When the target is a member, an explicit conic combination is recovered
+by descending through faces, reusing the same rays: for a dual ray r
+the face F = C ∩ r⊥ equals C ∩ {x : r.x <= 0}, so its dual is
+F* = C* + R·r (the dual of an intersection of polyhedral cones is the
+sum of their duals), and the rays of C* describe every face's dual.
+Each :func:`cone_membership` call runs exactly one double description.
 
 Everything is exact and integer-native: generators are scaled to
 primitive integer vectors (which leaves the dual cone unchanged), rays
@@ -21,18 +25,23 @@ the fraction-free kernel in :mod:`jointfeas.linalg`.  Only the public
 boundary speaks ``Fraction``: :func:`dual_rays`, :func:`nullspace` and
 :func:`cone_membership` return ``Fraction`` tuples.
 
-Scale expectations, on one core of a 2-vCPU Xeon VM under CPython
-3.11: a three-valued problem on three variables (27 generators in
-dimension 10, 173 dual rays) takes about 40 ms including the face
-descent; one on four variables (81 generators in dimension 25, about
-1100 rays) about 2 s.  Each inserted halfspace scans all pairs of rays
-on its two sides, and the ray count grows quickly with the dimension.
+Scale expectations, for one :func:`cone_membership` call on one core of
+a 2-vCPU Xeon VM under CPython 3.11 (best of five): a +-1 problem on four
+variables with means and pair moments (16 generators in dimension 11,
+56 dual rays) takes about 7 ms when feasible and 5 ms when not; a
+three-valued problem on three variables with means, squares and pair
+moments (27 generators in dimension 10, 173 rays) about 28 and 20 ms.
+Each inserted halfspace scans all pairs of rays on its two sides, and
+the ray count grows quickly with the dimension: the three-valued
+problem on four variables (81 generators in dimension 15) did not
+finish its double description within 10 minutes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -140,13 +149,19 @@ def dual_rays(generators: list[Vec]) -> tuple[list[Vec], list[Vec]]:
     """Describe the dual cone D = {u : u.g >= 0 for every generator g}.
 
     Returns (lineality_basis, rays): D equals span(lineality_basis)
-    plus the cone of the rays.  The rays are computed in coordinates of
-    the generators' span so the double description always runs on a
-    pointed cone.
+    plus the cone of the rays.  When the generators span the space, D is
+    pointed and the double description runs on them directly.
+    Otherwise the rays are computed in coordinates of the generators'
+    span and lifted back, so the double description always runs on a
+    pointed cone.  The lift is an invertible linear map: it preserves
+    every sign test and the greedy choice of independent rows, so both
+    paths give the same rays in the same order.
     """
     gens = [primitive(integral(g)) for g in generators]
-    lineality = [_fractions(v) for v in linalg.nullspace(gens)]
     basis = [gens[i] for i in independent_rows(gens)]  # rows of the lift map
+    if basis and len(basis) == len(gens[0]):
+        return [], [_fractions(r) for r in _extreme_rays_pointed(gens)]
+    lineality = [_fractions(v) for v in linalg.nullspace(gens)]
     if not basis:
         return lineality, []
     reduced = [tuple(_dot(b, g) for b in basis) for g in gens]
@@ -187,55 +202,64 @@ def _express_in_cone(
 ) -> dict[int, Fraction]:
     """Conic combination of the generators equal to target.
 
-    Face descent: while the target sits on a dual ray's hyperplane,
-    restrict to that face; otherwise subtract the largest feasible
-    multiple of one generator, which lands the remainder on a face.
-    Depth is bounded by the dimension, so this terminates.  Signs and
-    the choice of ray are read from integer multiples of the vectors;
-    the step itself is exact rational arithmetic.
-    """
-    gens = [integral(g) for g in generators]
-    combo: dict[int, Fraction] = {}
-    active = list(range(len(generators)))
-    current = list(target)
-    current_rays = rays
+    Face descent on the dual rays of the whole cone C.  For a dual ray r
+    the face F = C ∩ r⊥ has dual F* = C* + R·r, so a point x of span(F)
+    lies in F exactly when r'.x >= 0 for every ray r' of C*; rays that
+    vanish on all of F's generators say nothing and are dropped.  While
+    a remaining ("live") ray vanishes on the remainder, restrict to its
+    face, a proper face of lower dimension.  Otherwise the remainder is
+    in F's relative interior: subtract the largest multiple of one
+    generator that keeps every live r'.x >= 0, which lands the remainder
+    on a face.  The dimension drops at least every second round, so the
+    combination has at most dim(C) generators.
 
-    while any(current):
-        cur = integral(current)
-        binding = next((r for r in current_rays if _dot(r, cur) == 0), None)
+    The remainder is kept as one integer vector over one positive
+    denominator; only the returned weights are ``Fraction`` values.
+    """
+    gens = [primitive(integral(g)) for g in generators]
+    table = [[_dot(r, g) for g in gens] for r in rays]  # table[k][i] = rays[k].gens[i]
+    active = [i for i, g in enumerate(gens) if any(g)]
+    live = [k for k, row in enumerate(table) if any(row[i] for i in active)]
+    cur = integral(target)
+    den = lcm(*(x.denominator for x in target))  # target == cur / den
+    vals = {k: _dot(rays[k], cur) for k in live}
+    weights: dict[int, Fraction] = {}
+
+    while any(cur):
+        binding = next((k for k in live if vals[k] == 0), None)
         if binding is not None:
-            active = [i for i in active if _dot(binding, gens[i]) == 0]
+            active = [i for i in active if table[binding][i] == 0]
             if not active:
                 raise AssertionError("face descent lost all generators")
-            _, face_rays = dual_rays([generators[i] for i in active])
-            # Rays of the face cone; hyperplanes through the face interior
-            # vanish on every remaining generator and are dropped.
-            current_rays = [
-                r for r in map(_ints, face_rays) if any(_dot(r, gens[i]) for i in active)
-            ]
+            live = [k for k in live if any(table[k][i] for i in active)]
             continue
 
-        g_idx = active[0]
-        g = generators[g_idx]
-        # The ray minimizing r.current / r.g over r.g > 0; both sides are
-        # positive multiples of the rational ratios, so the argmin agrees.
-        best: IntVec | None = None
-        best_num = best_den = 0
-        for r in current_rays:
-            rg = _dot(r, gens[g_idx])
-            if rg > 0:
-                rc = _dot(r, cur)
-                if best is None or rc * best_den < best_num * rg:
-                    best, best_num, best_den = r, rc, rg
-        if best is not None:
-            theta = Fraction(_dot(best, current)) / _dot(best, g)
-        else:
-            # No dual ray sees g: only possible when the face cone is a
-            # single ray and current is parallel to it.
-            theta = next(current[j] / g[j] for j in range(len(g)) if g[j] != 0)
-        if theta <= 0:
+        g = active[0]
+        # The live ray minimizing r.cur / r.g over r.g > 0.
+        best = None
+        best_rc = best_rg = 0
+        for k in live:
+            rg = table[k][g]
+            if rg > 0 and (best is None or vals[k] * best_rg < best_rc * rg):
+                best, best_rc, best_rg = k, vals[k], rg
+        if best is None:
+            # In a pointed cone some dual ray is positive on each nonzero
+            # generator; none is positive on g only when C holds a line.
+            raise ValueError("face descent needs a pointed cone; this one contains a line")
+        if best_rc <= 0:
             raise AssertionError("face descent produced a nonpositive step")
-        combo[g_idx] = combo.get(g_idx, Fraction(0)) + theta
-        current = [c - theta * x for c, x in zip(current, g)]
+        # Subtract (best_rc / (den * best_rg)) * gens[g] from cur / den.
+        weights[g] = weights.get(g, Fraction(0)) + Fraction(best_rc, den * best_rg)
+        cur = [best_rg * c - best_rc * x for c, x in zip(cur, gens[g])]
+        den *= best_rg
+        common = gcd(den, *cur)
+        cur = [c // common for c in cur]
+        den //= common
+        vals = {k: _dot(rays[k], cur) for k in live}
 
+    # gens[i] is a positive multiple of generators[i]: rescale each weight.
+    combo = {}
+    for i, w in weights.items():
+        j = next(j for j, x in enumerate(gens[i]) if x)
+        combo[i] = w * gens[i][j] / generators[i][j]
     return combo

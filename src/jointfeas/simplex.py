@@ -177,6 +177,7 @@ def _bland(
     cost = tab[m, : n + m]
     rhs = tab[:m, -1]
     update = np.empty_like(tab)
+    exact = tab.dtype == object
     pivots = 0
     while True:
         entering = int(np.argmax(cost < -tol))
@@ -193,8 +194,15 @@ def _bland(
         leaving = int(ties[np.argmin(basis[ties])])
 
         prow = tab[leaving] / tab[leaving, entering]
-        np.multiply.outer(tab[:, entering], prow, out=update)
-        tab -= update
+        if exact:
+            # Exact cells change only where both the entering column and
+            # the pivot row are nonzero; skip the Fraction work elsewhere.
+            rows = np.flatnonzero(tab[:, entering])
+            cols = np.flatnonzero(prow)
+            tab[np.ix_(rows, cols)] -= np.multiply.outer(tab[rows, entering], prow[cols])
+        else:
+            np.multiply.outer(tab[:, entering], prow, out=update)
+            tab -= update
         tab[leaving] = prow
         basis[leaving] = entering
         pivots += 1

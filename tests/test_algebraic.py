@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from jointfeas.algebraic import (
+    _SQUARE_FACTOR_BOUND,
     Surd,
     as_fraction,
     enclosure,
@@ -74,3 +76,24 @@ def test_enclosure_width_and_membership():
 
 def test_rational_enclosure_is_degenerate():
     assert enclosure(Fraction(5, 7)) == (Fraction(5, 7), Fraction(5, 7))
+
+
+@pytest.mark.parametrize("prime", [100000000000031, 10**29 + 319])
+def test_big_prime_radicands_return_quickly(prime):
+    start = time.perf_counter()
+    root = sqrt_fraction(prime)
+    assert time.perf_counter() - start < 0.1
+    assert isinstance(root, Surd) and (root.b, root.d) == (1, prime)
+    assert root * root == prime
+
+
+def test_square_factor_above_the_bound_still_cancels():
+    p, q = 1009, 3  # p is a prime above the trial-division bound
+    assert p > _SQUARE_FACTOR_BOUND
+    big, small = sqrt_fraction(p * p * q), p * sqrt_fraction(q)
+    assert big - small == 0 and small - big == 0
+    assert big == small and hash(big) == hash(small)
+    assert big / small == 1 and big * small == p * p * q
+    assert sqrt_fraction(p * p) == p  # a perfect-square cofactor is absorbed
+    with pytest.raises(UnsupportedNumberError):
+        _ = big + sqrt_fraction(2)

@@ -2,11 +2,16 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from unittest.mock import patch
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from jointfeas import linalg
+from jointfeas import feasibility, geometry, linalg
+from jointfeas.corpus import load_cases
+from jointfeas.files import parse_problem
 from jointfeas.geometry import _extreme_rays_pointed, cone_membership, dual_rays, nullspace
+from jointfeas.simplex import solve_equality_feasibility
 
 F = Fraction
 
@@ -295,3 +300,140 @@ def test_public_functions_return_fraction_tuples():
     inside = cone_membership(gens, vec(1, F(1, 8), F(1, 9)))
     assert inside.member
     assert all(type(w) is F and w > 0 for w in inside.combination.values())
+
+
+# ---------------------------------------------------------------------------
+# Cone oracle: one double description per call, face descent on its rays
+# ---------------------------------------------------------------------------
+
+
+def int_dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def lifted_dual_rays(generators):
+    """Reference: the double description in coordinates of the generators'
+    span, lifted back, for every generator set (full rank included)."""
+    gens = [linalg.primitive(linalg.integral(g)) for g in generators]
+    lineality = [tuple(map(F, v)) for v in linalg.nullspace(gens)]
+    basis = [gens[i] for i in linalg.independent_rows(gens)]
+    if not basis:
+        return lineality, []
+    reduced = [tuple(int_dot(b, g) for b in basis) for g in gens]
+    columns = list(zip(*basis))
+    rays = [
+        tuple(map(F, linalg.primitive([int_dot(z, col) for col in columns])))
+        for z in _extreme_rays_pointed(reduced)
+    ]
+    return lineality, rays
+
+
+@st.composite
+def pointed_cones(draw):
+    """Integer generators in dimension 2-5 of a pointed cone, of any rank.
+
+    Each generator is M.(1, y) scaled by a positive integer, for a fixed
+    integer map M whose first row is (1, 0, ..., 0): the first
+    coordinate is positive on every generator, so the cone is pointed.
+    Its rank is that of M, from 1 to the dimension.
+    """
+    dim = draw(st.integers(2, 5))
+    rank = draw(st.integers(1, dim))
+    tail = draw(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=rank, max_size=rank),
+            min_size=dim - 1,
+            max_size=dim - 1,
+        )
+    )
+    lift = [[1] + [0] * (rank - 1)] + tail
+    coordinates = st.lists(st.integers(-3, 3), min_size=rank - 1, max_size=rank - 1)
+    points = draw(st.lists(st.tuples(st.integers(1, 3), coordinates), min_size=1, max_size=8))
+    return [tuple(F(scale * int_dot(row, (1, *y))) for row in lift) for scale, y in points]
+
+
+def counted_membership(gens, target):
+    """cone_membership, with the dual_rays calls it makes counted."""
+    calls = []
+
+    def counting(generators):
+        calls.append(1)
+        return real(generators)
+
+    real = geometry.dual_rays
+    with patch.object(geometry, "dual_rays", counting):
+        res = cone_membership(gens, target)
+    assert len(calls) == 1
+    return res
+
+
+def check_combination(gens, target, combination):
+    """Positive weights that recombine the target exactly."""
+    assert all(w > 0 for w in combination.values())
+    recombined = tuple(
+        sum((w * gens[i][k] for i, w in combination.items()), F(0)) for k in range(len(target))
+    )
+    assert recombined == target
+
+
+@settings(max_examples=200, deadline=None)
+@given(pointed_cones(), st.data())
+def test_members_are_recombined_exactly_from_at_most_dim_generators(gens, data):
+    dim = len(gens[0])
+    weights = data.draw(
+        st.lists(st.fractions(0, 5, max_denominator=7), min_size=len(gens), max_size=len(gens))
+    )
+    target = tuple(sum((w * g[k] for w, g in zip(weights, gens)), F(0)) for k in range(dim))
+    res = counted_membership(gens, target)
+    assert res.member and res.separator is None
+    check_combination(gens, target, res.combination)
+    assert len(res.combination) <= dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(pointed_cones(), st.data())
+def test_membership_verdict_matches_the_simplex(gens, data):
+    dim = len(gens[0])
+    target = tuple(
+        F(x) for x in data.draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
+    )
+    res = counted_membership(gens, target)
+    columns = [[g[k] for g in gens] for k in range(dim)]
+    assert res.member == solve_equality_feasibility(columns, list(target)).feasible
+    if res.member:
+        check_combination(gens, target, res.combination)
+    else:
+        sep = res.separator
+        assert all(dot(sep, g) >= 0 for g in gens)
+        assert dot(sep, target) < 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets)
+def test_full_rank_dual_rays_skip_the_lift_and_keep_their_order(gens):
+    dim = len(gens[0])
+    assume(ref_rank(gens) == dim)
+    assert dual_rays(gens) == ([], lifted_dual_rays(gens)[1])
+
+
+def test_corpus_oracle_dual_rays_equal_the_lifted_path(monkeypatch):
+    seen = []
+    real = feasibility.cone_membership
+
+    def grab(generators, target):
+        seen.append(generators)
+        return real(generators, target)
+
+    monkeypatch.setattr(feasibility, "cone_membership", grab)
+    for case in load_cases():
+        if case["kind"] == "decide" and "oracle_agrees" in case["expected"]:
+            feasibility.brute_force_oracle(parse_problem(case["problem"])["problem"])
+    assert len(seen) >= 3
+    for gens in seen:
+        assert dual_rays(gens) == lifted_dual_rays(gens)
+
+
+def test_face_descent_refuses_a_cone_with_a_line():
+    # cone((1), (-1)) is the whole line: its dual is {0}, no ray to descend on.
+    with pytest.raises(ValueError, match="contains a line"):
+        cone_membership([vec(1), vec(-1)], vec(-1))
