@@ -172,16 +172,23 @@ class MomentProblem:
     def monomial_range(self, constraint: MomentConstraint) -> tuple[Fraction, Fraction]:
         """Sharp [min, max] of the constraint's monomial over the lattice.
 
-        Computed variable by variable: extremes of a product of values
-        drawn from finite sets are attained at per-set extremes.
+        Computed variable by variable on integer tables: each support is
+        put over its common denominator D_v (:func:`_integer_support`),
+        so the monomial is an integer product of numerators raised to
+        their exponents over the one denominator ``prod(D_v ** k)``.
+        Extremes of a product of values drawn from finite sets are
+        attained at per-set extremes, and dividing by a positive
+        denominator keeps the order.
         """
-        lo, hi = _ONE, _ONE
+        lo = hi = den = 1
         for name, k in constraint.exponents:
-            values = [v**k for v in self.variable(name).support]
+            d, numerators = _integer_support(self.variable(name))
+            values = [x**k for x in numerators]
             vlo, vhi = min(values), max(values)
             candidates = [lo * vlo, lo * vhi, hi * vlo, hi * vhi]
             lo, hi = min(candidates), max(candidates)
-        return lo, hi
+            den *= d**k
+        return Fraction(lo, den), Fraction(hi, den)
 
 
 @dataclass(frozen=True)

@@ -525,6 +525,52 @@ def test_certificate_gate_spans_chunks(monkeypatch):
     assert not verify_certificate(prob, [F(-1)] * 10 + [F(9)])
 
 
+RANGE_POOL = [
+    F(-3), F(-2), F(-3, 2), F(-1), F(-2, 3), F(-1, 2), F(0), F(1, 3), F(1, 2), F(3, 4), F(1), F(5, 3), F(2)
+]
+
+
+def random_range_problem(rng):
+    """Supports with mixed denominators, negatives and 0; exponents up to 4."""
+    variables = tuple(
+        FiniteRandomVariable(f"V{i}", tuple(sorted(rng.sample(RANGE_POOL, rng.randint(1, 4)))))
+        for i in range(rng.randint(1, 3))
+    )
+    exponent_maps = {}
+    for _ in range(rng.randint(1, 3)):
+        chosen = rng.sample([v.name for v in variables], rng.randint(1, len(variables)))
+        exps = {n: rng.randint(1, 4) for n in chosen}
+        exponent_maps[tuple(sorted(exps.items()))] = exps
+    constraints = tuple(MomentConstraint.of(e, 0) for e in exponent_maps.values())
+    return MomentProblem(variables, constraints, allow_higher_order=True)
+
+
+def test_monomial_range_is_the_brute_force_range(rng):
+    for _ in range(300):
+        problem = random_range_problem(rng)
+        for c in problem.constraints:
+            values = [problem.monomial_value(c, atom) for atom in problem.atom_space()]
+            assert problem.monomial_range(c) == (min(values), max(values))
+
+
+def test_range_check_certificates_still_verify(rng):
+    for _ in range(100):
+        problem = random_range_problem(rng)
+        c = rng.choice(problem.constraints)
+        lo, hi = problem.monomial_range(c)
+        outside = ((hi + F(1, 5), "=="), (lo - F(1, 7), "=="), (lo - F(1, 3), "<="), (hi + F(2, 9), ">="))
+        for target, relation in outside:
+            bad = MomentProblem(
+                problem.variables,
+                (MomentConstraint(c.exponents, target, relation),),
+                allow_higher_order=True,
+            )
+            result = decide(bad)
+            assert result.method == "range-check"
+            assert result.detail["achievable"] == (lo, hi)
+            assert verify_certificate(bad, result.certificate)
+
+
 class TestMonotonicity:
     def test_removing_constraints_preserves_feasibility(self, rng):
         for _ in range(60):

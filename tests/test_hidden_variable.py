@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from jointfeas import (
 )
 from jointfeas.errors import ValidationError
 
-from conftest import random_distribution
+from conftest import random_distribution, random_variables
 
 F = Fraction
 
@@ -116,6 +117,133 @@ class TestFactorizationVerifier:
     def test_bad_order_rejected(self, six_atom):
         with pytest.raises(ValidationError):
             verify_factorization(construct_deterministic(six_atom), 3)
+
+    @pytest.mark.parametrize("order", [True, False, 2.0, 1.0, "1", None])
+    def test_order_must_be_an_int_or_full(self, six_atom, order):
+        # True == 1 and 2.0 == 2, so a plain membership test let them through
+        with pytest.raises(ValidationError):
+            verify_factorization(construct_deterministic(six_atom), order)
+
+    def test_report_spells_the_order(self, six_atom):
+        model = construct_deterministic(six_atom)
+        assert [verify_factorization(model, o).order for o in (1, 2, "full")] == ["1", "2", "full"]
+
+
+def full_lattice_factorization(model):
+    """``verify_factorization(model, "full")`` scanning every atom of the lattice."""
+    worst, where = F(0), ""
+    names = [v.name for v in model.variables]
+    for pt in model.points:
+        cond = pt.conditional
+        marginals = [cond.marginal([n]) for n in names]
+        for atom in cond.atom_space():
+            product = F(1)
+            for i, marg in enumerate(marginals):
+                product *= marg.mass.get((atom[i],), F(0))
+            gap = abs(cond.mass.get(atom, F(0)) - product)
+            if gap > worst:
+                worst, where = gap, f"lambda {pt.label}, atom {atom}"
+    return worst == 0, worst, where
+
+
+def random_conditional(rng, variables):
+    """A point mass, a product law or a non-product law on a sub-lattice.
+
+    The sub-lattice keeps a random subset of each support, often without
+    its interior values, so those carry zero marginal mass.
+    """
+    sizes = [len(v.support) for v in variables]
+    kind = rng.choice(["point", "product", "sparse"])
+    if kind == "point":
+        return point_mass(variables, tuple(rng.randrange(s) for s in sizes))
+    kept = [sorted(rng.sample(range(s), rng.randint(1, s))) for s in sizes]
+    if kind == "product":
+        laws = []
+        for indices in kept:
+            weights = [rng.randint(1, 3) for _ in indices]
+            laws.append({i: F(w, sum(weights)) for i, w in zip(indices, weights)})
+        mass = {}
+        for atom in itertools.product(*kept):
+            p = F(1)
+            for i, law in zip(atom, laws):
+                p *= law[i]
+            mass[atom] = p
+        return JointDistribution(variables, mass)
+    atoms = list(itertools.product(*kept))
+    weights = [rng.choice([0, 0, 1, 1, 2]) for _ in atoms]
+    if not any(weights):
+        weights[rng.randrange(len(atoms))] = 1
+    return JointDistribution(
+        variables, {a: F(w, sum(weights)) for a, w in zip(atoms, weights) if w}
+    )
+
+
+def random_model(rng):
+    variables = random_variables(rng, max_vars=3, max_values=4)
+    if rng.random() < 0.3:
+        return construct_deterministic(random_distribution(rng, variables))
+    weights = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+    return HiddenVariableModel(
+        variables,
+        tuple(
+            LambdaPoint(f"p{k}", F(w, sum(weights)), random_conditional(rng, variables))
+            for k, w in enumerate(weights)
+        ),
+    )
+
+
+def assert_same_as_full_lattice(model):
+    report = verify_factorization(model, "full")
+    assert (report.ok, report.worst_discrepancy, report.worst_location) == (
+        full_lattice_factorization(model)
+    )
+
+
+class TestFullOrderMatchesTheLatticeScan:
+    def test_random_models(self, rng):
+        failing = 0
+        for _ in range(400):
+            model = random_model(rng)
+            assert_same_as_full_lattice(model)
+            failing += not verify_factorization(model, "full").ok
+        assert 0 < failing < 400  # both outcomes are exercised
+
+    def test_zero_mass_interior_values(self):
+        # X, Y in {-1, 0, 1} with no mass on 0: a correlated law on the corners
+        vs = tuple(FiniteRandomVariable(n, (F(-1), F(0), F(1))) for n in "XY")
+        corners = JointDistribution(vs, {(0, 0): F(1, 2), (2, 0): F(1, 8), (2, 2): F(3, 8)})
+        model = HiddenVariableModel(vs, (LambdaPoint("c", F(1), corners),))
+        assert not verify_factorization(model, "full").ok
+        assert_same_as_full_lattice(model)
+
+    def test_tied_gaps_keep_the_first_location(self):
+        # every atom of the perfectly correlated pair is off by 1/4
+        vs = (pm_one("X"), pm_one("Y"))
+        diagonal = JointDistribution(vs, {(0, 0): F(1, 2), (1, 1): F(1, 2)})
+        model = HiddenVariableModel(
+            vs, (LambdaPoint("a", F(1, 2), diagonal), LambdaPoint("b", F(1, 2), diagonal))
+        )
+        report = verify_factorization(model, "full")
+        assert report.worst_discrepancy == F(1, 4)
+        assert report.worst_location == "lambda a, atom (0, 0)"
+        assert_same_as_full_lattice(model)
+
+    def test_exchangeable_construction(self):
+        built = exchangeable_symmetric_construct("3/8", "1/8", "1/8", "3/8")
+        assert_same_as_full_lattice(built.model)
+
+    def test_never_enumerates_the_lattice(self, monkeypatch):
+        # 20 +-1 variables: a 2**20 lattice holding four atoms
+        vs = tuple(pm_one(f"X{i}") for i in range(20))
+        atoms = [tuple((k >> (i % 2)) & 1 for i in range(20)) for k in range(4)]
+
+        def refuse(self):
+            raise AssertionError("atom_space enumerated")
+
+        monkeypatch.setattr(JointDistribution, "atom_space", refuse)
+        model = construct_deterministic(JointDistribution(vs, {a: F(1, 4) for a in atoms}))
+        assert len(model.points) == 4
+        assert verify_factorization(model, "full").ok
 
 
 class TestNoncontextuality:
