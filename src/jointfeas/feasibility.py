@@ -29,6 +29,7 @@ tables of its own, again in int64 only when a bound proves it safe.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,7 +72,8 @@ _CHUNK = 1 << 16
 _RELATIONS = ("==", "<=", ">=")
 
 
-@dataclass(frozen=True)
+# Slotted: problems hold many of these, so no per-instance dict.
+@dataclass(frozen=True, slots=True)
 class MomentConstraint:
     """One exact product-moment condition E(prod X_i^k_i) <relation> target.
 
@@ -142,14 +144,21 @@ class MomentProblem:
             seen.add(key)
         # name -> position, built once: every name lookup goes through it.
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
+        # Per variable, (D_v, numerators), built once for the range check
+        # and the row builder.
+        supports = tuple(_integer_support(v.support) for v in self.variables)
+        object.__setattr__(self, "_supports", supports)
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
     def variable(self, name: str) -> FiniteRandomVariable:
+        return self.variables[self._position(name)]
+
+    def _position(self, name: str) -> int:
         try:
-            return self.variables[self._index[name]]
+            return self._index[name]
         except KeyError:
             raise ConstraintMismatchError(f"unknown variable {name!r}") from None
 
@@ -182,7 +191,7 @@ class MomentProblem:
         """
         lo = hi = den = 1
         for name, k in constraint.exponents:
-            d, numerators = _integer_support(self.variable(name))
+            d, numerators = self._supports[self._position(name)]
             values = [x**k for x in numerators]
             vlo, vhi = min(values), max(values)
             candidates = [lo * vlo, lo * vhi, hi * vlo, hi * vhi]
@@ -213,10 +222,13 @@ class FeasibilityResult:
         return self.verdict == "feasible"
 
 
-def _integer_support(variable: FiniteRandomVariable) -> tuple[int, list[int]]:
+# Problems built over equal supports share one table; the tables are
+# immutable, and the cache is bounded.
+@functools.lru_cache(maxsize=256)
+def _integer_support(support: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
     """The support's common denominator and the support values times it."""
-    den = lcm(*(x.denominator for x in variable.support))
-    return den, [x.numerator * (den // x.denominator) for x in variable.support]
+    den = lcm(*(x.denominator for x in support))
+    return den, tuple(x.numerator * (den // x.denominator) for x in support)
 
 
 def _lattice_product(
@@ -256,14 +268,13 @@ def _constraint_rows(
     """
     shape = tuple(len(v.support) for v in problem.variables)
     count = prod(shape)
-    supports = [_integer_support(v) for v in problem.variables]
     specs = []
     bound = 1
     for c in problem.constraints:
         factors, den, top = [], 1, 1
         for name, k in c.exponents:
             i = problem._index[name]
-            d, numerators = supports[i]
+            d, numerators = problem._supports[i]
             factors.append((i, [x**k for x in numerators]))
             den *= d**k
             top *= max(1, *(abs(x) for x in numerators)) ** k  # bounds partial products too
@@ -283,9 +294,10 @@ def _constraint_rows(
     return matrix, dens, [c.target for c in problem.constraints] + [_ONE]
 
 
-def _atom(shape: tuple[int, ...], index: int) -> Atom:
-    """The atom at this position of ``atom_space`` order."""
-    return tuple(int(i) for i in np.unravel_index(index, shape))
+def _atoms(shape: tuple[int, ...], indices: Sequence[int]) -> list[Atom]:
+    """The atoms at these positions of ``atom_space`` order, in one unravel."""
+    axes = [axis.tolist() for axis in np.unravel_index(np.array(indices, np.intp), shape)]
+    return list(zip(*axes))
 
 
 def _satisfies(value: Fraction, constraint: MomentConstraint) -> bool:
@@ -339,6 +351,11 @@ def _range_violated(constraint: MomentConstraint, lo: Fraction, hi: Fraction) ->
     return not lo <= constraint.target <= hi
 
 
+def _check_atom_cap(atom_cap: int) -> None:
+    if isinstance(atom_cap, bool) or not isinstance(atom_cap, int) or atom_cap <= 0:
+        raise ValidationError(f"atom_cap must be a positive integer, got {atom_cap!r}")
+
+
 def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> FeasibilityResult:
     """Exact feasibility verdict with witness or verified certificate.
 
@@ -349,6 +366,7 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
     the basis proves nothing) and then passes the exact witness recheck
     or :func:`verify_certificate`.
     """
+    _check_atom_cap(atom_cap)
     count = problem.atom_count()
     if count > atom_cap:
         raise SizeCapError(
@@ -376,7 +394,9 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
         if lp.solution is None:
             raise AssertionError("simplex reported feasible without a solution")
         shape = tuple(len(v.support) for v in problem.variables)
-        mass = {_atom(shape, j): x for j, x in enumerate(lp.solution[:count]) if x > 0}
+        # The certified solution is nonnegative, so nonzero means positive.
+        columns = list(itertools.compress(range(count), lp.solution))
+        mass = dict(zip(_atoms(shape, columns), (lp.solution[j] for j in columns)))
         witness = _checked_witness(problem, mass)
         return FeasibilityResult("feasible", witness, None, "simplex", {"pivots": lp.pivots})
     if lp.farkas is None:
@@ -419,7 +439,7 @@ def verify_certificate(problem: MomentProblem, certificate: Sequence[Fraction]) 
     # M_i multiplies support numerators raised to their exponents.  The
     # tables are built here, not by the row builder, so a fault there
     # cannot vouch for its own output.
-    scale = lcm(*(w.denominator for w in cert))
+    scale = lcm(*[w.denominator for w in cert])
     monomials = []
     for c, w in zip(problem.constraints, cert):
         if w:
@@ -427,11 +447,11 @@ def verify_certificate(problem: MomentProblem, certificate: Sequence[Fraction]) 
             for name, k in c.exponents:
                 i = problem._index[name]
                 support = problem.variables[i].support
-                d = lcm(*(x.denominator for x in support))
+                d = lcm(*[x.denominator for x in support])
                 factors.append((i, [(x.numerator * (d // x.denominator)) ** k for x in support]))
                 den *= d**k
             monomials.append((w.numerator * (scale // w.denominator), den, factors))
-    common = lcm(*(den for _, den, _ in monomials))
+    common = lcm(*[den for _, den, _ in monomials])
     base = cert[m].numerator * (scale // cert[m].denominator) * common
     weights = [(w * (common // den), factors) for w, den, factors in monomials]
     # Every partial sum and product below is at most this in magnitude.
@@ -475,6 +495,7 @@ def brute_force_oracle(
     :func:`verify_certificate`, which use neither, are the independent
     gates.
     """
+    _check_atom_cap(atom_cap)
     count = problem.atom_count()
     if count > atom_cap:
         raise SizeCapError(f"oracle cap is {atom_cap} atoms, problem has {count}")
@@ -498,11 +519,12 @@ def brute_force_oracle(
             raise AssertionError("cone oracle reported membership without a combination")
         shape = tuple(len(v.support) for v in problem.variables)
         column_of = list(representatives.values())
-        mass = {
-            _atom(shape, column_of[g]): w
+        kept = {
+            column_of[g]: w
             for g, w in membership.combination.items()
             if w > 0 and column_of[g] < count
         }
+        mass = dict(zip(_atoms(shape, list(kept)), kept.values()))
         witness = _checked_witness(problem, mass)
         return FeasibilityResult("feasible", witness, None, "cone-rays", {})
     if membership.separator is None:

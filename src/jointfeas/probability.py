@@ -1,9 +1,12 @@
 """Exact finite probability: variables, joint distributions, moments.
 
-All arithmetic in this module is exact rational (`fractions.Fraction`);
-feasibility verdicts and probability-1 statements elsewhere in the
-package lean on that exactness, so nothing here may round.  Values are
-immutable after construction and every operation is a pure function.
+All arithmetic in this module is exact: values and masses are
+`fractions.Fraction`, and moments are summed over integer numerators
+(supports over their common denominators, masses over theirs) with one
+`Fraction` built at the end.  Feasibility verdicts and probability-1
+statements elsewhere in the package lean on that exactness, so nothing
+here may round.  Values are immutable after construction and every
+operation is a pure function.
 
 An *atom* is one joint outcome, stored as a tuple of support indices in
 variable declaration order.  Distributions are sparse: an absent atom
@@ -15,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -27,7 +31,8 @@ Event = frozenset  # frozenset[Atom]
 RationalLike = Union[int, str, Fraction]
 
 
-@dataclass(frozen=True)
+# Slotted: problems hold many of these, so no per-instance dict.
+@dataclass(frozen=True, slots=True)
 class FiniteRandomVariable:
     """A named observable with an ordered finite rational support."""
 
@@ -55,9 +60,14 @@ class FiniteRandomVariable:
             raise ValidationError(f"{v} is not in the support of {self.name}") from None
 
 
+# One support for every +-1 variable: Fractions are immutable, so sharing
+# them saves two objects per variable.
+_PM_ONE = (Fraction(-1), Fraction(1))
+
+
 def pm_one(name: str) -> FiniteRandomVariable:
     """The +-1 observable used throughout the Bell/CHSH material."""
-    return FiniteRandomVariable(name, (Fraction(-1), Fraction(1)))
+    return FiniteRandomVariable(name, _PM_ONE)
 
 
 def _check_variables(variables: Sequence[FiniteRandomVariable]) -> tuple[FiniteRandomVariable, ...]:
@@ -185,15 +195,29 @@ def expectation(dist: JointDistribution, exponents: Mapping[str, int]) -> Fracti
     for name, k in exponents.items():
         if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
             raise ValidationError(f"exponent for {name} must be a positive integer")
-    positions = {name: dist.index(name) for name in exponents}
-    total = Fraction(0)
+    # Integer form: each support over its common denominator D_v, with
+    # the numerators raised to k, and the masses over their lcm L, so the
+    # moment is one integer sum over L * prod(D_v ** k).  The tables are
+    # built here, from the distribution alone, so this stays a check
+    # independent of the LP row builder.  lcm gets lists, not generators:
+    # CPython unpacks a generator into a shrunk 10-slot tuple, and in a
+    # hot loop those pile up on its tuple free lists (peak RSS).
+    tables = []
+    den = 1
+    for name, k in exponents.items():
+        position = dist.index(name)
+        support = dist.variables[position].support
+        d = lcm(*[x.denominator for x in support])
+        tables.append((position, [(x.numerator * (d // x.denominator)) ** k for x in support]))
+        den *= d**k
+    scale = lcm(*[p.denominator for p in dist.mass.values()])
+    total = 0
     for atom, p in dist.mass.items():
-        term = p
-        for name, k in exponents.items():
-            value = dist.variables[positions[name]].support[atom[positions[name]]]
-            term *= value**k
+        term = p.numerator * (scale // p.denominator)
+        for position, table in tables:
+            term *= table[atom[position]]
         total += term
-    return total
+    return Fraction(total, scale * den)
 
 
 def variance(dist: JointDistribution, name: str) -> Fraction:

@@ -20,7 +20,10 @@ once, on entry.  The decision takes three steps:
    solution of ``B x_B = b`` is nonnegative with every artificial at
    zero, infeasible when the solution of ``B^T y = c_B`` gives a Farkas
    vector, whose column test is one vectorized product with the matrix.
-   No float value reaches a result; only the basis does.
+   The guide's phase-1 objective picks which check runs first (the
+   Farkas one when it is positive); no basis passes both, so the order
+   changes the cost, never the result.  No float value reaches a
+   result; only the basis and that order do.
 3. **Exact fallback.**  When the guide stops early (pivot cap, no
    leaving row, an entry beyond float range), or its basis is singular
    or fails both exact checks, the same ``_bland`` loop runs from a
@@ -98,12 +101,14 @@ def solve_equality_feasibility(
     try:
         # Overflow to inf or nan only misguides; the exact checks catch it.
         with np.errstate(over="ignore", invalid="ignore"):
-            guide = _float_guide(_tableau(matrix, dens, rhs, signs, float), n, m)
+            tab = _tableau(matrix, dens, rhs, signs, float)
+            guide = _float_guide(tab, n, m)
     except OverflowError:  # an entry beyond float range
         guide = None
     if guide is not None:
-        basis, pivots = guide
-        result = _certify(matrix, dens, rhs, signs, basis, pivots)
+        # tab[m, -1] is minus the guide's phase-1 objective: a positive
+        # objective points at the Farkas check, so that one runs first.
+        result = _certify(matrix, dens, rhs, signs, *guide, dual_first=bool(tab[m, -1] < -_TOL))
         if result is not None:
             return result
     return _exact_bland(matrix, dens, rhs, signs)
@@ -215,6 +220,8 @@ def _certify(
     signs: list[int],
     basis: list[int],
     pivots: int,
+    *,
+    dual_first: bool,
 ) -> EqualityFeasibility | None:
     """Settle a final Bland basis exactly, or None when it proves nothing.
 
@@ -222,6 +229,12 @@ def _certify(
     integer ``scale[i]``, the lcm of ``dens[i]`` and the denominator of
     ``rhs[i]``, so the scaled system is integral, has the same solutions,
     and artificial column i becomes ``scale[i] * e_i``.
+
+    Two exact checks can settle the basis: the primal solve proves
+    feasibility, the dual (Farkas) solve proves emptiness.  By the
+    Farkas alternative no basis passes both, so ``dual_first`` (the
+    caller's guess that the phase-1 optimum is positive) changes which
+    one runs first, never the result.
     """
     m, n = matrix.shape
     scale = [lcm(d, b.denominator) for d, b in zip(dens, rhs)]
@@ -234,40 +247,47 @@ def _certify(
         for i, (row, f, l) in enumerate(zip(picked, factor, scale))
     ]
 
-    # Primal: B x_B = b.
-    mat, piv, d = echelon([row + [bi] for row, bi in zip(basic, b)], pivot_cols=m)
-    if len(piv) != m:  # singular basis
-        return None
-    x_basic = [Fraction(mat[k][m], d) for k in range(m)]
-    if all(v >= 0 for v in x_basic) and all(
-        v == 0 for j, v in zip(basis, x_basic) if j >= n
-    ):
+    def primal() -> EqualityFeasibility | None:
+        # B x_B = b.
+        mat, piv, d = echelon([row + [bi] for row, bi in zip(basic, b)], pivot_cols=m)
+        if len(piv) != m:  # singular basis
+            return None
+        x_basic = [Fraction(mat[k][m], d) for k in range(m)]
+        if any(v < 0 for v in x_basic) or any(v != 0 for j, v in zip(basis, x_basic) if j >= n):
+            return None
         x = [_ZERO] * n
         for j, v in zip(basis, x_basic):
             if j < n:
                 x[j] = v
         return EqualityFeasibility(True, tuple(x), None, pivots)
 
-    # Dual: B^T y' = c_B in the scaled rows; the phase-1 multipliers of
-    # the unscaled rows are y_i = scale[i] * y'_i, with y' = w / |d|.
-    mat, piv, d = echelon(
-        [[basic[i][k] for i in range(m)] + [int(j >= n)] for k, j in enumerate(basis)],
-        pivot_cols=m,
-    )
-    if len(piv) != m:
-        return None
-    sign = 1 if d > 0 else -1
-    w = [sign * mat[i][m] for i in range(m)]
-    # u = -y (then unsigned per row) is a Farkas vector exactly when
-    # y'.A'_j <= 0 on every structural column and y'.b' > 0.
-    if n and (np.array([wi * f for wi, f in zip(w, factor)], object) @ matrix > 0).any():
-        return None
-    if sum(wi * bi for wi, bi in zip(w, b)) <= 0:
-        return None
-    farkas = tuple(
-        Fraction(-s * l * wi, abs(d)) for s, l, wi in zip(signs, scale, w)
-    )
-    return EqualityFeasibility(False, None, farkas, pivots)
+    def dual() -> EqualityFeasibility | None:
+        # B^T y' = c_B in the scaled rows; the phase-1 multipliers of
+        # the unscaled rows are y_i = scale[i] * y'_i, with y' = w / |d|.
+        mat, piv, d = echelon(
+            [[basic[i][k] for i in range(m)] + [int(j >= n)] for k, j in enumerate(basis)],
+            pivot_cols=m,
+        )
+        if len(piv) != m:
+            return None
+        sign = 1 if d > 0 else -1
+        w = [sign * mat[i][m] for i in range(m)]
+        # u = -y (then unsigned per row) is a Farkas vector exactly when
+        # y'.A'_j <= 0 on every structural column and y'.b' > 0.
+        if n and (np.array([wi * f for wi, f in zip(w, factor)], object) @ matrix > 0).any():
+            return None
+        if sum(wi * bi for wi, bi in zip(w, b)) <= 0:
+            return None
+        farkas = tuple(
+            Fraction(-s * l * wi, abs(d)) for s, l, wi in zip(signs, scale, w)
+        )
+        return EqualityFeasibility(False, None, farkas, pivots)
+
+    for check in (dual, primal) if dual_first else (primal, dual):
+        result = check()
+        if result is not None:
+            return result
+    return None
 
 
 def _exact_bland(
@@ -275,8 +295,11 @@ def _exact_bland(
 ) -> EqualityFeasibility:
     """Bland's rule on a ``Fraction`` tableau from the all-artificial basis."""
     m, n = matrix.shape
-    final = _bland(_tableau(matrix, dens, rhs, signs, object), n, m, 0, None)
-    result = None if final is None else _certify(matrix, dens, rhs, signs, *final)
+    tab = _tableau(matrix, dens, rhs, signs, object)
+    final = _bland(tab, n, m, 0, None)
+    result = None
+    if final is not None:
+        result = _certify(matrix, dens, rhs, signs, *final, dual_first=tab[m, -1] < 0)
     if result is None:
         # An exact phase-1 optimum always exists and certifies.
         raise AssertionError("exact Bland loop ended without a certified basis")

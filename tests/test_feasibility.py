@@ -1,3 +1,5 @@
+import itertools
+import random
 import subprocess
 import sys
 import textwrap
@@ -19,8 +21,9 @@ from jointfeas import (
     reduce_then_test,
     verify_certificate,
 )
-from jointfeas.errors import SizeCapError, ValidationError
+from jointfeas.errors import ConstraintMismatchError, SizeCapError, ValidationError
 from jointfeas.feasibility import _constraint_rows
+from jointfeas.simplex import solve_equality_feasibility
 
 from conftest import random_problem
 
@@ -225,6 +228,15 @@ class TestDecide:
         prob = MomentProblem(vs, (MomentConstraint.of({"X0": 1}, 0),))
         with pytest.raises(SizeCapError):
             decide(prob, atom_cap=1024)
+
+    @pytest.mark.parametrize("solver", [decide, brute_force_oracle])
+    @pytest.mark.parametrize("cap", [True, False, 2.5, 4.0, 0, -3, "8", None])
+    def test_atom_cap_must_be_a_positive_int(self, solver, cap):
+        # True would read as a cap of 1 and 2.5 would pass the size test.
+        prob = MomentProblem((pm_one("X"),), (MomentConstraint.of({"X": 1}, 0),))
+        with pytest.raises(ValidationError, match="atom_cap must be a positive integer"):
+            solver(prob, atom_cap=cap)
+        assert solver(prob, atom_cap=2).feasible
 
     def test_duplicate_constraint_rejected(self):
         with pytest.raises(ValidationError):
@@ -543,6 +555,55 @@ def random_range_problem(rng):
         exponent_maps[tuple(sorted(exps.items()))] = exps
     constraints = tuple(MomentConstraint.of(e, 0) for e in exponent_maps.values())
     return MomentProblem(variables, constraints, allow_higher_order=True)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 2), (2, 3, 4), (2,) * 8])
+def test_atoms_unravel_like_atom_space(shape):
+    lattice = list(itertools.product(*(range(s) for s in shape)))
+    picked = sorted(random.Random(len(lattice)).sample(range(len(lattice)), min(5, len(lattice))))
+    assert feasibility._atoms(shape, picked) == [lattice[j] for j in picked]
+    assert feasibility._atoms(shape, []) == []
+
+
+def test_witness_read_off_matches_the_column_scan(monkeypatch, rng):
+    # decide hands the witness gate the mass dict, in the same order, that
+    # the per-column comprehension {atom(j): x for x > 0} built.
+    seen = []
+    real = feasibility._checked_witness
+
+    def spy(problem, mass):
+        seen.append(list(mass.items()))
+        return real(problem, mass)
+
+    monkeypatch.setattr(feasibility, "_checked_witness", spy)
+    checked = 0
+    for _ in range(150):
+        problem = random_problem(rng)
+        seen.clear()
+        if decide(problem).method != "simplex" or not seen:
+            continue
+        matrix, dens, rhs = _constraint_rows(problem, with_slacks=True)
+        solution = solve_equality_feasibility(matrix, rhs, dens).solution
+        shape = tuple(len(v.support) for v in problem.variables)
+        expected = {
+            tuple(int(i) for i in np.unravel_index(j, shape)): x
+            for j, x in enumerate(solution[: problem.atom_count()])
+            if x > 0
+        }
+        assert seen == [list(expected.items())]
+        checked += 1
+    assert checked > 20
+
+
+def test_problems_share_integer_support_tables():
+    # Built once per distinct support, not once per problem or per call.
+    first, second = triple([0] * 3, ["1/2"] * 3), triple([0] * 3, ["-1/2"] * 3)
+    assert first._supports == ((1, (-1, 1)),) * 3
+    assert all(a is b for a, b in zip(first._supports, second._supports))
+    halves = triple([0] * 3, ["1/2"] * 3, values=("-1/2", "1/3"))
+    assert halves._supports[0] == (6, (-3, 2))
+    with pytest.raises(ConstraintMismatchError):
+        first.monomial_range(MomentConstraint.of({"W": 1}, 0))
 
 
 def test_monomial_range_is_the_brute_force_range(rng):

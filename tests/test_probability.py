@@ -102,6 +102,45 @@ class TestMoments:
         with pytest.raises(ConstraintMismatchError):
             expectation(six_atom, {"W": 1})
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_expectation_matches_fraction_loop(self, data):
+        # Supports with negative and zero values; masses over mixed and
+        # coprime denominators; exponents up to 4.
+        value = st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 2, 3, 5, 7, 12]))
+        variables = tuple(
+            FiniteRandomVariable(f"X{i}", tuple(sorted(values)))
+            for i, values in enumerate(
+                data.draw(st.lists(st.sets(value, min_size=1, max_size=4), min_size=1, max_size=3))
+            )
+        )
+        atoms = data.draw(
+            st.lists(
+                st.tuples(*(st.integers(0, len(v.support) - 1) for v in variables)),
+                min_size=1,
+                max_size=8,
+                unique=True,
+            )
+        )
+        weights = data.draw(
+            st.lists(
+                st.builds(Fraction, st.integers(1, 9), st.sampled_from([1, 2, 3, 4, 5, 7, 11, 13])),
+                min_size=len(atoms),
+                max_size=len(atoms),
+            )
+        )
+        dist = JointDistribution(variables, {a: w / sum(weights) for a, w in zip(atoms, weights)})
+        names = data.draw(st.lists(st.sampled_from(dist.names), min_size=1, unique=True))
+        exponents = {name: data.draw(st.integers(1, 4)) for name in names}
+
+        expected = Fraction(0)
+        for atom, p in dist.mass.items():
+            term = p
+            for name, k in exponents.items():
+                term *= dist.variables[dist.index(name)].support[atom[dist.index(name)]] ** k
+            expected += term
+        assert expectation(dist, exponents) == expected
+
     def test_correlation_six_atom(self, six_atom):
         assert correlation(six_atom, "X", "Y") == Fraction(-1, 2)
         assert correlation(six_atom, "Y", "Z") == Fraction(-1, 2)

@@ -313,6 +313,50 @@ def test_bland_path_is_pinned_on_equal_pair_moments(n, pair, feasible, pivots):
         assert exact_loop(rows, rhs) == res
 
 
+def certify_both_orders(matrix, dens, rhs, basis, pivots):
+    signs = [(-1 if b < 0 else 1) for b in rhs]
+    return [
+        simplex._certify(matrix, dens, rhs, signs, basis, pivots, dual_first=dual_first)
+        for dual_first in (False, True)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(), st.data())
+def test_certify_result_does_not_depend_on_check_order(system, data):
+    # No basis passes both the primal and the Farkas check, so whichever
+    # runs first, the result is the same: on the guide's basis and on
+    # arbitrary (possibly singular or wrong) ones.
+    rows, rhs = system
+    matrix, dens = simplex._integral_rows(rows)
+    m, n = len(rows), len(rows[0])
+    arbitrary = data.draw(st.lists(st.integers(0, n + m - 1), min_size=m, max_size=m))
+    primal_first, dual_first = certify_both_orders(matrix, dens, rhs, arbitrary, 0)
+    assert primal_first == dual_first
+    signs = [(-1 if b < 0 else 1) for b in rhs]
+    final = simplex._bland(simplex._tableau(matrix, dens, rhs, signs, object), n, m, 0, None)
+    primal_first, dual_first = certify_both_orders(matrix, dens, rhs, *final)
+    assert primal_first == dual_first == exact_loop(rows, rhs)
+
+
+@pytest.mark.parametrize("n,pair,feasible,pivots", PINNED_BLAND_PATHS)
+def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasible, pivots):
+    rows, rhs = equal_pair_moment_lp(n, pair)
+    matrix, dens = simplex._integral_rows(rows)
+    signs = [(-1 if b < 0 else 1) for b in rhs]
+    guide = simplex._float_guide(simplex._tableau(matrix, dens, rhs, signs, float), len(rows[0]), len(rows))
+    primal_first, dual_first = certify_both_orders(matrix, dens, rhs, *guide)
+    assert (primal_first.feasible, primal_first.pivots) == (feasible, pivots)
+
+    # The guide's objective points at the check that succeeds: one exact
+    # solve per LP, infeasible ones included.
+    solves = []
+    real = simplex.echelon
+    monkeypatch.setattr(simplex, "echelon", lambda *a, **k: solves.append(1) or real(*a, **k))
+    assert primal_first == dual_first == solve_equality_feasibility(rows, rhs)
+    assert len(solves) == 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(systems())
 def test_exact_tableau_holds_only_fractions(system):
