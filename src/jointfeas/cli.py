@@ -38,7 +38,7 @@ from .files import (
     render_report,
     serialize_distribution,
 )
-from .gaussian import complete_correlations, det_inequality_3var, eigenvalue_feasible
+from .gaussian import _check_tol, complete_correlations, det_inequality_3var, eigenvalue_feasible
 from .hidden_variable import (
     construct_deterministic,
     verify_factorization,
@@ -190,11 +190,11 @@ def _inequality_rows(
     if parsed["kind"] == "gaussian":
         selected = which or ["eigenvalue_feasible", "correlation_determinant"]
         corr = parsed["correlations"]
-        effective_tol = tol if tol is not None else (parsed.get("tol") or 1e-10)
+        tol = parsed["tol"] if tol is None else tol
         for op in selected:
             if op == "eigenvalue_feasible":
                 if not corr.fully_known:
-                    completion = complete_correlations(corr, effective_tol)
+                    completion = complete_correlations(corr, tol)
                     rows.append(
                         {
                             "inequality": "eigenvalue_feasible",
@@ -205,7 +205,7 @@ def _inequality_rows(
                         }
                     )
                 else:
-                    rep = eigenvalue_feasible(corr, effective_tol)
+                    rep = eigenvalue_feasible(corr, tol)
                     rows.append(
                         {
                             "inequality": "eigenvalue_feasible",
@@ -351,6 +351,14 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_INFEASIBLE
 
 
+def _tolerance(text: str) -> float:
+    """The ``--tol`` value; argparse turns a refusal into exit 2."""
+    try:
+        return _check_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--which", default="all", help="comma-separated inequality ids, or 'all'")
     p.add_argument("--atom-cap", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None, help="spectrum tolerance for gaussian files")
+    p.add_argument("--tol", type=_tolerance, default=None, help="spectrum tolerance for gaussian files")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_inequalities)
 

@@ -34,6 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -174,7 +175,7 @@ class MomentProblem:
     def monomial_value(self, constraint: MomentConstraint, atom: Atom) -> Fraction:
         value = _ONE
         for name, k in constraint.exponents:
-            i = self._index[name]
+            i = self._position(name)
             value *= self.variables[i].support[atom[i]] ** k
         return value
 
@@ -248,9 +249,7 @@ def _lattice_product(
     return np.broadcast_to(out, shape).reshape(-1)
 
 
-def _constraint_rows(
-    problem: MomentProblem, with_slacks: bool = False
-) -> tuple[np.ndarray, list[int], list[Fraction]]:
+def _constraint_rows(problem: MomentProblem) -> tuple[np.ndarray, list[int], list[Fraction]]:
     """LP rows in integers: one per constraint, then the normalization row.
 
     Returns ``(matrix, dens, rhs)``: row i over the atoms, in
@@ -261,10 +260,10 @@ def _constraint_rows(
     matrix is int64 when a bound on every entry, computed first, fits;
     otherwise it holds Python ints.
 
-    With ``with_slacks`` every inequality constraint gets one extra
-    nonnegative column (+den for <=, -den for >=) turning the system
-    into pure equalities; the normalization row has zeros there since
-    slack is not probability mass.
+    After the atoms, every inequality constraint gets one nonnegative
+    slack column (+den for <=, -den for >=) turning the system into pure
+    equalities; the normalization row has zeros there since slack is
+    not probability mass.
     """
     shape = tuple(len(v.support) for v in problem.variables)
     count = prod(shape)
@@ -282,7 +281,7 @@ def _constraint_rows(
         bound = max(bound, top, den)
     dtype = np.int64 if bound <= _INT64_MAX else object
 
-    owners = [i for i, c in enumerate(problem.constraints) if c.relation != "=="] if with_slacks else []
+    owners = [i for i, c in enumerate(problem.constraints) if c.relation != "=="]
     matrix = np.zeros((len(specs) + 1, count + len(owners)), dtype)
     for i, (factors, _) in enumerate(specs):
         matrix[i, :count] = _lattice_product(shape, factors, dtype)
@@ -320,6 +319,18 @@ def _checked_witness(problem: MomentProblem, mass: Mapping[Atom, Fraction]) -> J
         if not _satisfies(got, c):
             raise AssertionError(f"witness violates {c.describe()}: got {got}")
     return witness
+
+
+def _checked_certificate(
+    problem: MomentProblem, cert: tuple[Fraction, ...], method: str
+) -> tuple[Fraction, ...]:
+    """The infeasibility certificate, once :func:`verify_certificate` accepts it.
+
+    An explicit test, not ``assert``, so the gate survives ``python -O``.
+    """
+    if not verify_certificate(problem, cert):  # soundness gate, never expected
+        raise AssertionError(f"{method} produced an invalid infeasibility certificate")
+    return cert
 
 
 def _range_certificate(
@@ -377,9 +388,7 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
     for idx, c in enumerate(problem.constraints):
         lo, hi = problem.monomial_range(c)
         if _range_violated(c, lo, hi):
-            cert = _range_certificate(problem, idx, lo, hi)
-            if not verify_certificate(problem, cert):  # soundness gate, never expected
-                raise AssertionError("range check produced an invalid infeasibility certificate")
+            cert = _checked_certificate(problem, _range_certificate(problem, idx, lo, hi), "range check")
             return FeasibilityResult(
                 "infeasible",
                 None,
@@ -388,7 +397,7 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
                 {"constraint": c.describe(), "achievable": (lo, hi)},
             )
 
-    matrix, dens, rhs = _constraint_rows(problem, with_slacks=True)
+    matrix, dens, rhs = _constraint_rows(problem)
     lp = solve_equality_feasibility(matrix, rhs, dens)
     if lp.feasible:
         if lp.solution is None:
@@ -401,9 +410,7 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
         return FeasibilityResult("feasible", witness, None, "simplex", {"pivots": lp.pivots})
     if lp.farkas is None:
         raise AssertionError("simplex reported infeasible without a Farkas vector")
-    cert = tuple(lp.farkas)
-    if not verify_certificate(problem, cert):  # soundness gate, never expected
-        raise AssertionError("simplex produced an invalid infeasibility certificate")
+    cert = _checked_certificate(problem, tuple(lp.farkas), "simplex")
     return FeasibilityResult("infeasible", None, cert, "simplex", {"pivots": lp.pivots})
 
 
@@ -500,18 +507,20 @@ def brute_force_oracle(
     if count > atom_cap:
         raise SizeCapError(f"oracle cap is {atom_cap} atoms, problem has {count}")
 
-    # Generators are the columns of the LP rows with the normalization row
-    # first.  Atoms sharing a moment vector merge into one generator,
-    # represented by the first of them; slack columns (after the atoms)
-    # represent no atom.
-    matrix, dens, rhs = _constraint_rows(problem, with_slacks=True)
+    # Generators are the integer LP columns, normalization row first, row
+    # i scaled by L // dens[i] for L = lcm(dens): L times each moment
+    # vector.  With the target L times the right-hand side, the weights
+    # are atom masses.  Atoms sharing a column merge into the first of
+    # them; slack columns (after the atoms) represent no atom.
+    matrix, dens, rhs = _constraint_rows(problem)
     values = matrix.tolist()
-    representatives: dict[tuple[Fraction, ...], int] = {}
+    representatives: dict[tuple[int, ...], int] = {}
     for j, column in enumerate(zip(values[-1], *values[:-1])):
-        key = (Fraction(column[0]), *(Fraction(v, d) for v, d in zip(column[1:], dens)))
-        representatives.setdefault(key, j)
-    generators = list(representatives)
-    target = (rhs[-1], *rhs[:-1])
+        representatives.setdefault(column, j)
+    scale = lcm(*dens)
+    factors = [scale // d for d in (dens[-1], *dens[:-1])]
+    generators = [tuple(map(mul, column, factors)) for column in representatives]
+    target = tuple(scale * x for x in (rhs[-1], *rhs[:-1]))
 
     membership = cone_membership(generators, target)
     if membership.member:
@@ -532,9 +541,7 @@ def brute_force_oracle(
     # Separator coordinates are (normalization, constraints...); the
     # certificate convention puts normalization last.
     sep = membership.separator
-    cert = tuple(sep[1:]) + (sep[0],)
-    if not verify_certificate(problem, cert):
-        raise AssertionError("cone oracle produced an invalid certificate")
+    cert = _checked_certificate(problem, tuple(map(Fraction, (*sep[1:], sep[0]))), "cone oracle")
     return FeasibilityResult("infeasible", None, cert, "cone-rays", {})
 
 
@@ -604,7 +611,7 @@ def reduce_then_test(
         )
     tables = {v.name: _as_table(v, signmaps[v.name]) for v in problem.variables}
 
-    matrix, dens, rhs = _constraint_rows(problem)  # includes all-ones row, rhs 1
+    matrix, dens, rhs = _constraint_rows(problem)  # all-ones row last; == only, so no slacks
     shape = tuple(len(v.support) for v in problem.variables)
 
     def lifted(names: Sequence[str]) -> list[int]:

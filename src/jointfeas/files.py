@@ -31,7 +31,7 @@ from . import __version__
 from .algebraic import ExactNumber, Surd, as_fraction, make_surd, sqrt_fraction
 from .errors import ValidationError
 from .feasibility import MomentConstraint, MomentProblem
-from .gaussian import PartialCorrelationMatrix
+from .gaussian import DEFAULT_TOL, PartialCorrelationMatrix, _check_tol
 from .ghz import GHZConfig, build_ghz_problem
 from .probability import FiniteRandomVariable, JointDistribution, distribution_from_values
 
@@ -343,9 +343,7 @@ def _parse_gaussian(obj: Mapping[str, Any]) -> dict[str, Any]:
         or len(set(names)) != n
     ):
         raise _fail("names", f"expected a list of {n} distinct strings")
-    tol = obj.get("options", {}).get("tol", None)
-    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float)) or tol < 0):
-        raise _fail("options.tol", "expected a nonnegative number")
+    tol = _check_tol(obj.get("options", {}).get("tol", DEFAULT_TOL), "options.tol")
     exact_entries: list[list[Fraction | None]] = []
     for i, row in enumerate(matrix):
         exact_row: list[Fraction | None] = []

@@ -20,7 +20,9 @@ correlations in [-1, 1]).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +48,13 @@ MAX_MISSING = 6
 SEARCH_STARTS = 32
 SEARCH_STEPS = 200
 SEARCH_SEED = 20240813
+
+
+def _check_tol(tol, path: str | None = None):
+    """The tolerance, once it is a finite, nonnegative number."""
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not math.isfinite(tol) or tol < 0:
+        raise ValidationError(f"tolerance must be a finite nonnegative number, got {tol!r}", path)
+    return tol
 
 
 def _as_float(value) -> float:
@@ -172,6 +181,7 @@ def eigenvalue_feasible(
     eigendecomposition: each computed eigenvalue is within that bound
     of a true one.
     """
+    _check_tol(tol)
     if isinstance(corr, PartialCorrelationMatrix):
         if not corr.fully_known:
             raise ValidationError("eigenvalue test needs a fully known matrix")
@@ -179,8 +189,6 @@ def eigenvalue_feasible(
     else:
         matrix = np.array(corr, dtype=float)
         PartialCorrelationMatrix(matrix, np.ones(matrix.shape, dtype=bool))  # validate
-    if tol < 0:
-        raise ValidationError("tolerance must be nonnegative")
     w, v = np.linalg.eigh(matrix)
     residual = float(np.max(np.linalg.norm(matrix @ v - v * w, axis=0)))
     lam = float(w[0])
@@ -250,6 +258,7 @@ def complete_correlations(
     Infeasibility (best achievable smallest eigenvalue below -tol) is
     reported with the best completion found.
     """
+    _check_tol(tol)
     n = corr.dimension
     if n > MAX_DIMENSION:
         raise SizeCapError(f"dimension {n} above cap {MAX_DIMENSION}")

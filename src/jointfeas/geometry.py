@@ -17,24 +17,24 @@ F* = C* + R·r (the dual of an intersection of polyhedral cones is the
 sum of their duals), and the rays of C* describe every face's dual.
 Each :func:`cone_membership` call runs exactly one double description.
 
-Everything is exact and integer-native: generators are scaled to
-primitive integer vectors (which leaves the dual cone unchanged), rays
-are primitive integer vectors, each ray's zero set is an ``int``
-bitmask over the halfspace normals, and all linear algebra goes through
-the fraction-free kernel in :mod:`jointfeas.linalg`.  Only the public
-boundary speaks ``Fraction``: :func:`dual_rays`, :func:`nullspace` and
-:func:`cone_membership` return ``Fraction`` tuples.
+Everything is exact and integer: generators are integer vectors, which
+:func:`cone_membership` scales to primitive form once (that leaves the
+dual cone unchanged); rays, lineality vectors and separators are
+primitive integer tuples; each ray's zero set is an ``int`` bitmask
+over the halfspace normals; and all linear algebra goes through the
+fraction-free kernel in :mod:`jointfeas.linalg`.  Only the target may
+be rational, and only the combination weights are ``Fraction`` values.
 
 Scale expectations, for one :func:`cone_membership` call on one core of
-a 2-vCPU Xeon VM under CPython 3.11 (best of five): a +-1 problem on four
-variables with means and pair moments (16 generators in dimension 11,
-56 dual rays) takes about 7 ms when feasible and 5 ms when not; a
-three-valued problem on three variables with means, squares and pair
-moments (27 generators in dimension 10, 173 rays) about 28 and 20 ms.
-Each inserted halfspace scans all pairs of rays on its two sides, and
-the ray count grows quickly with the dimension: the three-valued
-problem on four variables (81 generators in dimension 15) did not
-finish its double description within 10 minutes.
+a 2-vCPU Xeon VM under CPython 3.11 (best of five, three target sets
+each): a +-1 problem on four variables with means and pair moments (16
+generators in dimension 11, 56 dual rays) takes about 5 ms when
+feasible and 3 ms when not; a three-valued problem on three variables
+with means, squares and pair moments (27 generators in dimension 10,
+173 rays) about 28 and 20 ms.  Each inserted halfspace scans all pairs
+of rays on its two sides, and the ray count grows quickly with the
+dimension: the three-valued problem on four variables (81 generators in
+dimension 15) did not finish its double description within 10 minutes.
 """
 
 from __future__ import annotations
@@ -48,27 +48,11 @@ from typing import Sequence
 from . import linalg
 from .linalg import IntVec, independent_rows, integral, primitive
 
-__all__ = ["ConeMembership", "cone_membership", "dual_rays", "nullspace"]
-
-Vec = tuple[Fraction, ...]
+__all__ = ["ConeMembership", "cone_membership", "dual_rays"]
 
 
 def _dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
-
-
-def _fractions(v: IntVec) -> Vec:
-    return tuple(map(Fraction, v))
-
-
-def _ints(v: Vec) -> IntVec:
-    """Integer form of a vector returned by :func:`dual_rays` (denominators are 1)."""
-    return tuple(x.numerator for x in v)
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[Vec]:
-    """Basis of {x : rows . x = 0}, exact, as primitive integer vectors."""
-    return [_fractions(v) for v in linalg.nullspace([integral(r) for r in rows])]
 
 
 def _rays_by_normal(zero_sets: list[int], count: int) -> list[int]:
@@ -145,31 +129,28 @@ def _extreme_rays_pointed(halfspaces: list[IntVec]) -> list[IntVec]:
     return rays
 
 
-def dual_rays(generators: list[Vec]) -> tuple[list[Vec], list[Vec]]:
-    """Describe the dual cone D = {u : u.g >= 0 for every generator g}.
+def dual_rays(generators: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[IntVec]]:
+    """Describe the dual cone D = {u : u.g >= 0 for every integer generator g}.
 
-    Returns (lineality_basis, rays): D equals span(lineality_basis)
-    plus the cone of the rays.  When the generators span the space, D is
-    pointed and the double description runs on them directly.
-    Otherwise the rays are computed in coordinates of the generators'
-    span and lifted back, so the double description always runs on a
-    pointed cone.  The lift is an invertible linear map: it preserves
-    every sign test and the greedy choice of independent rows, so both
-    paths give the same rays in the same order.
+    Returns (lineality_basis, rays), both primitive integer tuples: D
+    equals span(lineality_basis) plus the cone of the rays.  When the
+    generators span the space, D is pointed and the double description
+    runs on them directly.  Otherwise the rays are computed in
+    coordinates of the generators' span and lifted back, so the double
+    description always runs on a pointed cone.  The lift is an
+    invertible linear map: it preserves every sign test and the greedy
+    choice of independent rows, so both paths give the same rays in the
+    same order.
     """
-    gens = [primitive(integral(g)) for g in generators]
-    basis = [gens[i] for i in independent_rows(gens)]  # rows of the lift map
-    if basis and len(basis) == len(gens[0]):
-        return [], [_fractions(r) for r in _extreme_rays_pointed(gens)]
-    lineality = [_fractions(v) for v in linalg.nullspace(gens)]
+    basis = [generators[i] for i in independent_rows(generators)]  # rows of the lift map
+    if basis and len(basis) == len(generators[0]):
+        return [], _extreme_rays_pointed(generators)
+    lineality = linalg.nullspace(generators)
     if not basis:
         return lineality, []
-    reduced = [tuple(_dot(b, g) for b in basis) for g in gens]
+    reduced = [tuple(_dot(b, g) for b in basis) for g in generators]
     columns = list(zip(*basis))
-    rays = [
-        _fractions(primitive([_dot(z, col) for col in columns]))
-        for z in _extreme_rays_pointed(reduced)
-    ]
+    rays = [primitive([_dot(z, col) for col in columns]) for z in _extreme_rays_pointed(reduced)]
     return lineality, rays
 
 
@@ -177,30 +158,33 @@ def dual_rays(generators: list[Vec]) -> tuple[list[Vec], list[Vec]]:
 class ConeMembership:
     member: bool
     combination: dict[int, Fraction] | None  # generator index -> weight >= 0
-    separator: Vec | None  # u with u.g_i >= 0 for all i and u.target < 0
+    separator: IntVec | None  # u with u.g_i >= 0 for all i and u.target < 0
 
 
-def cone_membership(generators: list[Vec], target: Vec) -> ConeMembership:
-    """Is target a nonnegative combination of the generators?  Exact."""
-    lineality, rays = dual_rays(generators)
-    t = integral(target)  # a positive multiple: same signs of every u.t
+def cone_membership(
+    generators: Sequence[Sequence[int]], target: Sequence[Fraction | int]
+) -> ConeMembership:
+    """Is the rational target a nonnegative combination of the integer generators?  Exact."""
+    gens = [primitive(g) for g in generators]
+    den = lcm(*(x.denominator for x in target))
+    t = integral(target)  # target == t / den
+    lineality, rays = dual_rays(gens)
     for line in lineality:
-        val = _dot(_ints(line), t)
+        val = _dot(line, t)
         if val != 0:
-            sep = line if val < 0 else tuple(-x for x in line)
-            return ConeMembership(False, None, sep)
-    int_rays = [_ints(r) for r in rays]
-    for ray, r in zip(rays, int_rays):
-        if _dot(r, t) < 0:
+            return ConeMembership(False, None, line if val < 0 else tuple(-x for x in line))
+    for ray in rays:
+        if _dot(ray, t) < 0:
             return ConeMembership(False, None, ray)
-    combo = _express_in_cone(list(target), generators, int_rays)
+    # gens[i] is generators[i] over the gcd of its entries: rescale each weight.
+    combo = {i: w / gcd(*generators[i]) for i, w in _express_in_cone(t, den, gens, rays).items()}
     return ConeMembership(True, combo, None)
 
 
 def _express_in_cone(
-    target: list[Fraction], generators: list[Vec], rays: list[IntVec]
+    cur: list[int], den: int, gens: list[IntVec], rays: list[IntVec]
 ) -> dict[int, Fraction]:
-    """Conic combination of the generators equal to target.
+    """Conic combination of the generators equal to cur / den.
 
     Face descent on the dual rays of the whole cone C.  For a dual ray r
     the face F = C ∩ r⊥ has dual F* = C* + R·r, so a point x of span(F)
@@ -216,12 +200,9 @@ def _express_in_cone(
     The remainder is kept as one integer vector over one positive
     denominator; only the returned weights are ``Fraction`` values.
     """
-    gens = [primitive(integral(g)) for g in generators]
     table = [[_dot(r, g) for g in gens] for r in rays]  # table[k][i] = rays[k].gens[i]
     active = [i for i, g in enumerate(gens) if any(g)]
     live = [k for k, row in enumerate(table) if any(row[i] for i in active)]
-    cur = integral(target)
-    den = lcm(*(x.denominator for x in target))  # target == cur / den
     vals = {k: _dot(rays[k], cur) for k in live}
     weights: dict[int, Fraction] = {}
 
@@ -256,10 +237,4 @@ def _express_in_cone(
         cur = [c // common for c in cur]
         den //= common
         vals = {k: _dot(rays[k], cur) for k in live}
-
-    # gens[i] is a positive multiple of generators[i]: rescale each weight.
-    combo = {}
-    for i, w in weights.items():
-        j = next(j for j, x in enumerate(gens[i]) if x)
-        combo[i] = w * gens[i][j] / generators[i][j]
-    return combo
+    return weights

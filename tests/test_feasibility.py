@@ -448,10 +448,10 @@ def moment_problems(draw, values=rationals):
     )
 
 
-def reference_rows(problem, with_slacks):
-    """LP rows built entry by entry from monomial_value."""
+def reference_rows(problem):
+    """LP rows built entry by entry from monomial_value, one slack per bound."""
     atoms = list(problem.atom_space())
-    bounded = [i for i, c in enumerate(problem.constraints) if with_slacks and c.relation != "=="]
+    bounded = [i for i, c in enumerate(problem.constraints) if c.relation != "=="]
     rows = []
     for i, c in enumerate(problem.constraints):
         slack = F(1) if c.relation == "<=" else F(-1)
@@ -464,12 +464,12 @@ def reference_rows(problem, with_slacks):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(moment_problems(), moment_problems(st.one_of(rationals, large))), st.booleans())
-def test_constraint_rows_match_monomial_values(problem, with_slacks):
-    matrix, dens, rhs = _constraint_rows(problem, with_slacks=with_slacks)
+@given(st.one_of(moment_problems(), moment_problems(st.one_of(rationals, large))))
+def test_constraint_rows_match_monomial_values(problem):
+    matrix, dens, rhs = _constraint_rows(problem)
     assert all(isinstance(d, int) and d > 0 for d in dens)
     rows = [[F(v, d) for v in row] for row, d in zip(matrix.tolist(), dens)]
-    assert (rows, rhs) == reference_rows(problem, with_slacks)
+    assert (rows, rhs) == reference_rows(problem)
 
 
 def test_constraint_rows_use_python_ints_past_int64():
@@ -582,7 +582,7 @@ def test_witness_read_off_matches_the_column_scan(monkeypatch, rng):
         seen.clear()
         if decide(problem).method != "simplex" or not seen:
             continue
-        matrix, dens, rhs = _constraint_rows(problem, with_slacks=True)
+        matrix, dens, rhs = _constraint_rows(problem)
         solution = solve_equality_feasibility(matrix, rhs, dens).solution
         shape = tuple(len(v.support) for v in problem.variables)
         expected = {
@@ -604,6 +604,13 @@ def test_problems_share_integer_support_tables():
     assert halves._supports[0] == (6, (-3, 2))
     with pytest.raises(ConstraintMismatchError):
         first.monomial_range(MomentConstraint.of({"W": 1}, 0))
+
+
+def test_monomial_value_rejects_an_unknown_variable():
+    problem = MomentProblem((pm_one("X"),), (MomentConstraint.of({"X": 1}, 0),))
+    assert problem.monomial_value(MomentConstraint.of({"X": 1}, 0), (1,)) == 1
+    with pytest.raises(ConstraintMismatchError, match="unknown variable 'W'"):
+        problem.monomial_value(MomentConstraint.of({"W": 1}, 0), (0,))
 
 
 def test_monomial_range_is_the_brute_force_range(rng):

@@ -243,6 +243,47 @@ class TestCLI:
         assert run(["inequalities", self.write(tmp_path, obj)]) == 2
         assert "names:" in capsys.readouterr().err
 
+    def test_zero_tolerance_reads_the_same_from_file_and_flag(self, tmp_path, capsys):
+        # A singular matrix: its float lambda_min sits within rounding of 0,
+        # so tol 0 and the default 1e-10 may disagree; file and flag may not.
+        obj = {
+            "schema": PROBLEM_SCHEMA,
+            "kind": "gaussian",
+            "matrix": [["1", "3/5", "4/5"], ["3/5", "1", "24/25"], ["4/5", "24/25", "1"]],
+        }
+        plain = self.write(tmp_path, obj, "plain.json")
+        obj["options"] = {"tol": 0}
+        zero = self.write(tmp_path, obj, "zero.json")
+        verdicts = []
+        for argv in (["inequalities", zero], ["inequalities", plain, "--tol", "0"]):
+            assert run([*argv, "--which", "eigenvalue_feasible"]) == 0
+            (row,) = json.loads(capsys.readouterr().out)["results"]["inequalities"]
+            verdicts.append(row["verdict"])
+        assert verdicts[0] == verdicts[1]
+
+    PARTIAL = [["1", "1/2", None], ["1/2", "1", "1/2"], [None, "1/2", "1"]]
+    KNOWN = [["1", "1/2", "1/2"], ["1/2", "1", "1/2"], ["1/2", "1/2", "1"]]
+
+    @pytest.mark.parametrize(
+        "matrix, which",
+        [("PARTIAL", "eigenvalue_feasible"), ("KNOWN", "eigenvalue_feasible"), ("KNOWN", "correlation_determinant")],
+    )
+    @pytest.mark.parametrize("flag", ["-1", "nan", "inf"])
+    def test_bad_tolerance_flag_is_status_2(self, tmp_path, capsys, flag, matrix, which):
+        obj = {"schema": PROBLEM_SCHEMA, "kind": "gaussian", "matrix": getattr(self, matrix)}
+        path = self.write(tmp_path, obj)
+        assert run(["inequalities", path, "--which", which, f"--tol={flag}"]) == 2
+        assert "--tol: tolerance must be a finite nonnegative number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-1", "true", '"0"'])
+    def test_bad_tolerance_option_is_status_2(self, tmp_path, capsys, token):
+        # Python's json reads NaN and Infinity; the parser must still refuse them.
+        obj = {"schema": PROBLEM_SCHEMA, "kind": "gaussian", "matrix": self.PARTIAL, "options": {"tol": 0}}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(obj).replace('"tol": 0', f'"tol": {token}'), encoding="utf-8")
+        assert run(["inequalities", str(path)]) == 2
+        assert "options.tol: tolerance must be a finite nonnegative number" in capsys.readouterr().err
+
     def test_boolean_exponent_is_status_2(self, tmp_path, capsys):
         obj = triple_file(["0", "0", "0"])
         obj["constraints"][0]["exponents"] = {"X": True}  # bool is an int subclass

@@ -59,6 +59,27 @@ class TestEigenvalueTest:
             eigenvalue_feasible(np.array([[1.0, 0.5], [0.4, 1.0]]))
 
 
+@pytest.mark.parametrize("tol", [-1, -1e-12, float("nan"), float("inf"), True, "1e-10", None])
+def test_tolerance_must_be_a_finite_nonnegative_number(tol):
+    known = full([[1, "1/2"], ["1/2", 1]])
+    partial = full([[1, "1/2", None], ["1/2", 1, "1/2"], [None, "1/2", 1]])
+    spec = GaussianSpec(("X", "Y"), (0.0, 0.0), (1.0, 1.0), known)
+    calls = [
+        lambda: eigenvalue_feasible(known, tol),
+        lambda: complete_correlations(partial, tol),
+        lambda: factoring_certificate(spec, tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="tolerance must be a finite nonnegative number"):
+            call()
+
+
+def test_zero_and_rational_tolerances_are_accepted():
+    known = full([[1, "1/2"], ["1/2", 1]])
+    assert eigenvalue_feasible(known, 0).tol == 0
+    assert eigenvalue_feasible(known, F(1, 10**9)).feasible
+
+
 class TestDeterminantInequality:
     def test_equicorrelation_boundary(self):
         rep = det_inequality_3var("-1/2", "-1/2", "-1/2")

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from unittest.mock import patch
 
 import pytest
@@ -10,8 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 from jointfeas import feasibility, geometry, linalg
 from jointfeas.corpus import load_cases
 from jointfeas.files import parse_problem
-from jointfeas.geometry import _extreme_rays_pointed, cone_membership, dual_rays, nullspace
+from jointfeas.geometry import _extreme_rays_pointed, cone_membership, dual_rays
 from jointfeas.simplex import solve_equality_feasibility
+
+from conftest import random_problem
 
 F = Fraction
 
@@ -21,7 +23,7 @@ def vec(*xs):
 
 
 def test_nullspace_basic():
-    basis = nullspace([vec(1, 1, 0)])
+    basis = linalg.nullspace([(1, 1, 0)])
     assert len(basis) == 2
     for b in basis:
         assert b[0] + b[1] == 0 or b[2] != 0
@@ -29,7 +31,7 @@ def test_nullspace_basic():
 
 def test_membership_in_square_cone():
     # generators of the homogenized unit square: (1, corner)
-    corners = [vec(1, x, y) for x in (0, 1) for y in (0, 1)]
+    corners = [(1, x, y) for x in (0, 1) for y in (0, 1)]
     inside = vec(1, F(1, 3), F(2, 3))
     res = cone_membership(corners, inside)
     assert res.member
@@ -49,7 +51,7 @@ def test_membership_in_square_cone():
 
 
 def test_membership_boundary_point():
-    corners = [vec(1, 0), vec(1, 1)]
+    corners = [(1, 0), (1, 1)]
     res = cone_membership(corners, vec(1, 1))  # a vertex itself
     assert res.member
     res = cone_membership(corners, vec(1, F(1, 2)))
@@ -59,15 +61,15 @@ def test_membership_boundary_point():
 
 
 def test_membership_off_span():
-    gens = [vec(1, 1, 0), vec(1, -1, 0)]
-    res = cone_membership(gens, vec(1, 0, 1))  # last coordinate unreachable
+    gens = [(1, 1, 0), (1, -1, 0)]
+    res = cone_membership(gens, (1, 0, 1))  # last coordinate unreachable
     assert not res.member
     sep = res.separator
     assert all(sum(a * b for a, b in zip(sep, g)) == 0 for g in gens)
 
 
 def test_dual_rays_of_orthant():
-    gens = [vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)]
+    gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     lineality, rays = dual_rays(gens)
     assert not lineality
     assert sorted(rays) == sorted(gens)
@@ -89,11 +91,13 @@ def test_randomized_membership_matches_direct_check(rng=None):
         target = tuple(
             sum(F(w, s) * p[k] for w, p in zip(weights, points)) for k in range(dim)
         )
-        res = cone_membership(points, target)
+        # The generators are positive integer multiples of the points.
+        gens = [tuple(linalg.integral(p)) for p in points]
+        res = cone_membership(gens, target)
         assert res.member
         recombined = [F(0)] * dim
         for idx, w in res.combination.items():
-            recombined = [t + w * g for t, g in zip(recombined, points[idx])]
+            recombined = [t + w * g for t, g in zip(recombined, gens[idx])]
         assert tuple(recombined) == target
 
 
@@ -146,7 +150,7 @@ def as_primitive(vec):
         den = den * x.denominator // gcd(den, x.denominator)
     ints = [int(x * den) for x in vec]
     g = gcd(*ints)
-    return tuple(F(x // g) for x in ints)
+    return tuple(x // g for x in ints)
 
 
 def dot(u, v):
@@ -181,9 +185,7 @@ int_matrix = st.integers(1, 5).flatmap(
 
 generator_sets = st.integers(1, 4).flatmap(
     lambda dim: st.lists(
-        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(
-            lambda xs: tuple(F(x) for x in xs)
-        ),
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(tuple),
         min_size=1,
         max_size=8,
     )
@@ -275,31 +277,32 @@ def test_double_description_on_degenerate_cones(halfspaces):
     # 0/+-1 normals put many normals through each ray, where the
     # combinatorial adjacency test, not the bit-count prefilter, decides.
     dim = len(halfspaces[0])
-    normals = [tuple(F(x) for x in h) for h in halfspaces]
-    if ref_rank(normals) < dim:
+    if ref_rank(halfspaces) < dim:
         return
     rays = _extreme_rays_pointed(halfspaces)
     assert len(set(rays)) == len(rays)
-    assert {tuple(F(x) for x in r) for r in rays} == ref_dual_rays(normals, dim)
+    assert set(rays) == ref_dual_rays(halfspaces, dim)
 
 
-def test_public_functions_return_fraction_tuples():
-    def is_fraction_tuple(v):
-        return isinstance(v, tuple) and all(type(x) is F for x in v)
+def test_public_functions_return_primitive_integer_tuples():
+    def is_primitive_int_tuple(v):
+        return isinstance(v, tuple) and all(type(x) is int for x in v) and gcd(*v) == 1
 
-    gens = [vec(1, 0, 0), vec(1, F(1, 2), 0), vec(1, 0, F(2, 3))]
-    lineality, rays = dual_rays(gens + [vec(0, 0, 0)])
-    assert rays and all(is_fraction_tuple(r) for r in rays)
-    lineality, _ = dual_rays([vec(1, 1, 0)])
-    assert lineality and all(is_fraction_tuple(v) for v in lineality)
-    assert all(is_fraction_tuple(v) for v in nullspace([vec(1, F(1, 2), 3)]))
-    outside = cone_membership(gens, vec(1, -1, 0))
-    assert not outside.member and is_fraction_tuple(outside.separator)
-    off_span = cone_membership([vec(1, 1, 0)], vec(1, 0, 0))
-    assert not off_span.member and is_fraction_tuple(off_span.separator)
+    # Non-primitive generators: (2, 1, 0) and (3, 0, 2) are 2 and 3 times
+    # (1, 1/2, 0) and (1, 0, 2/3).
+    gens = [(1, 0, 0), (2, 1, 0), (3, 0, 2)]
+    lineality, rays = dual_rays(gens + [(0, 0, 0)])
+    assert rays and all(is_primitive_int_tuple(r) for r in rays)
+    lineality, _ = dual_rays([(2, 2, 0)])
+    assert lineality and all(is_primitive_int_tuple(v) for v in lineality)
+    outside = cone_membership(gens, (1, -1, 0))
+    assert not outside.member and is_primitive_int_tuple(outside.separator)
+    off_span = cone_membership([(2, 2, 0)], (1, 0, 0))
+    assert not off_span.member and is_primitive_int_tuple(off_span.separator)
     inside = cone_membership(gens, vec(1, F(1, 8), F(1, 9)))
     assert inside.member
     assert all(type(w) is F and w > 0 for w in inside.combination.values())
+    check_combination(gens, vec(1, F(1, 8), F(1, 9)), inside.combination)
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +317,14 @@ def int_dot(u, v):
 def lifted_dual_rays(generators):
     """Reference: the double description in coordinates of the generators'
     span, lifted back, for every generator set (full rank included)."""
-    gens = [linalg.primitive(linalg.integral(g)) for g in generators]
-    lineality = [tuple(map(F, v)) for v in linalg.nullspace(gens)]
+    gens = [linalg.primitive(g) for g in generators]
+    lineality = linalg.nullspace(gens)
     basis = [gens[i] for i in linalg.independent_rows(gens)]
     if not basis:
         return lineality, []
     reduced = [tuple(int_dot(b, g) for b in basis) for g in gens]
     columns = list(zip(*basis))
-    rays = [
-        tuple(map(F, linalg.primitive([int_dot(z, col) for col in columns])))
-        for z in _extreme_rays_pointed(reduced)
-    ]
+    rays = [linalg.primitive([int_dot(z, col) for col in columns]) for z in _extreme_rays_pointed(reduced)]
     return lineality, rays
 
 
@@ -349,7 +349,7 @@ def pointed_cones(draw):
     lift = [[1] + [0] * (rank - 1)] + tail
     coordinates = st.lists(st.integers(-3, 3), min_size=rank - 1, max_size=rank - 1)
     points = draw(st.lists(st.tuples(st.integers(1, 3), coordinates), min_size=1, max_size=8))
-    return [tuple(F(scale * int_dot(row, (1, *y))) for row in lift) for scale, y in points]
+    return [tuple(scale * int_dot(row, (1, *y)) for row in lift) for scale, y in points]
 
 
 def counted_membership(gens, target):
@@ -418,13 +418,13 @@ def test_full_rank_dual_rays_skip_the_lift_and_keep_their_order(gens):
 
 def test_corpus_oracle_dual_rays_equal_the_lifted_path(monkeypatch):
     seen = []
-    real = feasibility.cone_membership
+    real = geometry.dual_rays
 
-    def grab(generators, target):
+    def grab(generators):
         seen.append(generators)
-        return real(generators, target)
+        return real(generators)
 
-    monkeypatch.setattr(feasibility, "cone_membership", grab)
+    monkeypatch.setattr(geometry, "dual_rays", grab)
     for case in load_cases():
         if case["kind"] == "decide" and "oracle_agrees" in case["expected"]:
             feasibility.brute_force_oracle(parse_problem(case["problem"])["problem"])
@@ -436,4 +436,88 @@ def test_corpus_oracle_dual_rays_equal_the_lifted_path(monkeypatch):
 def test_face_descent_refuses_a_cone_with_a_line():
     # cone((1), (-1)) is the whole line: its dual is {0}, no ray to descend on.
     with pytest.raises(ValueError, match="contains a line"):
-        cone_membership([vec(1), vec(-1)], vec(-1))
+        cone_membership([(1,), (-1,)], (-1,))
+
+
+# ---------------------------------------------------------------------------
+# The oracle's integer boundary against a Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def fraction_oracle(problem):
+    """Reference oracle on Fraction moment vectors: (verdict, certificate, masses).
+
+    One generator per distinct column, first seen first: (1, monomial
+    values) per atom in lattice order, then (0, +-1 at its row) per
+    bounded constraint.  Each goes to cone_membership as its smallest
+    integer multiple, and the weights are scaled back onto the vectors.
+    """
+    atoms = list(problem.atom_space())
+    m = len(problem.constraints)
+    columns = [(F(1), *(problem.monomial_value(c, a) for c in problem.constraints)) for a in atoms]
+    for i, c in enumerate(problem.constraints):
+        if c.relation != "==":
+            sign = 1 if c.relation == "<=" else -1
+            columns.append((F(0), *(F(sign * (k == i)) for k in range(m))))
+    first = {}
+    for j, column in enumerate(columns):
+        first.setdefault(column, j)
+    gens = list(first)
+    column_of = list(first.values())
+    target = (F(1), *(c.target for c in problem.constraints))
+    res = cone_membership([tuple(linalg.integral(g)) for g in gens], target)
+    if not res.member:
+        sep = [F(x) for x in res.separator]
+        return "infeasible", (*sep[1:], sep[0]), None
+    masses = {
+        atoms[column_of[i]]: w * lcm(*(x.denominator for x in gens[i]))
+        for i, w in res.combination.items()
+        if w > 0 and column_of[i] < len(atoms)
+    }
+    return "feasible", None, masses
+
+
+def oracle_problems(rng, count):
+    for case in load_cases():
+        if case["kind"] == "decide":
+            yield parse_problem(case["problem"])["problem"]
+    for _ in range(count):
+        yield random_problem(rng)
+
+
+def test_oracle_matches_the_fraction_reference(rng):
+    checked = 0
+    for problem in oracle_problems(rng, 150):
+        res = feasibility.brute_force_oracle(problem)
+        verdict, certificate, masses = fraction_oracle(problem)
+        assert res.verdict == verdict
+        assert res.certificate == certificate
+        assert res.certificate is None or all(type(x) is F for x in res.certificate)
+        assert (dict(res.witness.mass) if res.witness else None) == masses
+        checked += 1
+    assert checked > 150
+
+
+def test_oracle_hands_geometry_integer_tuples(monkeypatch, rng):
+    calls, gens_seen = [], []
+    real_membership, real_rays = feasibility.cone_membership, geometry.dual_rays
+
+    def membership_spy(generators, target):
+        calls.append((generators, target))
+        return real_membership(generators, target)
+
+    def rays_spy(generators):
+        gens_seen.extend(generators)
+        return real_rays(generators)
+
+    monkeypatch.setattr(feasibility, "cone_membership", membership_spy)
+    monkeypatch.setattr(geometry, "dual_rays", rays_spy)
+    for problem in oracle_problems(rng, 30):
+        feasibility.brute_force_oracle(problem)
+    assert len(calls) > 30
+    for generators, target in calls:
+        assert all(isinstance(g, tuple) and all(type(x) is int for x in g) for g in generators)
+        # Normalization first: L on every atom, 0 on every slack, L in the target.
+        assert {g[0] for g in generators} <= {0, target[0]}
+    assert all(type(x) is int for g in gens_seen for x in g)
+    assert all(gcd(*g) == 1 for g in gens_seen if any(g))

@@ -157,7 +157,7 @@ def test_guide_follows_bland_path_on_moment_problems(monkeypatch):
     # so every field (including the pivot count) matches the exact loop,
     # and the exact certificate accepts every final basis.
     rng = random.Random(7)
-    lps = [feasibility._constraint_rows(random_problem(rng), with_slacks=True) for _ in range(150)]
+    lps = [feasibility._constraint_rows(random_problem(rng)) for _ in range(150)]
     expected = [exact_loop(fraction_rows(matrix, dens), rhs) for matrix, dens, rhs in lps]
     calls = spy_exact_loop(monkeypatch)
     assert [solve_equality_feasibility(matrix, rhs, dens) for matrix, dens, rhs in lps] == expected
@@ -282,7 +282,7 @@ def equal_pair_moment_lp(n, pair):
             + [MomentConstraint.of({a: 1, b: 1}, pair) for a, b in combinations(names, 2)]
         ),
     )
-    matrix, dens, rhs = feasibility._constraint_rows(problem, with_slacks=True)
+    matrix, dens, rhs = feasibility._constraint_rows(problem)
     return fraction_rows(matrix, dens), rhs
 
 
@@ -407,7 +407,7 @@ def integer_lps(draw):
         tuple(MomentConstraint.of(e, draw(values), draw(st.sampled_from(["==", "<="]))) for e in exponents),
         allow_higher_order=True,
     )
-    return feasibility._constraint_rows(problem, with_slacks=True)
+    return feasibility._constraint_rows(problem)
 
 
 @settings(max_examples=300, deadline=None)
