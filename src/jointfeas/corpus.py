@@ -267,7 +267,7 @@ def _run_checks(case: dict) -> dict[str, Any]:
 
     if kind == "gaussian_eigen":
         parsed = parse_problem(case["problem"])
-        report = eigenvalue_feasible(parsed["correlations"])
+        report = eigenvalue_feasible(parsed["correlations"], parsed["tol"])
         actual = {
             "feasible": report.feasible,
             "boundary": report.boundary,
@@ -282,7 +282,7 @@ def _run_checks(case: dict) -> dict[str, Any]:
 
     if kind == "gaussian_completion":
         parsed = parse_problem(case["problem"])
-        result = complete_correlations(parsed["correlations"])
+        result = complete_correlations(parsed["correlations"], parsed["tol"])
         expected = case["expected"]
         actual: dict[str, Any] = {"feasible": result.feasible, "method": result.method}
         if "assignments_between" in expected:

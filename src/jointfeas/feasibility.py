@@ -19,7 +19,13 @@ Both paths, and :func:`reduce_then_test`, read their inputs from one
 integer row builder, :func:`_constraint_rows`: each support over its
 common denominator, each moment row a numpy product of numerator tables
 over the lattice with one denominator per row, in int64 when a bound
-computed first fits and in Python ints otherwise.  Every verdict then
+computed first fits and in Python ints otherwise.  The rows depend only
+on the problem's structure (its supports, and each constraint's
+variables, exponents and relation), never on its targets, so they are
+built once per structure and kept, read-only, in a bounded cache; a
+matrix above a fixed cell budget is built and used but not kept.  The
+cone oracle's dual description is cached the same way, per generator
+set (:func:`jointfeas.geometry.dual_rays`).  Every verdict then
 passes an exact gate that shares no code with that builder: a witness
 has each moment recomputed by :func:`jointfeas.probability.expectation`,
 and a certificate passes :func:`verify_certificate`, which scales the
@@ -249,6 +255,60 @@ def _lattice_product(
     return np.broadcast_to(out, shape).reshape(-1)
 
 
+def _row_structure(problem: MomentProblem) -> tuple:
+    """Everything the LP rows depend on, and nothing the targets do.
+
+    The integer supports, then per constraint its (variable position,
+    exponent) pairs and its relation.  Computed per call, never stored
+    on the problem: problems are built by the thousand and most are
+    solved once.
+    """
+    index = problem._index
+    return problem._supports, tuple(
+        (tuple((index[name], k) for name, k in c.exponents), c.relation) for c in problem.constraints
+    )
+
+
+def _build_rows(structure: tuple) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``(matrix, dens)`` of :func:`_constraint_rows`, from the structure alone.
+
+    The matrix is read-only, since a cached one is shared by every call.
+    """
+    supports, constraints = structure
+    shape = tuple(len(numerators) for _, numerators in supports)
+    count = prod(shape)
+    specs = []
+    bound = 1
+    for exponents, _ in constraints:
+        factors, den, top = [], 1, 1
+        for i, k in exponents:
+            d, numerators = supports[i]
+            factors.append((i, [x**k for x in numerators]))
+            den *= d**k
+            top *= max(1, *(abs(x) for x in numerators)) ** k  # bounds partial products too
+        specs.append((factors, den))
+        bound = max(bound, top, den)
+    dtype = np.int64 if bound <= _INT64_MAX else object
+
+    owners = [i for i, (_, relation) in enumerate(constraints) if relation != "=="]
+    matrix = np.zeros((len(specs) + 1, count + len(owners)), dtype)
+    for i, (factors, _) in enumerate(specs):
+        matrix[i, :count] = _lattice_product(shape, factors, dtype)
+    matrix[-1, :count] = 1
+    for j, i in enumerate(owners, count):
+        den = specs[i][1]
+        matrix[i, j] = den if constraints[i][1] == "<=" else -den
+    matrix.setflags(write=False)
+    return matrix, tuple(den for _, den in specs) + (1,)
+
+
+# Sweeps solve many targets over one structure, so rows are built once
+# per structure.  A matrix above the cell budget is built and used but
+# not kept: at 16 +-1 variables with pair moments one is about 72 MB.
+_ROW_CACHE_CELLS = 1 << 15
+_cached_rows = functools.lru_cache(maxsize=64)(_build_rows)
+
+
 def _constraint_rows(problem: MomentProblem) -> tuple[np.ndarray, list[int], list[Fraction]]:
     """LP rows in integers: one per constraint, then the normalization row.
 
@@ -264,33 +324,16 @@ def _constraint_rows(problem: MomentProblem) -> tuple[np.ndarray, list[int], lis
     slack column (+den for <=, -den for >=) turning the system into pure
     equalities; the normalization row has zeros there since slack is
     not probability mass.
-    """
-    shape = tuple(len(v.support) for v in problem.variables)
-    count = prod(shape)
-    specs = []
-    bound = 1
-    for c in problem.constraints:
-        factors, den, top = [], 1, 1
-        for name, k in c.exponents:
-            i = problem._index[name]
-            d, numerators = problem._supports[i]
-            factors.append((i, [x**k for x in numerators]))
-            den *= d**k
-            top *= max(1, *(abs(x) for x in numerators)) ** k  # bounds partial products too
-        specs.append((factors, den))
-        bound = max(bound, top, den)
-    dtype = np.int64 if bound <= _INT64_MAX else object
 
-    owners = [i for i, c in enumerate(problem.constraints) if c.relation != "=="]
-    matrix = np.zeros((len(specs) + 1, count + len(owners)), dtype)
-    for i, (factors, _) in enumerate(specs):
-        matrix[i, :count] = _lattice_product(shape, factors, dtype)
-    matrix[-1, :count] = 1
-    for j, i in enumerate(owners, count):
-        den = specs[i][1]
-        matrix[i, j] = den if problem.constraints[i].relation == "<=" else -den
-    dens = [den for _, den in specs] + [1]
-    return matrix, dens, [c.target for c in problem.constraints] + [_ONE]
+    ``matrix`` and ``dens`` depend only on :func:`_row_structure`, and
+    come from a bounded cache keyed on it: the matrix is read-only, and
+    ``dens`` and ``rhs`` are fresh lists.
+    """
+    constraints = problem.constraints
+    cells = (len(constraints) + 1) * (problem.atom_count() + sum(c.relation != "==" for c in constraints))
+    build = _cached_rows if cells <= _ROW_CACHE_CELLS else _build_rows
+    matrix, dens = build(_row_structure(problem))
+    return matrix, list(dens), [c.target for c in constraints] + [_ONE]
 
 
 def _atoms(shape: tuple[int, ...], indices: Sequence[int]) -> list[Atom]:

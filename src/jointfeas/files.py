@@ -6,7 +6,9 @@ Problem files (schema ``jointfeas/problem/v1``) come in three kinds:
   moment ``constraints`` or an explicit ``distribution``.
 * ``ghz``           - phase quadruples in half-pi units (defaulted).
 * ``gaussian``      - dense correlation matrix with ``null`` marking
-  missing entries, optional names/means/variances.
+  missing entries; optional ``names`` (n distinct strings), and
+  optional ``means`` and ``variances``, each a list of n exact numbers
+  (every variance positive), checked and echoed but not used.
 
 Exact values are written as ``"p/q"`` strings (integers allowed);
 quadratic irrationals as ``{"poly": [c0, c1, c2], "interval": [lo, hi]}``
@@ -322,6 +324,16 @@ def _parse_ghz(obj: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
+def _exact_list(obj: Mapping[str, Any], key: str, n: int) -> list[ExactNumber] | None:
+    """The optional field ``key``: a list of n exact numbers, or None when absent."""
+    if key not in obj:
+        return None
+    values = obj[key]
+    if not isinstance(values, list) or len(values) != n:
+        raise _fail(key, f"expected a list of {n} exact numbers")
+    return [parse_exact(v, f"{key}[{i}]") for i, v in enumerate(values)]
+
+
 def _parse_gaussian(obj: Mapping[str, Any]) -> dict[str, Any]:
     _expect_keys(
         obj, "$", {"schema", "kind", "matrix"}, {"label", "names", "means", "variances", "options"}
@@ -344,6 +356,11 @@ def _parse_gaussian(obj: Mapping[str, Any]) -> dict[str, Any]:
     ):
         raise _fail("names", f"expected a list of {n} distinct strings")
     tol = _check_tol(obj.get("options", {}).get("tol", DEFAULT_TOL), "options.tol")
+    means = _exact_list(obj, "means", n)
+    variances = _exact_list(obj, "variances", n)
+    for i, v in enumerate(variances or ()):
+        if not v > 0:
+            raise _fail(f"variances[{i}]", "a variance must be positive")
     exact_entries: list[list[Fraction | None]] = []
     for i, row in enumerate(matrix):
         exact_row: list[Fraction | None] = []
@@ -362,8 +379,8 @@ def _parse_gaussian(obj: Mapping[str, Any]) -> dict[str, Any]:
         "names": list(names),
         "correlations": corr,
         "exact_entries": exact_entries,
-        "means": obj.get("means"),
-        "variances": obj.get("variances"),
+        "means": means,
+        "variances": variances,
         "tol": tol,
     }
 

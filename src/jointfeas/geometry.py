@@ -15,7 +15,11 @@ by descending through faces, reusing the same rays: for a dual ray r
 the face F = C ∩ r⊥ equals C ∩ {x : r.x <= 0}, so its dual is
 F* = C* + R·r (the dual of an intersection of polyhedral cones is the
 sum of their duals), and the rays of C* describe every face's dual.
-Each :func:`cone_membership` call runs exactly one double description.
+The dual description depends only on the generators, never on the
+target: :func:`dual_rays` computes it once per distinct generator set
+and keeps it in a bounded cache, so a sweep of targets over one set of
+monomials runs one double description in all, and every
+:func:`cone_membership` call still asks :func:`dual_rays` for it.
 
 Everything is exact and integer: generators are integer vectors, which
 :func:`cone_membership` scales to primitive form once (that leaves the
@@ -25,20 +29,22 @@ over the halfspace normals; and all linear algebra goes through the
 fraction-free kernel in :mod:`jointfeas.linalg`.  Only the target may
 be rational, and only the combination weights are ``Fraction`` values.
 
-Scale expectations, for one :func:`cone_membership` call on one core of
-a 2-vCPU Xeon VM under CPython 3.11 (best of five, three target sets
-each): a +-1 problem on four variables with means and pair moments (16
-generators in dimension 11, 56 dual rays) takes about 5 ms when
-feasible and 3 ms when not; a three-valued problem on three variables
-with means, squares and pair moments (27 generators in dimension 10,
-173 rays) about 28 and 20 ms.  Each inserted halfspace scans all pairs
-of rays on its two sides, and the ray count grows quickly with the
-dimension: the three-valued problem on four variables (81 generators in
-dimension 15) did not finish its double description within 10 minutes.
+Scale expectations, for one cold :func:`cone_membership` call (its
+generator set not yet cached) on one core of a 2-vCPU Xeon VM under
+CPython 3.11 (best of five, three target sets each): a +-1 problem on
+four variables with means and pair moments (16 generators in dimension
+11, 56 dual rays) takes about 5 ms when feasible and 3 ms when not; a
+three-valued problem on three variables with means, squares and pair
+moments (27 generators in dimension 10, 173 rays) about 28 and 20 ms.
+Each inserted halfspace scans all pairs of rays on its two sides, and
+the ray count grows quickly with the dimension: the three-valued
+problem on four variables (81 generators in dimension 15) did not
+finish its double description within 10 minutes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -141,16 +147,26 @@ def dual_rays(generators: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[I
     invertible linear map: it preserves every sign test and the greedy
     choice of independent rows, so both paths give the same rays in the
     same order.
+
+    The description is computed once per distinct tuple of generators
+    (a bounded cache); each call returns fresh lists.
     """
+    lineality, rays = _dual_description(tuple(map(tuple, generators)))
+    return list(lineality), list(rays)
+
+
+@functools.lru_cache(maxsize=32)
+def _dual_description(generators: tuple[IntVec, ...]) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """:func:`dual_rays` of a tuple of integer tuples, as tuples, so it can be shared."""
     basis = [generators[i] for i in independent_rows(generators)]  # rows of the lift map
     if basis and len(basis) == len(generators[0]):
-        return [], _extreme_rays_pointed(generators)
-    lineality = linalg.nullspace(generators)
+        return (), tuple(_extreme_rays_pointed(generators))
+    lineality = tuple(linalg.nullspace(generators))
     if not basis:
-        return lineality, []
+        return lineality, ()
     reduced = [tuple(_dot(b, g) for b in basis) for g in generators]
     columns = list(zip(*basis))
-    rays = [primitive([_dot(z, col) for col in columns]) for z in _extreme_rays_pointed(reduced)]
+    rays = tuple(primitive([_dot(z, col) for col in columns]) for z in _extreme_rays_pointed(reduced))
     return lineality, rays
 
 

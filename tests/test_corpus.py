@@ -1,7 +1,8 @@
 import json
 
+from jointfeas import corpus
 from jointfeas.cli import run
-from jointfeas.corpus import corpus_dir, load_cases, run_corpus
+from jointfeas.corpus import corpus_dir, load_cases, run_case, run_corpus
 
 
 def test_bundled_corpus_all_pass():
@@ -99,3 +100,47 @@ def test_corpus_env_override(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "1/1 cases passed" in out
+
+
+def test_gaussian_cases_honor_the_file_tolerance(tmp_path, capsys):
+    # A singular matrix: its float lambda_min sits within rounding of 0, so
+    # tol 0 reads violated where the default 1e-10 reads boundary feasible.
+    # A corpus case must read what `jointfeas inequalities` reads on its file.
+    problem = {
+        "schema": "jointfeas/problem/v1",
+        "kind": "gaussian",
+        "matrix": [["1", "3/5", "4/5"], ["3/5", "1", "24/25"], ["4/5", "24/25", "1"]],
+        "options": {"tol": 0},
+    }
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    assert run(["inequalities", str(path), "--which", "eigenvalue_feasible"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["results"]["inequalities"]
+    assert row["verdict"] == "violated"
+    case = {
+        "id": "singular_tol_zero",
+        "anchor": "singular correlation matrix read with tolerance 0",
+        "kind": "gaussian_eigen",
+        "problem": problem,
+        "expected": {
+            "feasible": row["verdict"] == "satisfied",
+            "boundary": row["boundary"],
+            "lambda_min_between": [-1e-10, 1e-10],
+        },
+    }
+    result = run_case(case)
+    assert result.passed, result.mismatches
+
+
+def test_gaussian_completion_cases_pass_the_file_tolerance(monkeypatch):
+    seen = []
+    real = corpus.complete_correlations
+
+    def spy(corr, tol):
+        seen.append(tol)
+        return real(corr, tol)
+
+    monkeypatch.setattr(corpus, "complete_correlations", spy)
+    case = next(c for c in load_cases() if c["kind"] == "gaussian_completion")
+    run_case({**case, "problem": {**case["problem"], "options": {"tol": 0.001}}})
+    assert seen == [0.001]

@@ -17,6 +17,7 @@ from jointfeas import (
     decide,
     expectation,
     feasibility,
+    geometry,
     pm_one,
     reduce_then_test,
     verify_certificate,
@@ -210,10 +211,12 @@ class TestDecide:
     def test_gates_catch_a_corrupt_row_builder(self, solver, monkeypatch):
         # Both solvers read their inputs from _constraint_rows; the witness
         # and certificate gates must not, or a fault there would pass itself.
+        # The builder's matrix is read-only, so the fault goes into a copy.
         real = feasibility._constraint_rows
 
         def corrupt(*args, **kwargs):
             matrix, dens, rhs = real(*args, **kwargs)
+            matrix = matrix.copy()
             matrix[3, 1] += 1  # the XY monomial at atom (0, 0, 1): 1 becomes 2
             return matrix, dens, rhs
 
@@ -722,3 +725,82 @@ class TestReduceThenTest:
         prob = MomentProblem((pm_one("X"),), ())
         with pytest.raises(ValidationError):
             reduce_then_test(prob, {"X": {F(-1): -1, F(1): 1}})
+
+
+def clear_structure_caches():
+    feasibility._cached_rows.cache_clear()
+    geometry._dual_description.cache_clear()
+
+
+def outcome(result):
+    """Everything a result reports: verdict, path, witness masses in order, certificate, counters."""
+    mass = None if result.witness is None else list(result.witness.mass.items())
+    return result.verdict, result.method, mass, result.certificate, result.detail
+
+
+@st.composite
+def shared_structure_groups(draw):
+    """At least three problems over one structure, with different targets.
+
+    Each problem's targets are the moments of a random distribution on
+    the lattice (feasible) or random rationals (mostly infeasible).
+    """
+    base = draw(moment_problems())
+    atoms = list(base.atom_space())
+    problems = []
+    for _ in range(draw(st.integers(3, 5))):
+        if draw(st.booleans()):
+            weights = draw(st.lists(st.integers(0, 4), min_size=len(atoms), max_size=len(atoms)))
+            total = sum(weights) or 1
+            targets = [
+                sum((F(w, total) * base.monomial_value(c, a) for w, a in zip(weights, atoms)), F(0))
+                for c in base.constraints
+            ]
+        else:
+            targets = draw(st.lists(rationals, min_size=len(base.constraints), max_size=len(base.constraints)))
+        constraints = tuple(
+            MomentConstraint(c.exponents, t, c.relation) for c, t in zip(base.constraints, targets)
+        )
+        problems.append(MomentProblem(base.variables, constraints, allow_higher_order=True))
+    return problems
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_structure_groups())
+def test_structure_caches_do_not_change_results(problems):
+    # Rows and dual descriptions are cached per structure; a warm cache
+    # must give what a cold one gives, field for field.
+    for solver in (decide, brute_force_oracle):
+        cold = []
+        for problem in problems:
+            clear_structure_caches()
+            cold.append(outcome(solver(problem)))
+        assert [outcome(solver(problem)) for problem in problems] == cold
+
+
+def test_cached_rows_are_read_only_and_lists_are_fresh():
+    feasible, infeasible = triple([0] * 3, ["1/2", "-1/2", "-1/2"]), triple([0] * 3, ["-1/2"] * 3)
+    matrix, dens, rhs = _constraint_rows(feasible)
+    assert _constraint_rows(infeasible)[0] is matrix  # one structure, one matrix
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[3, 1] += 1
+    dens.append(5)
+    rhs[0] = F(7)
+    again, dens_again, rhs_again = _constraint_rows(feasible)
+    assert again is matrix
+    assert dens_again == [1] * 7
+    assert rhs_again == [F(0)] * 3 + [F(1, 2), F(-1, 2), F(-1, 2), F(1)]
+
+
+def test_rows_over_the_cell_budget_are_not_kept(monkeypatch):
+    problem = triple([0] * 3, ["-1/2"] * 3)  # 7 rows over 8 atoms: 56 cells
+    monkeypatch.setattr(feasibility, "_ROW_CACHE_CELLS", 55)
+    feasibility._cached_rows.cache_clear()
+    first, second = _constraint_rows(problem)[0], _constraint_rows(problem)[0]
+    assert first is not second and (first == second).all()
+    assert not first.flags.writeable
+    assert feasibility._cached_rows.cache_info().currsize == 0
+    assert decide(problem).verdict == "infeasible"
+    monkeypatch.setattr(feasibility, "_ROW_CACHE_CELLS", 56)
+    assert _constraint_rows(problem)[0] is _constraint_rows(problem)[0]
+    assert feasibility._cached_rows.cache_info().currsize == 1

@@ -284,6 +284,43 @@ class TestCLI:
         assert run(["inequalities", str(path)]) == 2
         assert "options.tol: tolerance must be a finite nonnegative number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, values, path",
+        [
+            ("means", '["0", NaN, "0"]', "means[1]"),
+            ("means", '["0", "0", Infinity]', "means[2]"),
+            ("means", '[0.5, "0", "0"]', "means[0]"),
+            ("means", '["0", "abc", "0"]', "means[1]"),
+            ("means", '{"X1": "0"}', "means"),
+            ("means", "null", "means"),
+            ("variances", '["1", "1"]', "variances"),
+            ("variances", '["1", -Infinity, "1"]', "variances[1]"),
+            ("variances", '["1", "1", "0"]', "variances[2]"),
+            ("variances", '["1", "-1/2", "1"]', "variances[1]"),
+        ],
+    )
+    def test_bad_means_and_variances_are_status_2(self, tmp_path, capsys, field, values, path):
+        # Python's json reads NaN and Infinity; they must not reach the echoed input.
+        obj = {"schema": PROBLEM_SCHEMA, "kind": "gaussian", "matrix": self.KNOWN, field: "PLACEHOLDER"}
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(obj).replace('"PLACEHOLDER"', values), encoding="utf-8")
+        assert run(["inequalities", str(problem)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
+
+    def test_exact_means_and_variances_are_accepted(self, tmp_path, capsys):
+        obj = {
+            "schema": PROBLEM_SCHEMA,
+            "kind": "gaussian",
+            "matrix": self.KNOWN,
+            "means": ["0", -3, {"minus_cos_degrees": 30}],
+            "variances": ["1/2", 2, "9"],
+        }
+        parsed = parse_problem(obj)
+        assert parsed["means"] == [0, -3, -sqrt_fraction(Fraction(3, 4))]
+        assert parsed["variances"] == [Fraction(1, 2), 2, 9]
+        assert run(["inequalities", self.write(tmp_path, obj)]) == 0
+        assert json.loads(capsys.readouterr().out)["input"]["means"] == ["0", -3, {"minus_cos_degrees": 30}]
+
     def test_boolean_exponent_is_status_2(self, tmp_path, capsys):
         obj = triple_file(["0", "0", "0"])
         obj["constraints"][0]["exponents"] = {"X": True}  # bool is an int subclass

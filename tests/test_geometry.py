@@ -75,6 +75,21 @@ def test_dual_rays_of_orthant():
     assert sorted(rays) == sorted(gens)
 
 
+@pytest.mark.parametrize("gens", [[(1, 0, 0), (0, 1, 0), (1, 1, 1)], [(1, 1, 0), (1, -1, 0)], [(2, 2, 0)]])
+def test_dual_rays_hands_out_fresh_lists(gens):
+    # The description is cached per generator tuple; a caller that edits
+    # what it got must not change what the next caller gets.
+    expected = tuple(list(part) for part in dual_rays(gens))
+    lineality, rays = dual_rays([list(g) for g in gens])
+    assert (lineality, rays) == expected
+    lineality.append((7, 7, 7))
+    rays.append((9, 9, 9))
+    rays.reverse()
+    lineality.clear()
+    assert dual_rays(gens) == expected
+    assert dual_rays(gens)[1] is not dual_rays(gens)[1]
+
+
 def test_randomized_membership_matches_direct_check(rng=None):
     rng = rng or random.Random(7)
     for _ in range(40):
