@@ -9,9 +9,11 @@ per moment), decided here in exact rational arithmetic.
 Two independent decision paths are provided and cross-checked in the
 test suite:
 
-* :func:`decide` - phase-1 simplex (Bland's rule), guided in floating
-  point and settled by an exact basis solve (:mod:`jointfeas.simplex`).
-  Returns a witness distribution or a Farkas certificate.
+* :func:`decide` - phase-1 simplex (Bland's rule) on an exact
+  fraction-free integer tableau, or, for LPs too large for int64, guided
+  in floating point and settled by an exact basis solve
+  (:mod:`jointfeas.simplex`).  Returns a witness distribution or a
+  Farkas certificate.
 * :func:`brute_force_oracle` - dual-cone ray enumeration
   (double description) over the deduplicated atom moment vectors.
 
@@ -414,11 +416,13 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
     """Exact feasibility verdict with witness or verified certificate.
 
     Deterministic for a fixed problem: atoms are enumerated in
-    lexicographic index order and the simplex uses Bland's rule.  Float
-    arithmetic only picks the simplex's final basis; the verdict comes
-    from an exact solve on that basis (or from the exact Bland loop when
-    the basis proves nothing) and then passes the exact witness recheck
-    or :func:`verify_certificate`.
+    lexicographic index order and the simplex uses Bland's rule.  The
+    simplex decides on an exact fraction-free integer tableau, in int64
+    when a bound proves that safe; above the bound, float arithmetic only
+    picks the final basis, and the verdict comes from an exact solve on
+    that basis (or from the exact loop on Python ints when the basis
+    proves nothing).  Either way the verdict then passes the exact
+    witness recheck or :func:`verify_certificate`.
     """
     _check_atom_cap(atom_cap)
     count = problem.atom_count()

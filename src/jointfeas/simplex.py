@@ -1,48 +1,69 @@
-"""Phase-1 simplex for equality-form feasibility, guided in floats, decided exactly.
+"""Phase-1 simplex for equality-form feasibility, decided exactly.
 
 Decides whether {x >= 0 : A x = b} is nonempty by minimizing the sum of
 artificial variables with Bland's smallest-index rule (finite, no
 cycling).  The rows arrive as integers with one positive denominator
 per row (``A[i] = matrix[i] / dens[i]``), as :mod:`jointfeas.feasibility`
 builds them; rational rows are put over their least common denominators
-once, on entry.  The decision takes three steps:
+once, on entry.
 
-1. **Float guide.**  The Bland loop (``_bland``) runs on a float64
-   copy of the sign-normalized tableau, with a tolerance on every sign
-   test and a hard pivot cap.  Each cell is ``matrix[i, j] / dens[i]``
-   correctly rounded: float64 division when both are below 2**53 in
-   magnitude, Python int division otherwise, so the tableau equals the
-   one filled with ``float(Fraction)`` bit for bit.  Its only output is
-   a final basis.
-2. **Exact certificate.**  That basis is settled in exact integer
-   arithmetic (:mod:`jointfeas.linalg`) on the integer rows, with only
-   the right-hand side denominators folded in: feasible when the
-   solution of ``B x_B = b`` is nonnegative with every artificial at
-   zero, infeasible when the solution of ``B^T y = c_B`` gives a Farkas
-   vector, whose column test is one vectorized product with the matrix.
-   The guide's phase-1 objective picks which check runs first (the
-   Farkas one when it is positive); no basis passes both, so the order
-   changes the cost, never the result.  No float value reaches a
-   result; only the basis and that order do.
-3. **Exact fallback.**  When the guide stops early (pivot cap, no
+The exact loop (``_integer_bland``) runs Bland's rule on a fraction-free
+integer tableau (Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math. Comp.
+22, 1968).  Every row is scaled by D = lcm(dens) and every variable by
+L, the lcm of the right-hand side denominators, so the sign-normalized
+tableau is the integer matrix ``[D A | I | L D b]`` with cost row minus
+the sum of the rows (0 on the artificial columns).  Both scalings are
+uniform, so ratios, ties and the signs of the reduced costs, and with
+them every choice of Bland's rule, are those of the rational tableau.
+A pivot on p = N[r, e] sets ``N <- (p N - N[:, e] N[r]) / d`` off row r
+and then d <- p: every division is exact, and the tableau stays d times
+the rational one, d being the determinant of the basis.  The result is
+read straight off the final tableau (``_read_off``): x_B is
+``N[:m, -1] / (d L)``, and the Farkas vector comes from the cost row's
+artificial entries.  A system is decided on one of three paths:
+
+1. **int64, when proven safe.**  Every entry of every tableau on the way
+   is an m x m minor of the scaled block ``[D A | I | L D b]`` (Cramer's
+   rule), or in the cost row a sum of at most m + 1 of them, so by
+   Hadamard's inequality each is at most E = (m + 1) times the product
+   of the m largest column 2-norms.  E is computed once, before the
+   first pivot, from exact squared norms; when E < 2**31 every
+   ``p N - f r`` fits int64 and the whole loop runs in int64 with no
+   runtime check.
+2. **Float guide and exact certificate**, above that bound.  Bland's
+   rule (``_float_guide``) runs on a float64 copy of the rational
+   tableau, with a tolerance on every sign test and a hard pivot cap.
+   Each cell is ``matrix[i, j] / dens[i]`` correctly rounded: float64
+   division when both are below 2**53 in magnitude, Python int division
+   otherwise, so the tableau equals the one filled with
+   ``float(Fraction)`` bit for bit.  Its only output is a final basis,
+   which ``_certify`` settles in exact integer arithmetic
+   (:mod:`jointfeas.linalg`): feasible when the solution of
+   ``B x_B = b`` is nonnegative with every artificial at zero,
+   infeasible when the solution of ``B^T y = c_B`` gives a Farkas vector,
+   whose column test is one vectorized product with the matrix.  The
+   guide's phase-1 objective picks which check runs first (the Farkas
+   one when it is positive); no basis passes both, so the order changes
+   the cost, never the result.  No float value reaches a result; only
+   the basis and that order do.
+3. **Python-int fallback.**  When the guide stops early (pivot cap, no
    leaving row, an entry beyond float range), or its basis is singular
-   or fails both exact checks, the same ``_bland`` loop runs from a
-   cold start on an object tableau of ``Fraction`` values, with
-   tolerance 0 and no cap, and its final basis goes to step 2.
+   or fails both exact checks, the exact loop runs from a cold start on
+   Python ints (an object tableau).
 
 On success the basic feasible solution is returned; on failure the dual
 multipliers of the phase-1 optimum yield a Farkas vector u with
 u.A >= 0 componentwise and u.b < 0, an independently checkable
-certificate of emptiness.  Every result is read off a final basis by
-step 2, so a guide that follows Bland's exact path gives the fallback's
-solution, Farkas vector and pivot count.
+certificate of emptiness.  The basis determines both, so a guide that
+follows Bland's exact path gives the exact loop's solution, Farkas
+vector and pivot count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +73,6 @@ from .linalg import echelon
 __all__ = ["EqualityFeasibility", "solve_equality_feasibility"]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Float guide: entries within _TOL of zero count as zero, ratios within
 # _TOL of the minimum as ties; at most _PIVOT_CAP_PER_COLUMN pivots per
@@ -63,6 +83,9 @@ _PIVOT_CAP_PER_COLUMN = 50
 _INT64_MAX = (1 << 63) - 1
 # Integers below this in magnitude are exact doubles.
 _EXACT_DOUBLE = 1 << 53
+# The int64 loop runs only when the entry bound E is below this: then
+# |p N - f r| <= 2 E**2 < 2**63.
+_INT64_SAFE = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -94,24 +117,25 @@ def solve_equality_feasibility(
         matrix = np.asarray(rows)
         if matrix.ndim != 2 or len(dens) != m:
             raise ValueError("integer rows need a 2-d matrix and one denominator per row")
+        if any(isinstance(d, bool) or not isinstance(d, int) or d <= 0 for d in dens):
+            raise ValueError(f"each row denominator must be a positive int, got {list(dens)!r}")
     n = matrix.shape[1]
 
     # Normalize to b >= 0, remembering the sign applied to each row.
     signs = [(-1 if b < 0 else 1) for b in rhs]
-    try:
-        # Overflow to inf or nan only misguides; the exact checks catch it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            tab = _tableau(matrix, dens, rhs, signs, float)
-            guide = _float_guide(tab, n, m)
-    except OverflowError:  # an entry beyond float range
-        guide = None
-    if guide is not None:
-        # tab[m, -1] is minus the guide's phase-1 objective: a positive
-        # objective points at the Farkas check, so that one runs first.
-        result = _certify(matrix, dens, rhs, signs, *guide, dual_first=bool(tab[m, -1] < -_TOL))
+    factors, b, scale = _scales(dens, rhs, signs)
+    tab = _int64_tableau(matrix, factors, b)
+    if tab is not None:
+        result = _exact_loop(tab, n, m, signs, scale)
         if result is not None:
             return result
-    return _exact_bland(matrix, dens, rhs, signs)
+    result = _guided(matrix, dens, rhs, signs)
+    if result is None:
+        result = _exact_loop(_integer_tableau(matrix, factors, b, object), n, m, signs, scale)
+    if result is None:
+        # An exact phase-1 optimum always exists and reads off.
+        raise AssertionError("exact Bland loop ended without a result")
+    return result
 
 
 def _integral_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, list[int]]:
@@ -128,86 +152,224 @@ def _integral_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, list
     return np.array(values, np.int64 if fits else object), dens
 
 
-def _quotients(matrix: np.ndarray, dens: Sequence[int], dtype) -> np.ndarray:
-    """``matrix[i] / dens[i]`` as ``Fraction`` values or as correctly rounded floats.
+# ---------------------------------------------------------------------------
+# The exact loop: Bland's rule on a fraction-free integer tableau
+# ---------------------------------------------------------------------------
+
+
+def _scales(
+    dens: Sequence[int], rhs: Sequence[Fraction], signs: list[int]
+) -> tuple[list[int], list[int], int]:
+    """``(factors, b, L)``: the integer tableau's row factors, right-hand side and variable scale.
+
+    Sign-normalized row i times D = lcm(dens) is ``factors[i] * matrix[i]``;
+    with every variable scaled by L, the lcm of the right-hand side
+    denominators, its right-hand side is the integer ``b[i]``.
+    """
+    common = lcm(*dens)
+    scale = lcm(*(v.denominator for v in rhs))
+    factors = [s * (common // d) for s, d in zip(signs, dens)]
+    b = [s * v.numerator * (scale * common // v.denominator) for s, v in zip(signs, rhs)]
+    return factors, b, scale
+
+
+def _integer_tableau(matrix: np.ndarray, factors: Sequence[int], b: Sequence[int], dtype) -> np.ndarray:
+    """``[D A | I | L D b]`` with the cost row (minus the row sum, 0 on I) appended."""
+    m, n = matrix.shape
+    tab = np.zeros((m + 1, n + m + 1), dtype)
+    tab[:m, :n] = matrix * np.array(factors, dtype)[:, None]
+    tab[:m, -1] = b
+    tab[np.arange(m), n + np.arange(m)] = 1
+    tab[m] = -tab[:m].sum(axis=0)
+    tab[m, n : n + m] = 0  # cost 1 minus the column sum 1
+    return tab
+
+
+def _int64_tableau(matrix: np.ndarray, factors: Sequence[int], b: Sequence[int]) -> np.ndarray | None:
+    """The integer tableau in int64 when its entry bound E is below 2**31, else None.
+
+    E = (m + 1) * H, with H the product of the m largest column 2-norms,
+    bounds every entry the exact loop will see.  The m artificial columns
+    have norm 1, so H is at least the largest norm and E at least
+    (m + 1) times the largest entry: that cheaper test runs first, and
+    once it holds the int64 fill and its squared norms are exact.
+    """
+    m = len(matrix)
+    if matrix.dtype.kind != "i":
+        return None
+    lows = matrix.min(axis=1, initial=0).tolist()
+    highs = matrix.max(axis=1, initial=0).tolist()
+    peaks = [max(hi, -lo) * abs(f) for lo, hi, f in zip(lows, highs, factors)]
+    if (m + 1) * max(peaks + [abs(v) for v in b]) >= _INT64_SAFE:
+        return None
+    # A zero row's factor may not fit int64; its products are 0 anyway.
+    tab = _integer_tableau(matrix, [f if p else 0 for f, p in zip(factors, peaks)], b, np.int64)
+    squares = np.einsum("ij,ij->j", tab[:m], tab[:m])  # each under m * 2**62 / (m + 1)**2
+    if (m + 1) ** 2 * prod(np.sort(squares)[-m:].tolist()) >= _INT64_SAFE**2:
+        return None
+    return tab
+
+
+def _exact_loop(
+    tab: np.ndarray, n: int, m: int, signs: list[int], scale: int
+) -> EqualityFeasibility | None:
+    """The exact loop on an integer tableau, and the result read off its end."""
+    final = _integer_bland(tab, n, m)
+    return None if final is None else _read_off(tab, n, *final, signs, scale)
+
+
+def _integer_bland(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int, int] | None:
+    """Bland's rule on the fraction-free tableau, in place, from the all-artificial basis.
+
+    The ratio test compares by integer cross-multiplication and breaks
+    ties to the smallest basis index.  Returns the final basis (column
+    index per row), the pivot count and the common denominator d, or
+    None when no leaving row exists (never, on an exact phase-1 tableau).
+    """
+    basis = list(range(n, n + m))
+    cost = tab[m, : n + m]
+    d = 1
+    pivots = 0
+    while True:
+        entering = int((cost < 0).argmax())
+        if cost[entering] >= 0:
+            return basis, pivots, d
+        column = tab[:m, entering].tolist()
+        rhs = tab[:m, -1].tolist()
+        leaving = -1
+        for i, a in enumerate(column):
+            if a <= 0:
+                continue
+            if leaving < 0:
+                leaving = i
+                continue
+            # rhs[i] / a against the best ratio so far
+            gap = rhs[i] * column[leaving] - rhs[leaving] * a
+            if gap < 0 or (gap == 0 and basis[i] < basis[leaving]):
+                leaving = i
+        if leaving < 0:
+            return None
+
+        prow = tab[leaving].copy()
+        update = np.multiply.outer(tab[:, entering], prow)
+        tab *= column[leaving]
+        tab -= update
+        tab //= d
+        tab[leaving] = prow
+        basis[leaving] = entering
+        d = column[leaving]
+        pivots += 1
+
+
+def _read_off(
+    tab: np.ndarray, n: int, basis: list[int], pivots: int, d: int, signs: list[int], scale: int
+) -> EqualityFeasibility | None:
+    """The result on a final fraction-free tableau, or None when a check fails.
+
+    Explicit tests, not ``assert``, so they hold under ``python -O``.
+    At the optimum every reduced cost is nonnegative.  A positive
+    objective (``cost[-1] < 0``) gives the phase-1 multipliers
+    ``y_i = 1 - cost[n + i] / d``, and ``u = -signs * y`` is a Farkas
+    vector for the rows as given.  A zero objective gives x_B, which must
+    be nonnegative with every basic artificial at zero.
+    """
+    m = len(basis)
+    cost = tab[m].tolist()
+    if any(c < 0 for c in cost[: n + m]):
+        return None
+    if cost[-1] < 0:
+        farkas = tuple(Fraction(-s * (d - c), d) for s, c in zip(signs, cost[n : n + m]))
+        return EqualityFeasibility(False, None, farkas, pivots)
+    values = tab[:m, -1].tolist()
+    if cost[-1] > 0 or any(v < 0 for v in values) or any(v for j, v in zip(basis, values) if j >= n):
+        return None
+    x = [_ZERO] * n
+    for j, v in zip(basis, values):
+        if j < n:
+            x[j] = Fraction(v, d * scale)
+    return EqualityFeasibility(True, tuple(x), None, pivots)
+
+
+# ---------------------------------------------------------------------------
+# Above the int64 bound: a float guide, settled exactly
+# ---------------------------------------------------------------------------
+
+
+def _guided(
+    matrix: np.ndarray, dens: Sequence[int], rhs: Sequence[Fraction], signs: list[int]
+) -> EqualityFeasibility | None:
+    """The float guide's final basis settled by ``_certify``, or None when it proves nothing."""
+    m, n = matrix.shape
+    try:
+        # Overflow to inf or nan only misguides; the exact checks catch it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            tab = _tableau(matrix, dens, rhs, signs)
+            guide = _float_guide(tab, n, m)
+    except OverflowError:  # an entry beyond float range
+        return None
+    if guide is None:
+        return None
+    # tab[m, -1] is minus the guide's phase-1 objective: a positive
+    # objective points at the Farkas check, so that one runs first.
+    return _certify(matrix, dens, rhs, signs, *guide, dual_first=bool(tab[m, -1] < -_TOL))
+
+
+def _quotients(matrix: np.ndarray, dens: Sequence[int]) -> np.ndarray:
+    """``matrix[i] / dens[i]`` as correctly rounded floats.
 
     float64 division is correctly rounded when both operands are exact
     doubles (below 2**53 in magnitude); otherwise Python's int true
     division is, so either way each cell equals ``float(Fraction)``.
     """
-    if dtype is object:
-        return np.array(
-            [[Fraction(v, d) for v in row] for row, d in zip(matrix.tolist(), dens)], object
-        ).reshape(matrix.shape)
     if max(dens) < _EXACT_DOUBLE and np.abs(matrix).max(initial=0) < _EXACT_DOUBLE:
         return matrix.astype(float) / np.array(dens, float)[:, None]
     return (matrix.astype(object) / np.array(dens, object)[:, None]).astype(float)
 
 
-def _tableau(
-    matrix: np.ndarray, dens: Sequence[int], rhs: Sequence[Fraction], signs: list[int], dtype
-) -> np.ndarray:
-    """Sign-normalized phase-1 tableau [A | I | b] with the cost row appended.
-
-    Every cell is filled from ``_ZERO``, ``_ONE`` and the inputs, so an
-    object tableau holds only ``Fraction`` values.
-    """
+def _tableau(matrix: np.ndarray, dens: Sequence[int], rhs: Sequence[Fraction], signs: list[int]) -> np.ndarray:
+    """Sign-normalized float phase-1 tableau [A | I | b] with the cost row appended."""
     m, n = matrix.shape
-    tab = np.full((m + 1, n + m + 1), _ZERO, dtype)
-    tab[:m, :n] = _quotients(matrix, dens, dtype)
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = _quotients(matrix, dens)
     tab[:m, -1] = rhs
     tab[:m] *= np.array(signs)[:, None]
-    tab[np.arange(m), n + np.arange(m)] = _ONE
+    tab[np.arange(m), n + np.arange(m)] = 1.0
     tab[m] = -tab[:m].sum(axis=0)
-    tab[m, n : n + m] = _ZERO  # cost 1 minus the column sum 1
+    tab[m, n : n + m] = 0.0  # cost 1 minus the column sum 1
     return tab
 
 
 def _float_guide(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int] | None:
-    """Bland's rule on the float tableau, with tolerance and pivot cap."""
-    return _bland(tab, n, m, _TOL, _PIVOT_CAP_PER_COLUMN * (n + m))
+    """Bland's rule on the float tableau, in place, from the all-artificial basis.
 
-
-def _bland(
-    tab: np.ndarray, n: int, m: int, tol: float, cap: int | None
-) -> tuple[list[int], int] | None:
-    """Run Bland's rule on the tableau in place from the all-artificial basis.
-
-    Entries within ``tol`` of zero count as zero and ratios within ``tol``
-    of the minimum as ties.  Returns the final basis (column index per
-    row) and the pivot count, or None when ``cap`` pivots are reached or
-    no leaving row exists.
+    Entries within ``_TOL`` of zero count as zero and ratios within
+    ``_TOL`` of the minimum as ties.  Returns the final basis (column
+    index per row) and the pivot count, or None when the pivot cap is
+    reached or no leaving row exists.
     """
+    cap = _PIVOT_CAP_PER_COLUMN * (n + m)
     basis = np.arange(n, n + m)
     cost = tab[m, : n + m]
     rhs = tab[:m, -1]
     update = np.empty_like(tab)
-    exact = tab.dtype == object
     pivots = 0
     while True:
-        entering = int(np.argmax(cost < -tol))
-        if cost[entering] >= -tol:
+        entering = int(np.argmax(cost < -_TOL))
+        if cost[entering] >= -_TOL:
             return basis.tolist(), pivots
-        if cap is not None and pivots >= cap:
+        if pivots >= cap:
             return None
         column = tab[:m, entering]
-        candidates = np.flatnonzero(column > tol)
+        candidates = np.flatnonzero(column > _TOL)
         if candidates.size == 0:
             return None
         ratios = rhs[candidates] / column[candidates]
-        ties = candidates[ratios <= ratios.min() + tol]
+        ties = candidates[ratios <= ratios.min() + _TOL]
         leaving = int(ties[np.argmin(basis[ties])])
 
         prow = tab[leaving] / tab[leaving, entering]
-        if exact:
-            # Exact cells change only where both the entering column and
-            # the pivot row are nonzero; skip the Fraction work elsewhere.
-            rows = np.flatnonzero(tab[:, entering])
-            cols = np.flatnonzero(prow)
-            tab[np.ix_(rows, cols)] -= np.multiply.outer(tab[rows, entering], prow[cols])
-        else:
-            np.multiply.outer(tab[:, entering], prow, out=update)
-            tab -= update
+        np.multiply.outer(tab[:, entering], prow, out=update)
+        tab -= update
         tab[leaving] = prow
         basis[leaving] = entering
         pivots += 1
@@ -240,7 +402,8 @@ def _certify(
     scale = [lcm(d, b.denominator) for d, b in zip(dens, rhs)]
     factor = [s * (l // d) for s, l, d in zip(signs, scale, dens)]
     b = [s * v.numerator * (l // v.denominator) for s, v, l in zip(signs, rhs, scale)]
-    picked = matrix[:, [j if j < n else 0 for j in basis]].tolist()
+    # With no structural column every basic column is artificial.
+    picked = matrix[:, [j if j < n else 0 for j in basis]].tolist() if n else [[0] * m] * m
     # basic[i][k]: the scaled entry of row i in basis column basis[k].
     basic = [
         [f * v if j < n else (l if j - n == i else 0) for v, j in zip(row, basis)]
@@ -288,19 +451,3 @@ def _certify(
         if result is not None:
             return result
     return None
-
-
-def _exact_bland(
-    matrix: np.ndarray, dens: Sequence[int], rhs: Sequence[Fraction], signs: list[int]
-) -> EqualityFeasibility:
-    """Bland's rule on a ``Fraction`` tableau from the all-artificial basis."""
-    m, n = matrix.shape
-    tab = _tableau(matrix, dens, rhs, signs, object)
-    final = _bland(tab, n, m, 0, None)
-    result = None
-    if final is not None:
-        result = _certify(matrix, dens, rhs, signs, *final, dual_first=tab[m, -1] < 0)
-    if result is None:
-        # An exact phase-1 optimum always exists and certifies.
-        raise AssertionError("exact Bland loop ended without a certified basis")
-    return result

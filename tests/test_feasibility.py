@@ -116,9 +116,10 @@ class TestDecide:
         assert proc.stdout.split() == ["1", "range-check", "[True]", "raised"]
 
     def test_simplex_certification_survives_python_O(self):
-        # The float guide's basis is only accepted through explicit exact
-        # checks; with asserts stripped a basis that proves nothing must
-        # still be rejected, and the certificate gate must still raise.
+        # Every path accepts a result only through explicit exact checks;
+        # with asserts stripped, a corrupted final int64 tableau and a
+        # float-guide basis that proves nothing must still be rejected,
+        # and the certificate gate must still raise.
         script = textwrap.dedent(
             """
             import sys
@@ -141,21 +142,43 @@ class TestDecide:
                 return result.method, result.verdict, result.certificate, mass
 
             problems = (triple("-1/2"), triple("-1/3"))
-            guided = [feasibility.decide(p) for p in problems]
+            exact = [feasibility.decide(p) for p in problems]
 
-            real_loop = simplex._exact_bland
+            # The int64 loop's final tableau with its right-hand side
+            # negated: x_B < 0 on the feasible problem, a negative
+            # objective on the infeasible one.  The read-off refuses
+            # both and the float guide decides.
+            real_bland, real_guide = simplex._integer_bland, simplex._float_guide
+            guides = []
+
+            def corrupt(tab, n, m):
+                final = real_bland(tab, n, m)
+                if tab.dtype != object:
+                    tab[:, -1] *= -1
+                return final
+
+            simplex._integer_bland = corrupt
+            simplex._float_guide = lambda *args: guides.append(1) or real_guide(*args)
+            corrupted = [feasibility.decide(p) for p in problems]
+            read_off_rejected = len(guides)
+            simplex._integer_bland = real_bland
+
+            # Over the int64 bound, a guide basis that proves nothing
+            # (the all-artificial start) goes to the Python-int loop.
+            real_loop = simplex._exact_loop
             fallbacks = []
 
-            def loop(*args):
-                fallbacks.append(args)
-                return real_loop(*args)
+            def loop(tab, *args):
+                if tab.dtype == object:
+                    fallbacks.append(args)
+                return real_loop(tab, *args)
 
-            simplex._exact_bland = loop
-            # the all-artificial start basis certifies neither problem
+            simplex._INT64_SAFE = 0
+            simplex._exact_loop = loop
             simplex._float_guide = lambda tab, n, m: (list(range(n, n + m)), 0)
             forced = [feasibility.decide(p) for p in problems]
-            rejected = len(fallbacks)
-            same = [outcome(a) == outcome(b) for a, b in zip(guided, forced)]
+            certify_rejected = len(fallbacks)
+            same = [outcome(a) == outcome(b) == outcome(c) for a, b, c in zip(exact, corrupted, forced)]
 
             feasibility.verify_certificate = lambda problem, cert: False
             try:
@@ -163,8 +186,8 @@ class TestDecide:
                 gate = "skipped"
             except AssertionError:
                 gate = "raised"
-            print(sys.flags.optimize, *(r.method for r in guided), *(r.verdict for r in guided),
-                  rejected, *same, gate)
+            print(sys.flags.optimize, *(r.method for r in exact), *(r.verdict for r in exact),
+                  read_off_rejected, certify_rejected, *same, gate)
             """
         )
         proc = subprocess.run(
@@ -172,7 +195,7 @@ class TestDecide:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [
-            "1", "simplex", "simplex", "infeasible", "feasible", "2", "True", "True", "raised"
+            "1", "simplex", "simplex", "infeasible", "feasible", "2", "2", "True", "True", "raised"
         ]
 
     def test_certificate_gate_overflow_survives_python_O(self):

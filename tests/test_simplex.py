@@ -86,9 +86,40 @@ def test_exactness_with_awkward_fractions():
 # Float guide, exact certificate and exact fallback
 # ---------------------------------------------------------------------------
 
-def exact_loop(rows, rhs):
+def signs_of(rhs):
+    return [(-1 if b < 0 else 1) for b in rhs]
+
+
+def integer_lp(rows, rhs):
+    """``(matrix, dens, factors, b, scale, signs)`` of the integer tableau."""
     matrix, dens = simplex._integral_rows(rows)
-    return simplex._exact_bland(matrix, dens, rhs, [(-1 if b < 0 else 1) for b in rhs])
+    signs = signs_of(rhs)
+    return (matrix, dens, *simplex._scales(dens, rhs, signs), signs)
+
+
+def exact_loop(rows, rhs):
+    """The Python-int exact loop from a cold start, as the fallback runs it."""
+    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
+    tab = simplex._integer_tableau(matrix, factors, b, object)
+    return simplex._exact_loop(tab, len(rows[0]), len(rows), signs, scale)
+
+
+def int64_path(rows, rhs):
+    """The int64 loop's result, or None when the system is over the bound."""
+    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
+    tab = simplex._int64_tableau(matrix, factors, b)
+    return None if tab is None else simplex._exact_loop(tab, len(rows[0]), len(rows), signs, scale)
+
+
+def guided_path(rows, rhs):
+    """The float guide's basis settled by ``_certify``, or None when it proves nothing."""
+    matrix, dens = simplex._integral_rows(rows)
+    return simplex._guided(matrix, dens, rhs, signs_of(rhs))
+
+
+def force_guide(monkeypatch):
+    """No system passes the int64 bound, so each one goes to the float guide."""
+    monkeypatch.setattr(simplex, "_INT64_SAFE", 0)
 
 
 def fraction_rows(matrix, dens):
@@ -141,14 +172,24 @@ def test_float_guided_result_checks_exactly_and_matches_exact_verdict(system):
 
 
 def spy_exact_loop(monkeypatch):
+    """Record each run of the Python-int fallback (the exact loop on an object tableau)."""
     calls = []
-    real = simplex._exact_bland
+    real = simplex._exact_loop
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(tab, *args):
+        if tab.dtype == object:
+            calls.append(args)
+        return real(tab, *args)
 
-    monkeypatch.setattr(simplex, "_exact_bland", spy)
+    monkeypatch.setattr(simplex, "_exact_loop", spy)
+    return calls
+
+
+def spy_guide(monkeypatch):
+    """Record each run of the float guide."""
+    calls = []
+    real = simplex._float_guide
+    monkeypatch.setattr(simplex, "_float_guide", lambda *args: calls.append(args) or real(*args))
     return calls
 
 
@@ -159,6 +200,7 @@ def test_guide_follows_bland_path_on_moment_problems(monkeypatch):
     rng = random.Random(7)
     lps = [feasibility._constraint_rows(random_problem(rng)) for _ in range(150)]
     expected = [exact_loop(fraction_rows(matrix, dens), rhs) for matrix, dens, rhs in lps]
+    force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
     assert [solve_equality_feasibility(matrix, rhs, dens) for matrix, dens, rhs in lps] == expected
     assert calls == []
@@ -175,6 +217,7 @@ def test_guide_follows_bland_path_on_moment_problems(monkeypatch):
 def test_infeasible_basis_is_certified_without_fallback(monkeypatch, rows, rhs):
     expected = exact_loop(rows, rhs)
     assert not expected.feasible
+    force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
     assert solve_equality_feasibility(rows, rhs) == expected
     assert calls == []
@@ -197,6 +240,7 @@ FALLBACK_SYSTEMS = [
 )
 def test_wrong_guide_basis_falls_back_to_exact_loop(monkeypatch, rows, rhs, wrong_basis):
     expected = exact_loop(rows, rhs)
+    force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
     monkeypatch.setattr(simplex, "_float_guide", lambda tab, n, m: wrong_basis(n, m))
     res = solve_equality_feasibility(rows, rhs)
@@ -233,6 +277,7 @@ def test_primal_infeasible_guide_basis_falls_back(monkeypatch):
     # dual y = 0 passes the column test but not y.b > 0.
     rows, rhs = [[F(-1), F(1)]], [F(1)]
     expected = exact_loop(rows, rhs)
+    force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
     monkeypatch.setattr(simplex, "_float_guide", lambda tab, n, m: ([0], 1))
     assert solve_equality_feasibility(rows, rhs) == expected
@@ -243,6 +288,7 @@ def test_primal_infeasible_guide_basis_falls_back(monkeypatch):
 def test_pivot_cap_falls_back_to_exact_loop(monkeypatch, rows, rhs):
     expected = exact_loop(rows, rhs)
     assert expected.pivots > 0
+    force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
     monkeypatch.setattr(simplex, "_PIVOT_CAP_PER_COLUMN", 0)
     assert solve_equality_feasibility(rows, rhs) == expected
@@ -262,12 +308,13 @@ def test_pivot_cap_fallback_keeps_decide_results(monkeypatch):
         )
 
     problems = [triple("-1/2"), triple("-1/3"), triple("1/4")]
-    guided = [decide(p) for p in problems]
+    unforced = [decide(p) for p in problems]
+    force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
     monkeypatch.setattr(simplex, "_PIVOT_CAP_PER_COLUMN", 0)
     forced = [decide(p) for p in problems]
     assert len(calls) == len(problems)
-    for a, b in zip(guided, forced):
+    for a, b in zip(unforced, forced):
         assert (a.verdict, a.certificate, a.detail) == (b.verdict, b.certificate, b.detail)
         assert (a.witness and a.witness.mass) == (b.witness and b.witness.mass)
 
@@ -300,11 +347,11 @@ PINNED_BLAND_PATHS = [
 @pytest.mark.parametrize("n,pair,feasible,pivots", PINNED_BLAND_PATHS)
 def test_bland_path_is_pinned_on_equal_pair_moments(n, pair, feasible, pivots):
     rows, rhs = equal_pair_moment_lp(n, pair)
-    signs = [(-1 if b < 0 else 1) for b in rhs]
+    signs = signs_of(rhs)
     # The capped guide first: a loop that leaves Bland's path fails here
     # rather than cycling in the uncapped exact loop.
     matrix, dens = simplex._integral_rows(rows)
-    guide = simplex._float_guide(simplex._tableau(matrix, dens, rhs, signs, float), len(rows[0]), len(rows))
+    guide = simplex._float_guide(simplex._tableau(matrix, dens, rhs, signs), len(rows[0]), len(rows))
     assert guide is not None and guide[1] == pivots
     res = solve_equality_feasibility(rows, rhs)
     assert (res.feasible, res.pivots) == (feasible, pivots)
@@ -314,7 +361,7 @@ def test_bland_path_is_pinned_on_equal_pair_moments(n, pair, feasible, pivots):
 
 
 def certify_both_orders(matrix, dens, rhs, basis, pivots):
-    signs = [(-1 if b < 0 else 1) for b in rhs]
+    signs = signs_of(rhs)
     return [
         simplex._certify(matrix, dens, rhs, signs, basis, pivots, dual_first=dual_first)
         for dual_first in (False, True)
@@ -333,9 +380,9 @@ def test_certify_result_does_not_depend_on_check_order(system, data):
     arbitrary = data.draw(st.lists(st.integers(0, n + m - 1), min_size=m, max_size=m))
     primal_first, dual_first = certify_both_orders(matrix, dens, rhs, arbitrary, 0)
     assert primal_first == dual_first
-    signs = [(-1 if b < 0 else 1) for b in rhs]
-    final = simplex._bland(simplex._tableau(matrix, dens, rhs, signs, object), n, m, 0, None)
-    primal_first, dual_first = certify_both_orders(matrix, dens, rhs, *final)
+    _, _, factors, b, _, _ = integer_lp(rows, rhs)
+    basis, pivots, _ = simplex._integer_bland(simplex._integer_tableau(matrix, factors, b, object), n, m)
+    primal_first, dual_first = certify_both_orders(matrix, dens, rhs, basis, pivots)
     assert primal_first == dual_first == exact_loop(rows, rhs)
 
 
@@ -343,8 +390,8 @@ def test_certify_result_does_not_depend_on_check_order(system, data):
 def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasible, pivots):
     rows, rhs = equal_pair_moment_lp(n, pair)
     matrix, dens = simplex._integral_rows(rows)
-    signs = [(-1 if b < 0 else 1) for b in rhs]
-    guide = simplex._float_guide(simplex._tableau(matrix, dens, rhs, signs, float), len(rows[0]), len(rows))
+    signs = signs_of(rhs)
+    guide = simplex._float_guide(simplex._tableau(matrix, dens, rhs, signs), len(rows[0]), len(rows))
     primal_first, dual_first = certify_both_orders(matrix, dens, rhs, *guide)
     assert (primal_first.feasible, primal_first.pivots) == (feasible, pivots)
 
@@ -359,13 +406,14 @@ def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasib
 
 @settings(max_examples=100, deadline=None)
 @given(systems())
-def test_exact_tableau_holds_only_fractions(system):
+def test_exact_loop_holds_only_python_ints(system):
     rows, rhs = system
     m, n = len(rows), len(rows[0])
-    matrix, dens = simplex._integral_rows(rows)
-    tab = simplex._tableau(matrix, dens, rhs, [(-1 if b < 0 else 1) for b in rhs], object)
-    assert simplex._bland(tab, n, m, 0, None) is not None
-    assert all(type(v) is Fraction for v in tab.flat)
+    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
+    tab = simplex._integer_tableau(matrix, factors, b, object)
+    assert all(type(v) is int for v in tab.flat)
+    assert simplex._integer_bland(tab, n, m) is not None
+    assert all(type(v) is int for v in tab.flat)
 
 
 def fraction_filled_tableau(rows, rhs, signs):
@@ -414,9 +462,9 @@ def integer_lps(draw):
 @given(integer_lps())
 def test_float_tableau_is_bit_identical_to_fraction_fill(lp):
     matrix, dens, rhs = lp
-    signs = [(-1 if b < 0 else 1) for b in rhs]
+    signs = signs_of(rhs)
     rows = fraction_rows(matrix, dens)
-    tab = simplex._tableau(matrix, dens, rhs, signs, float)
+    tab = simplex._tableau(matrix, dens, rhs, signs)
     assert tab.tobytes() == fraction_filled_tableau(rows, rhs, signs).tobytes()
 
 
@@ -428,4 +476,159 @@ def test_float_tableau_uses_both_division_paths():
     for matrix, dens in ((small, [7, 1]), (large, [3, 1]), (small, [3**40, 1])):
         rhs, signs = [F(1), F(1)], [1, 1]
         expected = fraction_filled_tableau(fraction_rows(matrix, dens), rhs, signs)
-        assert simplex._tableau(matrix, dens, rhs, signs, float).tobytes() == expected.tobytes()
+        assert simplex._tableau(matrix, dens, rhs, signs).tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The exact loop's three paths: int64, float guide, Python ints
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("b", [F(0), F(1), F(-2, 3), F(10**40)])
+def test_zero_column_systems(b):
+    # No variable: feasible with x = () exactly when b = 0, else a Farkas
+    # vector; 10**40 is over the int64 bound and goes to the float guide.
+    for res in (
+        solve_equality_feasibility([[]], [b]),
+        solve_equality_feasibility(np.zeros((1, 0), np.int64), [b], [1]),
+    ):
+        if b == 0:
+            assert res == simplex.EqualityFeasibility(True, (), None, 0)
+        else:
+            assert not res.feasible and res.farkas[0] * b < 0
+
+
+@pytest.mark.parametrize("dens", [[0], [-1], [True], [1.0], [F(1)], ["1"], [np.int64(1)]])
+def test_row_denominators_must_be_positive_ints(dens):
+    with pytest.raises(ValueError, match="positive int"):
+        solve_equality_feasibility([[1]], [F(1)], dens)
+
+
+def check_paths_agree(rows, rhs, *, same_path=False):
+    """Each path's result checks exactly; int64 and Python ints agree field for field.
+
+    The float guide may stop early or, on entries far apart in size,
+    leave Bland's exact path for another optimal basis.  With
+    ``same_path`` (small entries) it must return the exact loop's result.
+    """
+    exact = exact_loop(rows, rhs)
+    check_result(rows, rhs, exact)
+    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
+    tab = simplex._int64_tableau(matrix, factors, b)
+    if tab is not None:
+        # The int64 loop visits the Python-int loop's tableaux cell for cell.
+        reference = simplex._integer_tableau(matrix, factors, b, object)
+        n, m = len(rows[0]), len(rows)
+        assert tab.tolist() == reference.tolist()
+        assert simplex._integer_bland(tab, n, m) == simplex._integer_bland(reference, n, m)
+        assert tab.tolist() == reference.tolist()
+        assert int64_path(rows, rhs) == exact
+    guided = guided_path(rows, rhs)
+    if same_path:
+        assert guided == exact
+    elif guided is not None:
+        check_result(rows, rhs, guided)
+        assert guided.feasible == exact.feasible
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_int64_guided_and_python_int_paths_agree(system):
+    check_paths_agree(*system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_lps())
+def test_paths_agree_on_moment_lps(lp):
+    matrix, dens, rhs = lp
+    check_paths_agree(fraction_rows(matrix, dens), rhs)
+
+
+@st.composite
+def small_systems(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    rows = [draw(st.lists(st.one_of(st.just(F(0)), small), min_size=n, max_size=n)) for _ in range(m)]
+    return rows, draw(st.lists(st.one_of(st.just(F(0)), small), min_size=m, max_size=m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    small_systems(),
+    st.integers(0, 2**32).map(
+        lambda seed: (lambda lp: (fraction_rows(lp[0], lp[1]), lp[2]))(
+            feasibility._constraint_rows(random_problem(random.Random(seed)))
+        )
+    ),
+))
+def test_all_three_paths_give_equal_results_on_small_entries(system):
+    check_paths_agree(*system, same_path=True)
+
+
+def largest_under_bound(m):
+    """The largest a for which a I x = (a, ..., a) has entry bound E < 2**31.
+
+    Its column norms are a (m times), 1 (m times) and a sqrt(m) for the
+    right-hand side, so E**2 = (m + 1)**2 * m * a**(2 m).
+    """
+    def under(a):
+        return (m + 1) ** 2 * m * a ** (2 * m) < 2**62
+
+    a = round((2**62 / ((m + 1) ** 2 * m)) ** (1 / (2 * m)))
+    while not under(a):
+        a -= 1
+    while under(a + 1):
+        a += 1
+    return a
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_int64_bound_edge(monkeypatch, m):
+    # Just under the bound the int64 loop decides alone; one step over,
+    # the system goes to the float guide.  At m = 1, a + 1 = 2**30 puts
+    # E exactly on 2**31, which must already count as over.
+    a = largest_under_bound(m)
+    assert m > 1 or a + 1 == 2**30
+    for value, exact in ((a, True), (a + 1, False)):
+        rows = [[F(value) if i == j else F(0) for j in range(m)] for i in range(m)]
+        rhs = [F(value)] * m
+        matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
+        assert (simplex._int64_tableau(matrix, factors, b) is not None) == exact
+        guides = spy_guide(monkeypatch)
+        res = solve_equality_feasibility(rows, rhs)
+        assert res == simplex.EqualityFeasibility(True, (F(1),) * m, None, m)
+        assert len(guides) == (0 if exact else 1)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("top, accepted", [(2**9, False), (2**9 - 1, True)])
+def test_int64_bound_is_strict(top, accepted):
+    # Squared column norms 2**20, 2**20 and top**2 (twice: the third
+    # column and the right-hand side).  At top = 2**9, E**2 = 4**2 * 2**58
+    # is exactly 2**62: E = 2**31 is already over, though every entry is
+    # far below it.
+    rows = [[F(2**10), F(0), F(0)], [F(0), F(2**10), F(0)], [F(0), F(0), F(top)]]
+    rhs = [F(top), F(0), F(0)]
+    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
+    assert (simplex._int64_tableau(matrix, factors, b) is not None) == accepted
+    check_result(rows, rhs, solve_equality_feasibility(rows, rhs))
+
+
+def test_read_off_rejects_a_corrupted_final_tableau(monkeypatch):
+    # Negating the right-hand side column makes x_B negative on a
+    # feasible system and the objective negative on an infeasible one;
+    # the read-off refuses both, and the float guide decides instead.
+    real = simplex._integer_bland
+
+    def corrupt(tab, n, m):
+        final = real(tab, n, m)
+        if tab.dtype != object:
+            tab[:, -1] *= -1
+        return final
+
+    for rows, rhs in FALLBACK_SYSTEMS[:2]:
+        expected = exact_loop(rows, rhs)
+        monkeypatch.setattr(simplex, "_integer_bland", corrupt)
+        guides = spy_guide(monkeypatch)
+        assert solve_equality_feasibility(rows, rhs) == expected
+        assert len(guides) == 1
+        monkeypatch.undo()
