@@ -123,6 +123,43 @@ class MomentConstraint:
         return f"E({mono}) {rel} {self.target}"
 
 
+def _check_moment_problem(
+    names: Sequence[str],
+    constraints: Sequence[tuple[Sequence[tuple[str, int]], str]],
+    allow_higher_order: bool,
+) -> None:
+    """Check variable names, and moment constraints given as ``(exponents, relation)``.
+
+    ``exponents`` are (name, positive exponent) pairs sorted by name.
+    Each failure is a :class:`ValidationError` whose ``path`` locates it:
+    ``variables[i].name`` for a repeated name,
+    ``constraints[i].exponents.<name>`` for an unknown variable (a
+    :class:`ConstraintMismatchError`) or an exponent above 2 without
+    ``allow_higher_order``, and ``constraints[i]`` for a constraint whose
+    exponents and relation repeat an earlier one's.
+    """
+    known = set(names)
+    if len(known) != len(names):
+        i = next(i for i, n in enumerate(names) if n in names[:i])
+        raise ValidationError(f"duplicate variable name {names[i]!r}", f"variables[{i}].name")
+    seen: set[tuple] = set()
+    for i, (exponents, relation) in enumerate(constraints):
+        for n, k in exponents:
+            if n not in known:
+                raise ConstraintMismatchError(
+                    f"constraint references unknown variable {n!r}", f"constraints[{i}].exponents.{n}"
+                )
+            if k > 2 and not allow_higher_order:
+                raise ValidationError(
+                    f"exponent {k} on {n} exceeds 2; set allow_higher_order for such problems",
+                    f"constraints[{i}].exponents.{n}",
+                )
+        key = (tuple(exponents), relation)
+        if key in seen:
+            raise ValidationError(f"duplicate constraint on exponents {key[0]}", f"constraints[{i}]")
+        seen.add(key)
+
+
 @dataclass(frozen=True)
 class MomentProblem:
     """Finite supports plus exact moment constraints (the given data)."""
@@ -136,21 +173,9 @@ class MomentProblem:
         names = [v.name for v in self.variables]
         if not names:
             raise ValidationError("a moment problem needs at least one variable")
-        if len(set(names)) != len(names):
-            raise ValidationError(f"duplicate variable names: {names}")
-        seen: set[tuple] = set()
-        for c in self.constraints:
-            for n, k in c.exponents:
-                if n not in names:
-                    raise ConstraintMismatchError(f"constraint references unknown variable {n!r}")
-                if k > 2 and not self.allow_higher_order:
-                    raise ValidationError(
-                        f"exponent {k} on {n} exceeds 2; set allow_higher_order for such problems"
-                    )
-            key = (c.exponents, c.relation)
-            if key in seen:
-                raise ValidationError(f"duplicate constraint on exponents {c.exponents}")
-            seen.add(key)
+        _check_moment_problem(
+            names, [(c.exponents, c.relation) for c in self.constraints], self.allow_higher_order
+        )
         # name -> position, built once: every name lookup goes through it.
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
         # Per variable, (D_v, numerators), built once for the range check
@@ -419,10 +444,12 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
     lexicographic index order and the simplex uses Bland's rule.  The
     simplex decides on an exact fraction-free integer tableau, in int64
     when a bound proves that safe; above the bound, float arithmetic only
-    picks the final basis, and the verdict comes from an exact solve on
-    that basis (or from the exact loop on Python ints when the basis
-    proves nothing).  Either way the verdict then passes the exact
-    witness recheck or :func:`verify_certificate`.
+    picks the final basis, whose value column and cost row are solved
+    exactly in the same integer scaling (or the exact loop reruns on
+    Python ints when the basis proves nothing).  On every path one pair
+    of exact readers turns the final column or row into the solution or
+    Farkas vector, and the verdict then passes the exact witness recheck
+    or :func:`verify_certificate`.
     """
     _check_atom_cap(atom_cap)
     count = problem.atom_count()

@@ -17,10 +17,12 @@ enclosure selecting the root; angle shorthand
 ``{"minus_cos_degrees": n}`` is accepted for n a multiple of 30 or 45.
 
 Validation is strict: unknown fields are rejected, and errors carry the
-field path (e.g. ``constraints[2].target``).  Reports are serialized
-canonically (sorted keys, fixed separators, trailing newline) so a
-fixed engine build produces byte-identical reports for identical
-inputs.
+field path (e.g. ``constraints[2].target``).  Variable names and
+constraints are checked by the same validator as
+:class:`~jointfeas.feasibility.MomentProblem`, surd targets included.
+Reports are serialized canonically (sorted keys, fixed separators,
+trailing newline) so a fixed engine build produces byte-identical
+reports for identical inputs.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Any, Mapping, Sequence
 from . import __version__
 from .algebraic import ExactNumber, Surd, as_fraction, make_surd, sqrt_fraction
 from .errors import ValidationError
-from .feasibility import MomentConstraint, MomentProblem
+from .feasibility import MomentConstraint, MomentProblem, _check_moment_problem
 from .gaussian import DEFAULT_TOL, PartialCorrelationMatrix, _check_tol
 from .ghz import GHZConfig, build_ghz_problem
 from .probability import FiniteRandomVariable, JointDistribution, distribution_from_values
@@ -260,18 +262,20 @@ def _parse_finite_moment(obj: Mapping[str, Any]) -> dict[str, Any]:
             if isinstance(target, Surd):
                 exact_targets = False
             constraints.append((dict(exps), target, relation))
+        _check_moment_problem(
+            [v.name for v in variables],
+            [(sorted(e.items()), r) for e, _, r in constraints],
+            allow_higher,
+        )
         result["constraints"] = constraints
         result["rational_targets"] = exact_targets
         if exact_targets:
-            try:
-                result["problem"] = MomentProblem(
-                    variables,
-                    tuple(MomentConstraint.of(e, t, r) for e, t, r in constraints),
-                    label=result["label"],
-                    allow_higher_order=allow_higher,
-                )
-            except ValidationError as exc:
-                raise _fail("constraints", str(exc)) from None
+            result["problem"] = MomentProblem(
+                variables,
+                tuple(MomentConstraint.of(e, t, r) for e, t, r in constraints),
+                label=result["label"],
+                allow_higher_order=allow_higher,
+            )
     else:
         spec = obj["distribution"]
         _expect_keys(spec, "distribution", {"mass"}, set())

@@ -17,10 +17,11 @@ uniform, so ratios, ties and the signs of the reduced costs, and with
 them every choice of Bland's rule, are those of the rational tableau.
 A pivot on p = N[r, e] sets ``N <- (p N - N[:, e] N[r]) / d`` off row r
 and then d <- p: every division is exact, and the tableau stays d times
-the rational one, d being the determinant of the basis.  The result is
-read straight off the final tableau (``_read_off``): x_B is
-``N[:m, -1] / (d L)``, and the Farkas vector comes from the cost row's
-artificial entries.  A system is decided on one of three paths:
+the rational one, d being the determinant of the basis.  Every result
+is read off a final tableau by one of two readers, behind explicit
+checks: ``_solution`` reads x_B = ``N[:m, -1] / (d L)`` off the value
+column, and ``_farkas`` the Farkas vector off the cost row's artificial
+entries.  A system is decided on one of three paths:
 
 1. **int64, when proven safe.**  Every entry of every tableau on the way
    is an m x m minor of the scaled block ``[D A | I | L D b]`` (Cramer's
@@ -36,19 +37,17 @@ artificial entries.  A system is decided on one of three paths:
    Each cell is ``matrix[i, j] / dens[i]`` correctly rounded: float64
    division when both are below 2**53 in magnitude, Python int division
    otherwise, so the tableau equals the one filled with
-   ``float(Fraction)`` bit for bit.  Its only output is a final basis,
-   which ``_certify`` settles in exact integer arithmetic
-   (:mod:`jointfeas.linalg`): feasible when the solution of
-   ``B x_B = b`` is nonnegative with every artificial at zero,
-   infeasible when the solution of ``B^T y = c_B`` gives a Farkas vector,
-   whose column test is one vectorized product with the matrix.  The
-   guide's phase-1 objective picks which check runs first (the Farkas
-   one when it is positive); no basis passes both, so the order changes
-   the cost, never the result.  No float value reaches a result; only
-   the basis and that order do.
+   ``float(Fraction)`` bit for bit.  Its only output is a final basis B,
+   which ``_certify`` solves exactly (:mod:`jointfeas.linalg`) in the
+   integer tableau's scaling: ``B x = b`` gives the final value column
+   for ``_solution``, ``B^T w = c_B`` the final cost row for ``_farkas``.
+   The guide's phase-1 objective picks which solve runs first (the dual
+   one when it is positive); no basis passes both readers, so the order
+   changes the cost, never the result.  No float value reaches a result;
+   only the basis and that order do.
 3. **Python-int fallback.**  When the guide stops early (pivot cap, no
    leaving row, an entry beyond float range), or its basis is singular
-   or fails both exact checks, the exact loop runs from a cold start on
+   or both readers refuse it, the exact loop runs from a cold start on
    Python ints (an object tableau).
 
 On success the basic feasible solution is returned; on failure the dual
@@ -101,14 +100,17 @@ def solve_equality_feasibility(
 ) -> EqualityFeasibility:
     """Feasibility of {x >= 0 : rows . x = rhs}, exactly.
 
-    ``rows`` holds rationals, or, when ``dens`` is given, integers with
-    row i standing for ``rows[i] / dens[i]`` (each den a positive int).
-    The Farkas vector is expressed against the rows as given (before the
-    internal sign normalization).
+    ``rows`` holds rationals (ints or Fractions), or, when ``dens`` is
+    given, integers with row i standing for ``rows[i] / dens[i]`` (each
+    den a positive int); ``rhs`` holds ints or Fractions.  Anything else
+    raises ``ValueError``.  The Farkas vector is expressed against the
+    rows as given (before the internal sign normalization).
     """
     m = len(rows)
     if m != len(rhs):
         raise ValueError("row/rhs length mismatch")
+    if not all(_rational(v) for v in rhs):
+        raise ValueError(f"right-hand side entries must be ints or Fractions, got {list(rhs)!r}")
     if m == 0:
         return EqualityFeasibility(True, (), None, 0)
     if dens is None:
@@ -117,6 +119,9 @@ def solve_equality_feasibility(
         matrix = np.asarray(rows)
         if matrix.ndim != 2 or len(dens) != m:
             raise ValueError("integer rows need a 2-d matrix and one denominator per row")
+        kind = matrix.dtype.kind
+        if kind not in "iuO" or kind == "O" and not all(type(v) is int for v in matrix.flat):
+            raise ValueError(f"integer rows must hold ints, got a matrix of dtype {matrix.dtype}")
         if any(isinstance(d, bool) or not isinstance(d, int) or d <= 0 for d in dens):
             raise ValueError(f"each row denominator must be a positive int, got {list(dens)!r}")
     n = matrix.shape[1]
@@ -129,7 +134,8 @@ def solve_equality_feasibility(
         result = _exact_loop(tab, n, m, signs, scale)
         if result is not None:
             return result
-    result = _guided(matrix, dens, rhs, signs)
+    guide = _guided(matrix, dens, rhs, signs)
+    result = None if guide is None else _certify(matrix, factors, b, scale, signs, *guide)
     if result is None:
         result = _exact_loop(_integer_tableau(matrix, factors, b, object), n, m, signs, scale)
     if result is None:
@@ -146,10 +152,16 @@ def _integral_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, list
     n = len(rows[0])
     if any(len(row) != n for row in rows):
         raise ValueError("ragged constraint matrix")
+    if not all(_rational(v) for row in rows for v in row):
+        raise ValueError("rational rows must hold ints or Fractions")
     dens = [lcm(*(v.denominator for v in row)) for row in rows]
     values = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(rows, dens)]
     fits = all(abs(v) <= _INT64_MAX for row in values for v in row)
     return np.array(values, np.int64 if fits else object), dens
+
+
+def _rational(value) -> bool:
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +227,11 @@ def _exact_loop(
 ) -> EqualityFeasibility | None:
     """The exact loop on an integer tableau, and the result read off its end."""
     final = _integer_bland(tab, n, m)
-    return None if final is None else _read_off(tab, n, *final, signs, scale)
+    if final is None:
+        return None
+    basis, pivots, d = final
+    values = tab[:m, -1].tolist()
+    return _farkas(tab[m].tolist(), n, d, signs, pivots) or _solution(values, basis, n, d, scale, pivots)
 
 
 def _integer_bland(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int, int] | None:
@@ -261,27 +277,28 @@ def _integer_bland(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int, int
         pivots += 1
 
 
-def _read_off(
-    tab: np.ndarray, n: int, basis: list[int], pivots: int, d: int, signs: list[int], scale: int
-) -> EqualityFeasibility | None:
-    """The result on a final fraction-free tableau, or None when a check fails.
+def _farkas(cost: list[int], n: int, d: int, signs: list[int], pivots: int) -> EqualityFeasibility | None:
+    """The Farkas vector a final cost row proves, or None.
 
-    Explicit tests, not ``assert``, so they hold under ``python -O``.
-    At the optimum every reduced cost is nonnegative.  A positive
-    objective (``cost[-1] < 0``) gives the phase-1 multipliers
-    ``y_i = 1 - cost[n + i] / d``, and ``u = -signs * y`` is a Farkas
-    vector for the rows as given.  A zero objective gives x_B, which must
-    be nonnegative with every basic artificial at zero.
+    The two readers take the integer tableau's scaling (d > 0, L), and
+    test explicitly, not by ``assert``, so they hold under ``python -O``.
+    ``cost`` is ``-D (w * signs) . A | d - w | -L D (w * signs) . b`` for
+    the phase-1 multipliers y = w / d.  Nonnegative structural costs and
+    ``cost[-1] < 0`` make ``u = -signs * y`` a Farkas vector for the rows
+    as given: u.A >= 0 and u.b < 0.  The artificial costs take no part in
+    that proof, so they may be negative.
     """
-    m = len(basis)
-    cost = tab[m].tolist()
-    if any(c < 0 for c in cost[: n + m]):
+    if cost[-1] >= 0 or any(c < 0 for c in cost[:n]):
         return None
-    if cost[-1] < 0:
-        farkas = tuple(Fraction(-s * (d - c), d) for s, c in zip(signs, cost[n : n + m]))
-        return EqualityFeasibility(False, None, farkas, pivots)
-    values = tab[:m, -1].tolist()
-    if cost[-1] > 0 or any(v < 0 for v in values) or any(v for j, v in zip(basis, values) if j >= n):
+    farkas = tuple(Fraction(-s * (d - c), d) for s, c in zip(signs, cost[n:-1]))
+    return EqualityFeasibility(False, None, farkas, pivots)
+
+
+def _solution(
+    values: list[int], basis: list[int], n: int, d: int, scale: int, pivots: int
+) -> EqualityFeasibility | None:
+    """x_B = values / (d L) off a final value column; None unless all >= 0, basic artificials 0."""
+    if any(v < 0 for v in values) or any(v for j, v in zip(basis, values) if j >= n):
         return None
     x = [_ZERO] * n
     for j, v in zip(basis, values):
@@ -297,8 +314,8 @@ def _read_off(
 
 def _guided(
     matrix: np.ndarray, dens: Sequence[int], rhs: Sequence[Fraction], signs: list[int]
-) -> EqualityFeasibility | None:
-    """The float guide's final basis settled by ``_certify``, or None when it proves nothing."""
+) -> tuple[list[int], int, bool] | None:
+    """The float guide's proposal ``(basis, pivots, dual_first)``, or None when it stops early."""
     m, n = matrix.shape
     try:
         # Overflow to inf or nan only misguides; the exact checks catch it.
@@ -311,7 +328,7 @@ def _guided(
         return None
     # tab[m, -1] is minus the guide's phase-1 objective: a positive
     # objective points at the Farkas check, so that one runs first.
-    return _certify(matrix, dens, rhs, signs, *guide, dual_first=bool(tab[m, -1] < -_TOL))
+    return *guide, bool(tab[m, -1] < -_TOL)
 
 
 def _quotients(matrix: np.ndarray, dens: Sequence[int]) -> np.ndarray:
@@ -377,74 +394,52 @@ def _float_guide(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int] | Non
 
 def _certify(
     matrix: np.ndarray,
-    dens: Sequence[int],
-    rhs: Sequence[Fraction],
+    factors: Sequence[int],
+    b: Sequence[int],
+    scale: int,
     signs: list[int],
     basis: list[int],
     pivots: int,
-    *,
     dual_first: bool,
 ) -> EqualityFeasibility | None:
-    """Settle a final Bland basis exactly, or None when it proves nothing.
+    """Settle the guide's final basis exactly, or None when it proves nothing.
 
-    Row i of the sign-normalized system is scaled by the positive
-    integer ``scale[i]``, the lcm of ``dens[i]`` and the denominator of
-    ``rhs[i]``, so the scaled system is integral, has the same solutions,
-    and artificial column i becomes ``scale[i] * e_i``.
-
-    Two exact checks can settle the basis: the primal solve proves
-    feasibility, the dual (Farkas) solve proves emptiness.  By the
-    Farkas alternative no basis passes both, so ``dual_first`` (the
-    caller's guess that the phase-1 optimum is positive) changes which
-    one runs first, never the result.
+    B is the basis block of the exact loop's integer tableau
+    (``factors[i] * matrix[i]`` on a structural column, e_i on an
+    artificial one), and d = |det B|.  ``B x = b`` gives the final value
+    column d B^-1 b for ``_solution``; ``B^T w = c_B`` gives w = d y and
+    the final cost row ``-(w * factors) . matrix | d - w | -w . b`` for
+    ``_farkas``.  No basis passes both readers (the Farkas alternative),
+    so ``dual_first`` changes which solve runs first, never the result.
     """
     m, n = matrix.shape
-    scale = [lcm(d, b.denominator) for d, b in zip(dens, rhs)]
-    factor = [s * (l // d) for s, l, d in zip(signs, scale, dens)]
-    b = [s * v.numerator * (l // v.denominator) for s, v, l in zip(signs, rhs, scale)]
-    # With no structural column every basic column is artificial.
-    picked = matrix[:, [j if j < n else 0 for j in basis]].tolist() if n else [[0] * m] * m
-    # basic[i][k]: the scaled entry of row i in basis column basis[k].
-    basic = [
-        [f * v if j < n else (l if j - n == i else 0) for v, j in zip(row, basis)]
-        for i, (row, f, l) in enumerate(zip(picked, factor, scale))
+    # B's columns in basis order: factors * a matrix column, or e_i for artificial i.
+    structural = iter(matrix[:, [j for j in basis if j < n]].T.tolist())
+    columns = [
+        [f * v for f, v in zip(factors, next(structural))] if j < n else [int(i == j - n) for i in range(m)]
+        for j in basis
     ]
 
-    def primal() -> EqualityFeasibility | None:
-        # B x_B = b.
-        mat, piv, d = echelon([row + [bi] for row, bi in zip(basic, b)], pivot_cols=m)
-        if len(piv) != m:  # singular basis
-            return None
-        x_basic = [Fraction(mat[k][m], d) for k in range(m)]
-        if any(v < 0 for v in x_basic) or any(v != 0 for j, v in zip(basis, x_basic) if j >= n):
-            return None
-        x = [_ZERO] * n
-        for j, v in zip(basis, x_basic):
-            if j < n:
-                x[j] = v
-        return EqualityFeasibility(True, tuple(x), None, pivots)
-
-    def dual() -> EqualityFeasibility | None:
-        # B^T y' = c_B in the scaled rows; the phase-1 multipliers of
-        # the unscaled rows are y_i = scale[i] * y'_i, with y' = w / |d|.
-        mat, piv, d = echelon(
-            [[basic[i][k] for i in range(m)] + [int(j >= n)] for k, j in enumerate(basis)],
-            pivot_cols=m,
-        )
+    def solve(system: list[list[int]]) -> tuple[list[int], int] | None:
+        # d times the solution, and d; None on a singular basis.
+        mat, piv, det = echelon(system, pivot_cols=m)
         if len(piv) != m:
             return None
-        sign = 1 if d > 0 else -1
-        w = [sign * mat[i][m] for i in range(m)]
-        # u = -y (then unsigned per row) is a Farkas vector exactly when
-        # y'.A'_j <= 0 on every structural column and y'.b' > 0.
-        if n and (np.array([wi * f for wi, f in zip(w, factor)], object) @ matrix > 0).any():
+        sign = 1 if det > 0 else -1
+        return [sign * row[m] for row in mat[:m]], abs(det)
+
+    def primal() -> EqualityFeasibility | None:
+        solved = solve([[*row, bi] for row, bi in zip(zip(*columns), b)])
+        return None if solved is None else _solution(solved[0], basis, n, solved[1], scale, pivots)
+
+    def dual() -> EqualityFeasibility | None:
+        solved = solve([[*column, int(j >= n)] for column, j in zip(columns, basis)])
+        if solved is None:
             return None
-        if sum(wi * bi for wi, bi in zip(w, b)) <= 0:
-            return None
-        farkas = tuple(
-            Fraction(-s * l * wi, abs(d)) for s, l, wi in zip(signs, scale, w)
-        )
-        return EqualityFeasibility(False, None, farkas, pivots)
+        w, d = solved
+        structural = np.array([-wi * f for wi, f in zip(w, factors)], object) @ matrix
+        cost = [*structural.tolist(), *(d - wi for wi in w), -sum(wi * bi for wi, bi in zip(w, b))]
+        return _farkas(cost, n, d, signs, pivots)
 
     for check in (dual, primal) if dual_first else (primal, dual):
         result = check()

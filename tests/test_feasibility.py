@@ -144,17 +144,21 @@ class TestDecide:
             problems = (triple("-1/2"), triple("-1/3"))
             exact = [feasibility.decide(p) for p in problems]
 
-            # The int64 loop's final tableau with its right-hand side
-            # negated: x_B < 0 on the feasible problem, a negative
-            # objective on the infeasible one.  The read-off refuses
-            # both and the float guide decides.
+            # The int64 loop's final tableau corrupted: a negative
+            # structural reduced cost in the cost row of the infeasible
+            # problem, the value column negated (x_B < 0) on the feasible
+            # one.  _farkas and _solution refuse both and the float guide
+            # decides.
             real_bland, real_guide = simplex._integer_bland, simplex._float_guide
             guides = []
 
             def corrupt(tab, n, m):
                 final = real_bland(tab, n, m)
                 if tab.dtype != object:
-                    tab[:, -1] *= -1
+                    if tab[m, -1] < 0:
+                        tab[m, 0] = -1
+                    else:
+                        tab[:m, -1] *= -1
                 return final
 
             simplex._integer_bland = corrupt

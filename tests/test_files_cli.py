@@ -321,6 +321,30 @@ class TestCLI:
         assert run(["inequalities", self.write(tmp_path, obj)]) == 0
         assert json.loads(capsys.readouterr().out)["input"]["means"] == ["0", -3, {"minus_cos_degrees": 30}]
 
+    @pytest.mark.parametrize("target", [{"minus_cos_degrees": 30}, "0"], ids=["surd", "rational"])
+    @pytest.mark.parametrize(
+        "edit,path",
+        [
+            (lambda obj: obj["constraints"].append({"exponents": {"W": 1}, "target": "0"}),
+             "constraints[6].exponents.W"),
+            (lambda obj: obj["constraints"].append({"exponents": {"X": 3}, "target": "0"}),
+             "constraints[6].exponents.X"),
+            (lambda obj: obj["constraints"].append(dict(obj["constraints"][1])), "constraints[6]"),
+            (lambda obj: obj["variables"].append({"name": "Y", "support": ["0", "1"]}), "variables[3].name"),
+        ],
+        ids=["unknown-variable", "higher-order", "duplicate-constraint", "duplicate-variable"],
+    )
+    def test_constraint_errors_carry_their_path_for_any_target(self, tmp_path, capsys, target, edit, path):
+        # A surd target builds no MomentProblem, yet the same checks run,
+        # and either way the error names the offending field.
+        obj = triple_file([target, "0", "0"])
+        edit(obj)
+        with pytest.raises(ValidationError) as err:
+            parse_problem(obj)
+        assert err.value.path == path
+        assert run(["inequalities", self.write(tmp_path, obj)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
+
     def test_boolean_exponent_is_status_2(self, tmp_path, capsys):
         obj = triple_file(["0", "0", "0"])
         obj["constraints"][0]["exponents"] = {"X": True}  # bool is an int subclass

@@ -113,8 +113,9 @@ def int64_path(rows, rhs):
 
 def guided_path(rows, rhs):
     """The float guide's basis settled by ``_certify``, or None when it proves nothing."""
-    matrix, dens = simplex._integral_rows(rows)
-    return simplex._guided(matrix, dens, rhs, signs_of(rhs))
+    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
+    guide = simplex._guided(matrix, dens, rhs, signs)
+    return None if guide is None else simplex._certify(matrix, factors, b, scale, signs, *guide)
 
 
 def force_guide(monkeypatch):
@@ -362,8 +363,9 @@ def test_bland_path_is_pinned_on_equal_pair_moments(n, pair, feasible, pivots):
 
 def certify_both_orders(matrix, dens, rhs, basis, pivots):
     signs = signs_of(rhs)
+    factors, b, scale = simplex._scales(dens, rhs, signs)
     return [
-        simplex._certify(matrix, dens, rhs, signs, basis, pivots, dual_first=dual_first)
+        simplex._certify(matrix, factors, b, scale, signs, basis, pivots, dual_first)
         for dual_first in (False, True)
     ]
 
@@ -504,6 +506,34 @@ def test_row_denominators_must_be_positive_ints(dens):
         solve_equality_feasibility([[1]], [F(1)], dens)
 
 
+@pytest.mark.parametrize(
+    "rows,rhs,dens",
+    [
+        ([[0.5, 1.0]], [F(1)], [1]),
+        (np.array([[1 + 0j]]), [F(1)], [1]),
+        (np.array([[True, False]]), [F(1)], [1]),
+        (np.array([[1, 2.0]], object), [F(1)], [1]),
+        (np.array([[1, True]], object), [F(1)], [1]),
+        ([[0.5]], [F(1)], None),
+        ([[F(1), True]], [F(1)], None),
+        ([[F(1)]], [1.5], None),
+        ([[1]], [1.5], [1]),
+        ([[F(1)]], [True], None),
+    ],
+)
+def test_inputs_that_are_not_rational_raise_value_error(rows, rhs, dens):
+    # Rejected up front, not by a TypeError or AttributeError deep in the solve.
+    with pytest.raises(ValueError, match="int"):
+        solve_equality_feasibility(rows, rhs, dens)
+
+
+def test_integer_rows_of_any_int_dtype_are_accepted():
+    expected = solve_equality_feasibility(np.array([[1, 2]], np.int64), [F(1, 2)], [3])
+    for matrix in (np.array([[1, 2]], object), np.array([[1, 2]], np.uint8)):
+        assert solve_equality_feasibility(matrix, [F(1, 2)], [3]) == expected
+    assert solve_equality_feasibility([[F(1, 3), 2]], [1], None).feasible
+
+
 def check_paths_agree(rows, rhs, *, same_path=False):
     """Each path's result checks exactly; int64 and Python ints agree field for field.
 
@@ -632,3 +662,61 @@ def test_read_off_rejects_a_corrupted_final_tableau(monkeypatch):
         assert solve_equality_feasibility(rows, rhs) == expected
         assert len(guides) == 1
         monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# The readers
+# ---------------------------------------------------------------------------
+
+INFEASIBLE_SYSTEMS = [
+    FALLBACK_SYSTEMS[1],
+    ([[F(1)]], [F(-1)]),
+    ([[F(-3), F(-3), F(0)], [F(1), F(0), F(-1)], [F(2), F(0), F(-1)]], [F(-3), F(-2), F(0)]),
+    ([[F(2), F(2)], [F(-3), F(3)], [F(-3), F(0)]], [F(2), F(2), F(-2)]),
+]
+
+
+def final_cost_row(rows, rhs):
+    """``(cost, d, signs, pivots)`` of the exact loop's final tableau."""
+    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
+    tab = simplex._integer_tableau(matrix, factors, b, object)
+    _, pivots, d = simplex._integer_bland(tab, len(rows[0]), len(rows))
+    return tab[-1].tolist(), d, signs, pivots
+
+
+@pytest.mark.parametrize("rows,rhs", INFEASIBLE_SYSTEMS)
+def test_farkas_reader_needs_a_positive_objective_and_nonnegative_structural_costs(rows, rhs):
+    n = len(rows[0])
+    cost, d, signs, pivots = final_cost_row(rows, rhs)
+    assert simplex._farkas(cost, n, d, signs, pivots) == exact_loop(rows, rhs)
+    for objective in (0, 1):
+        assert simplex._farkas([*cost[:-1], objective], n, d, signs, pivots) is None
+    for j in range(n):
+        assert simplex._farkas([*cost[:j], -1, *cost[j + 1 :]], n, d, signs, pivots) is None
+
+
+@pytest.mark.parametrize("rows,rhs", INFEASIBLE_SYSTEMS)
+def test_farkas_reader_accepts_negative_artificial_costs(rows, rhs):
+    # The cost row of k w for k = d + 1: structural costs and the
+    # objective keep their signs, and the artificial cost d - k w_i is
+    # negative wherever w_i > 0 (somewhere, since the objective is
+    # positive).  k u is still a Farkas vector.
+    n = len(rows[0])
+    cost, d, signs, pivots = final_cost_row(rows, rhs)
+    k = d + 1
+    scaled = [k * c for c in cost[:n]] + [d - k * (d - c) for c in cost[n:-1]] + [k * cost[-1]]
+    assert min(scaled[n:-1]) < 0
+    res = simplex._farkas(scaled, n, d, signs, pivots)
+    check_farkas(rows, rhs, res.farkas)
+    assert res.farkas == tuple(k * u for u in exact_loop(rows, rhs).farkas)
+
+
+def test_solution_reader_needs_nonnegative_values_and_zero_basic_artificials():
+    # Two structural columns, two rows; basis {x_1, artificial 0}, d = 2, L = 3.
+    n, basis, d, scale = 2, [1, 2], 2, 3
+    assert simplex._solution([12, 0], basis, n, d, scale, 5) == simplex.EqualityFeasibility(
+        True, (F(0), F(2)), None, 5
+    )
+    assert simplex._solution([-12, 0], basis, n, d, scale, 5) is None
+    assert simplex._solution([12, 1], basis, n, d, scale, 5) is None
+    assert simplex._solution([12, -1], basis, n, d, scale, 5) is None
