@@ -28,11 +28,10 @@ built once per structure and kept, read-only, in a bounded cache; a
 matrix above a fixed cell budget is built and used but not kept.  The
 cone oracle's dual description is cached the same way, per generator
 set (:func:`jointfeas.geometry.dual_rays`).  Every verdict then
-passes an exact gate that shares no code with that builder: a witness
-has each moment recomputed by :func:`jointfeas.probability.expectation`,
-and a certificate passes :func:`verify_certificate`, which scales the
-functional to integers and evaluates it over the lattice in chunks with
-tables of its own, again in int64 only when a bound proves it safe.
+passes an exact gate in :mod:`jointfeas.check`, which shares no code
+with that builder: a witness has its masses and every moment rechecked,
+and a certificate passes :func:`verify_certificate` (re-exported here),
+which evaluates its functional over the whole lattice.
 """
 
 from __future__ import annotations
@@ -47,11 +46,13 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
+from . import check
 from .algebraic import as_fraction
+from .check import verify_certificate
 from .errors import ConstraintMismatchError, SizeCapError, ValidationError
 from .geometry import cone_membership
 from .linalg import solve
-from .probability import Atom, FiniteRandomVariable, JointDistribution, expectation
+from .probability import Atom, FiniteRandomVariable, JointDistribution
 from .simplex import solve_equality_feasibility
 
 __all__ = [
@@ -74,8 +75,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 _INT64_MAX = (1 << 63) - 1
-# Atoms per vectorized step of the certificate gate.
-_CHUNK = 1 << 16
 
 
 _RELATIONS = ("==", "<=", ">=")
@@ -369,40 +368,6 @@ def _atoms(shape: tuple[int, ...], indices: Sequence[int]) -> list[Atom]:
     return list(zip(*axes))
 
 
-def _satisfies(value: Fraction, constraint: MomentConstraint) -> bool:
-    if constraint.relation == "<=":
-        return value <= constraint.target
-    if constraint.relation == ">=":
-        return value >= constraint.target
-    return value == constraint.target
-
-
-def _checked_witness(problem: MomentProblem, mass: Mapping[Atom, Fraction]) -> JointDistribution:
-    """The distribution with these atom masses, every moment rechecked exactly.
-
-    The recheck uses :func:`expectation`, not the row builder, so a
-    fault in the builder cannot vouch for its own output.
-    """
-    witness = JointDistribution(problem.variables, mass)
-    for c in problem.constraints:
-        got = expectation(witness, c.exponent_map)
-        if not _satisfies(got, c):
-            raise AssertionError(f"witness violates {c.describe()}: got {got}")
-    return witness
-
-
-def _checked_certificate(
-    problem: MomentProblem, cert: tuple[Fraction, ...], method: str
-) -> tuple[Fraction, ...]:
-    """The infeasibility certificate, once :func:`verify_certificate` accepts it.
-
-    An explicit test, not ``assert``, so the gate survives ``python -O``.
-    """
-    if not verify_certificate(problem, cert):  # soundness gate, never expected
-        raise AssertionError(f"{method} produced an invalid infeasibility certificate")
-    return cert
-
-
 def _range_certificate(
     problem: MomentProblem, idx: int, lo: Fraction, hi: Fraction
 ) -> tuple[Fraction, ...]:
@@ -462,7 +427,7 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
     for idx, c in enumerate(problem.constraints):
         lo, hi = problem.monomial_range(c)
         if _range_violated(c, lo, hi):
-            cert = _checked_certificate(problem, _range_certificate(problem, idx, lo, hi), "range check")
+            cert = check._checked_certificate(problem, _range_certificate(problem, idx, lo, hi), "range check")
             return FeasibilityResult(
                 "infeasible",
                 None,
@@ -480,81 +445,13 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
         # The certified solution is nonnegative, so nonzero means positive.
         columns = list(itertools.compress(range(count), lp.solution))
         mass = dict(zip(_atoms(shape, columns), (lp.solution[j] for j in columns)))
-        witness = _checked_witness(problem, mass)
+        check._checked_witness(problem, mass)
+        witness = JointDistribution(problem.variables, mass)
         return FeasibilityResult("feasible", witness, None, "simplex", {"pivots": lp.pivots})
     if lp.farkas is None:
         raise AssertionError("simplex reported infeasible without a Farkas vector")
-    cert = _checked_certificate(problem, tuple(lp.farkas), "simplex")
+    cert = check._checked_certificate(problem, tuple(lp.farkas), "simplex")
     return FeasibilityResult("infeasible", None, cert, "simplex", {"pivots": lp.pivots})
-
-
-def verify_certificate(problem: MomentProblem, certificate: Sequence[Fraction]) -> bool:
-    """Exact check of an infeasibility certificate.
-
-    The certificate has one coefficient per constraint plus one for the
-    normalization row (last).  It is valid when the combined functional
-    is nonnegative on every atom while its combined target value is
-    negative; no distribution can satisfy both.  Coefficients on
-    inequality-bounded constraints must additionally respect the bound's
-    direction (>= 0 for <=, <= 0 for >=).
-    """
-    m = len(problem.constraints)
-    if len(certificate) != m + 1:
-        raise ValidationError(
-            f"certificate has {len(certificate)} coefficients, expected {m + 1}"
-        )
-    cert = [as_fraction(c) for c in certificate]
-    for c, w in zip(problem.constraints, cert):
-        if c.relation == "<=" and w < 0:
-            return False
-        if c.relation == ">=" and w > 0:
-            return False
-    constant = sum((c.target * w for c, w in zip(problem.constraints, cert)), _ZERO)
-    constant += cert[m]
-    if constant >= 0:
-        return False
-
-    # Integer form: with L the lcm of the certificate's denominators and
-    # T the lcm of the value denominators of its monomials, T*L times the
-    # functional at an atom is  base + sum_i weight_i * M_i(atom), where
-    # M_i multiplies support numerators raised to their exponents.  The
-    # tables are built here, not by the row builder, so a fault there
-    # cannot vouch for its own output.
-    scale = lcm(*[w.denominator for w in cert])
-    monomials = []
-    for c, w in zip(problem.constraints, cert):
-        if w:
-            factors, den = [], 1
-            for name, k in c.exponents:
-                i = problem._index[name]
-                support = problem.variables[i].support
-                d = lcm(*[x.denominator for x in support])
-                factors.append((i, [(x.numerator * (d // x.denominator)) ** k for x in support]))
-                den *= d**k
-            monomials.append((w.numerator * (scale // w.denominator), den, factors))
-    common = lcm(*[den for _, den, _ in monomials])
-    base = cert[m].numerator * (scale // cert[m].denominator) * common
-    weights = [(w * (common // den), factors) for w, den, factors in monomials]
-    # Every partial sum and product below is at most this in magnitude.
-    bound = abs(base) + sum(
-        abs(w) * prod(max(1, *(abs(x) for x in table)) for _, table in factors) for w, factors in weights
-    )
-    dtype = np.int64 if bound <= _INT64_MAX else object
-    terms = [(w, [(i, np.array(table, dtype)) for i, table in factors]) for w, factors in weights]
-
-    shape = tuple(len(v.support) for v in problem.variables)
-    count = prod(shape)
-    for start in range(0, count, _CHUNK):
-        index = np.unravel_index(np.arange(start, min(start + _CHUNK, count)), shape)
-        value = np.full(len(index[0]), base, dtype)
-        for w, factors in terms:
-            term = np.full(len(index[0]), w, dtype)
-            for i, table in factors:
-                term *= table[index[i]]
-            value += term
-        if (value < 0).any():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +469,8 @@ def brute_force_oracle(
     membership is decided by enumerating the dual cone's extreme rays.
     It shares no pivoting with the simplex; both read their inputs from
     :func:`_constraint_rows` and use the exact kernel in
-    :mod:`jointfeas.linalg`, so the witness recheck and
-    :func:`verify_certificate`, which use neither, are the independent
-    gates.
+    :mod:`jointfeas.linalg`, so the gates of :mod:`jointfeas.check`,
+    which use neither, are the independent ones.
     """
     _check_atom_cap(atom_cap)
     count = problem.atom_count()
@@ -608,14 +504,15 @@ def brute_force_oracle(
             if w > 0 and column_of[g] < count
         }
         mass = dict(zip(_atoms(shape, list(kept)), kept.values()))
-        witness = _checked_witness(problem, mass)
+        check._checked_witness(problem, mass)
+        witness = JointDistribution(problem.variables, mass)
         return FeasibilityResult("feasible", witness, None, "cone-rays", {})
     if membership.separator is None:
         raise AssertionError("cone oracle reported non-membership without a separator")
     # Separator coordinates are (normalization, constraints...); the
     # certificate convention puts normalization last.
     sep = membership.separator
-    cert = _checked_certificate(problem, tuple(map(Fraction, (*sep[1:], sep[0]))), "cone oracle")
+    cert = check._checked_certificate(problem, tuple(map(Fraction, (*sep[1:], sep[0]))), "cone oracle")
     return FeasibilityResult("infeasible", None, cert, "cone-rays", {})
 
 

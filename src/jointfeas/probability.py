@@ -1,9 +1,10 @@
 """Exact finite probability: variables, joint distributions, moments.
 
 All arithmetic in this module is exact: values and masses are
-`fractions.Fraction`, and moments are summed over integer numerators
-(supports over their common denominators, masses over theirs) with one
-`Fraction` built at the end.  Feasibility verdicts and probability-1
+`fractions.Fraction`.  Moments are computed by the witness gate's own
+helper in :mod:`jointfeas.check`, which sums integer numerators
+(supports over their common denominators, masses over theirs) and
+builds one `Fraction` at the end.  Feasibility verdicts and probability-1
 statements elsewhere in the package lean on that exactness, so nothing
 here may round.  Values are immutable after construction and every
 operation is a pure function.
@@ -23,6 +24,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .algebraic import ExactNumber, as_fraction, make_surd
+from .check import _moment
 from .errors import ConstraintMismatchError, ValidationError
 
 Atom = tuple[int, ...]
@@ -195,29 +197,9 @@ def expectation(dist: JointDistribution, exponents: Mapping[str, int]) -> Fracti
     for name, k in exponents.items():
         if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
             raise ValidationError(f"exponent for {name} must be a positive integer")
-    # Integer form: each support over its common denominator D_v, with
-    # the numerators raised to k, and the masses over their lcm L, so the
-    # moment is one integer sum over L * prod(D_v ** k).  The tables are
-    # built here, from the distribution alone, so this stays a check
-    # independent of the LP row builder.  lcm gets lists, not generators:
-    # CPython unpacks a generator into a shrunk 10-slot tuple, and in a
-    # hot loop those pile up on its tuple free lists (peak RSS).
-    tables = []
-    den = 1
-    for name, k in exponents.items():
-        position = dist.index(name)
-        support = dist.variables[position].support
-        d = lcm(*[x.denominator for x in support])
-        tables.append((position, [(x.numerator * (d // x.denominator)) ** k for x in support]))
-        den *= d**k
+    positions = [(dist.index(name), k) for name, k in exponents.items()]
     scale = lcm(*[p.denominator for p in dist.mass.values()])
-    total = 0
-    for atom, p in dist.mass.items():
-        term = p.numerator * (scale // p.denominator)
-        for position, table in tables:
-            term *= table[atom[position]]
-        total += term
-    return Fraction(total, scale * den)
+    return _moment(dist.variables, dist.mass, scale, positions)
 
 
 def variance(dist: JointDistribution, name: str) -> Fraction:

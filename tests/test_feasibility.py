@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from jointfeas import (
     MomentConstraint,
     MomentProblem,
     brute_force_oracle,
+    check,
+    cli,
     decide,
     expectation,
     feasibility,
@@ -24,6 +27,7 @@ from jointfeas import (
 )
 from jointfeas.errors import ConstraintMismatchError, SizeCapError, ValidationError
 from jointfeas.feasibility import _constraint_rows
+from jointfeas.files import PROBLEM_SCHEMA
 from jointfeas.simplex import solve_equality_feasibility
 
 from conftest import random_problem
@@ -88,19 +92,19 @@ class TestDecide:
         script = textwrap.dedent(
             """
             import sys
-            from jointfeas import MomentConstraint, MomentProblem, feasibility, pm_one
+            from jointfeas import MomentConstraint, MomentProblem, check, feasibility, pm_one
 
-            real = feasibility.verify_certificate
+            real = check.verify_certificate
             checked = []
 
             def spy(problem, cert):
                 checked.append(real(problem, cert))
                 return checked[-1]
 
-            feasibility.verify_certificate = spy
+            check.verify_certificate = spy
             prob = MomentProblem((pm_one("X"),), (MomentConstraint.of({"X": 1}, 2),))
             result = feasibility.decide(prob)
-            feasibility.verify_certificate = lambda problem, cert: False
+            check.verify_certificate = lambda problem, cert: False
             try:
                 feasibility.decide(prob)
                 gate = "skipped"
@@ -123,7 +127,7 @@ class TestDecide:
         script = textwrap.dedent(
             """
             import sys
-            from jointfeas import MomentConstraint, MomentProblem, feasibility, pm_one, simplex
+            from jointfeas import MomentConstraint, MomentProblem, check, feasibility, pm_one, simplex
 
             names = ("X", "Y", "Z")
             pairs = (("X", "Y"), ("Y", "Z"), ("X", "Z"))
@@ -184,7 +188,7 @@ class TestDecide:
             certify_rejected = len(fallbacks)
             same = [outcome(a) == outcome(b) == outcome(c) for a, b, c in zip(exact, corrupted, forced)]
 
-            feasibility.verify_certificate = lambda problem, cert: False
+            check.verify_certificate = lambda problem, cert: False
             try:
                 feasibility.decide(problems[0])
                 gate = "skipped"
@@ -235,7 +239,7 @@ class TestDecide:
         assert proc.stdout.split() == ["1", "True", "False"]
 
     @pytest.mark.parametrize("solver", [decide, brute_force_oracle])
-    def test_gates_catch_a_corrupt_row_builder(self, solver, monkeypatch):
+    def test_gates_catch_a_corrupt_row_builder(self, solver, monkeypatch, tmp_path):
         # Both solvers read their inputs from _constraint_rows; the witness
         # and certificate gates must not, or a fault there would pass itself.
         # The builder's matrix is read-only, so the fault goes into a copy.
@@ -252,6 +256,29 @@ class TestDecide:
             solver(triple([0] * 3, ["1/2", "-1/2", "-1/2"]))
         with pytest.raises(AssertionError, match="invalid .*certificate"):
             solver(triple([0] * 3, ["-1/2"] * 3))
+
+        # A normalization row of 2s, but 1 at atom (0, 0): masses meeting
+        # it need not sum to 1, and the gate, not JointDistribution's
+        # input validation (exit 2), must refuse them.
+        def unnormalized(*args, **kwargs):
+            matrix, dens, rhs = real(*args, **kwargs)
+            matrix = matrix.copy()
+            matrix[-1] = 2
+            matrix[-1, 0] = 1
+            return matrix, dens, rhs
+
+        monkeypatch.setattr(feasibility, "_constraint_rows", unnormalized)
+        with pytest.raises(AssertionError, match="witness masses sum to"):
+            solver(MomentProblem((pm_one("X"), pm_one("Y")), (MomentConstraint.of({"X": 1}, 0),)))
+        problem_file = {
+            "schema": PROBLEM_SCHEMA,
+            "kind": "finite-moment",
+            "variables": [{"name": n, "support": ["-1", "1"]} for n in "XY"],
+            "constraints": [{"exponents": {"X": 1}, "target": "0"}],
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem_file))
+        assert cli.run(["decide", str(path)]) == cli.EXIT_INTERNAL == 3
 
     def test_atom_cap(self):
         vs = tuple(pm_one(f"X{i}") for i in range(12))
@@ -560,7 +587,7 @@ def test_certificate_gate_spans_chunks(monkeypatch):
     # 2**10 atoms in chunks of 100; every target is 2, out of range on purpose.
     variables = tuple(pm_one(f"X{i}") for i in range(10))
     prob = MomentProblem(variables, tuple(MomentConstraint.of({v.name: 1}, 2) for v in variables))
-    monkeypatch.setattr(feasibility, "_CHUNK", 100)
+    monkeypatch.setattr(check, "_CHUNK", 100)
     # 10 - sum(X) >= 0 on every atom, and its target value -10 is negative
     assert verify_certificate(prob, [F(-1)] * 10 + [F(10)])
     # 9 - sum(X) is negative only at the all-ones atom, the last of the last chunk
@@ -599,13 +626,13 @@ def test_witness_read_off_matches_the_column_scan(monkeypatch, rng):
     # decide hands the witness gate the mass dict, in the same order, that
     # the per-column comprehension {atom(j): x for x > 0} built.
     seen = []
-    real = feasibility._checked_witness
+    real = check._checked_witness
 
     def spy(problem, mass):
         seen.append(list(mass.items()))
         return real(problem, mass)
 
-    monkeypatch.setattr(feasibility, "_checked_witness", spy)
+    monkeypatch.setattr(check, "_checked_witness", spy)
     checked = 0
     for _ in range(150):
         problem = random_problem(rng)

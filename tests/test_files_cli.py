@@ -502,3 +502,9 @@ class TestCLI:
         )
         assert proc.returncode == 0
         assert '"verdict": "feasible"' in proc.stdout
+
+    @pytest.mark.parametrize("argv, status", [(["corpus"], 0), ([], 2)])
+    def test_package_runs_as_a_module(self, argv, status):
+        # Without a __main__, python -m jointfeas exited 1, which reads as "infeasible".
+        proc = subprocess.run([sys.executable, "-m", "jointfeas", *argv], capture_output=True, text=True)
+        assert proc.returncode == status, proc.stderr
