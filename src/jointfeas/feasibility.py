@@ -11,7 +11,8 @@ test suite:
 
 * :func:`decide` - phase-1 simplex (Bland's rule) on an exact
   fraction-free integer tableau, or, for LPs too large for int64, guided
-  in floating point and settled by an exact basis solve
+  in floating point (Dantzig's rule, with a Bland guard against
+  cycling) and settled by an exact basis solve
   (:mod:`jointfeas.simplex`).  Returns a witness distribution or a
   Farkas certificate.
 * :func:`brute_force_oracle` - dual-cone ray enumeration
@@ -406,15 +407,16 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
     """Exact feasibility verdict with witness or verified certificate.
 
     Deterministic for a fixed problem: atoms are enumerated in
-    lexicographic index order and the simplex uses Bland's rule.  The
-    simplex decides on an exact fraction-free integer tableau, in int64
-    when a bound proves that safe; above the bound, float arithmetic only
-    picks the final basis, whose value column and cost row are solved
-    exactly in the same integer scaling (or the exact loop reruns on
-    Python ints when the basis proves nothing).  On every path one pair
-    of exact readers turns the final column or row into the solution or
-    Farkas vector, and the verdict then passes the exact witness recheck
-    or :func:`verify_certificate`.
+    lexicographic index order and every pivoting rule is deterministic.
+    The simplex decides by Bland's rule on an exact fraction-free integer
+    tableau, in int64 when a bound proves that safe; above the bound, a
+    float guide priced by Dantzig's rule (Bland's rule after a run of
+    degenerate pivots) only picks the final basis, whose value column and
+    cost row are solved exactly in the same integer scaling (or the exact
+    loop reruns on Python ints when the basis proves nothing).  On every
+    path one pair of exact readers turns the final column or row into the
+    solution or Farkas vector, and the verdict then passes the exact
+    witness recheck or :func:`verify_certificate`.
     """
     _check_atom_cap(atom_cap)
     count = problem.atom_count()

@@ -15,6 +15,10 @@ by descending through faces, reusing the same rays: for a dual ray r
 the face F = C ∩ r⊥ equals C ∩ {x : r.x <= 0}, so its dual is
 F* = C* + R·r (the dual of an intersection of polyhedral cones is the
 sum of their duals), and the rays of C* describe every face's dual.
+A cone that contains a line has as its smallest face its lineality
+space C ∩ -C, on which every dual ray vanishes; the descent ends there,
+and the rest of the target is written through one small double
+description of the generators' relations.
 The dual description depends only on the generators, never on the
 target: :func:`dual_rays` computes it once per distinct generator set
 and keeps it in a bounded cache, so a sweep of targets over one set of
@@ -210,8 +214,10 @@ def _express_in_cone(
     face, a proper face of lower dimension.  Otherwise the remainder is
     in F's relative interior: subtract the largest multiple of one
     generator that keeps every live r'.x >= 0, which lands the remainder
-    on a face.  The dimension drops at least every second round, so the
-    combination has at most dim(C) generators.
+    on a face.  The dimension drops at least every second round, so on a
+    pointed cone the combination has at most dim(C) generators.  When C
+    contains a line, the descent may end on its lineality space, where
+    no live ray is left; :func:`_express_in_span` finishes there.
 
     The remainder is kept as one integer vector over one positive
     denominator; only the returned weights are ``Fraction`` values.
@@ -231,18 +237,23 @@ def _express_in_cone(
             live = [k for k in live if any(table[k][i] for i in active)]
             continue
 
-        g = active[0]
-        # The live ray minimizing r.cur / r.g over r.g > 0.
-        best = None
-        best_rc = best_rg = 0
-        for k in live:
-            rg = table[k][g]
-            if rg > 0 and (best is None or vals[k] * best_rg < best_rc * rg):
-                best, best_rc, best_rg = k, vals[k], rg
-        if best is None:
-            # In a pointed cone some dual ray is positive on each nonzero
-            # generator; none is positive on g only when C holds a line.
-            raise ValueError("face descent needs a pointed cone; this one contains a line")
+        if not live:
+            # No ray is positive on a generator of F, so F = span(F) is the
+            # lineality space of C, and cur / den lies in it.
+            for i, w in _express_in_span(cur, den, [gens[i] for i in active]).items():
+                weights[active[i]] = weights.get(active[i], Fraction(0)) + w
+            break
+        # The first generator with a live ray positive on it (in a pointed
+        # cone, active[0]), and the live ray minimizing r.cur / r.g over r.g > 0.
+        for g in active:
+            best = None
+            best_rc = best_rg = 0
+            for k in live:
+                rg = table[k][g]
+                if rg > 0 and (best is None or vals[k] * best_rg < best_rc * rg):
+                    best, best_rc, best_rg = k, vals[k], rg
+            if best is not None:
+                break
         if best_rc <= 0:
             raise AssertionError("face descent produced a nonpositive step")
         # Subtract (best_rc / (den * best_rg)) * gens[g] from cur / den.
@@ -254,3 +265,21 @@ def _express_in_cone(
         den //= common
         vals = {k: _dot(rays[k], cur) for k in live}
     return weights
+
+
+def _express_in_span(cur: list[int], den: int, gens: list[IntVec]) -> dict[int, Fraction]:
+    """Nonnegative weights on ``gens`` that combine to cur / den, when cone(gens) is a linear space.
+
+    The relations {(w, s) >= 0 : sum_i w_i gens[i] = s cur} form a pointed
+    cone, and cur lies in cone(gens), so one of its extreme rays has
+    s > 0: that ray's w / (s den) are the weights.  An extreme ray has
+    minimal support, so at most rank(gens) weights are nonzero.
+    """
+    size = len(gens) + 1
+    units = [tuple(int(i == j) for j in range(size)) for i in range(size)]
+    relations = [(*column, -c) for column, c in zip(zip(*gens), cur)]
+    halfspaces = units + relations + [tuple(-x for x in row) for row in relations]
+    ray = next((r for r in _extreme_rays_pointed(halfspaces) if r[-1] > 0), None)
+    if ray is None:
+        raise AssertionError("remainder is not in the lineality space")
+    return {i: Fraction(w, ray[-1] * den) for i, w in enumerate(ray[:-1]) if w}

@@ -31,16 +31,21 @@ entries.  A system is decided on one of three paths:
    first pivot, from exact squared norms; when E < 2**31 every
    ``p N - f r`` fits int64 and the whole loop runs in int64 with no
    runtime check.
-2. **Float guide and exact certificate**, above that bound.  Bland's
-   rule (``_float_guide``) runs on a float64 copy of the rational
-   tableau, with a tolerance on every sign test and a hard pivot cap.
-   Each cell is ``matrix[i, j] / dens[i]`` correctly rounded: float64
-   division when both are below 2**53 in magnitude, Python int division
-   otherwise, so the tableau equals the one filled with
-   ``float(Fraction)`` bit for bit.  Its only output is a final basis B,
-   which ``_certify`` solves exactly (:mod:`jointfeas.linalg`) in the
-   integer tableau's scaling: ``B x = b`` gives the final value column
-   for ``_solution``, ``B^T w = c_B`` the final cost row for ``_farkas``.
+2. **Float guide and exact certificate**, above that bound.  The guide
+   (``_float_guide``) runs on a float64 copy of the rational tableau,
+   with a tolerance on every sign test and a hard pivot cap.  It prices
+   by Dantzig's rule (the most negative reduced cost enters; ratio ties
+   go to the largest pivot element), which takes far fewer pivots than
+   Bland's rule on large moment LPs, and it falls back to Bland's rule
+   after a run of degenerate pivots until the next nondegenerate one,
+   so it cannot cycle.  Each cell is ``matrix[i, j] / dens[i]``
+   correctly rounded: float64 division when both are below 2**53 in
+   magnitude, Python int division otherwise, so the tableau equals the
+   one filled with ``float(Fraction)`` bit for bit.  Its only output is
+   a final basis B, which ``_certify`` solves exactly
+   (:mod:`jointfeas.linalg`) in the integer tableau's scaling:
+   ``B x = b`` gives the final value column for ``_solution``,
+   ``B^T w = c_B`` the final cost row for ``_farkas``.
    The guide's phase-1 objective picks which solve runs first (the dual
    one when it is positive); no basis passes both readers, so the order
    changes the cost, never the result.  No float value reaches a result;
@@ -53,9 +58,11 @@ entries.  A system is decided on one of three paths:
 On success the basic feasible solution is returned; on failure the dual
 multipliers of the phase-1 optimum yield a Farkas vector u with
 u.A >= 0 componentwise and u.b < 0, an independently checkable
-certificate of emptiness.  The basis determines both, so a guide that
-follows Bland's exact path gives the exact loop's solution, Farkas
-vector and pivot count.
+certificate of emptiness.  The basis determines both.  The guide may
+end on another optimal basis than the exact loop's, so a guided
+result may hold another solution or Farkas vector, and another pivot
+count, than the exact loop would give; its verdict is the same, and
+both readers check it exactly.
 """
 
 from __future__ import annotations
@@ -78,6 +85,8 @@ _ZERO = Fraction(0)
 # tableau column before the exact loop takes over.
 _TOL = 1e-9
 _PIVOT_CAP_PER_COLUMN = 50
+# Consecutive degenerate pivots after which the guide enters by Bland's rule.
+_DEGENERATE_RUN = 50
 
 _INT64_MAX = (1 << 63) - 1
 # Integers below this in magnitude are exact doubles.
@@ -124,6 +133,9 @@ def solve_equality_feasibility(
             raise ValueError(f"integer rows must hold ints, got a matrix of dtype {matrix.dtype}")
         if any(isinstance(d, bool) or not isinstance(d, int) or d <= 0 for d in dens):
             raise ValueError(f"each row denominator must be a positive int, got {list(dens)!r}")
+        if kind == "u" and matrix.max(initial=0) <= _INT64_MAX:
+            # Unsigned rows that fit int64 take the int64 path like signed ones.
+            matrix = matrix.astype(np.int64)
     n = matrix.shape[1]
 
     # Normalize to b >= 0, remembering the sign applied to each row.
@@ -357,12 +369,18 @@ def _tableau(matrix: np.ndarray, dens: Sequence[int], rhs: Sequence[Fraction], s
 
 
 def _float_guide(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int] | None:
-    """Bland's rule on the float tableau, in place, from the all-artificial basis.
+    """Dantzig's rule on the float tableau, in place, from the all-artificial basis.
 
-    Entries within ``_TOL`` of zero count as zero and ratios within
-    ``_TOL`` of the minimum as ties.  Returns the final basis (column
-    index per row) and the pivot count, or None when the pivot cap is
-    reached or no leaving row exists.
+    The entering column has the most negative reduced cost, and ratio-test
+    ties go to the largest pivot element.  After ``_DEGENERATE_RUN``
+    consecutive degenerate pivots (minimum ratio within ``_TOL`` of zero)
+    Bland's rule takes over, smallest index entering and smallest basis
+    index leaving, until the next nondegenerate pivot: a cycle of bases
+    can only form within a degenerate run, and Bland's rule ends every
+    such run.  Entries within ``_TOL`` of zero count as zero and ratios
+    within ``_TOL`` of the minimum as ties.  Returns the final basis
+    (column index per row) and the pivot count, or None when the pivot
+    cap is reached or no leaving row exists.
     """
     cap = _PIVOT_CAP_PER_COLUMN * (n + m)
     basis = np.arange(n, n + m)
@@ -370,8 +388,10 @@ def _float_guide(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int] | Non
     rhs = tab[:m, -1]
     update = np.empty_like(tab)
     pivots = 0
+    degenerate = 0  # consecutive degenerate pivots so far
     while True:
-        entering = int(np.argmax(cost < -_TOL))
+        bland = degenerate >= _DEGENERATE_RUN
+        entering = int(np.argmax(cost < -_TOL) if bland else np.argmin(cost))
         if cost[entering] >= -_TOL:
             return basis.tolist(), pivots
         if pivots >= cap:
@@ -381,8 +401,10 @@ def _float_guide(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int] | Non
         if candidates.size == 0:
             return None
         ratios = rhs[candidates] / column[candidates]
-        ties = candidates[ratios <= ratios.min() + _TOL]
-        leaving = int(ties[np.argmin(basis[ties])])
+        least = ratios.min()
+        ties = candidates[ratios <= least + _TOL]
+        leaving = int(ties[np.argmin(basis[ties])] if bland else ties[np.argmax(column[ties])])
+        degenerate = degenerate + 1 if least <= _TOL else 0
 
         prow = tab[leaving] / tab[leaving, entering]
         np.multiply.outer(tab[:, entering], prow, out=update)

@@ -448,10 +448,44 @@ def test_corpus_oracle_dual_rays_equal_the_lifted_path(monkeypatch):
         assert dual_rays(gens) == lifted_dual_rays(gens)
 
 
-def test_face_descent_refuses_a_cone_with_a_line():
+def test_face_descent_answers_a_cone_with_a_line():
     # cone((1), (-1)) is the whole line: its dual is {0}, no ray to descend on.
-    with pytest.raises(ValueError, match="contains a line"):
-        cone_membership([(1,), (-1,)], (-1,))
+    res = cone_membership([(1,), (-1,)], (-1,))
+    assert res.member
+    check_combination([(1,), (-1,)], (-1,), res.combination)
+    # The upper half plane holds the line through (1, 0); (0, 1) is a member
+    # and (0, -1) is not.
+    gens = [(1, 0), (-1, 0), (0, 1)]
+    for target in [(0, 1), (5, 2), (-5, 2), (-3, 0)]:
+        res = cone_membership(gens, target)
+        assert res.member and res.separator is None
+        check_combination(gens, target, res.combination)
+    assert cone_membership(gens, (0, -1)) == geometry.ConeMembership(False, None, (0, 1))
+
+
+@st.composite
+def cones_with_lines(draw):
+    """Integer generators in dimension 1-4, some of them with their negations."""
+    gens = draw(generator_sets)
+    negated = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
+    return gens + [tuple(-x for x in g) for g in negated]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cones_with_lines(), st.data())
+def test_membership_in_cones_with_lines_matches_the_simplex(gens, data):
+    dim = len(gens[0])
+    target = tuple(
+        F(x) for x in data.draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
+    )
+    res = cone_membership(gens, target)
+    columns = [[g[k] for g in gens] for k in range(dim)]
+    assert res.member == solve_equality_feasibility(columns, list(target)).feasible
+    if res.member:
+        check_combination(gens, target, res.combination)
+    else:
+        assert all(dot(res.separator, g) >= 0 for g in gens)
+        assert dot(res.separator, target) < 0
 
 
 # ---------------------------------------------------------------------------

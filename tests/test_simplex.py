@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_problem
-from jointfeas import FiniteRandomVariable, MomentConstraint, MomentProblem, decide, feasibility, pm_one, simplex
+from jointfeas import (
+    FiniteRandomVariable, MomentConstraint, MomentProblem, check, decide, feasibility, pm_one, simplex
+)
 from jointfeas.simplex import solve_equality_feasibility
 
 F = Fraction
@@ -123,6 +126,11 @@ def force_guide(monkeypatch):
     monkeypatch.setattr(simplex, "_INT64_SAFE", 0)
 
 
+def force_bland(monkeypatch):
+    """The guide's anti-cycling guard holds from the first pivot: Bland's rule throughout."""
+    monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 0)
+
+
 def fraction_rows(matrix, dens):
     """The rational rows ``matrix[i] / dens[i]``."""
     return [[F(v, d) for v in row] for row, d in zip(matrix.tolist(), dens)]
@@ -195,14 +203,22 @@ def spy_guide(monkeypatch):
 
 
 def test_guide_follows_bland_path_on_moment_problems(monkeypatch):
-    # Small-denominator moment LPs: the guide takes Bland's exact path,
-    # so every field (including the pivot count) matches the exact loop,
-    # and the exact certificate accepts every final basis.
+    # Small-denominator moment LPs.  Held to Bland's rule, the guide takes
+    # the exact loop's path, so every field (including the pivot count)
+    # matches it.  Under its own pricing it may end on another optimal
+    # basis, but with the exact loop's verdict and a result that checks
+    # exactly.  Either way the exact certificate accepts every final
+    # basis: no LP falls back to the Python-int loop.
     rng = random.Random(7)
     lps = [feasibility._constraint_rows(random_problem(rng)) for _ in range(150)]
     expected = [exact_loop(fraction_rows(matrix, dens), rhs) for matrix, dens, rhs in lps]
     force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
+    for (matrix, dens, rhs), exact in zip(lps, expected):
+        res = solve_equality_feasibility(matrix, rhs, dens)
+        assert res.feasible == exact.feasible
+        check_result(fraction_rows(matrix, dens), rhs, res)
+    force_bland(monkeypatch)
     assert [solve_equality_feasibility(matrix, rhs, dens) for matrix, dens, rhs in lps] == expected
     assert calls == []
 
@@ -216,10 +232,17 @@ def test_guide_follows_bland_path_on_moment_problems(monkeypatch):
     ],
 )
 def test_infeasible_basis_is_certified_without_fallback(monkeypatch, rows, rhs):
+    # Under its own pricing the guide may end on another basis; its
+    # Farkas vector checks exactly.  Held to Bland's rule it ends on the
+    # exact loop's basis, the one whose Bareiss pivot is negative.
     expected = exact_loop(rows, rhs)
     assert not expected.feasible
     force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
+    res = solve_equality_feasibility(rows, rhs)
+    assert not res.feasible
+    check_result(rows, rhs, res)
+    force_bland(monkeypatch)
     assert solve_equality_feasibility(rows, rhs) == expected
     assert calls == []
 
@@ -320,17 +343,24 @@ def test_pivot_cap_fallback_keeps_decide_results(monkeypatch):
         assert (a.witness and a.witness.mass) == (b.witness and b.witness.mass)
 
 
-def equal_pair_moment_lp(n, pair):
-    """+-1 variables with zero means and every pair moment equal to ``pair``."""
+def equal_pair_moment_problem(n, pair):
+    """+-1 variables with zero means and every pair moment equal to ``pair``.
+
+    Feasible exactly when ``pair >= -1 / (n - 1)``.
+    """
     names = [f"X{i}" for i in range(n)]
-    problem = MomentProblem(
+    return MomentProblem(
         tuple(pm_one(v) for v in names),
         tuple(
             [MomentConstraint.of({v: 1}, 0) for v in names]
             + [MomentConstraint.of({a: 1, b: 1}, pair) for a, b in combinations(names, 2)]
         ),
     )
-    matrix, dens, rhs = feasibility._constraint_rows(problem)
+
+
+def equal_pair_moment_lp(n, pair):
+    """The rational rows and right-hand side of ``equal_pair_moment_problem``."""
+    matrix, dens, rhs = feasibility._constraint_rows(equal_pair_moment_problem(n, pair))
     return fraction_rows(matrix, dens), rhs
 
 
@@ -346,7 +376,9 @@ PINNED_BLAND_PATHS = [
 
 
 @pytest.mark.parametrize("n,pair,feasible,pivots", PINNED_BLAND_PATHS)
-def test_bland_path_is_pinned_on_equal_pair_moments(n, pair, feasible, pivots):
+def test_bland_path_is_pinned_on_equal_pair_moments(monkeypatch, n, pair, feasible, pivots):
+    # The guide held to Bland's rule, as its anti-cycling guard runs it.
+    force_bland(monkeypatch)
     rows, rhs = equal_pair_moment_lp(n, pair)
     signs = signs_of(rhs)
     # The capped guide first: a loop that leaves Bland's path fails here
@@ -359,6 +391,53 @@ def test_bland_path_is_pinned_on_equal_pair_moments(n, pair, feasible, pivots):
     check_result(rows, rhs, res)
     if n == 6:
         assert exact_loop(rows, rhs) == res
+
+
+@pytest.mark.parametrize("n,pair,feasible,pivots", PINNED_BLAND_PATHS)
+def test_degenerate_guard_hands_over_to_bland_and_back(monkeypatch, n, pair, feasible, pivots):
+    # With the guard set off by a single degenerate pivot, the guide mixes
+    # both rules: its path is neither Bland's (pinned) nor Dantzig's alone.
+    # Its basis still certifies without the fallback, with the exact
+    # loop's verdict.
+    rows, rhs = equal_pair_moment_lp(n, pair)
+    matrix, dens = simplex._integral_rows(rows)
+
+    def guide_pivots():
+        tab = simplex._tableau(matrix, dens, rhs, signs_of(rhs))
+        return simplex._float_guide(tab, len(rows[0]), len(rows))[1]
+
+    monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 10**9)
+    dantzig = guide_pivots()
+    monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 1)
+    guarded = guide_pivots()
+    assert guarded not in (dantzig, pivots)
+    calls = spy_exact_loop(monkeypatch)
+    res = solve_equality_feasibility(rows, rhs)
+    assert (res.feasible, res.pivots) == (feasible, guarded)
+    check_result(rows, rhs, res)
+    assert calls == []
+
+
+@pytest.mark.parametrize("pair,feasible", [(F(-1, 20), True), (F(-1, 8), False)])
+def test_guide_decides_eleven_pm_one_pairs_without_fallback(monkeypatch, pair, feasible):
+    # 2,048 atoms and 67 rows, over the int64 bound.  Bland's rule needs
+    # tens of thousands of pivots here, or reaches the guide's pivot cap;
+    # the guide's pricing takes about a hundred, and its basis certifies.
+    problem = equal_pair_moment_problem(11, pair)
+    guides = spy_guide(monkeypatch)
+    calls = spy_exact_loop(monkeypatch)
+    certified = []
+    real = simplex._certify
+    monkeypatch.setattr(simplex, "_certify", lambda *args: certified.append(real(*args)) or certified[-1])
+    result = decide(problem)
+    assert result.verdict == ("feasible" if feasible else "infeasible")
+    assert len(guides) == 1 and calls == []
+    assert len(certified) == 1 and certified[0].feasible == feasible
+    assert certified[0].pivots == result.detail["pivots"] < 1000
+    if feasible:
+        check._checked_witness(problem, result.witness.mass)
+    else:
+        assert check.verify_certificate(problem, result.certificate)
 
 
 def certify_both_orders(matrix, dens, rhs, basis, pivots):
@@ -393,17 +472,26 @@ def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasib
     rows, rhs = equal_pair_moment_lp(n, pair)
     matrix, dens = simplex._integral_rows(rows)
     signs = signs_of(rhs)
-    guide = simplex._float_guide(simplex._tableau(matrix, dens, rhs, signs), len(rows[0]), len(rows))
-    primal_first, dual_first = certify_both_orders(matrix, dens, rhs, *guide)
-    assert (primal_first.feasible, primal_first.pivots) == (feasible, pivots)
-
-    # The guide's objective points at the check that succeeds: one exact
-    # solve per LP, infeasible ones included.
-    solves = []
     real = simplex.echelon
-    monkeypatch.setattr(simplex, "echelon", lambda *a, **k: solves.append(1) or real(*a, **k))
-    assert primal_first == dual_first == solve_equality_feasibility(rows, rhs)
-    assert len(solves) == 1
+    # The guide under its own pricing, then held to Bland's rule, whose
+    # path (and pivot count) is pinned.
+    for bland in (False, True):
+        if bland:
+            force_bland(monkeypatch)
+        guide = simplex._float_guide(simplex._tableau(matrix, dens, rhs, signs), len(rows[0]), len(rows))
+        primal_first, dual_first = certify_both_orders(matrix, dens, rhs, *guide)
+        assert primal_first.feasible == feasible
+        check_result(rows, rhs, primal_first)
+        if bland:
+            assert primal_first.pivots == pivots
+
+        # The guide's objective points at the check that succeeds: one exact
+        # solve per LP, infeasible ones included.
+        solves = []
+        monkeypatch.setattr(simplex, "echelon", lambda *a, **k: solves.append(1) or real(*a, **k))
+        assert primal_first == dual_first == solve_equality_feasibility(rows, rhs)
+        assert len(solves) == 1
+        monkeypatch.setattr(simplex, "echelon", real)
 
 
 @settings(max_examples=100, deadline=None)
@@ -527,19 +615,27 @@ def test_inputs_that_are_not_rational_raise_value_error(rows, rhs, dens):
         solve_equality_feasibility(rows, rhs, dens)
 
 
-def test_integer_rows_of_any_int_dtype_are_accepted():
+def test_integer_rows_of_any_int_dtype_are_accepted(monkeypatch):
+    # Unsigned rows that fit int64 take the int64 path, so they get the
+    # int64 rows' result; Python-int rows go to the float guide, whose
+    # result checks exactly and has the same verdict.
     expected = solve_equality_feasibility(np.array([[1, 2]], np.int64), [F(1, 2)], [3])
-    for matrix in (np.array([[1, 2]], object), np.array([[1, 2]], np.uint8)):
-        assert solve_equality_feasibility(matrix, [F(1, 2)], [3]) == expected
+    guides = spy_guide(monkeypatch)
+    for dtype in (np.uint8, np.uint64):
+        assert solve_equality_feasibility(np.array([[1, 2]], dtype), [F(1, 2)], [3]) == expected
+    assert guides == []
+    res = solve_equality_feasibility(np.array([[1, 2]], object), [F(1, 2)], [3])
+    assert res.feasible and len(guides) == 1
+    check_result([[F(1, 3), F(2, 3)]], [F(1, 2)], res)
     assert solve_equality_feasibility([[F(1, 3), 2]], [1], None).feasible
 
 
 def check_paths_agree(rows, rhs, *, same_path=False):
     """Each path's result checks exactly; int64 and Python ints agree field for field.
 
-    The float guide may stop early or, on entries far apart in size,
-    leave Bland's exact path for another optimal basis.  With
-    ``same_path`` (small entries) it must return the exact loop's result.
+    The float guide may stop early, and under its own pricing it may end
+    on another optimal basis.  With ``same_path`` (small entries, and the
+    guide held to Bland's rule) it must return the exact loop's result.
     """
     exact = exact_loop(rows, rhs)
     check_result(rows, rhs, exact)
@@ -591,7 +687,8 @@ def small_systems(draw):
     ),
 ))
 def test_all_three_paths_give_equal_results_on_small_entries(system):
-    check_paths_agree(*system, same_path=True)
+    with patch.object(simplex, "_DEGENERATE_RUN", 0):
+        check_paths_agree(*system, same_path=True)
 
 
 def largest_under_bound(m):
