@@ -47,6 +47,10 @@ def as_fraction(value: Union[int, str, Fraction]) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction would expand an exponent into an integer with that many
+        # digits, with no bound on time or memory.
+        if "e" in value or "E" in value:
+            raise ValidationError(f"not a rational number: {value!r}; exponents are not accepted")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -44,14 +44,7 @@ from .hidden_variable import (
     verify_factorization,
     verify_noncontextuality,
 )
-from .inequalities import (
-    InequalityReport,
-    eval_bell_original,
-    eval_chsh,
-    eval_spin1_strengthened,
-    eval_triple_lower_bound_with_means,
-    eval_triple_moment_bounds,
-)
+from .inequalities import CLOSED_FORMS, InequalityReport
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -158,28 +151,8 @@ def cmd_hidden_variable(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_TRIPLE_PAIRS = ((0, 1), (1, 2), (0, 2))
-_CHSH_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
-
-
-def _moment_lookup(parsed: dict[str, Any]) -> dict[tuple, Any]:
-    moments: dict[tuple, Any] = {}
-    names = [v.name for v in parsed["variables"]]
-    for exponents, target, relation in parsed["constraints"]:
-        if relation != "==":
-            continue  # a bounded moment does not pin a value
-        key = tuple(sorted((n, k) for n, k in exponents.items()))
-        moments[key] = target
-    moments["names"] = names  # type: ignore[index]
-    return moments
-
-
-def _pair_moment(moments: dict, names: list[str], i: int, j: int):
-    return moments.get(tuple(sorted(((names[i], 1), (names[j], 1)))))
-
-
-def _mean(moments: dict, names: list[str], i: int):
-    return moments.get(((names[i], 1),))
+# The variable count each closed form needs, as its error message words it.
+_NEEDS = {3: "exactly three variables", 4: "exactly four variables in the order A, A', B, B'"}
 
 
 def _inequality_rows(
@@ -227,54 +200,28 @@ def _inequality_rows(
                 raise ValidationError(f"unknown inequality id {op!r} for gaussian files")
         return rows
 
-    moments = _moment_lookup(parsed)
-    names = moments.pop("names")
+    names = [v.name for v in parsed["variables"]]
+    pinned = {
+        tuple(sorted(exponents.items())): target
+        for exponents, target, relation in parsed["constraints"]
+        if relation == "=="  # a bounded moment does not pin a value
+    }
     n = len(names)
-    triple_ids = ["triple_moment_bounds", "triple_lower_bound_with_means", "bell_original"]
-    quad_ids = ["chsh", "spin1_strengthened"]
-    selected = which or (triple_ids if n == 3 else quad_ids)
-
+    selected = which or [
+        op for op, form in CLOSED_FORMS.items() if form.variables == (3 if n == 3 else 4)
+    ]
     for op in selected:
-        if op in triple_ids:
-            if n != 3:
-                raise ValidationError(f"{op} needs exactly three variables")
-            pairs = [_pair_moment(moments, names, i, j) for i, j in _TRIPLE_PAIRS]
-            missing = [
-                f"E({names[i]}*{names[j]})"
-                for (i, j), m in zip(_TRIPLE_PAIRS, pairs)
-                if m is None
-            ]
-            if op == "triple_lower_bound_with_means":
-                means = [_mean(moments, names, i) for i in range(3)]
-                missing += [f"E({names[i]})" for i in range(3) if means[i] is None]
-                if missing:
-                    raise ValidationError(f"{op}: missing moments {missing}")
-                report = eval_triple_lower_bound_with_means(*pairs, *means)
-            else:
-                if missing:
-                    raise ValidationError(f"{op}: missing moments {missing}")
-                evaluator = (
-                    eval_triple_moment_bounds if op == "triple_moment_bounds" else eval_bell_original
-                )
-                report = evaluator(*pairs)
-        elif op in quad_ids:
-            if n != 4:
-                raise ValidationError(
-                    f"{op} needs exactly four variables in the order A, A', B, B'"
-                )
-            pairs = [_pair_moment(moments, names, i, j) for i, j in _CHSH_PAIRS]
-            missing = [
-                f"E({names[i]}*{names[j]})"
-                for (i, j), m in zip(_CHSH_PAIRS, pairs)
-                if m is None
-            ]
-            if missing:
-                raise ValidationError(f"{op}: missing moments {missing}")
-            evaluator = eval_chsh if op == "chsh" else eval_spin1_strengthened
-            report = evaluator(*pairs)
-        else:
+        form = CLOSED_FORMS.get(op)
+        if form is None:
             raise ValidationError(f"unknown inequality id {op!r}")
-        rows.append(_inequality_row(report))
+        if n != form.variables:
+            raise ValidationError(f"{op} needs {_NEEDS[form.variables]}")
+        read = [[names[i] for i in positions] for positions in form.moments()]
+        keys = [tuple(sorted((name, 1) for name in moment)) for moment in read]
+        missing = [f"E({'*'.join(moment)})" for moment, key in zip(read, keys) if key not in pinned]
+        if missing:
+            raise ValidationError(f"{op}: missing moments {missing}")
+        rows.append(_inequality_row(form.evaluate(*(pinned[key] for key in keys))))
 
     return rows
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from .algebraic import as_fraction
 from .errors import JointfeasError, ValidationError
@@ -50,13 +50,7 @@ from .hidden_variable import (
     verify_factorization,
     verify_noncontextuality,
 )
-from .inequalities import (
-    eval_bell_original,
-    eval_chsh,
-    eval_spin1_strengthened,
-    eval_triple_lower_bound_with_means,
-    eval_triple_moment_bounds,
-)
+from .inequalities import CLOSED_FORMS, ClosedForm
 from .probability import (
     correlation,
     covariance,
@@ -69,15 +63,6 @@ from .probability import (
 __all__ = ["CaseResult", "corpus_dir", "load_cases", "run_case", "run_corpus"]
 
 ENV_VAR = "JOINTFEAS_CORPUS"
-
-_INEQUALITY_OPS: dict[str, Callable[..., Any]] = {
-    "triple_moment_bounds": eval_triple_moment_bounds,
-    "triple_lower_bound_with_means": eval_triple_lower_bound_with_means,
-    "bell_original": eval_bell_original,
-    "chsh": eval_chsh,
-    "spin1_strengthened": eval_spin1_strengthened,
-}
-
 
 @dataclass(frozen=True)
 class CaseResult:
@@ -128,16 +113,12 @@ def _compare(expected: Any, actual: Any, path: str, mismatches: list[str]) -> No
         mismatches.append(f"{path}: expected {expected!r}, got {actual!r}")
 
 
-def _zero_mean_grid(
-    step: Fraction,
-    names: tuple[str, ...],
-    pairs: tuple[tuple[str, str], ...],
-    evaluate: Callable[..., Any],
-) -> dict[str, int]:
+def _zero_mean_grid(step: Fraction, names: tuple[str, ...], form: ClosedForm) -> dict[str, int]:
     """Closed form versus ``decide`` on every grid point of the pair moments.
 
-    The observables are zero-mean +-1 variables; each pair moment runs
-    over -1, -1 + step, ... up to 1.
+    The observables are zero-mean +-1 variables, named in the form's
+    variable order; each pair moment it reads runs over -1, -1 + step,
+    ... up to 1.
     """
     values = []
     v = Fraction(-1)
@@ -146,16 +127,16 @@ def _zero_mean_grid(
         v += step
     variables = tuple(pm_one(n) for n in names)
     cases = disagreements = 0
-    for moments in itertools.product(values, repeat=len(pairs)):
+    for moments in itertools.product(values, repeat=len(form.pairs)):
         cases += 1
-        report = evaluate(*moments)
+        report = form.evaluate(*moments)
         problem = MomentProblem(
             variables,
             tuple(
                 [MomentConstraint.of({n: 1}, 0) for n in names]
                 + [
-                    MomentConstraint.of({a: 1, b: 1}, m)
-                    for (a, b), m in zip(pairs, moments)
+                    MomentConstraint.of({names[i]: 1, names[j]: 1}, m)
+                    for (i, j), m in zip(form.pairs, moments)
                 ]
             ),
         )
@@ -218,25 +199,18 @@ def _run_checks(case: dict) -> dict[str, Any]:
         return actual
 
     if kind == "inequality":
-        op = _INEQUALITY_OPS[case["op"]]
         args = [parse_exact(v, f"args[{i}]") for i, v in enumerate(case["args"])]
-        report = op(*args)
+        report = CLOSED_FORMS[case["op"]].evaluate(*args)
         return {"verdict": report.verdict, "slack": encode_exact(report.slack)}
 
     if kind == "triple_grid":
         return _zero_mean_grid(
-            as_fraction(case["step"]),
-            ("X", "Y", "Z"),
-            (("X", "Y"), ("Y", "Z"), ("X", "Z")),
-            eval_triple_moment_bounds,
+            as_fraction(case["step"]), ("X", "Y", "Z"), CLOSED_FORMS["triple_moment_bounds"]
         )
 
     if kind == "chsh_grid":
         return _zero_mean_grid(
-            as_fraction(case["step"]),
-            ("A", "Ap", "B", "Bp"),
-            (("A", "B"), ("A", "Bp"), ("Ap", "B"), ("Ap", "Bp")),
-            eval_chsh,
+            as_fraction(case["step"]), ("A", "Ap", "B", "Bp"), CLOSED_FORMS["chsh"]
         )
 
     if kind == "exchangeable_grid":

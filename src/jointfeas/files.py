@@ -283,12 +283,17 @@ def _parse_finite_moment(obj: Mapping[str, Any]) -> dict[str, Any]:
         if not isinstance(mass_obj, Mapping) or not mass_obj:
             raise _fail("distribution.mass", "expected a non-empty object")
         value_mass = {}
+        keys: dict[tuple, str] = {}
         for key, p in mass_obj.items():
+            mpath = f"distribution.mass[{key!r}]"
             parts = [s.strip() for s in str(key).split(",")]
             if len(parts) != len(variables):
-                raise _fail(f"distribution.mass[{key!r}]", "outcome arity mismatch")
-            outcome = tuple(parse_exact(s, f"distribution.mass[{key!r}]") for s in parts)
-            value_mass[outcome] = parse_exact(p, f"distribution.mass[{key!r}]")
+                raise _fail(mpath, "outcome arity mismatch")
+            outcome = tuple(parse_exact(s, mpath) for s in parts)
+            if outcome in keys:
+                raise _fail(mpath, f"repeats the outcome {keys[outcome]!r}")
+            keys[outcome] = key
+            value_mass[outcome] = parse_exact(p, mpath)
         try:
             result["distribution"] = distribution_from_values(variables, value_mass)
         except ValidationError as exc:
@@ -338,16 +343,39 @@ def _exact_list(obj: Mapping[str, Any], key: str, n: int) -> list[ExactNumber] |
     return [parse_exact(v, f"{key}[{i}]") for i, v in enumerate(values)]
 
 
+def _parse_matrix(matrix: Any) -> list[list[Fraction | None]]:
+    """The exact entries of a square ``matrix``: rationals in [-1, 1], or None for missing."""
+    if not isinstance(matrix, Sequence) or isinstance(matrix, str) or not matrix:
+        raise _fail("matrix", "expected a non-empty list of rows")
+    n = len(matrix)
+    rows: list[list[Fraction | None]] = []
+    for i, row in enumerate(matrix):
+        if not isinstance(row, Sequence) or isinstance(row, str) or len(row) != n:
+            raise _fail(f"matrix[{i}]", f"expected a row of {n} entries")
+        exact_row: list[Fraction | None] = []
+        for j, v in enumerate(row):
+            path = f"matrix[{i}][{j}]"
+            if v is None:
+                exact_row.append(None)
+                continue
+            parsed = parse_exact(v, path)
+            if isinstance(parsed, Surd):
+                raise _fail(path, "correlations must be rational")
+            if not -1 <= parsed <= 1:
+                raise _fail(path, "known correlations must lie in [-1, 1]")
+            exact_row.append(parsed)
+        rows.append(exact_row)
+    return rows
+
+
 def _parse_gaussian(obj: Mapping[str, Any]) -> dict[str, Any]:
     _expect_keys(
         obj, "$", {"schema", "kind", "matrix"}, {"label", "names", "means", "variances", "options"}
     )
     _expect_keys(obj.get("options", {}), "options", set(), {"tol"})
-    matrix = obj["matrix"]
-    if not isinstance(matrix, Sequence) or isinstance(matrix, str):
-        raise _fail("matrix", "expected a list of rows")
+    exact_entries = _parse_matrix(obj["matrix"])
     try:
-        corr = PartialCorrelationMatrix.from_rows(matrix)
+        corr = PartialCorrelationMatrix.from_rows(exact_entries)
     except ValidationError as exc:
         raise _fail("matrix", str(exc)) from None
     n = corr.dimension
@@ -365,18 +393,6 @@ def _parse_gaussian(obj: Mapping[str, Any]) -> dict[str, Any]:
     for i, v in enumerate(variances or ()):
         if not v > 0:
             raise _fail(f"variances[{i}]", "a variance must be positive")
-    exact_entries: list[list[Fraction | None]] = []
-    for i, row in enumerate(matrix):
-        exact_row: list[Fraction | None] = []
-        for j, v in enumerate(row):
-            if v is None:
-                exact_row.append(None)
-            else:
-                parsed = parse_exact(v, f"matrix[{i}][{j}]")
-                if isinstance(parsed, Surd):
-                    raise _fail(f"matrix[{i}][{j}]", "correlations must be rational")
-                exact_row.append(parsed)
-        exact_entries.append(exact_row)
     return {
         "kind": "gaussian",
         "label": obj.get("label", ""),
@@ -420,6 +436,8 @@ def load_problem_file(path: str) -> dict[str, Any]:
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             path=path,
         ) from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ValidationError(f"invalid JSON: {exc}", path=path) from None
     return parse_problem(obj)
 
 

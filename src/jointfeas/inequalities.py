@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .algebraic import ExactNumber, exact_abs, exact_min, exact_sign, make_exact
 from .errors import ValidationError
 
 __all__ = [
+    "CLOSED_FORMS",
+    "ClosedForm",
     "InequalityReport",
     "eval_bell_original",
     "eval_chsh",
@@ -175,3 +177,41 @@ def eval_spin1_strengthened(eab, eabp, eapb, eapbp) -> InequalityReport:
     extra = 2 * (exact_abs(e["eab"]) - 1) * (exact_abs(e["eabp"]) - 1)
     lhs = exact_abs(e["eab"] - e["eabp"]) + exact_abs(e["eapb"] + e["eapbp"]) + extra
     return _report("spin1_strengthened", e, 2 - lhs, lhs=lhs, extra_term=extra)
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """A closed-form inequality's evaluator and the moments it reads.
+
+    The evaluator's arguments are the product moments E(V_i V_j) of the
+    variable positions in ``pairs``, in order, followed by the mean of
+    every variable when ``means`` is set.
+    """
+
+    evaluate: Callable[..., InequalityReport]
+    pairs: tuple[tuple[int, int], ...]
+    means: bool = False
+
+    @property
+    def variables(self) -> int:
+        """How many variables the form needs: one past the largest position it reads."""
+        return 1 + max(max(pair) for pair in self.pairs)
+
+    def moments(self) -> list[tuple[int, ...]]:
+        """The variable positions of each moment read, in argument order."""
+        means = [(i,) for i in range(self.variables)] if self.means else []
+        return [*self.pairs, *means]
+
+
+_TRIPLE_PAIRS = ((0, 1), (1, 2), (0, 2))  # X, Y, Z
+_CHSH_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))  # A, A', B, B'
+
+CLOSED_FORMS: dict[str, ClosedForm] = {
+    "triple_moment_bounds": ClosedForm(eval_triple_moment_bounds, _TRIPLE_PAIRS),
+    "triple_lower_bound_with_means": ClosedForm(
+        eval_triple_lower_bound_with_means, _TRIPLE_PAIRS, means=True
+    ),
+    "bell_original": ClosedForm(eval_bell_original, _TRIPLE_PAIRS),
+    "chsh": ClosedForm(eval_chsh, _CHSH_PAIRS),
+    "spin1_strengthened": ClosedForm(eval_spin1_strengthened, _CHSH_PAIRS),
+}

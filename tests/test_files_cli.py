@@ -307,6 +307,59 @@ class TestCLI:
         assert run(["inequalities", str(problem)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:")
 
+    @pytest.mark.parametrize(
+        "matrix, path",
+        [
+            ("[]", "matrix"),
+            ('{"0": ["1"]}', "matrix"),
+            ('[null, ["1/2", "1"]]', "matrix[0]"),
+            ('[["1", "1/2"], true]', "matrix[1]"),
+            ('[["1", "1/2"], 7]', "matrix[1]"),
+            ('["ab", "cd"]', "matrix[0]"),
+            ('[["1", "1/2"], ["1/2"]]', "matrix[1]"),
+            ('[["1", "1%s"], ["0", "1"]]' % ("0" * 400), "matrix[0][1]"),
+            ('[["1", "1/2"], ["-3/2", "1"]]', "matrix[1][0]"),
+            ('[["1", "abc"], ["abc", "1"]]', "matrix[0][1]"),
+            ('[["1", true], [true, "1"]]', "matrix[0][1]"),
+            ('[["1", "1/2"], ["1/2", 0.5]]', "matrix[1][1]"),
+            ('[["1", {"minus_cos_degrees": 30}], [{"minus_cos_degrees": 30}, "1"]]', "matrix[0][1]"),
+            ('[["1", "1e5000"], ["1e5000", "1"]]', "matrix[0][1]"),
+        ],
+        ids=[
+            "empty", "object", "null-row", "true-row", "number-row", "string-rows", "short-row",
+            "huge-integer", "out-of-range", "bad-string", "boolean", "float", "surd", "exponent",
+        ],
+    )
+    def test_bad_matrix_is_status_2_at_its_entry(self, tmp_path, capsys, matrix, path):
+        problem = tmp_path / "problem.json"
+        obj = {"schema": PROBLEM_SCHEMA, "kind": "gaussian", "matrix": "PLACEHOLDER"}
+        problem.write_text(json.dumps(obj).replace('"PLACEHOLDER"', matrix), encoding="utf-8")
+        assert run(["inequalities", str(problem)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda obj: obj["variables"][0]["support"].append("1e5000"), "variables[0].support[2]"),
+            (lambda obj: obj["constraints"][0].update(target="1e-5000"), "constraints[0].target"),
+            (lambda obj: obj["constraints"][3].update(target="-2.5E-1"), "constraints[3].target"),
+        ],
+        ids=["support", "target", "capital-E"],
+    )
+    def test_exponent_strings_are_status_2(self, tmp_path, capsys, edit, path):
+        obj = triple_file(["0", "0", "0"])
+        edit(obj)
+        assert run(["decide", self.write(tmp_path, obj)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:") and "exponents are not accepted" in err
+
+    def test_oversized_integer_literal_is_status_2(self, tmp_path, capsys):
+        problem = tmp_path / "problem.json"
+        text = json.dumps(triple_file(["0", "0", "0"])).replace('"target": "0"', '"target": 1' + "0" * 5000, 1)
+        problem.write_text(text, encoding="utf-8")
+        assert run(["decide", str(problem)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {problem}: invalid JSON:")
+
     def test_exact_means_and_variances_are_accepted(self, tmp_path, capsys):
         obj = {
             "schema": PROBLEM_SCHEMA,
@@ -430,6 +483,17 @@ class TestCLI:
         assert len(model["lambda_points"]) == 6
         assert report["results"]["verification"]["factorization_full"] is True
 
+    def test_repeated_outcome_is_status_2(self, tmp_path, capsys):
+        # 1/2 and 2/4 name one outcome: read as one key, the masses would total 5/4
+        obj = {
+            "schema": PROBLEM_SCHEMA,
+            "kind": "finite-moment",
+            "variables": [{"name": "X", "support": ["1/2", "1"]}],
+            "distribution": {"mass": {"1/2": "1/4", "2/4": "1/2", "1": "1/2"}},
+        }
+        assert run(["hidden-variable", self.write(tmp_path, obj)]) == 2
+        assert capsys.readouterr().err == "error: distribution.mass['2/4']: repeats the outcome '1/2'\n"
+
     def test_hidden_variable_infeasible_is_status_1(self, tmp_path, capsys):
         path = self.write(tmp_path, triple_file(["-1/2", "-1/2", "-1/2"]))
         assert run(["hidden-variable", path]) == 1
@@ -471,6 +535,32 @@ class TestCLI:
         del obj["constraints"][3]  # drop E(XY)
         assert run(["inequalities", self.write(tmp_path, obj)]) == 2
         assert "E(X*Y)" in capsys.readouterr().err
+
+    def test_inequalities_read_each_moment_into_its_argument(self, tmp_path, capsys):
+        pairs = [("A", "B"), ("A", "Bp"), ("Ap", "B"), ("Ap", "Bp")]
+        chsh = {
+            "schema": PROBLEM_SCHEMA,
+            "kind": "finite-moment",
+            "variables": [{"name": n, "support": ["-1", "1"]} for n in ("A", "Ap", "B", "Bp")],
+            "constraints": [
+                {"exponents": {b: 1, a: 1}, "target": f"{k}/10"} for k, (a, b) in enumerate(pairs, 1)
+            ],
+        }
+        triple = triple_file(["1/10", "1/5", "3/10"], means=("-1/10", "-1/5", "-3/10"))
+        pair_inputs = {"exy": "1/10", "eyz": "1/5", "exz": "3/10"}
+        expected = {
+            "chsh": {"eab": "1/10", "eabp": "1/5", "eapb": "3/10", "eapbp": "2/5"},
+            "spin1_strengthened": {"eab": "1/10", "eabp": "1/5", "eapb": "3/10", "eapbp": "2/5"},
+            "triple_moment_bounds": pair_inputs,
+            "triple_lower_bound_with_means": {**pair_inputs, "x0": "-1/10", "y0": "-1/5", "z0": "-3/10"},
+            "bell_original": pair_inputs,
+        }
+        inputs = {}
+        for obj in (chsh, triple):
+            assert run(["inequalities", self.write(tmp_path, obj)]) == 0
+            rows = json.loads(capsys.readouterr().out)["results"]["inequalities"]
+            inputs.update({r["inequality"]: r["inputs"] for r in rows})
+        assert inputs == expected
 
     def test_gaussian_inequalities(self, tmp_path, capsys):
         obj = {
