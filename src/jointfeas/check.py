@@ -8,9 +8,10 @@ nonnegative, sum to exactly 1 and meet every moment
 whole atom lattice.  Both read only the problem's supports, constraints
 and the proof itself, and build their integer tables with one helper,
 :func:`_monomial_tables`, which :func:`jointfeas.probability.expectation`
-shares.  This module imports nothing from the row builder, the simplex,
-the cone oracle or the exact linear algebra, so a fault in any of them
-cannot vouch for its own output.  A failed gate raises
+and :func:`jointfeas.hidden_variable.verify_factorization` share.  This
+module imports nothing from the row builder, the simplex, the cone
+oracle or the exact linear algebra, so a fault in any of them cannot
+vouch for its own output.  A failed gate raises
 ``AssertionError`` from an explicit test, which survives ``python -O``.
 """
 

@@ -34,6 +34,7 @@ from .feasibility import (
 from .files import (
     canonical_dumps,
     encode_exact,
+    exact_text,
     load_problem_file,
     render_report,
     serialize_distribution,
@@ -67,7 +68,7 @@ def _feasibility_payload(problem, result: FeasibilityResult) -> dict[str, Any]:
     if result.witness is not None:
         payload["witness"] = serialize_distribution(result.witness)
     if result.certificate is not None:
-        payload["certificate"] = [str(c) for c in result.certificate]
+        payload["certificate"] = [exact_text(c) for c in result.certificate]
         payload["certificate_verified"] = verify_certificate(problem, result.certificate)
     return payload
 
@@ -111,7 +112,7 @@ def _serialize_model(model) -> dict[str, Any]:
         "lambda_points": [
             {
                 "label": pt.label,
-                "probability": str(pt.probability),
+                "probability": exact_text(pt.probability),
                 "conditional": serialize_distribution(pt.conditional)["mass"],
             }
             for pt in model.points

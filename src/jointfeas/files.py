@@ -28,6 +28,7 @@ reports for identical inputs.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -44,6 +45,7 @@ __all__ = [
     "REPORT_SCHEMA",
     "canonical_dumps",
     "encode_exact",
+    "exact_text",
     "load_problem_file",
     "parse_exact",
     "parse_problem",
@@ -159,17 +161,38 @@ def _parse_poly_root(poly: Any, interval: Any, path: str) -> ExactNumber:
     raise _fail(f"{path}.interval", "interval does not isolate a root of the polynomial")
 
 
+def exact_text(value: Fraction) -> str:
+    """``str(value)``, also past Python's limit on the digits of an int it writes.
+
+    Exact arithmetic can make a report value far longer than any input
+    (a witness mass over the product of two 3,000-digit denominators).
+    The limit guards parsing, so it is lifted only to retry a conversion
+    that failed, and put back at once.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        if not hasattr(sys, "set_int_max_str_digits"):  # no limit to lift
+            raise
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def encode_exact(value: ExactNumber) -> Any:
     """Canonical JSON form: 'p/q' strings, or poly+interval for surds."""
     if isinstance(value, Fraction):
-        return str(value)
+        return exact_text(value)
     # monic minimal polynomial of a + b sqrt(d): x^2 - 2a x + (a^2 - b^2 d)
     c1 = -2 * value.a
     c0 = value.a * value.a - value.b * value.b * value.d
     lo, hi = value.enclosure()
     return {
-        "poly": [str(c0), str(c1), "1"],
-        "interval": [str(lo), str(hi)],
+        "poly": [exact_text(c0), exact_text(c1), "1"],
+        "interval": [exact_text(lo), exact_text(hi)],
     }
 
 
@@ -204,6 +227,13 @@ def _parse_variables(spec: Any, path: str) -> tuple[FiniteRandomVariable, ...]:
     return tuple(out)
 
 
+def _parse_label(obj: Mapping[str, Any]) -> str:
+    label = obj.get("label", "")
+    if not isinstance(label, str):
+        raise _fail("label", "expected a string")
+    return label
+
+
 def _parse_atom_cap(options: Mapping[str, Any]) -> int | None:
     atom_cap = options.get("atom_cap")
     if atom_cap is not None and (
@@ -235,7 +265,7 @@ def _parse_finite_moment(obj: Mapping[str, Any]) -> dict[str, Any]:
 
     result: dict[str, Any] = {
         "kind": "finite-moment",
-        "label": obj.get("label", ""),
+        "label": _parse_label(obj),
         "variables": variables,
         "atom_cap": atom_cap,
     }
@@ -326,7 +356,7 @@ def _parse_ghz(obj: Mapping[str, Any]) -> dict[str, Any]:
             raise _fail("quadruples", str(exc)) from None
     return {
         "kind": "ghz",
-        "label": obj.get("label", ""),
+        "label": _parse_label(obj),
         "config": config,
         "problem": build_ghz_problem(config),
         "atom_cap": _parse_atom_cap(obj.get("options", {})),
@@ -395,7 +425,7 @@ def _parse_gaussian(obj: Mapping[str, Any]) -> dict[str, Any]:
             raise _fail(f"variances[{i}]", "a variance must be positive")
     return {
         "kind": "gaussian",
-        "label": obj.get("label", ""),
+        "label": _parse_label(obj),
         "names": list(names),
         "correlations": corr,
         "exact_entries": exact_entries,
@@ -438,7 +468,12 @@ def load_problem_file(path: str) -> dict[str, Any]:
         ) from None
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise ValidationError(f"invalid JSON: {exc}", path=path) from None
-    return parse_problem(obj)
+    except RecursionError:
+        raise ValidationError("invalid JSON: nested too deeply", path=path) from None
+    try:
+        return parse_problem(obj)
+    except RecursionError:  # exact-number objects nested in "poly" coefficients
+        raise ValidationError("exact numbers nested too deeply", path=path) from None
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +499,10 @@ def _jsonify(value: Any) -> Any:
 def serialize_distribution(dist: JointDistribution) -> dict[str, Any]:
     return {
         "variables": [
-            {"name": v.name, "support": [str(x) for x in v.support]} for v in dist.variables
+            {"name": v.name, "support": [exact_text(x) for x in v.support]} for v in dist.variables
         ],
         "mass": {
-            ",".join(str(x) for x in dist.values_at(atom)): str(p)
+            ",".join(exact_text(x) for x in dist.values_at(atom)): exact_text(p)
             for atom, p in dist.mass.items()
         },
     }

@@ -18,16 +18,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .algebraic import as_fraction
+from .check import _monomial_tables
 from .errors import ValidationError
 from .probability import (
     Atom,
     FiniteRandomVariable,
     JointDistribution,
-    expectation,
     point_mass,
 )
 
@@ -140,47 +141,69 @@ class FactorizationReport:
 def verify_factorization(model: HiddenVariableModel, order: int | str = "full") -> FactorizationReport:
     """Does every conditional law factor across the observables?
 
+    Each lambda point's conditional masses are put over one common
+    denominator S (the lcm of their denominators), so a mass p is the
+    integer m = p * S, and n observables compare in integers:
+
     order "full": the conditional pmf of each lambda point must equal
-    the product of its one-variable marginals on every atom.  Only the
-    atoms in the product of the marginal supports (the support indices
-    with positive marginal mass) are visited, in ``atom_space`` order:
-    off that product both the conditional mass and the product of
-    marginals are exactly 0, so the gap there is 0 and could never
+    the product of its one-variable marginals on every atom, that is
+    m(atom) * S^(n-1) must equal the product of the integer marginals.
+    Only the atoms in the product of the marginal supports (the support
+    indices with positive marginal mass) are visited, in ``atom_space``
+    order: off that product both the conditional mass and the product
+    of marginals are exactly 0, so the gap there is 0 and could never
     replace the worst one.  The report is the one a scan of the whole
     lattice gives, ties included, and a point-mass conditional costs
     one atom.
     order 1: the conditional expectation of the product of all
     observables must equal the product of their conditional
-    expectations (per lambda point).
+    expectations (per lambda point).  With each support over its common
+    denominator (the tables of :func:`jointfeas.check._monomial_tables`,
+    built once per model), the joint moment's integer numerator times
+    S^(n-1) must equal the product of the single-variable numerators.
     order 2: order 1 plus the same identity for squared observables.
 
-    All comparisons are exact; the report carries the largest absolute
-    discrepancy found and where it occurred.
+    All comparisons are exact; a ``Fraction`` gap is built only where
+    the two integers differ.  The report carries the largest absolute
+    discrepancy found and where it first occurred.
     """
     if isinstance(order, bool) or not isinstance(order, (int, str)) or order not in (1, 2, "full"):
         raise ValidationError(f"order must be 1, 2 or 'full', got {order!r}")
     worst = _ZERO
     where = ""
-    names = [v.name for v in model.variables]
+    variables = model.variables
+    n = len(variables)
+    powers = () if order == "full" else (1, 2)[:order]
+    tables = [_monomial_tables(variables, [(i, power) for i in range(n)]) for power in powers]
     for pt in model.points:
         cond = pt.conditional
+        scale = lcm(*[p.denominator for p in cond.mass.values()])
+        mass = {atom: p.numerator * (scale // p.denominator) for atom, p in cond.mass.items()}
+        lift = scale ** (n - 1)
         if order == "full":
-            marginals = [cond.marginal([n]).mass for n in names]
-            supports = [sorted(i for (i,) in marg) for marg in marginals]
-            for atom in itertools.product(*supports):
-                product = _ONE
-                for i, marg in zip(atom, marginals):
-                    product *= marg[(i,)]
-                gap = abs(cond.mass.get(atom, _ZERO) - product)
-                if gap > worst:
-                    worst, where = gap, f"lambda {pt.label}, atom {atom}"
-        else:
-            for power in (1, 2)[:order]:
-                joint = expectation(cond, {n: power for n in names})
-                product = _ONE
-                for n in names:
-                    product *= expectation(cond, {n: power})
-                gap = abs(joint - product)
+            marginals: list[dict[int, int]] = [{} for _ in range(n)]
+            for atom, m in mass.items():
+                for marg, i in zip(marginals, atom):
+                    marg[i] = marg.get(i, 0) + m
+            for atom in itertools.product(*[sorted(marg) for marg in marginals]):
+                diff = mass.get(atom, 0) * lift - prod([marg[i] for marg, i in zip(marginals, atom)])
+                if diff:
+                    gap = Fraction(abs(diff), scale**n)
+                    if gap > worst:
+                        worst, where = gap, f"lambda {pt.label}, atom {atom}"
+            continue
+        for power, (factors, den) in zip(powers, tables):
+            if cond.variables != variables:  # same names, other supports
+                factors, den = _monomial_tables(cond.variables, [(i, power) for i in range(n)])
+            joint, singles = 0, [0] * n
+            for atom, m in mass.items():
+                values = [table[atom[i]] for i, table in factors]
+                joint += m * prod(values)
+                for i, v in enumerate(values):
+                    singles[i] += m * v
+            diff = joint * lift - prod(singles)
+            if diff:
+                gap = Fraction(abs(diff), scale**n * den)
                 if gap > worst:
                     worst, where = gap, f"lambda {pt.label}, moment order {power}"
     return FactorizationReport(worst == 0, str(order), worst, where)

@@ -360,6 +360,67 @@ class TestCLI:
         assert run(["decide", str(problem)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {problem}: invalid JSON:")
 
+    @pytest.mark.parametrize(
+        "head",
+        [
+            '"kind": "ghz"',
+            '"kind": "finite-moment", "variables": [{"name": "X", "support": ["0"]}], "distribution": {"mass": {"0": "1"}}',
+            '"kind": "gaussian", "matrix": [["1"]]',
+        ],
+        ids=["ghz", "finite-moment", "gaussian"],
+    )
+    @pytest.mark.parametrize("label", [7, "[" * 500 + "]" * 500], ids=["number", "nested-list"])
+    def test_label_must_be_a_string(self, tmp_path, capsys, head, label):
+        problem = tmp_path / "problem.json"
+        problem.write_text(f'{{"schema": "{PROBLEM_SCHEMA}", {head}, "label": {label}}}', encoding="utf-8")
+        assert run(["decide" if "matrix" not in head else "inequalities", str(problem)]) == 2
+        assert capsys.readouterr().err == "error: label: expected a string\n"
+
+    def test_deeply_nested_file_is_status_2(self, tmp_path, capsys):
+        problem = tmp_path / "problem.json"
+        problem.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        assert run(["decide", str(problem)]) == 2
+        assert capsys.readouterr().err == f"error: {problem}: invalid JSON: nested too deeply\n"
+        # a degree-1 "poly" coefficient may itself be a "poly" object
+        target = '"1/2"'
+        for _ in range(400):
+            target = f'{{"poly": [{target}, "1"], "interval": ["-1", "1"]}}'
+        obj = json.dumps(triple_file(["0", "0", "0"])).replace('"target": "0"', f'"target": {target}', 1)
+        problem.write_text(obj, encoding="utf-8")
+        assert run(["decide", str(problem)]) == 2
+        assert capsys.readouterr().err == f"error: {problem}: exact numbers nested too deeply\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+    @pytest.mark.parametrize("command", ["decide", "hidden-variable"])
+    def test_report_values_past_the_int_digit_limit(self, tmp_path, command):
+        # the witness masses need a denominator near q1 * q2, twice the digit limit
+        q1, q2 = 10**3000 + 7, 10**3000 + 3 * 10**1500 + 1
+        obj = {
+            "schema": PROBLEM_SCHEMA,
+            "kind": "finite-moment",
+            "variables": [{"name": n, "support": ["-1", "1"]} for n in "XY"],
+            "constraints": [
+                {"exponents": {"X": 1}, "target": f"1/{q1}"},
+                {"exponents": {"Y": 1}, "target": f"1/{q2}"},
+            ],
+        }
+        out = tmp_path / "report.json"
+        limit = sys.get_int_max_str_digits()
+        assert run([command, self.write(tmp_path, obj), "--out", str(out)]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        results = json.loads(out.read_text())["results"]
+        sys.set_int_max_str_digits(0)
+        try:
+            mass = {tuple(map(int, k.split(","))): F(p) for k, p in results["witness"]["mass"].items()}
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert max(p.denominator for p in mass.values()) > 10**limit
+        assert sum(mass.values()) == 1
+        assert sum(p * x for (x, _), p in mass.items()) == F(1, q1)
+        assert sum(p * y for (_, y), p in mass.items()) == F(1, q2)
+        if command == "hidden-variable":
+            assert all(results["verification"].values())
+
     def test_exact_means_and_variances_are_accepted(self, tmp_path, capsys):
         obj = {
             "schema": PROBLEM_SCHEMA,

@@ -1,9 +1,12 @@
 import itertools
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from jointfeas import (
+    FactorizationReport,
     FiniteRandomVariable,
     HiddenVariableModel,
     JointDistribution,
@@ -128,6 +131,25 @@ class TestFactorizationVerifier:
         model = construct_deterministic(six_atom)
         assert [verify_factorization(model, o).order for o in (1, 2, "full")] == ["1", "2", "full"]
 
+    def test_reads_no_marginal_distribution_or_expectation(self, monkeypatch):
+        vs = (pm_one("X"), pm_one("Y"), FiniteRandomVariable("Z", (F(-1), F(1, 2), F(2))))
+        rng = random.Random(5)
+        model = HiddenVariableModel(
+            vs, tuple(LambdaPoint(f"p{k}", F(1, 3), random_conditional(rng, vs, "sparse")) for k in range(3))
+        )
+        expected = [reference_report(model, order) for order in (1, 2, "full")]
+        assert not expected[0].ok and not expected[2].ok
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the verifier left its integer path")
+
+        monkeypatch.setattr(JointDistribution, "marginal", refuse)
+        monkeypatch.setattr(JointDistribution, "__post_init__", refuse)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("jointfeas") and getattr(module, "expectation", None) is expectation:
+                monkeypatch.setattr(module, "expectation", refuse)
+        assert [verify_factorization(model, order) for order in (1, 2, "full")] == expected
+
 
 def full_lattice_factorization(model):
     """``verify_factorization(model, "full")`` scanning every atom of the lattice."""
@@ -146,14 +168,39 @@ def full_lattice_factorization(model):
     return worst == 0, worst, where
 
 
-def random_conditional(rng, variables):
+def fraction_moment_factorization(model, order):
+    """``verify_factorization(model, order)`` for order 1 or 2, one ``expectation`` per moment."""
+    worst, where = F(0), ""
+    names = [v.name for v in model.variables]
+    for pt in model.points:
+        cond = pt.conditional
+        for power in (1, 2)[:order]:
+            joint = expectation(cond, {n: power for n in names})
+            product = F(1)
+            for n in names:
+                product *= expectation(cond, {n: power})
+            gap = abs(joint - product)
+            if gap > worst:
+                worst, where = gap, f"lambda {pt.label}, moment order {power}"
+    return worst == 0, worst, where
+
+
+def reference_report(model, order):
+    if order == "full":
+        ok, worst, where = full_lattice_factorization(model)
+    else:
+        ok, worst, where = fraction_moment_factorization(model, order)
+    return FactorizationReport(ok, str(order), worst, where)
+
+
+def random_conditional(rng, variables, kind=None):
     """A point mass, a product law or a non-product law on a sub-lattice.
 
     The sub-lattice keeps a random subset of each support, often without
     its interior values, so those carry zero marginal mass.
     """
     sizes = [len(v.support) for v in variables]
-    kind = rng.choice(["point", "product", "sparse"])
+    kind = kind or rng.choice(["point", "product", "sparse"])
     if kind == "point":
         return point_mass(variables, tuple(rng.randrange(s) for s in sizes))
     kept = [sorted(rng.sample(range(s), rng.randint(1, s))) for s in sizes]
@@ -179,7 +226,7 @@ def random_conditional(rng, variables):
 
 
 def random_model(rng):
-    variables = random_variables(rng, max_vars=3, max_values=4)
+    variables = random_variables(rng, max_vars=4, max_values=4)
     if rng.random() < 0.3:
         return construct_deterministic(random_distribution(rng, variables))
     weights = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
@@ -192,21 +239,51 @@ def random_model(rng):
     )
 
 
-def assert_same_as_full_lattice(model):
-    report = verify_factorization(model, "full")
-    assert (report.ok, report.worst_discrepancy, report.worst_location) == (
-        full_lattice_factorization(model)
-    )
+def assert_matches_reference(model):
+    for order in (1, 2, "full"):
+        assert verify_factorization(model, order) == reference_report(model, order)
 
 
 class TestFullOrderMatchesTheLatticeScan:
+    """The integer verifier against the Fraction references, every report field."""
+
     def test_random_models(self, rng):
-        failing = 0
+        failing = {1: 0, 2: 0, "full": 0}
+        sizes = set()
         for _ in range(400):
             model = random_model(rng)
-            assert_same_as_full_lattice(model)
-            failing += not verify_factorization(model, "full").ok
-        assert 0 < failing < 400  # both outcomes are exercised
+            assert_matches_reference(model)
+            sizes.add(len(model.variables))
+            for order in failing:
+                failing[order] += not verify_factorization(model, order).ok
+        assert sizes == {1, 2, 3, 4}
+        assert all(0 < count < 400 for count in failing.values())  # both outcomes are exercised
+
+    def test_supports_with_denominators(self, rng):
+        vs = tuple(FiniteRandomVariable(n, (F(-1), F(1, 2), F(2))) for n in "XYZ")
+        for _ in range(40):
+            weights = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+            model = HiddenVariableModel(
+                vs,
+                tuple(
+                    LambdaPoint(f"p{k}", F(w, sum(weights)), random_conditional(rng, vs, "sparse"))
+                    for k, w in enumerate(weights)
+                ),
+            )
+            assert_matches_reference(model)
+
+    def test_conditional_over_other_supports(self):
+        # the model checks names only, so a conditional may carry its own supports
+        vs = (pm_one("X"), pm_one("Y"))
+        other = (FiniteRandomVariable("X", (F(-1), F(1, 3))), FiniteRandomVariable("Y", (F(0), F(5))))
+        law = {(0, 0): F(1, 2), (1, 1): F(1, 3), (0, 1): F(1, 6)}
+        points = (
+            LambdaPoint("own", F(1, 2), JointDistribution(vs, law)),
+            LambdaPoint("other", F(1, 2), JointDistribution(other, law)),
+        )
+        model = HiddenVariableModel(vs, points)
+        assert verify_factorization(model, 1).worst_location == "lambda other, moment order 1"
+        assert_matches_reference(model)
 
     def test_zero_mass_interior_values(self):
         # X, Y in {-1, 0, 1} with no mass on 0: a correlated law on the corners
@@ -214,7 +291,7 @@ class TestFullOrderMatchesTheLatticeScan:
         corners = JointDistribution(vs, {(0, 0): F(1, 2), (2, 0): F(1, 8), (2, 2): F(3, 8)})
         model = HiddenVariableModel(vs, (LambdaPoint("c", F(1), corners),))
         assert not verify_factorization(model, "full").ok
-        assert_same_as_full_lattice(model)
+        assert_matches_reference(model)
 
     def test_tied_gaps_keep_the_first_location(self):
         # every atom of the perfectly correlated pair is off by 1/4
@@ -226,11 +303,24 @@ class TestFullOrderMatchesTheLatticeScan:
         report = verify_factorization(model, "full")
         assert report.worst_discrepancy == F(1, 4)
         assert report.worst_location == "lambda a, atom (0, 0)"
-        assert_same_as_full_lattice(model)
+        # E(XY) - E(X)E(Y) = 1 at both points; the squares factor
+        for order in (1, 2):
+            report = verify_factorization(model, order)
+            assert report.worst_discrepancy == 1
+            assert report.worst_location == "lambda a, moment order 1"
+        assert_matches_reference(model)
 
     def test_exchangeable_construction(self):
-        built = exchangeable_symmetric_construct("3/8", "1/8", "1/8", "3/8")
-        assert_same_as_full_lattice(built.model)
+        for cells in [
+            ("3/8", "1/8", "1/8", "3/8"),
+            ("1/2", "1/8", "1/8", "1/4"),
+            ("1/2", "0", "0", "1/2"),
+            ("2/5", "1/10", "1/10", "2/5"),
+            ("1/3", "1/9", "1/9", "4/9"),
+        ]:
+            built = exchangeable_symmetric_construct(*cells)
+            assert len(built.model.points) == 2
+            assert_matches_reference(built.model)
 
     def test_never_enumerates_the_lattice(self, monkeypatch):
         # 20 +-1 variables: a 2**20 lattice holding four atoms
