@@ -18,6 +18,7 @@ Two radicands whose product is a perfect square name the same field
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -32,6 +33,7 @@ __all__ = [
     "exact_abs",
     "exact_min",
     "exact_sign",
+    "exact_text",
     "enclosure",
     "make_exact",
     "sqrt_fraction",
@@ -274,17 +276,31 @@ def exact_abs(value: ExactNumber) -> ExactNumber:
 def exact_min(*values: ExactNumber) -> ExactNumber:
     best = values[0]
     for v in values[1:]:
-        if exact_sign(_sub(v, best)) < 0:
+        if exact_sign(v - best) < 0:
             best = v
     return best
 
 
-def _sub(x: ExactNumber, y: ExactNumber) -> ExactNumber:
-    if isinstance(x, Surd) or isinstance(y, Surd):
-        if isinstance(x, Surd):
-            return x - y
-        return -(y - x)  # type: ignore[operator]
-    return x - y
+def exact_text(value: ExactNumber) -> str:
+    """``str(value)``, also past Python's limit on the digits of an int it writes.
+
+    Exact arithmetic can make a value far longer than any input (a
+    witness mass, or a sum of masses that an error message quotes, over
+    the product of two 3,000-digit denominators).  Reports and messages
+    write exact values with this.  The limit guards parsing, so it is
+    lifted only to retry a conversion that failed, and put back at once.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        if not hasattr(sys, "set_int_max_str_digits"):  # no limit to lift
+            raise
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def enclosure(value: ExactNumber, width: Fraction = Fraction(1, 10**12)) -> tuple[Fraction, Fraction]:

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebraic import as_fraction
+from .algebraic import as_fraction, exact_text
 from .errors import ValidationError
 
 _ZERO = Fraction(0)
@@ -78,16 +78,16 @@ def _checked_witness(problem, mass: Mapping[tuple[int, ...], Fraction]) -> None:
     """
     for atom, p in mass.items():
         if p < 0:
-            raise AssertionError(f"witness has negative mass {p} at atom {atom}")
+            raise AssertionError(f"witness has negative mass {exact_text(p)} at atom {atom}")
     scale = lcm(*[p.denominator for p in mass.values()])
     total = sum([p.numerator * (scale // p.denominator) for p in mass.values()])
     if total != scale:
-        raise AssertionError(f"witness masses sum to {Fraction(total, scale)}, expected exactly 1")
+        raise AssertionError(f"witness masses sum to {exact_text(Fraction(total, scale))}, expected exactly 1")
     position = {v.name: i for i, v in enumerate(problem.variables)}
     for c in problem.constraints:
         got = _moment(problem.variables, mass, scale, [(position[name], k) for name, k in c.exponents])
         if not _satisfies(got, c):
-            raise AssertionError(f"witness violates {c.describe()}: got {got}")
+            raise AssertionError(f"witness violates {c.describe()}: got {exact_text(got)}")
 
 
 def _checked_certificate(problem, cert: tuple[Fraction, ...], method: str) -> tuple[Fraction, ...]:

@@ -48,7 +48,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from . import check
-from .algebraic import as_fraction
+from .algebraic import as_fraction, exact_text
 from .check import verify_certificate
 from .errors import ConstraintMismatchError, SizeCapError, ValidationError
 from .geometry import cone_membership
@@ -120,7 +120,7 @@ class MomentConstraint:
     def describe(self) -> str:
         mono = "*".join(f"{n}^{k}" if k > 1 else n for n, k in self.exponents)
         rel = "=" if self.relation == "==" else self.relation
-        return f"E({mono}) {rel} {self.target}"
+        return f"E({mono}) {rel} {exact_text(self.target)}"
 
 
 def _check_moment_problem(
@@ -553,11 +553,11 @@ def _as_table(variable: FiniteRandomVariable, signmap: SignMap) -> dict[Fraction
         missing = [v for v in variable.support if v not in table]
         if missing:
             raise ValidationError(
-                f"sign map for {variable.name} misses support values {missing}"
+                f"sign map for {variable.name} misses support values {', '.join(map(exact_text, missing))}"
             )
     for v, s in table.items():
         if s not in (-1, 1):
-            raise ValidationError(f"sign map for {variable.name} maps {v} to {s}, not +-1")
+            raise ValidationError(f"sign map for {variable.name} maps {exact_text(v)} to {s}, not +-1")
     return table
 
 

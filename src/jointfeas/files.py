@@ -28,12 +28,11 @@ reports for identical inputs.
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from . import __version__
-from .algebraic import ExactNumber, Surd, as_fraction, make_surd, sqrt_fraction
+from .algebraic import ExactNumber, Surd, as_fraction, exact_text, make_surd, sqrt_fraction
 from .errors import ValidationError
 from .feasibility import MomentConstraint, MomentProblem, _check_moment_problem
 from .gaussian import DEFAULT_TOL, PartialCorrelationMatrix, _check_tol
@@ -159,27 +158,6 @@ def _parse_poly_root(poly: Any, interval: Any, path: str) -> ExactNumber:
         if lo <= root_lo and root_hi <= hi:
             return root
     raise _fail(f"{path}.interval", "interval does not isolate a root of the polynomial")
-
-
-def exact_text(value: Fraction) -> str:
-    """``str(value)``, also past Python's limit on the digits of an int it writes.
-
-    Exact arithmetic can make a report value far longer than any input
-    (a witness mass over the product of two 3,000-digit denominators).
-    The limit guards parsing, so it is lifted only to retry a conversion
-    that failed, and put back at once.
-    """
-    try:
-        return str(value)
-    except ValueError:
-        if not hasattr(sys, "set_int_max_str_digits"):  # no limit to lift
-            raise
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def encode_exact(value: ExactNumber) -> Any:

@@ -208,12 +208,6 @@ class ChainReport:
     first_break: int | None
     note: str = ""
 
-    def step_status(self, step: int) -> str:
-        for s in self.steps:
-            if s.step == step:
-                return s.status
-        raise KeyError(step)
-
 
 def _satisfied_constraints(dist: JointDistribution) -> set[int]:
     """Indices of DEFAULT_QUADRUPLES whose product moment dist matches."""

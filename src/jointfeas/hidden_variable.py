@@ -22,7 +22,7 @@ from math import lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .algebraic import as_fraction
+from .algebraic import as_fraction, exact_text
 from .check import _monomial_tables
 from .errors import ValidationError
 from .probability import (
@@ -60,7 +60,7 @@ class LambdaPoint:
     def __post_init__(self) -> None:
         p = as_fraction(self.probability)
         if p < 0:
-            raise ValidationError(f"lambda point {self.label}: negative probability {p}")
+            raise ValidationError(f"lambda point {self.label}: negative probability {exact_text(p)}")
         object.__setattr__(self, "probability", p)
 
 
@@ -83,12 +83,12 @@ class HiddenVariableModel:
             raise ValidationError("a hidden-variable model needs at least one point")
         total = sum((pt.probability for pt in self.points), _ZERO)
         if total != 1:
-            raise ValidationError(f"lambda probabilities sum to {total}, expected 1")
-        names = tuple(v.name for v in self.variables)
+            raise ValidationError(f"lambda probabilities sum to {exact_text(total)}, expected 1")
+        variables = tuple(self.variables)
         for pt in self.points:
-            if tuple(v.name for v in pt.conditional.variables) != names:
+            if pt.conditional.variables != variables:
                 raise ValidationError(
-                    f"lambda point {pt.label}: conditional is over different variables"
+                    f"lambda point {pt.label}: conditional is not over the model's variables and supports"
                 )
         if self.context_tables is not None:
             tables = {k: tuple(as_fraction(x) for x in v) for k, v in self.context_tables.items()}
@@ -193,8 +193,6 @@ def verify_factorization(model: HiddenVariableModel, order: int | str = "full") 
                         worst, where = gap, f"lambda {pt.label}, atom {atom}"
             continue
         for power, (factors, den) in zip(powers, tables):
-            if cond.variables != variables:  # same names, other supports
-                factors, den = _monomial_tables(cond.variables, [(i, power) for i in range(n)])
             joint, singles = 0, [0] * n
             for atom, m in mass.items():
                 values = [table[atom[i]] for i, table in factors]
@@ -260,7 +258,7 @@ def _exchangeable_cells(p11, p10, p01, p00) -> tuple[Fraction, Fraction, Fractio
         raise ValidationError("cell probabilities must sum to exactly 1")
     if cells[1] != cells[2]:
         raise ValidationError(
-            f"exchangeability requires P(1,-1) = P(-1,1); got {cells[1]} and {cells[2]}"
+            f"exchangeability requires P(1,-1) = P(-1,1); got {exact_text(cells[1])} and {exact_text(cells[2])}"
         )
     return cells
 
@@ -275,8 +273,8 @@ def exchangeable_symmetric_criterion(p11, p10, p01, p00) -> ExchangeableCriterio
     exy = c11 + c00 - 2 * c10
     rho = (exy - mean * mean) / var
     if rho >= 0:
-        return ExchangeableCriterion(True, rho, f"correlation {rho} >= 0")
-    return ExchangeableCriterion(False, rho, f"correlation {rho} < 0")
+        return ExchangeableCriterion(True, rho, f"correlation {exact_text(rho)} >= 0")
+    return ExchangeableCriterion(False, rho, f"correlation {exact_text(rho)} < 0")
 
 
 @dataclass(frozen=True)
@@ -328,12 +326,12 @@ def exchangeable_symmetric_construct(
         FiniteRandomVariable(names[1], (Fraction(-1), Fraction(1))),
     )
     if v == 0:
-        points = (LambdaPoint(f"t={m}", _ONE, _symmetric_conditional(variables, m)),)
+        points = (LambdaPoint(f"t={exact_text(m)}", _ONE, _symmetric_conditional(variables, m)),)
     else:
         w = v / ((1 - m) * (1 - m) + v)
         t = (m - w) / (1 - w)
         points = (
-            LambdaPoint(f"t={t}", 1 - w, _symmetric_conditional(variables, t)),
+            LambdaPoint(f"t={exact_text(t)}", 1 - w, _symmetric_conditional(variables, t)),
             LambdaPoint("t=1", w, _symmetric_conditional(variables, _ONE)),
         )
     model = HiddenVariableModel(variables, points)
@@ -347,7 +345,7 @@ def exchangeable_symmetric_construct(
         mix.prob(frozenset({(0, 0)})),
     )
     if got != (c11, c10, c10, c00):
-        raise AssertionError(f"mixture mismatch: {got}")
+        raise AssertionError(f"mixture mismatch: {', '.join(map(exact_text, got))}")
     report = verify_factorization(model, "full")
     if not report.ok:
         raise AssertionError("symmetric construction failed factorization")

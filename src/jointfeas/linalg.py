@@ -1,10 +1,11 @@
 """Exact linear algebra on integer matrices, fraction-free (Bareiss).
 
-One kernel, :func:`echelon`, runs fraction-free Gauss-Jordan elimination
-(Bareiss, Math. Comp. 22, 1968).  Every intermediate entry is a minor of
-the input, so all arithmetic stays in Python ints and every division is
-exact.  Rank and independent rows, nullspaces, solves and inverses are
-all read off its result.
+One update, :func:`pivot`, is the package's only fraction-free
+elimination step (Bareiss, Math. Comp. 22, 1968; Edmonds, J. Res. NBS
+71B, 1967).  :func:`echelon` runs Gauss-Jordan elimination with it, and
+the exact simplex loop of :mod:`jointfeas.simplex` pivots its integer
+tableau with it.  Rank and independent rows, nullspaces, solves and
+inverses are all read off :func:`echelon`'s result.
 
 Rational input is scaled to integers one row at a time
 (:func:`integral`); that changes neither a row space, nor a nullspace,
@@ -17,12 +18,15 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "echelon",
     "independent_rows",
     "integral",
     "inverse",
     "nullspace",
+    "pivot",
     "primitive",
     "solve",
 ]
@@ -44,6 +48,29 @@ def primitive(v: Sequence[int]) -> IntVec:
     return tuple(x // g for x in v)
 
 
+def pivot(tab: np.ndarray, row: int, col: int, d: int) -> int:
+    """One fraction-free pivot on ``tab[row, col]``, in place; returns the pivot p.
+
+    ``tab`` is an int64 or object (Python int) array and ``d`` the
+    previous pivot (1 before the first).  Every row but ``row`` becomes
+    ``(p * r - r[col] * tab[row]) // d``; the pivot row is kept.  After
+    k pivots every entry is, up to sign, a minor of the input: of order
+    k in a pivot row and k + 1 in any other, with ``d`` the determinant
+    of the pivot minor (Cramer's rule).  So every division is exact, the
+    entries stay integers, and the array stays ``d`` times the rationally
+    reduced one.  p comes back as a Python int, so that callers can
+    build ``Fraction``s from it.
+    """
+    prow = tab[row].copy()
+    p = prow[col]
+    update = np.multiply.outer(tab[:, col], prow)
+    tab *= p
+    tab -= update
+    tab //= d
+    tab[row] = prow
+    return int(p)
+
+
 def echelon(
     rows: Sequence[Sequence[int]], pivot_cols: int | None = None
 ) -> tuple[list[list[int]], list[int], int]:
@@ -57,32 +84,23 @@ def echelon(
     columns.  ``d`` is the common pivot value, the determinant of the
     pivot minor up to sign (1 when there is no pivot).
     """
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0]) if mat else 0
-    limit = ncols if pivot_cols is None else pivot_cols
+    if not rows:
+        return [], [], 1
+    tab = np.array(rows, object)
+    limit = tab.shape[1] if pivot_cols is None else pivot_cols
     pivots: list[int] = []
-    prev = 1
+    d = 1
     for c in range(limit):
         r = len(pivots)
-        if r == len(mat):
+        if r == len(tab):
             break
-        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if p is None:
+        nonzero = np.flatnonzero(tab[r:, c])
+        if not nonzero.size:
             continue
-        mat[r], mat[p] = mat[p], mat[r]
-        prow = mat[r]
-        piv = prow[c]
-        for i, row in enumerate(mat):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                mat[i] = [(piv * a - f * b) // prev for a, b in zip(row, prow)]
-            elif piv != prev:
-                mat[i] = [piv * a // prev for a in row]
+        tab[[r, r + nonzero[0]]] = tab[[r + nonzero[0], r]]
+        d = pivot(tab, r, c, d)
         pivots.append(c)
-        prev = piv
-    return mat, pivots, prev
+    return tab.tolist(), pivots, d
 
 
 def independent_rows(rows: Sequence[Sequence[int]]) -> list[int]:

@@ -23,7 +23,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .algebraic import ExactNumber, as_fraction, make_surd
+from .algebraic import ExactNumber, as_fraction, exact_text, make_surd
 from .check import _moment
 from .errors import ConstraintMismatchError, ValidationError
 
@@ -59,7 +59,7 @@ class FiniteRandomVariable:
         try:
             return self.support.index(v)
         except ValueError:
-            raise ValidationError(f"{v} is not in the support of {self.name}") from None
+            raise ValidationError(f"{exact_text(v)} is not in the support of {self.name}") from None
 
 
 # One support for every +-1 variable: Fractions are immutable, so sharing
@@ -103,12 +103,12 @@ class JointDistribution:
                     raise ValidationError(f"atom {atom} indexes outside a support")
             p = as_fraction(p)
             if p < 0:
-                raise ValidationError(f"negative probability {p} at atom {atom}")
+                raise ValidationError(f"negative probability {exact_text(p)} at atom {atom}")
             total += p
             if p > 0:
                 clean[atom] = clean.get(atom, Fraction(0)) + p
         if total != 1:
-            raise ValidationError(f"probabilities sum to {total}, expected exactly 1")
+            raise ValidationError(f"probabilities sum to {exact_text(total)}, expected exactly 1")
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "mass", MappingProxyType(dict(sorted(clean.items()))))
 
@@ -168,7 +168,7 @@ def distribution_from_values(
     mass: dict[Atom, Fraction] = {}
     for values, p in value_mass.items():
         if len(values) != len(vs):
-            raise ValidationError(f"outcome {values} has wrong arity")
+            raise ValidationError(f"outcome ({', '.join(map(exact_text, values))}) has wrong arity")
         atom = tuple(v.index_of(x) for v, x in zip(vs, values))
         mass[atom] = mass.get(atom, Fraction(0)) + as_fraction(p)
     return JointDistribution(vs, mass)

@@ -15,12 +15,12 @@ tableau is the integer matrix ``[D A | I | L D b]`` with cost row minus
 the sum of the rows (0 on the artificial columns).  Both scalings are
 uniform, so ratios, ties and the signs of the reduced costs, and with
 them every choice of Bland's rule, are those of the rational tableau.
-A pivot on p = N[r, e] sets ``N <- (p N - N[:, e] N[r]) / d`` off row r
-and then d <- p: every division is exact, and the tableau stays d times
-the rational one, d being the determinant of the basis.  Every result
-is read off a final tableau by one of two readers, behind explicit
-checks: ``_solution`` reads x_B = ``N[:m, -1] / (d L)`` off the value
-column, and ``_farkas`` the Farkas vector off the cost row's artificial
+Each pivot is one :func:`jointfeas.linalg.pivot` (whose docstring
+gives the exactness argument), so the tableau stays d times the
+rational one, d being the determinant of the basis.  Every result is
+read off a final tableau by one of two readers, behind explicit checks:
+``_solution`` reads x_B = ``N[:m, -1] / (d L)`` off the value column,
+and ``_farkas`` the Farkas vector off the cost row's artificial
 entries.  A system is decided on one of three paths:
 
 1. **int64, when proven safe.**  Every entry of every tableau on the way
@@ -74,7 +74,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import echelon
+from .linalg import echelon, pivot
 
 __all__ = ["EqualityFeasibility", "solve_equality_feasibility"]
 
@@ -278,14 +278,8 @@ def _integer_bland(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int, int
         if leaving < 0:
             return None
 
-        prow = tab[leaving].copy()
-        update = np.multiply.outer(tab[:, entering], prow)
-        tab *= column[leaving]
-        tab -= update
-        tab //= d
-        tab[leaving] = prow
+        d = pivot(tab, leaving, entering, d)
         basis[leaving] = entering
-        d = column[leaving]
         pivots += 1
 
 

@@ -421,6 +421,24 @@ class TestCLI:
         if command == "hidden-variable":
             assert all(results["verification"].values())
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+    @pytest.mark.parametrize("command", ["decide", "hidden-variable", "inequalities"])
+    def test_error_values_past_the_int_digit_limit(self, tmp_path, capsys, command):
+        # the masses do not sum to 1, and their sum's denominator is near q1 * q2
+        q1, q2 = 10**3000 + 7, 10**3000 + 3 * 10**1500 + 1
+        obj = {
+            "schema": PROBLEM_SCHEMA,
+            "kind": "finite-moment",
+            "variables": [{"name": "X", "support": ["-1", "1"]}],
+            "distribution": {"mass": {"-1": f"1/{q1}", "1": f"1/{q2}"}},
+        }
+        limit = sys.get_int_max_str_digits()
+        assert run([command, self.write(tmp_path, obj)]) == 2
+        assert sys.get_int_max_str_digits() == limit
+        err = capsys.readouterr().err
+        assert err.startswith("error: distribution: probabilities sum to ")
+        assert err.endswith(", expected exactly 1\n")
+
     def test_exact_means_and_variances_are_accepted(self, tmp_path, capsys):
         obj = {
             "schema": PROBLEM_SCHEMA,

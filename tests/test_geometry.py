@@ -4,10 +4,11 @@ from itertools import combinations
 from math import gcd, lcm
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from jointfeas import feasibility, geometry, linalg
+from jointfeas import feasibility, geometry, linalg, simplex
 from jointfeas.corpus import load_cases
 from jointfeas.files import parse_problem
 from jointfeas.geometry import _extreme_rays_pointed, cone_membership, dual_rays
@@ -260,6 +261,47 @@ def test_solve_and_inverse_match_definition(rows, data):
         n = len(square)
         product = [[sum(square[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         assert product == [[d * int(i == j) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrix, st.data())
+def test_pivot_agrees_on_int64_and_python_ints(rows, data):
+    small, big = np.array(rows, np.int64), np.array(rows, object)
+    d_small = d_big = 1
+    free_rows, free_cols = set(range(len(rows))), set(range(len(rows[0])))
+    # Bareiss order: each pivot in a row and a column not pivoted before
+    while True:
+        choices = sorted((r, c) for r in free_rows for c in free_cols if small[r, c])
+        if not choices:
+            break
+        r, c = data.draw(st.sampled_from(choices))
+        d_small, d_big = linalg.pivot(small, r, c, d_small), linalg.pivot(big, r, c, d_big)
+        assert type(d_small) is int and type(d_big) is int
+        assert d_small == d_big
+        assert small.tolist() == big.tolist()
+        free_rows.discard(r)
+        free_cols.discard(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrix, st.data(), st.booleans())
+def test_exact_simplex_loop_updates_only_through_pivot(rows, data, python_ints):
+    # the Python-int loop runs when the int64 bound fails and the guide proposes nothing
+    rhs = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return linalg.pivot(*args)
+
+    with (
+        patch.object(simplex, "pivot", counted),
+        patch.object(simplex, "_guided", lambda *a: None),
+        patch.object(simplex, "_INT64_SAFE", 0 if python_ints else simplex._INT64_SAFE),
+    ):
+        result = solve_equality_feasibility(rows, rhs)
+    assert len(calls) == result.pivots
+    assert all(args[0].dtype == (object if python_ints else np.int64) for args in calls)
 
 
 @settings(max_examples=150, deadline=None)

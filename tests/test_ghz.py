@@ -148,9 +148,10 @@ class TestReplay:
         # use; step 8 needs constraint 1 and reports its absence
         dist = witness_for([0, 2, 3, 5])
         report = replay_certainty_chain(dist)
-        assert report.step_status(8) == "hypothesis_fails"
+        status = {s.step: s.status for s in report.steps}
+        assert status[8] == "hypothesis_fails"
         for step in (6, 7, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18):
-            assert report.step_status(step) == "holds", step
+            assert status[step] == "holds", step
         assert report.first_break == 8
         assert report.note == ""
 
@@ -159,16 +160,18 @@ class TestReplay:
         # all-zero-phase quadruple are inapplicable while step 8 holds
         dist = witness_for([1, 2, 3])
         report = replay_certainty_chain(dist)
-        assert report.step_status(8) == "holds"
-        assert report.step_status(9) == "hypothesis_fails"
-        assert report.step_status(17) == "hypothesis_fails"
+        status = {s.step: s.status for s in report.steps}
+        assert status[8] == "holds"
+        assert status[9] == "hypothesis_fails"
+        assert status[17] == "hypothesis_fails"
 
     def test_uniform_distribution_fails_hypotheses_immediately(self):
         dist = uniform_distribution(tuple(pm_one(n) for n in GHZ_VARIABLE_ORDER))
         report = replay_certainty_chain(dist)
         assert report.first_break == 7
-        assert report.step_status(7) == "hypothesis_fails"
-        assert report.step_status(8) == "hypothesis_fails"
+        status = {s.step: s.status for s in report.steps}
+        assert status[7] == "hypothesis_fails"
+        assert status[8] == "hypothesis_fails"
 
     def test_product_signs_recorded(self):
         dist = witness_for([0, 2, 3, 5])
@@ -186,6 +189,6 @@ class TestReplay:
         # one obeying all six cannot exist, matching the 8-vs-18 clash
         dist = witness_for([0, 2, 3, 5])
         report = replay_certainty_chain(dist)
-        assert report.step_status(18) == "holds"
+        assert {s.step: s.status for s in report.steps}[18] == "holds"
         full = decide(build_ghz_problem())
         assert full.verdict == "infeasible"
