@@ -93,7 +93,6 @@ class JointDistribution:
         variables = _check_variables(self.variables)
         sizes = tuple(len(v.support) for v in variables)
         clean: dict[Atom, Fraction] = {}
-        total = Fraction(0)
         for atom, p in self.mass.items():
             atom = tuple(atom)
             if len(atom) != len(variables):
@@ -104,11 +103,13 @@ class JointDistribution:
             p = as_fraction(p)
             if p < 0:
                 raise ValidationError(f"negative probability {exact_text(p)} at atom {atom}")
-            total += p
             if p > 0:
                 clean[atom] = clean.get(atom, Fraction(0)) + p
-        if total != 1:
-            raise ValidationError(f"probabilities sum to {exact_text(total)}, expected exactly 1")
+        # The total over one common denominator, as the witness gate takes it.
+        scale = lcm(*[p.denominator for p in clean.values()])
+        total = sum([p.numerator * (scale // p.denominator) for p in clean.values()])
+        if total != scale:
+            raise ValidationError(f"probabilities sum to {exact_text(Fraction(total, scale))}, expected exactly 1")
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "mass", MappingProxyType(dict(sorted(clean.items()))))
 

@@ -42,10 +42,14 @@ entries.  A system is decided on one of three paths:
    correctly rounded: float64 division when both are below 2**53 in
    magnitude, Python int division otherwise, so the tableau equals the
    one filled with ``float(Fraction)`` bit for bit.  Its only output is
-   a final basis B, which ``_certify`` solves exactly
-   (:mod:`jointfeas.linalg`) in the integer tableau's scaling:
-   ``B x = b`` gives the final value column for ``_solution``,
-   ``B^T w = c_B`` the final cost row for ``_farkas``.
+   a final basis B, which ``_certify`` solves exactly in the integer
+   tableau's scaling: ``B x = b`` gives the final value column for
+   ``_solution``, ``B^T w = c_B`` the final cost row for ``_farkas``.
+   Both reduce to one square block of the structural basis columns,
+   solved by p-adic lifting (:func:`jointfeas.linalg.lifted_solve`),
+   which checks its result exactly; a block singular modulo the lifting
+   prime goes to Bareiss elimination instead.  A nonsingular basis
+   fixes the solution, so either solver gives the same result.
    The guide's phase-1 objective picks which solve runs first (the dual
    one when it is positive); no basis passes both readers, so the order
    changes the cost, never the result.  No float value reaches a result;
@@ -74,7 +78,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import echelon, pivot
+from .linalg import echelon, integers, lifted_solve, peak, pivot, product
 
 __all__ = ["EqualityFeasibility", "solve_equality_feasibility"]
 
@@ -422,43 +426,73 @@ def _certify(
 
     B is the basis block of the exact loop's integer tableau
     (``factors[i] * matrix[i]`` on a structural column, e_i on an
-    artificial one), and d = |det B|.  ``B x = b`` gives the final value
-    column d B^-1 b for ``_solution``; ``B^T w = c_B`` gives w = d y and
-    the final cost row ``-(w * factors) . matrix | d - w | -w . b`` for
-    ``_farkas``.  No basis passes both readers (the Farkas alternative),
-    so ``dual_first`` changes which solve runs first, never the result.
+    artificial one).  ``B x = b`` gives the final value column for
+    ``_solution``; ``B^T y = c_B`` gives the phase-1 multipliers y and
+    the final cost row ``-(w * factors) . matrix | q - w | -w . b`` of
+    w = q y for ``_farkas``.  Both readers take any positive scaling q,
+    so each solve hands them its integer numerators over q.
+
+    The artificial columns of B are unit vectors, so both systems reduce
+    to one square block S: the structural basis columns on the rows C
+    that no basic artificial covers (R are the covered rows, in basis
+    order).  ``B x = b`` is ``S x_S = b_C`` with the basic artificials
+    ``x_R = b_R - S_R x_S``, and ``B^T y = c_B`` is ``y_R = 1`` with
+    ``S^T y_C = -S_R^T 1``.  Each is solved by p-adic lifting
+    (:func:`jointfeas.linalg.lifted_solve`), or by Bareiss elimination
+    when S is singular modulo the lifting prime.  A basis whose
+    artificials repeat leaves S not square, and one with a repeated
+    structural column leaves it singular: B is singular then, and proves
+    nothing.  A nonsingular B fixes x and y uniquely, so the solver
+    changes the cost, never the result.  No basis passes both readers
+    (the Farkas alternative), so ``dual_first`` changes which solve runs
+    first, never the result.
     """
     m, n = matrix.shape
-    # B's columns in basis order: factors * a matrix column, or e_i for artificial i.
-    structural = iter(matrix[:, [j for j in basis if j < n]].T.tolist())
-    columns = [
-        [f * v for f, v in zip(factors, next(structural))] if j < n else [int(i == j - n) for i in range(m)]
-        for j in basis
+    structural = [j for j in basis if j < n]
+    covered = [j - n for j in basis if j >= n]
+    free = sorted(set(range(m)).difference(covered))
+    if len(free) != len(structural):  # an artificial column repeats: B is singular
+        return None
+    columns = matrix[:, structural]
+    dtype = np.int64 if max(map(abs, factors)) * max(1, peak(columns)) <= _INT64_MAX else object
+    block = np.asarray(columns, dtype) * np.array(factors, dtype)[:, None]
+    square, rest = block[free], block[covered]
+
+    def primal(x: list[int], q: int) -> EqualityFeasibility | None:
+        solved, shift = iter(x), iter(product(rest, integers(x)).tolist())
+        values = [next(solved) if j < n else q * b[j - n] - next(shift) for j in basis]
+        return _solution(values, basis, n, q, scale, pivots)
+
+    def dual(y: list[int], q: int) -> EqualityFeasibility | None:
+        w = [q] * m
+        for i, v in zip(free, y):
+            w[i] = v
+        costs = product(integers([wi * f for wi, f in zip(w, factors)]), matrix)
+        cost = [*(-costs).tolist(), *(q - wi for wi in w), -sum(wi * bi for wi, bi in zip(w, b))]
+        return _farkas(cost, n, q, signs, pivots)
+
+    ones = np.ones(len(covered), np.int64)
+    checks = [
+        (primal, square, [b[i] for i in free]),
+        (dual, square.T, [-v for v in product(ones, rest).tolist()]),
     ]
-
-    def solve(system: list[list[int]]) -> tuple[list[int], int] | None:
-        # d times the solution, and d; None on a singular basis.
-        mat, piv, det = echelon(system, pivot_cols=m)
-        if len(piv) != m:
-            return None
-        sign = 1 if det > 0 else -1
-        return [sign * row[m] for row in mat[:m]], abs(det)
-
-    def primal() -> EqualityFeasibility | None:
-        solved = solve([[*row, bi] for row, bi in zip(zip(*columns), b)])
-        return None if solved is None else _solution(solved[0], basis, n, solved[1], scale, pivots)
-
-    def dual() -> EqualityFeasibility | None:
-        solved = solve([[*column, int(j >= n)] for column, j in zip(columns, basis)])
+    for read, system, rhs in reversed(checks) if dual_first else checks:
+        solved = lifted_solve(system, rhs)
+        if solved is None:  # singular modulo the prime: Bareiss decides
+            solved = _bareiss(system, rhs)
         if solved is None:
             return None
-        w, d = solved
-        structural = np.array([-wi * f for wi, f in zip(w, factors)], object) @ matrix
-        cost = [*structural.tolist(), *(d - wi for wi in w), -sum(wi * bi for wi, bi in zip(w, b))]
-        return _farkas(cost, n, d, signs, pivots)
-
-    for check in (dual, primal) if dual_first else (primal, dual):
-        result = check()
+        result = read(*solved)
         if result is not None:
             return result
     return None
+
+
+def _bareiss(square: np.ndarray, rhs: list[int]) -> tuple[list[int], int] | None:
+    """``(|det| x, |det|)`` for ``square @ x = rhs`` by Bareiss elimination, or None if singular."""
+    k = len(square)
+    mat, piv, det = echelon([[*row, v] for row, v in zip(square.tolist(), rhs)], pivot_cols=k)
+    if len(piv) != k:
+        return None
+    sign = 1 if det > 0 else -1
+    return [sign * row[k] for row in mat], abs(det)

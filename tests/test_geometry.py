@@ -283,6 +283,63 @@ def test_pivot_agrees_on_int64_and_python_ints(rows, data):
         free_cols.discard(c)
 
 
+wide_entry = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**62, -(2**62), 2**63 - 1, -(2**63), 2**64, linalg.PRIME]),
+)
+square_systems = st.integers(1, 6).flatmap(
+    lambda k: st.tuples(
+        st.lists(st.lists(wide_entry, min_size=k, max_size=k), min_size=k, max_size=k),
+        st.lists(wide_entry, min_size=k, max_size=k),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_systems, st.booleans())
+def test_lifted_solve_equals_solve(system, python_ints):
+    rows, rhs = system
+    k = len(rows)
+    flat = [v for row in rows for v in row]
+    square = (np.array(flat, object) if python_ints else linalg.integers(flat)).reshape(k, k)
+    got = linalg.lifted_solve(square, rhs)
+    _, pivots, det = linalg.echelon(rows)
+    if len(pivots) < k:
+        assert got is None
+    elif det % linalg.PRIME == 0:
+        assert got is None  # singular modulo the prime: the caller's Bareiss solve decides
+    else:
+        num, q = got
+        assert q > 0 and all(type(v) is int for v in [*num, q])
+        assert [F(v, q) for v in num] == linalg.solve(rows, [rhs])[0]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2], [2, 4]],
+        [[0, 0], [3, 1]],
+        [[2**70, 1, 0], [1, 2**70, 0], [2**70 + 1, 2**70 + 1, 0]],
+        [[linalg.PRIME, 0], [0, 1]],  # nonsingular, but singular modulo the prime
+    ],
+)
+def test_lifted_solve_is_none_on_singular_blocks(rows):
+    assert linalg.lifted_solve(np.array(rows, object), [1] * len(rows)) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrix, st.data())
+def test_product_is_exact_on_both_sides_of_the_int64_bound(rows, data):
+    scale = data.draw(st.sampled_from([1, 2**30, 2**61, 2**63]))
+    a = np.array([[v * scale for v in row] for row in rows], object)
+    vector = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows[0]), max_size=len(rows[0])))
+    got = linalg.product(a, linalg.integers(vector))
+    assert got.tolist() == [dot(row, vector) for row in a.tolist()]
+    bound = max(linalg.peak(a), 1) * max(*map(abs, vector), 1) * len(vector)
+    assert (got.dtype == np.int64) == (bound <= 2**63 - 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(int_matrix, st.data(), st.booleans())
 def test_exact_simplex_loop_updates_only_through_pivot(rows, data, python_ints):

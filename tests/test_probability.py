@@ -55,6 +55,20 @@ class TestValidation:
         with pytest.raises(ValidationError):
             JointDistribution((pm_one("X"),), {(0,): Fraction(1, 2)})
 
+    @pytest.mark.parametrize(
+        "mass,total",
+        [
+            ({(0,): Fraction(1, 3), (1,): Fraction(1, 2)}, "5/6"),
+            ({(0,): Fraction(2, 3), (1,): Fraction(5, 6)}, "3/2"),
+            ({(0,): Fraction(1, 2), (1,): Fraction(0)}, "1/2"),
+            ({(0,): Fraction(0)}, "0"),
+            ({}, "0"),
+        ],
+    )
+    def test_a_bad_total_names_the_exact_sum(self, mass, total):
+        with pytest.raises(ValidationError, match=f"^probabilities sum to {total}, expected exactly 1$"):
+            JointDistribution((pm_one("X"),), mass)
+
     def test_negative_mass_rejected(self):
         with pytest.raises(ValidationError):
             JointDistribution(

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_problem
 from jointfeas import (
-    FiniteRandomVariable, MomentConstraint, MomentProblem, check, decide, feasibility, pm_one, simplex
+    FiniteRandomVariable, MomentConstraint, MomentProblem, check, decide, feasibility, linalg, pm_one, simplex
 )
 from jointfeas.simplex import solve_equality_feasibility
 
@@ -472,7 +472,7 @@ def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasib
     rows, rhs = equal_pair_moment_lp(n, pair)
     matrix, dens = simplex._integral_rows(rows)
     signs = signs_of(rhs)
-    real = simplex.echelon
+    real_lift, real_echelon = simplex.lifted_solve, simplex.echelon
     # The guide under its own pricing, then held to Bland's rule, whose
     # path (and pivot count) is pinned.
     for bland in (False, True):
@@ -486,12 +486,184 @@ def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasib
             assert primal_first.pivots == pivots
 
         # The guide's objective points at the check that succeeds: one exact
-        # solve per LP, infeasible ones included.
-        solves = []
-        monkeypatch.setattr(simplex, "echelon", lambda *a, **k: solves.append(1) or real(*a, **k))
+        # solve per LP, infeasible ones included, lifted with no Bareiss
+        # elimination.
+        solves, eliminations = [], []
+        monkeypatch.setattr(simplex, "lifted_solve", lambda *a: solves.append(1) or real_lift(*a))
+        monkeypatch.setattr(simplex, "echelon", lambda *a, **k: eliminations.append(1) or real_echelon(*a, **k))
         assert primal_first == dual_first == solve_equality_feasibility(rows, rhs)
-        assert len(solves) == 1
-        monkeypatch.setattr(simplex, "echelon", real)
+        assert len(solves) == 1 and eliminations == []
+        monkeypatch.setattr(simplex, "lifted_solve", real_lift)
+        monkeypatch.setattr(simplex, "echelon", real_echelon)
+
+
+# ---------------------------------------------------------------------------
+# The lifted certificate against Bareiss elimination
+# ---------------------------------------------------------------------------
+
+
+def whole_basis_bareiss(matrix, factors, b, scale, signs, basis, pivots, dual_first):
+    """``_certify`` as Bareiss elimination on the whole m x m basis block B.
+
+    A reference written without the reduction to the structural block:
+    ``B x = b`` and ``B^T w = c_B`` are each one ``echelon`` run.
+    """
+    m, n = matrix.shape
+    columns = [
+        [f * v for f, v in zip(factors, matrix[:, j].tolist())] if j < n else [int(i == j - n) for i in range(m)]
+        for j in basis
+    ]
+
+    def solve(system):
+        mat, piv, det = linalg.echelon(system, pivot_cols=m)
+        if len(piv) != m:
+            return None
+        return [(1 if det > 0 else -1) * row[m] for row in mat], abs(det)
+
+    def primal():
+        solved = solve([[*row, bi] for row, bi in zip(zip(*columns), b)])
+        return solved and simplex._solution(solved[0], basis, n, solved[1], scale, pivots)
+
+    def dual():
+        solved = solve([[*column, int(j >= n)] for column, j in zip(columns, basis)])
+        if solved is None:
+            return None
+        w, d = solved
+        structural = (np.array([-wi * f for wi, f in zip(w, factors)], object) @ matrix).tolist()
+        cost = [*structural, *(d - wi for wi in w), -sum(wi * bi for wi, bi in zip(w, b))]
+        return simplex._farkas(cost, n, d, signs, pivots)
+
+    for check in (dual, primal) if dual_first else (primal, dual):
+        result = check()
+        if result is not None:
+            return result
+    return None
+
+
+def certify_by_bareiss(*args):
+    """``_certify`` with the lift reporting every block singular, so Bareiss solves it."""
+    with patch.object(simplex, "lifted_solve", lambda square, rhs: None):
+        return simplex._certify(*args)
+
+
+def certify_lifted(*args):
+    """``_certify`` as it runs, with every Bareiss elimination counted."""
+    eliminations = []
+    real = simplex.echelon
+    with patch.object(simplex, "echelon", lambda *a, **k: eliminations.append(1) or real(*a, **k)):
+        return simplex._certify(*args), len(eliminations)
+
+
+def assert_lift_equals_bareiss(args):
+    lifted, _ = certify_lifted(*args)
+    assert lifted == certify_by_bareiss(*args) == whole_basis_bareiss(*args)
+    return lifted
+
+
+def certify_args(rows, rhs, basis, pivots, dual_first):
+    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
+    return matrix, factors, b, scale, signs, basis, pivots, dual_first
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(), st.data())
+def test_lifted_certificate_equals_bareiss_on_any_basis(system, data):
+    # The guide's basis, the exact loop's final basis and an arbitrary one
+    # (possibly singular, or repeating a column), in both check orders.
+    rows, rhs = system
+    m, n = len(rows), len(rows[0])
+    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
+    bases = [
+        (data.draw(st.lists(st.integers(0, n + m - 1), min_size=m, max_size=m)), 0),
+        simplex._integer_bland(simplex._integer_tableau(matrix, factors, b, object), n, m)[:2],
+    ]
+    guide = simplex._guided(matrix, dens, rhs, signs)
+    if guide is not None:
+        bases.append(guide[:2])
+    for basis, pivots in bases:
+        for dual_first in (False, True):
+            assert_lift_equals_bareiss(certify_args(rows, rhs, basis, pivots, dual_first))
+
+
+@pytest.mark.parametrize("n,pair,feasible,pivots", PINNED_BLAND_PATHS)
+def test_lifted_certificate_equals_bareiss_on_pinned_moment_lps(monkeypatch, n, pair, feasible, pivots):
+    rows, rhs = equal_pair_moment_lp(n, pair)
+    matrix, dens = simplex._integral_rows(rows)
+    for bland in (False, True):
+        if bland:
+            force_bland(monkeypatch)
+        guide = simplex._guided(matrix, dens, rhs, signs_of(rhs))
+        result = assert_lift_equals_bareiss(certify_args(rows, rhs, *guide))
+        assert result.feasible == feasible
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+@pytest.mark.parametrize("pair,feasible", [(F(-1, 20), True), (F(-1, 10), False)])
+def test_lifted_certificate_equals_bareiss_on_large_pm_one_pairs(n, pair, feasible):
+    # 4,096 to 16,384 atoms; ρ = -1/10 is infeasible at these n, as
+    # -1/10 < -1/(n - 1).  The lift needs no Bareiss elimination.
+    matrix, dens, rhs = feasibility._constraint_rows(equal_pair_moment_problem(n, pair))
+    signs = signs_of(rhs)
+    factors, b, scale = simplex._scales(dens, rhs, signs)
+    args = (matrix, factors, b, scale, signs, *simplex._guided(matrix, dens, rhs, signs))
+    lifted, eliminations = certify_lifted(*args)
+    assert eliminations == 0 and lifted.feasible == feasible
+    assert lifted == certify_by_bareiss(*args)
+
+
+@pytest.mark.parametrize("dual_first", [False, True])
+@pytest.mark.parametrize(
+    "rows,rhs,basis",
+    [
+        # det = p: nonsingular over the rationals, singular modulo the prime
+        ([[F(linalg.PRIME)]], [F(1)], [0]),
+        ([[F(1), F(2)], [F(3), F(6 + linalg.PRIME)]], [F(3), F(9 + linalg.PRIME)], [0, 1]),
+        ([[F(1), F(2)], [F(3), F(6 + linalg.PRIME)]], [F(1), F(1)], [0, 1]),  # proves nothing
+        # a 1 x 1 block under one basic artificial: det = p again
+        ([[F(1), F(2)], [F(2 * linalg.PRIME), F(linalg.PRIME)]], [F(2), F(linalg.PRIME)], [1, 2]),
+    ],
+)
+def test_block_singular_modulo_the_prime_takes_the_bareiss_path(rows, rhs, basis, dual_first):
+    args = certify_args(rows, rhs, basis, 0, dual_first)
+    lifted, eliminations = certify_lifted(*args)
+    assert eliminations >= 1
+    assert lifted == whole_basis_bareiss(*args)
+    if lifted is not None:
+        assert lifted.feasible
+        check_result(rows, rhs, lifted)
+
+
+@pytest.mark.parametrize(
+    "rows,rhs",
+    [
+        # entries past int64
+        ([[F(2**70), F(1), F(0)], [F(1), F(1), F(1)]], [F(2**70), F(1)]),
+        ([[F(2**70), F(1), F(0)], [F(1), F(1), F(1)]], [F(1), F(2)]),
+        # row factors past int64: D / dens[i] is 3**45 and 2**70
+        ([[F(1, 2**70), F(1, 2**70), F(0)], [F(1, 3**45), F(0), F(1, 3**45)]], [F(1, 2**71), F(1, 3**46)]),
+        ([[F(1, 2**70), F(-1, 2**70), F(0)], [F(1, 3**45), F(0), F(1, 3**45)]], [F(1, 2**71), F(-1, 3**46)]),
+    ],
+)
+def test_wide_rows_and_factors_take_python_ints_and_agree(monkeypatch, rows, rhs):
+    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
+    products = []
+    real = simplex.product
+    monkeypatch.setattr(simplex, "product", lambda *a: products.append(real(*a)) or products[-1])
+    m, n = len(rows), len(rows[0])
+    final = simplex._integer_bland(simplex._integer_tableau(matrix, factors, b, object), n, m)
+    for dual_first in (False, True):
+        result = assert_lift_equals_bareiss(certify_args(rows, rhs, *final[:2], dual_first))
+        assert result == exact_loop(rows, rhs)
+    assert any(p.dtype == object for p in products)
+
+
+def test_a_repeated_basis_column_proves_nothing():
+    rows, rhs = [[F(1), F(1)], [F(1), F(-1)]], [F(1), F(0)]
+    for basis in ([0, 0], [2, 2], [3, 3]):
+        for dual_first in (False, True):
+            args = certify_args(rows, rhs, basis, 0, dual_first)
+            assert certify_lifted(*args)[0] is None
+            assert whole_basis_bareiss(*args) is None
 
 
 @settings(max_examples=100, deadline=None)
