@@ -18,11 +18,12 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .algebraic import as_fraction
 from .errors import JointfeasError, ValidationError

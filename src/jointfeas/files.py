@@ -20,16 +20,22 @@ Validation is strict: unknown fields are rejected, and errors carry the
 field path (e.g. ``constraints[2].target``).  Variable names and
 constraints are checked by the same validator as
 :class:`~jointfeas.feasibility.MomentProblem`, surd targets included.
-Reports are serialized canonically (sorted keys, fixed separators,
-trailing newline) so a fixed engine build produces byte-identical
-reports for identical inputs.
+Reports are written canonically by :func:`canonical_dumps`, in one
+pass over the engine's own values: sorted ``str`` keys, a two-space
+indent, ASCII-escaped strings, exact numbers as :func:`encode_exact`
+spells them and a trailing newline, so a fixed engine build produces
+byte-identical reports for identical inputs.  A report's ``input`` is
+the problem object :func:`parse_problem` validated, not a copy.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any
 
 from . import __version__
 from .algebraic import ExactNumber, Surd, as_fraction, exact_text, make_surd, sqrt_fraction
@@ -414,7 +420,11 @@ def _parse_gaussian(obj: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def parse_problem(obj: Any) -> dict[str, Any]:
-    """Validate a problem object and return its parsed contents."""
+    """Validate a problem object and return its parsed contents.
+
+    ``parsed["echo"]`` is ``obj`` itself, not a copy: the report echoes
+    the object as validated, so it must not change before it is rendered.
+    """
     if not isinstance(obj, Mapping):
         raise _fail("$", "problem file must be a JSON object")
     schema = obj.get("schema")
@@ -429,7 +439,7 @@ def parse_problem(obj: Any) -> dict[str, Any]:
         parsed = _parse_gaussian(obj)
     else:
         raise _fail("kind", f"unknown kind {kind!r}")
-    parsed["echo"] = _jsonify(obj)
+    parsed["echo"] = obj
     return parsed
 
 
@@ -459,21 +469,6 @@ def load_problem_file(path: str) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _jsonify(value: Any) -> Any:
-    """Recursively normalize to JSON-safe structures with exact rendering."""
-    if isinstance(value, (Fraction, Surd)):
-        return encode_exact(value)
-    if isinstance(value, Mapping):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if hasattr(value, "tolist"):  # numpy arrays
-        return _jsonify(value.tolist())
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def serialize_distribution(dist: JointDistribution) -> dict[str, Any]:
     return {
         "variables": [
@@ -492,11 +487,70 @@ def render_report(command: str, problem_echo: Any, results: Mapping[str, Any]) -
         "schema": REPORT_SCHEMA,
         "engine": {"name": "jointfeas", "version": __version__},
         "command": command,
-        "input": _jsonify(problem_echo),
-        "results": _jsonify(results),
+        "input": problem_echo,
+        "results": results,
     }
     return canonical_dumps(report)
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """The canonical JSON text of ``obj``, ending in a newline.
+
+    Keys are ``str(key)``, sorted; arrays and objects are indented by two
+    spaces; strings are ASCII-escaped and floats spelled as :mod:`json`
+    spells them (``NaN``, ``Infinity``); exact numbers are written as
+    :func:`encode_exact` spells them.  Any other value raises ``TypeError``.
+    """
+    return _text(obj, "\n") + "\n"
+
+
+def _text(value: Any, newline: str) -> str:
+    """The JSON text of ``value``, whose own lines start with ``newline``.
+
+    Loops rather than comprehensions keep one Python frame per nesting
+    level, fewer than the parser spends on the same exact-number objects.
+    """
+    if type(value) is str:  # most values are; the checks below are ABC isinstance tests
+        return _quote(value)
+    if isinstance(value, (Fraction, Surd)):
+        return _text(encode_exact(value), newline)
+    if isinstance(value, Mapping):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        by_key = {}
+        for key, item in value.items():
+            by_key[str(key)] = item  # the last of keys equal as text wins
+        parts = []
+        for key, item in sorted(by_key.items()):
+            parts.append(_quote(key) + ": " + _text(item, inner))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        parts = []
+        for item in value:
+            parts.append(_text(item, inner))
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if hasattr(value, "tolist"):  # numpy arrays and scalars
+        return _text(value.tolist(), newline)
+    raise TypeError(f"cannot serialize {type(value).__name__}")

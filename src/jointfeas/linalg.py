@@ -206,14 +206,17 @@ def integers(values: Sequence[int]) -> np.ndarray:
     return np.array(values, np.int64 if fits else object)
 
 
-def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def product(a: np.ndarray, b: np.ndarray, top_b: int | None = None) -> np.ndarray:
     """``a @ b`` of integer arrays, exactly.
 
     It runs in int64 when ``peak(a) * peak(b)`` times the inner dimension
     fits (each peak counted as at least 1, so that both arrays fit too),
     a bound computed before the product, and on Python ints otherwise.
+    A caller that already knows ``peak(b)`` passes it as ``top_b``.
     """
-    dtype = np.int64 if max(peak(a), 1) * max(peak(b), 1) * a.shape[-1] <= _INT64_MAX else object
+    if top_b is None:
+        top_b = peak(b)
+    dtype = np.int64 if max(peak(a), 1) * max(top_b, 1) * a.shape[-1] <= _INT64_MAX else object
     return np.asarray(a, dtype) @ np.asarray(b, dtype)
 
 

@@ -145,13 +145,14 @@ def solve_equality_feasibility(
     # Normalize to b >= 0, remembering the sign applied to each row.
     signs = [(-1 if b < 0 else 1) for b in rhs]
     factors, b, scale = _scales(dens, rhs, signs)
-    tab = _int64_tableau(matrix, factors, b)
+    peaks = _row_peaks(matrix)
+    tab = _int64_tableau(matrix, peaks, factors, b)
     if tab is not None:
         result = _exact_loop(tab, n, m, signs, scale)
         if result is not None:
             return result
     guide = _guided(matrix, dens, rhs, signs)
-    result = None if guide is None else _certify(matrix, factors, b, scale, signs, *guide)
+    result = None if guide is None else _certify(matrix, max(peaks), factors, b, scale, signs, *guide)
     if result is None:
         result = _exact_loop(_integer_tableau(matrix, factors, b, object), n, m, signs, scale)
     if result is None:
@@ -178,6 +179,15 @@ def _integral_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, list
 
 def _rational(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
+def _row_peaks(matrix: np.ndarray) -> list[int]:
+    """Each row's largest entry magnitude, as Python ints."""
+    if matrix.dtype.kind in "iu":
+        lows = matrix.min(axis=1, initial=0).tolist()
+        highs = matrix.max(axis=1, initial=0).tolist()
+        return [max(hi, -lo) for lo, hi in zip(lows, highs)]
+    return [max(map(abs, row), default=0) for row in matrix.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +223,12 @@ def _integer_tableau(matrix: np.ndarray, factors: Sequence[int], b: Sequence[int
     return tab
 
 
-def _int64_tableau(matrix: np.ndarray, factors: Sequence[int], b: Sequence[int]) -> np.ndarray | None:
+def _int64_tableau(
+    matrix: np.ndarray, peaks: Sequence[int], factors: Sequence[int], b: Sequence[int]
+) -> np.ndarray | None:
     """The integer tableau in int64 when its entry bound E is below 2**31, else None.
+
+    ``peaks`` are the matrix's :func:`_row_peaks`.
 
     E = (m + 1) * H, with H the product of the m largest column 2-norms,
     bounds every entry the exact loop will see.  The m artificial columns
@@ -225,10 +239,8 @@ def _int64_tableau(matrix: np.ndarray, factors: Sequence[int], b: Sequence[int])
     m = len(matrix)
     if matrix.dtype.kind != "i":
         return None
-    lows = matrix.min(axis=1, initial=0).tolist()
-    highs = matrix.max(axis=1, initial=0).tolist()
-    peaks = [max(hi, -lo) * abs(f) for lo, hi, f in zip(lows, highs, factors)]
-    if (m + 1) * max(peaks + [abs(v) for v in b]) >= _INT64_SAFE:
+    scaled = [p * abs(f) for p, f in zip(peaks, factors)]
+    if (m + 1) * max(scaled + [abs(v) for v in b]) >= _INT64_SAFE:
         return None
     # A zero row's factor may not fit int64; its products are 0 anyway.
     tab = _integer_tableau(matrix, [f if p else 0 for f, p in zip(factors, peaks)], b, np.int64)
@@ -414,6 +426,7 @@ def _float_guide(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int] | Non
 
 def _certify(
     matrix: np.ndarray,
+    top: int,
     factors: Sequence[int],
     b: Sequence[int],
     scale: int,
@@ -423,6 +436,8 @@ def _certify(
     dual_first: bool,
 ) -> EqualityFeasibility | None:
     """Settle the guide's final basis exactly, or None when it proves nothing.
+
+    ``top`` is ``peak(matrix)``, known to the caller.
 
     B is the basis block of the exact loop's integer tableau
     (``factors[i] * matrix[i]`` on a structural column, e_i on an
@@ -467,7 +482,7 @@ def _certify(
         w = [q] * m
         for i, v in zip(free, y):
             w[i] = v
-        costs = product(integers([wi * f for wi, f in zip(w, factors)]), matrix)
+        costs = product(integers([wi * f for wi, f in zip(w, factors)]), matrix, top)
         cost = [*(-costs).tolist(), *(q - wi for wi in w), -sum(wi * bi for wi, bi in zip(w, b))]
         return _farkas(cost, n, q, signs, pivots)
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,18 @@ from jointfeas import (
     MomentConstraint,
     MomentProblem,
 )
+
+def subprocess_env() -> dict[str, str]:
+    """This process's environment with the repository's ``src`` first on ``PYTHONPATH``.
+
+    A child interpreter sees only its environment, not pytest's
+    ``pythonpath`` setting, so this lets it import ``jointfeas``.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
 
 SUPPORT_POOL = [
     Fraction(-2),

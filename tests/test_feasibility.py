@@ -30,7 +30,7 @@ from jointfeas.feasibility import _constraint_rows
 from jointfeas.files import PROBLEM_SCHEMA
 from jointfeas.simplex import solve_equality_feasibility
 
-from conftest import random_problem
+from conftest import random_problem, subprocess_env
 
 F = Fraction
 
@@ -114,7 +114,7 @@ class TestDecide:
             """
         )
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=subprocess_env()
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["1", "range-check", "[True]", "raised"]
@@ -199,7 +199,7 @@ class TestDecide:
             """
         )
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=subprocess_env()
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [
@@ -233,7 +233,7 @@ class TestDecide:
             """
         )
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=subprocess_env()
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["1", "True", "False"]

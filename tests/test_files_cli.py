@@ -1,19 +1,27 @@
 import json
+import math
 import subprocess
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jointfeas import MomentConstraint, cli, expectation, pm_one, point_mass
-from jointfeas.algebraic import Surd, sqrt_fraction
+from conftest import subprocess_env
+from jointfeas import MomentConstraint, __version__, cli, expectation, pm_one, point_mass
+from jointfeas.algebraic import Surd, make_surd, sqrt_fraction
 from jointfeas.errors import ValidationError
 from jointfeas.files import (
     PROBLEM_SCHEMA,
+    REPORT_SCHEMA,
     canonical_dumps,
     encode_exact,
     parse_exact,
     parse_problem,
+    render_report,
 )
 from jointfeas.cli import run
 
@@ -668,6 +676,7 @@ class TestCLI:
             [sys.executable, "-m", "jointfeas.cli", "decide", path],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert '"verdict": "feasible"' in proc.stdout
@@ -675,5 +684,158 @@ class TestCLI:
     @pytest.mark.parametrize("argv, status", [(["corpus"], 0), ([], 2)])
     def test_package_runs_as_a_module(self, argv, status):
         # Without a __main__, python -m jointfeas exited 1, which reads as "infeasible".
-        proc = subprocess.run([sys.executable, "-m", "jointfeas", *argv], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "jointfeas", *argv], capture_output=True, text=True, env=subprocess_env()
+        )
         assert proc.returncode == status, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# The canonical writer against the two-pass form it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_jsonify(value):
+    """A copy of ``value`` in JSON types, exact numbers spelled by ``encode_exact``."""
+    if isinstance(value, (Fraction, Surd)):
+        return encode_exact(value)
+    if isinstance(value, Mapping):
+        return {str(k): reference_jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonify(v) for v in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    if hasattr(value, "tolist"):  # numpy arrays
+        return reference_jsonify(value.tolist())
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_dumps(obj):
+    """The canonical text as the copy plus ``json.dumps`` wrote it."""
+    return json.dumps(reference_jsonify(obj), sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+def reference_report(command, echo, results):
+    return reference_dumps(
+        {
+            "schema": REPORT_SCHEMA,
+            "engine": {"name": "jointfeas", "version": __version__},
+            "command": command,
+            "input": reference_jsonify(echo),
+            "results": reference_jsonify(results),
+        }
+    )
+
+
+class Label(str):
+    """A caller's own string type."""
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e300, 5e-324, 0.1]
+ODD_STRINGS = ["", "é", "日本", "\x00\x1f\x7f", '"\\/\b\f\n\r\t', "\ud800", "\U0001f600", " "]
+
+texts = st.one_of(st.text(max_size=6), st.sampled_from(ODD_STRINGS))
+floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+surds = st.builds(
+    make_surd, st.fractions(max_denominator=30), st.fractions(max_denominator=30), st.integers(2, 40)
+)
+numpy_values = st.one_of(
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    floats.map(np.float64),
+    st.booleans().map(np.bool_),
+    texts.map(np.str_),
+    st.lists(st.integers(-(2**40), 2**40), max_size=4).map(np.array),
+    st.lists(floats, min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2)),
+    st.lists(st.fractions(max_denominator=9), max_size=3).map(lambda v: np.array(v, dtype=object)),
+)
+# Short keys over a small alphabet so that text keys often equal str() of the others.
+keys = st.one_of(
+    st.text("0123/-TrueFalsNon", max_size=5),
+    st.text("01-", max_size=2).map(Label),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.none(),
+    st.fractions(max_denominator=3),
+)
+leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), floats, texts, texts.map(Label),
+    st.fractions(), surds, numpy_values,
+)
+values = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+        st.dictionaries(keys, children, max_size=4).map(MappingProxyType),
+    ),
+    max_leaves=20,
+)
+
+
+class TestCanonicalWriter:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(values)
+    def test_dumps_matches_the_two_pass_reference(self, value):
+        assert canonical_dumps(value) == reference_dumps(value)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(texts, values, st.dictionaries(keys, values, max_size=4))
+    def test_render_report_matches_the_two_pass_reference(self, command, echo, results):
+        assert render_report(command, echo, results) == reference_report(command, echo, results)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {1: "int", "1": "text"},
+            {"1": "text", 1: "int"},
+            {None: 0, "None": 1, True: 2, "True": 3},
+            {F(1, 2): "exact", "1/2": "text", Label("1/2"): "label"},
+            MappingProxyType({"b": (), "a": {}, "c": [[], {}]}),
+            {"z": np.array([[1, 2], [3, 4]]), "y": np.array([], dtype=np.int64), "x": np.float64("nan")},
+            [sqrt_fraction(2), -sqrt_fraction(F(1, 3)), F(-7, 3), -0.0, math.inf, -math.inf, 1e300],
+            {Label("k"): Label("v\x01é"), "": ""},
+        ],
+    )
+    def test_fixed_values_match_the_reference(self, value):
+        assert canonical_dumps(value) == reference_dumps(value)
+
+    @pytest.mark.parametrize(
+        "bad", [object(), {1, 2}, b"bytes", 1j, frozenset()], ids=["object", "set", "bytes", "complex", "frozenset"]
+    )
+    def test_an_unsupported_value_raises_the_same_type_error(self, bad):
+        value = {"a": [1, {"b": (F(1, 2), bad)}]}
+        with pytest.raises(TypeError) as expected:
+            reference_dumps(value)
+        with pytest.raises(TypeError) as got:
+            canonical_dumps(value)
+        assert str(got.value) == str(expected.value) == f"cannot serialize {type(bad).__name__}"
+        with pytest.raises(TypeError, match=f"cannot serialize {type(bad).__name__}"):
+            render_report("decide", {}, value)
+
+    def test_the_echo_is_the_validated_object(self):
+        obj = triple_file(["0", "0", "0"])
+        assert parse_problem(obj)["echo"] is obj
+
+    def test_every_nesting_the_parser_accepts_renders(self, tmp_path, capsys):
+        # The writer spends fewer frames per level than the parser, so a
+        # file that parses also gets its report: exit 0, never 3.
+        path = tmp_path / "problem.json"
+
+        def decide_at(depth):
+            target = '"1/2"'
+            for _ in range(depth):
+                target = f'{{"poly": [{target}, "1"], "interval": ["-1", "1"]}}'
+            text = json.dumps(triple_file(["0", "0", "0"])).replace('"target": "0"', f'"target": {target}', 1)
+            path.write_text(text, encoding="utf-8")
+            code = run(["decide", str(path)])
+            err = capsys.readouterr().err
+            assert code == 0 or (code, err) == (2, f"error: {path}: exact numbers nested too deeply\n")
+            return code
+
+        low, high = 1, 400  # parses at low, not at high
+        assert decide_at(low) == 0 and decide_at(high) == 2
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if decide_at(mid) == 0 else (low, mid)
+        assert low > 100

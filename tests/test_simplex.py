@@ -110,7 +110,7 @@ def exact_loop(rows, rhs):
 def int64_path(rows, rhs):
     """The int64 loop's result, or None when the system is over the bound."""
     matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
-    tab = simplex._int64_tableau(matrix, factors, b)
+    tab = simplex._int64_tableau(matrix, simplex._row_peaks(matrix), factors, b)
     return None if tab is None else simplex._exact_loop(tab, len(rows[0]), len(rows), signs, scale)
 
 
@@ -118,7 +118,7 @@ def guided_path(rows, rhs):
     """The float guide's basis settled by ``_certify``, or None when it proves nothing."""
     matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
     guide = simplex._guided(matrix, dens, rhs, signs)
-    return None if guide is None else simplex._certify(matrix, factors, b, scale, signs, *guide)
+    return None if guide is None else simplex._certify(matrix, linalg.peak(matrix), factors, b, scale, signs, *guide)
 
 
 def force_guide(monkeypatch):
@@ -444,7 +444,7 @@ def certify_both_orders(matrix, dens, rhs, basis, pivots):
     signs = signs_of(rhs)
     factors, b, scale = simplex._scales(dens, rhs, signs)
     return [
-        simplex._certify(matrix, factors, b, scale, signs, basis, pivots, dual_first)
+        simplex._certify(matrix, linalg.peak(matrix), factors, b, scale, signs, basis, pivots, dual_first)
         for dual_first in (False, True)
     ]
 
@@ -502,7 +502,7 @@ def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasib
 # ---------------------------------------------------------------------------
 
 
-def whole_basis_bareiss(matrix, factors, b, scale, signs, basis, pivots, dual_first):
+def whole_basis_bareiss(matrix, top, factors, b, scale, signs, basis, pivots, dual_first):
     """``_certify`` as Bareiss elimination on the whole m x m basis block B.
 
     A reference written without the reduction to the structural block:
@@ -562,7 +562,7 @@ def assert_lift_equals_bareiss(args):
 
 def certify_args(rows, rhs, basis, pivots, dual_first):
     matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
-    return matrix, factors, b, scale, signs, basis, pivots, dual_first
+    return matrix, linalg.peak(matrix), factors, b, scale, signs, basis, pivots, dual_first
 
 
 @settings(max_examples=300, deadline=None)
@@ -605,7 +605,7 @@ def test_lifted_certificate_equals_bareiss_on_large_pm_one_pairs(n, pair, feasib
     matrix, dens, rhs = feasibility._constraint_rows(equal_pair_moment_problem(n, pair))
     signs = signs_of(rhs)
     factors, b, scale = simplex._scales(dens, rhs, signs)
-    args = (matrix, factors, b, scale, signs, *simplex._guided(matrix, dens, rhs, signs))
+    args = (matrix, linalg.peak(matrix), factors, b, scale, signs, *simplex._guided(matrix, dens, rhs, signs))
     lifted, eliminations = certify_lifted(*args)
     assert eliminations == 0 and lifted.feasible == feasible
     assert lifted == certify_by_bareiss(*args)
@@ -664,6 +664,37 @@ def test_a_repeated_basis_column_proves_nothing():
             args = certify_args(rows, rhs, basis, 0, dual_first)
             assert certify_lifted(*args)[0] is None
             assert whole_basis_bareiss(*args) is None
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.array([[3, -7, 0], [0, 0, 0], [-(2**63), 1, 2**63 - 1]], np.int64),
+        np.array([[2**64 - 1, 0], [5, 6]], np.uint64),
+        np.array([[2**70, -(3**50)], [0, -1]], object),
+        np.zeros((2, 0), np.int64),
+    ],
+    ids=["int64", "uint64", "python-ints", "no-columns"],
+)
+def test_row_peaks_are_each_rows_largest_magnitude(matrix):
+    peaks = simplex._row_peaks(matrix)
+    assert peaks == [max(map(abs, row), default=0) for row in matrix.tolist()]
+    assert all(type(p) is int for p in peaks) and max(peaks) == linalg.peak(matrix)
+
+
+def test_the_dual_takes_no_second_peak_of_the_matrix(monkeypatch):
+    # An infeasible guided LP reads its Farkas vector off the dual's cost
+    # row; its int64 bound uses the peak taken once per solve.
+    matrix, dens, rhs = feasibility._constraint_rows(equal_pair_moment_problem(6, F(-1, 4)))
+    force_guide(monkeypatch)
+    calls = spy_exact_loop(monkeypatch)
+    shapes = []
+    real = linalg.peak
+    monkeypatch.setattr(linalg, "peak", lambda a: shapes.append(a.shape) or real(a))
+    res = solve_equality_feasibility(matrix, rhs, dens)
+    assert not res.feasible and calls == []
+    check_result(fraction_rows(matrix, dens), rhs, res)
+    assert shapes and matrix.shape not in shapes
 
 
 @settings(max_examples=100, deadline=None)
@@ -812,7 +843,7 @@ def check_paths_agree(rows, rhs, *, same_path=False):
     exact = exact_loop(rows, rhs)
     check_result(rows, rhs, exact)
     matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
-    tab = simplex._int64_tableau(matrix, factors, b)
+    tab = simplex._int64_tableau(matrix, simplex._row_peaks(matrix), factors, b)
     if tab is not None:
         # The int64 loop visits the Python-int loop's tableaux cell for cell.
         reference = simplex._integer_tableau(matrix, factors, b, object)
@@ -891,7 +922,7 @@ def test_int64_bound_edge(monkeypatch, m):
         rows = [[F(value) if i == j else F(0) for j in range(m)] for i in range(m)]
         rhs = [F(value)] * m
         matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
-        assert (simplex._int64_tableau(matrix, factors, b) is not None) == exact
+        assert (simplex._int64_tableau(matrix, simplex._row_peaks(matrix), factors, b) is not None) == exact
         guides = spy_guide(monkeypatch)
         res = solve_equality_feasibility(rows, rhs)
         assert res == simplex.EqualityFeasibility(True, (F(1),) * m, None, m)
@@ -908,7 +939,7 @@ def test_int64_bound_is_strict(top, accepted):
     rows = [[F(2**10), F(0), F(0)], [F(0), F(2**10), F(0)], [F(0), F(0), F(top)]]
     rhs = [F(top), F(0), F(0)]
     matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
-    assert (simplex._int64_tableau(matrix, factors, b) is not None) == accepted
+    assert (simplex._int64_tableau(matrix, simplex._row_peaks(matrix), factors, b) is not None) == accepted
     check_result(rows, rhs, solve_equality_feasibility(rows, rhs))
 
 
