@@ -27,6 +27,7 @@ from .errors import JointfeasError, SizeCapError, ValidationError
 from .feasibility import (
     DEFAULT_ATOM_CAP,
     FeasibilityResult,
+    _check_atom_cap,
     brute_force_oracle,
     decide,
     verify_certificate,
@@ -89,8 +90,7 @@ def _atom_cap(args: argparse.Namespace, parsed: dict[str, Any]) -> int:
     """The ``--atom-cap`` flag, else the file's ``options.atom_cap``, else the default."""
     if args.atom_cap is None:
         return parsed.get("atom_cap") or DEFAULT_ATOM_CAP
-    if args.atom_cap <= 0:
-        raise ValidationError("--atom-cap: expected a positive integer")
+    _check_atom_cap(args.atom_cap, "--atom-cap")
     return args.atom_cap
 
 
@@ -252,7 +252,7 @@ def cmd_inequalities(args: argparse.Namespace) -> int:
         "provenance": {"module": module, "method": "closed-form evaluation"},
     }
     if parsed["kind"] == "finite-moment":
-        if parsed.get("rational_targets") and "problem" in parsed:
+        if "problem" in parsed:
             try:
                 result = decide(parsed["problem"], atom_cap=atom_cap)
             except SizeCapError:

@@ -21,12 +21,13 @@ test suite:
 Both paths, and :func:`reduce_then_test`, read their inputs from one
 integer row builder, :func:`_constraint_rows`: each support over its
 common denominator, each moment row a numpy product of numerator tables
-over the lattice with one denominator per row, in int64 when a bound
-computed first fits and in Python ints otherwise.  The rows depend only
-on the problem's structure (its supports, and each constraint's
-variables, exponents and relation), never on its targets, so they are
-built once per structure and kept, read-only, in a bounded cache; a
-matrix above a fixed cell budget is built and used but not kept.  The
+over the lattice, every row over one common denominator, in int64 when
+a bound computed first fits and in Python ints otherwise.  The rows
+depend only on the problem's structure (its supports, and each
+constraint's variables, exponents and relation), never on its targets,
+so they are built once per structure and kept, read-only, in a bounded
+cache; a matrix above a fixed cell budget is built and used but not
+kept.  The
 cone oracle's dual description is cached the same way, per generator
 set (:func:`jointfeas.geometry.dual_rays`).  Every verdict then
 passes an exact gate in :mod:`jointfeas.check`, which shares no code
@@ -42,7 +43,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -111,7 +111,7 @@ class MomentConstraint:
 
     @classmethod
     def of(cls, exponents: Mapping[str, int], target, relation: str = "==") -> "MomentConstraint":
-        return cls(tuple(sorted(exponents.items())), as_fraction(target), relation)
+        return cls(tuple(sorted(exponents.items())), target, relation)
 
     @property
     def exponent_map(self) -> dict[str, int]:
@@ -296,37 +296,38 @@ def _row_structure(problem: MomentProblem) -> tuple:
     )
 
 
-def _build_rows(structure: tuple) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``(matrix, dens)`` of :func:`_constraint_rows`, from the structure alone.
+def _build_rows(structure: tuple) -> tuple[np.ndarray, int]:
+    """``(matrix, den)`` of :func:`_constraint_rows`, from the structure alone.
 
     The matrix is read-only, since a cached one is shared by every call.
     """
     supports, constraints = structure
     shape = tuple(len(numerators) for _, numerators in supports)
     count = prod(shape)
+    dens = [prod(supports[i][0] ** k for i, k in exponents) for exponents, _ in constraints]
+    den = lcm(*dens)
     specs = []
-    bound = 1
-    for exponents, _ in constraints:
-        factors, den, top = [], 1, 1
+    bound = den
+    for (exponents, _), d in zip(constraints, dens):
+        factors, top, scale = [], 1, den // d  # the row's scale rides on its first table
         for i, k in exponents:
-            d, numerators = supports[i]
-            factors.append((i, [x**k for x in numerators]))
-            den *= d**k
-            top *= max(1, *(abs(x) for x in numerators)) ** k  # bounds partial products too
-        specs.append((factors, den))
-        bound = max(bound, top, den)
+            numerators = supports[i][1]
+            factors.append((i, [scale * x**k for x in numerators]))
+            top *= scale * max(1, *(abs(x) for x in numerators)) ** k  # bounds partial products too
+            scale = 1
+        specs.append(factors)
+        bound = max(bound, top)
     dtype = np.int64 if bound <= _INT64_MAX else object
 
     owners = [i for i, (_, relation) in enumerate(constraints) if relation != "=="]
     matrix = np.zeros((len(specs) + 1, count + len(owners)), dtype)
-    for i, (factors, _) in enumerate(specs):
+    for i, factors in enumerate(specs):
         matrix[i, :count] = _lattice_product(shape, factors, dtype)
-    matrix[-1, :count] = 1
+    matrix[-1, :count] = den
     for j, i in enumerate(owners, count):
-        den = specs[i][1]
         matrix[i, j] = den if constraints[i][1] == "<=" else -den
     matrix.setflags(write=False)
-    return matrix, tuple(den for _, den in specs) + (1,)
+    return matrix, den
 
 
 # Sweeps solve many targets over one structure, so rows are built once
@@ -336,31 +337,32 @@ _ROW_CACHE_CELLS = 1 << 15
 _cached_rows = functools.lru_cache(maxsize=64)(_build_rows)
 
 
-def _constraint_rows(problem: MomentProblem) -> tuple[np.ndarray, list[int], list[Fraction]]:
+def _constraint_rows(problem: MomentProblem) -> tuple[np.ndarray, int, list[Fraction]]:
     """LP rows in integers: one per constraint, then the normalization row.
 
-    Returns ``(matrix, dens, rhs)``: row i over the atoms, in
-    ``atom_space`` order, is ``matrix[i] / dens[i]``.  Each support is
-    put over its common denominator D_v, so a constraint's row holds
-    products of support numerators raised to their exponents, over
-    ``prod(D_v ** k)``.  The normalization row is all ones over 1.  The
-    matrix is int64 when a bound on every entry, computed first, fits;
-    otherwise it holds Python ints.
+    Returns ``(matrix, den, rhs)``: the rows over the atoms, in
+    ``atom_space`` order, are ``matrix / den``.  Each support is put over
+    its common denominator D_v, so a constraint's monomial is a product
+    of support numerators raised to their exponents, over
+    ``prod(D_v ** k)``; den is the lcm of those denominators, and each
+    row's products are scaled up to it.  The normalization row is den
+    everywhere.  The matrix is int64 when a bound on every scaled entry,
+    computed first, fits; otherwise it holds Python ints.
 
     After the atoms, every inequality constraint gets one nonnegative
     slack column (+den for <=, -den for >=) turning the system into pure
     equalities; the normalization row has zeros there since slack is
     not probability mass.
 
-    ``matrix`` and ``dens`` depend only on :func:`_row_structure`, and
+    ``matrix`` and ``den`` depend only on :func:`_row_structure`, and
     come from a bounded cache keyed on it: the matrix is read-only, and
-    ``dens`` and ``rhs`` are fresh lists.
+    ``rhs`` is a fresh list.
     """
     constraints = problem.constraints
     cells = (len(constraints) + 1) * (problem.atom_count() + sum(c.relation != "==" for c in constraints))
     build = _cached_rows if cells <= _ROW_CACHE_CELLS else _build_rows
-    matrix, dens = build(_row_structure(problem))
-    return matrix, list(dens), [c.target for c in constraints] + [_ONE]
+    matrix, den = build(_row_structure(problem))
+    return matrix, den, [c.target for c in constraints] + [_ONE]
 
 
 def _atoms(shape: tuple[int, ...], indices: Sequence[int]) -> list[Atom]:
@@ -398,9 +400,10 @@ def _range_violated(constraint: MomentConstraint, lo: Fraction, hi: Fraction) ->
     return not lo <= constraint.target <= hi
 
 
-def _check_atom_cap(atom_cap: int) -> None:
+def _check_atom_cap(atom_cap: int, path: str | None = None) -> None:
+    """The one atom-cap rule; ``path`` names the field or flag that gave it."""
     if isinstance(atom_cap, bool) or not isinstance(atom_cap, int) or atom_cap <= 0:
-        raise ValidationError(f"atom_cap must be a positive integer, got {atom_cap!r}")
+        raise ValidationError(f"atom_cap must be a positive integer, got {atom_cap!r}", path)
 
 
 def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> FeasibilityResult:
@@ -438,8 +441,8 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
                 {"constraint": c.describe(), "achievable": (lo, hi)},
             )
 
-    matrix, dens, rhs = _constraint_rows(problem)
-    lp = solve_equality_feasibility(matrix, rhs, dens)
+    matrix, den, rhs = _constraint_rows(problem)
+    lp = solve_equality_feasibility(matrix, rhs, den)
     if lp.feasible:
         if lp.solution is None:
             raise AssertionError("simplex reported feasible without a solution")
@@ -479,20 +482,18 @@ def brute_force_oracle(
     if count > atom_cap:
         raise SizeCapError(f"oracle cap is {atom_cap} atoms, problem has {count}")
 
-    # Generators are the integer LP columns, normalization row first, row
-    # i scaled by L // dens[i] for L = lcm(dens): L times each moment
-    # vector.  With the target L times the right-hand side, the weights
-    # are atom masses.  Atoms sharing a column merge into the first of
-    # them; slack columns (after the atoms) represent no atom.
-    matrix, dens, rhs = _constraint_rows(problem)
+    # Generators are the integer LP columns, normalization row first: den
+    # times each moment vector.  With the target den times the right-hand
+    # side, the weights are atom masses.  Atoms sharing a column merge
+    # into the first of them; slack columns (after the atoms) represent
+    # no atom.
+    matrix, den, rhs = _constraint_rows(problem)
     values = matrix.tolist()
     representatives: dict[tuple[int, ...], int] = {}
     for j, column in enumerate(zip(values[-1], *values[:-1])):
         representatives.setdefault(column, j)
-    scale = lcm(*dens)
-    factors = [scale // d for d in (dens[-1], *dens[:-1])]
-    generators = [tuple(map(mul, column, factors)) for column in representatives]
-    target = tuple(scale * x for x in (rhs[-1], *rhs[:-1]))
+    generators = list(representatives)
+    target = tuple(den * x for x in (rhs[-1], *rhs[:-1]))
 
     membership = cone_membership(generators, target)
     if membership.member:
@@ -584,7 +585,7 @@ def reduce_then_test(
         )
     tables = {v.name: _as_table(v, signmaps[v.name]) for v in problem.variables}
 
-    matrix, dens, rhs = _constraint_rows(problem)  # all-ones row last; == only, so no slacks
+    matrix, den, rhs = _constraint_rows(problem)  # normalization row last; == only, so no slacks
     shape = tuple(len(v.support) for v in problem.variables)
 
     def lifted(names: Sequence[str]) -> list[int]:
@@ -603,9 +604,8 @@ def reduce_then_test(
     # The rows span the determined linear functionals on atom masses (the
     # constraint monomials and the all-ones row).  When g = rows^T . lam,
     # E(g) = lam . rhs for every distribution meeting the constraints;
-    # when g is outside their span, E(g) is not determined.  Row i is
-    # matrix[i] / dens[i], so the integer system is solved for
-    # mu_i = lam_i / dens[i].
+    # when g is outside their span, E(g) is not determined.  The rows are
+    # matrix / den, so the integer system is solved for mu = lam / den.
     per_atom = matrix.T.tolist()  # one equation matrix^T . mu = g per atom
     solutions = solve(per_atom, [g for _, g in wanted])
     derived: dict[str, Fraction] = {}
@@ -614,7 +614,7 @@ def reduce_then_test(
         if mu is None:
             missing.append(label)
         else:
-            derived[label] = sum((u * d * b for u, d, b in zip(mu, dens, rhs)), _ZERO)
+            derived[label] = den * sum((u * b for u, b in zip(mu, rhs)), _ZERO)
 
     if missing:
         return ReduceThenTestResult("underdetermined", None, None, tuple(missing), derived)

@@ -40,7 +40,7 @@ from typing import Any
 from . import __version__
 from .algebraic import ExactNumber, Surd, as_fraction, exact_text, make_surd, sqrt_fraction
 from .errors import ValidationError
-from .feasibility import MomentConstraint, MomentProblem, _check_moment_problem
+from .feasibility import MomentConstraint, MomentProblem, _check_atom_cap, _check_moment_problem
 from .gaussian import DEFAULT_TOL, PartialCorrelationMatrix, _check_tol
 from .ghz import GHZConfig, build_ghz_problem
 from .probability import FiniteRandomVariable, JointDistribution, distribution_from_values
@@ -220,10 +220,8 @@ def _parse_label(obj: Mapping[str, Any]) -> str:
 
 def _parse_atom_cap(options: Mapping[str, Any]) -> int | None:
     atom_cap = options.get("atom_cap")
-    if atom_cap is not None and (
-        isinstance(atom_cap, bool) or not isinstance(atom_cap, int) or atom_cap <= 0
-    ):
-        raise _fail("options.atom_cap", "expected a positive integer")
+    if atom_cap is not None:
+        _check_atom_cap(atom_cap, "options.atom_cap")
     return atom_cap
 
 
@@ -235,6 +233,7 @@ def _parse_finite_moment(obj: Mapping[str, Any]) -> dict[str, Any]:
         {"label", "constraints", "distribution", "options"},
     )
     variables = _parse_variables(obj["variables"], "variables")
+    names = [v.name for v in variables]
     options = obj.get("options", {})
     _expect_keys(options, "options", set(), {"atom_cap", "allow_higher_order"})
     atom_cap = _parse_atom_cap(options)
@@ -259,7 +258,6 @@ def _parse_finite_moment(obj: Mapping[str, Any]) -> dict[str, Any]:
         if not isinstance(spec, Sequence) or isinstance(spec, str):
             raise _fail("constraints", "expected a list")
         constraints = []
-        exact_targets = True
         for i, item in enumerate(spec):
             cpath = f"constraints[{i}]"
             _expect_keys(item, cpath, {"exponents", "target"}, {"relation"})
@@ -272,18 +270,12 @@ def _parse_finite_moment(obj: Mapping[str, Any]) -> dict[str, Any]:
             relation = item.get("relation", "==")
             if relation not in ("==", "<=", ">="):
                 raise _fail(f"{cpath}.relation", "expected one of '==', '<=', '>='")
-            target = parse_exact(item["target"], f"{cpath}.target")
-            if isinstance(target, Surd):
-                exact_targets = False
-            constraints.append((dict(exps), target, relation))
-        _check_moment_problem(
-            [v.name for v in variables],
-            [(sorted(e.items()), r) for e, _, r in constraints],
-            allow_higher,
-        )
+            constraints.append((dict(exps), parse_exact(item["target"], f"{cpath}.target"), relation))
         result["constraints"] = constraints
-        result["rational_targets"] = exact_targets
-        if exact_targets:
+        if any(isinstance(t, Surd) for _, t, _ in constraints):
+            # No MomentProblem, whose own checks give these paths, is built.
+            _check_moment_problem(names, [(sorted(e.items()), r) for e, _, r in constraints], allow_higher)
+        else:
             result["problem"] = MomentProblem(
                 variables,
                 tuple(MomentConstraint.of(e, t, r) for e, t, r in constraints),
@@ -291,6 +283,7 @@ def _parse_finite_moment(obj: Mapping[str, Any]) -> dict[str, Any]:
                 allow_higher_order=allow_higher,
             )
     else:
+        _check_moment_problem(names, (), allow_higher)
         spec = obj["distribution"]
         _expect_keys(spec, "distribution", {"mass"}, set())
         mass_obj = spec["mass"]
@@ -341,7 +334,6 @@ def _parse_ghz(obj: Mapping[str, Any]) -> dict[str, Any]:
     return {
         "kind": "ghz",
         "label": _parse_label(obj),
-        "config": config,
         "problem": build_ghz_problem(config),
         "atom_cap": _parse_atom_cap(obj.get("options", {})),
     }

@@ -69,6 +69,8 @@ FAMILIES = ("A", "B", "C", "D")
 
 # Declaration order of the eight observables (fixed, used everywhere).
 GHZ_VARIABLE_ORDER = ("A_0", "B_0", "C_0", "D_0", "A_180", "A_90", "C_90", "D_90")
+# The eight +-1 observables, built and validated once.
+_GHZ_VARIABLES = tuple(pm_one(name) for name in GHZ_VARIABLE_ORDER)
 
 # Default selection: all quadruples over the available phases whose
 # signed phase sum is a multiple of pi, hence an integer target.
@@ -125,12 +127,11 @@ class GHZConfig:
 def build_ghz_problem(config: GHZConfig = GHZConfig()) -> MomentProblem:
     """Moment problem over the eight observables, one product constraint
     per selected quadruple."""
-    variables = tuple(pm_one(name) for name in GHZ_VARIABLE_ORDER)
     constraints = []
     for quad in config.quadruples:
         names = config.constraint_variables(quad)
         constraints.append(MomentConstraint.of({n: 1 for n in names}, phase_target(quad)))
-    return MomentProblem(variables, tuple(constraints), label="ghz")
+    return MomentProblem(_GHZ_VARIABLES, tuple(constraints), label="ghz")
 
 
 def prove_ghz_infeasible(config: GHZConfig = GHZConfig()) -> FeasibilityResult:

@@ -2,16 +2,16 @@
 
 Decides whether {x >= 0 : A x = b} is nonempty by minimizing the sum of
 artificial variables with Bland's smallest-index rule (finite, no
-cycling).  The rows arrive as integers with one positive denominator
-per row (``A[i] = matrix[i] / dens[i]``), as :mod:`jointfeas.feasibility`
-builds them; rational rows are put over their least common denominators
+cycling).  The rows arrive as integers over one positive denominator
+(``A = matrix / den``), as :mod:`jointfeas.feasibility` builds them;
+rational rows are put over the lcm of all their entries' denominators
 once, on entry.
 
 The exact loop (``_integer_bland``) runs Bland's rule on a fraction-free
 integer tableau (Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math. Comp.
-22, 1968).  Every row is scaled by D = lcm(dens) and every variable by
-L, the lcm of the right-hand side denominators, so the sign-normalized
-tableau is the integer matrix ``[D A | I | L D b]`` with cost row minus
+22, 1968).  Every row is scaled by D = den and every variable by L, the
+lcm of the right-hand side denominators, so the sign-normalized tableau
+is the integer matrix ``[D A | I | L D b]`` with cost row minus
 the sum of the rows (0 on the artificial columns).  Both scalings are
 uniform, so ratios, ties and the signs of the reduced costs, and with
 them every choice of Bland's rule, are those of the rational tableau.
@@ -38,7 +38,7 @@ entries.  A system is decided on one of three paths:
    go to the largest pivot element), which takes far fewer pivots than
    Bland's rule on large moment LPs, and it falls back to Bland's rule
    after a run of degenerate pivots until the next nondegenerate one,
-   so it cannot cycle.  Each cell is ``matrix[i, j] / dens[i]``
+   so it cannot cycle.  Each cell is ``matrix[i, j] / den``
    correctly rounded: float64 division when both are below 2**53 in
    magnitude, Python int division otherwise, so the tableau equals the
    one filled with ``float(Fraction)`` bit for bit.  Its only output is
@@ -109,15 +109,15 @@ class EqualityFeasibility:
 
 
 def solve_equality_feasibility(
-    rows: Sequence[Sequence], rhs: Sequence[Fraction], dens: Sequence[int] | None = None
+    rows: Sequence[Sequence], rhs: Sequence[Fraction], den: int | None = None
 ) -> EqualityFeasibility:
     """Feasibility of {x >= 0 : rows . x = rhs}, exactly.
 
-    ``rows`` holds rationals (ints or Fractions), or, when ``dens`` is
-    given, integers with row i standing for ``rows[i] / dens[i]`` (each
-    den a positive int); ``rhs`` holds ints or Fractions.  Anything else
-    raises ``ValueError``.  The Farkas vector is expressed against the
-    rows as given (before the internal sign normalization).
+    ``rows`` holds rationals (ints or Fractions), or, when ``den`` is
+    given, integers standing for ``rows / den`` (den a positive int);
+    ``rhs`` holds ints or Fractions.  Anything else raises
+    ``ValueError``.  The Farkas vector is expressed against the rows as
+    given (before the internal sign normalization).
     """
     m = len(rows)
     if m != len(rhs):
@@ -126,17 +126,17 @@ def solve_equality_feasibility(
         raise ValueError(f"right-hand side entries must be ints or Fractions, got {list(rhs)!r}")
     if m == 0:
         return EqualityFeasibility(True, (), None, 0)
-    if dens is None:
-        matrix, dens = _integral_rows(rows)
+    if den is None:
+        matrix, den = _integral_rows(rows)
     else:
         matrix = np.asarray(rows)
-        if matrix.ndim != 2 or len(dens) != m:
-            raise ValueError("integer rows need a 2-d matrix and one denominator per row")
+        if matrix.ndim != 2:
+            raise ValueError("integer rows need a 2-d matrix")
         kind = matrix.dtype.kind
         if kind not in "iuO" or kind == "O" and not all(type(v) is int for v in matrix.flat):
             raise ValueError(f"integer rows must hold ints, got a matrix of dtype {matrix.dtype}")
-        if any(isinstance(d, bool) or not isinstance(d, int) or d <= 0 for d in dens):
-            raise ValueError(f"each row denominator must be a positive int, got {list(dens)!r}")
+        if isinstance(den, bool) or not isinstance(den, int) or den <= 0:
+            raise ValueError(f"the denominator must be a positive int, got {den!r}")
         if kind == "u" and matrix.max(initial=0) <= _INT64_MAX:
             # Unsigned rows that fit int64 take the int64 path like signed ones.
             matrix = matrix.astype(np.int64)
@@ -144,25 +144,25 @@ def solve_equality_feasibility(
 
     # Normalize to b >= 0, remembering the sign applied to each row.
     signs = [(-1 if b < 0 else 1) for b in rhs]
-    factors, b, scale = _scales(dens, rhs, signs)
-    peaks = _row_peaks(matrix)
-    tab = _int64_tableau(matrix, peaks, factors, b)
+    b, scale = _scales(den, rhs, signs)
+    top = peak(matrix)
+    tab = _int64_tableau(matrix, top, signs, b)
     if tab is not None:
         result = _exact_loop(tab, n, m, signs, scale)
         if result is not None:
             return result
-    guide = _guided(matrix, dens, rhs, signs)
-    result = None if guide is None else _certify(matrix, max(peaks), factors, b, scale, signs, *guide)
+    guide = _guided(matrix, den, rhs, signs)
+    result = None if guide is None else _certify(matrix, top, signs, b, scale, *guide)
     if result is None:
-        result = _exact_loop(_integer_tableau(matrix, factors, b, object), n, m, signs, scale)
+        result = _exact_loop(_integer_tableau(matrix, signs, b, object), n, m, signs, scale)
     if result is None:
         # An exact phase-1 optimum always exists and reads off.
         raise AssertionError("exact Bland loop ended without a result")
     return result
 
 
-def _integral_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, list[int]]:
-    """Each rational row over its least common denominator: ``(matrix, dens)``.
+def _integral_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, int]:
+    """Rational rows over the lcm of all their entries' denominators: ``(matrix, den)``.
 
     The matrix is int64 when every numerator fits, else Python ints.
     """
@@ -171,23 +171,14 @@ def _integral_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, list
         raise ValueError("ragged constraint matrix")
     if not all(_rational(v) for row in rows for v in row):
         raise ValueError("rational rows must hold ints or Fractions")
-    dens = [lcm(*(v.denominator for v in row)) for row in rows]
-    values = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(rows, dens)]
+    den = lcm(*(v.denominator for row in rows for v in row))
+    values = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
     fits = all(abs(v) <= _INT64_MAX for row in values for v in row)
-    return np.array(values, np.int64 if fits else object), dens
+    return np.array(values, np.int64 if fits else object), den
 
 
 def _rational(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
-
-
-def _row_peaks(matrix: np.ndarray) -> list[int]:
-    """Each row's largest entry magnitude, as Python ints."""
-    if matrix.dtype.kind in "iu":
-        lows = matrix.min(axis=1, initial=0).tolist()
-        highs = matrix.max(axis=1, initial=0).tolist()
-        return [max(hi, -lo) for lo, hi in zip(lows, highs)]
-    return [max(map(abs, row), default=0) for row in matrix.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -195,27 +186,23 @@ def _row_peaks(matrix: np.ndarray) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _scales(
-    dens: Sequence[int], rhs: Sequence[Fraction], signs: list[int]
-) -> tuple[list[int], list[int], int]:
-    """``(factors, b, L)``: the integer tableau's row factors, right-hand side and variable scale.
+def _scales(den: int, rhs: Sequence[Fraction], signs: list[int]) -> tuple[list[int], int]:
+    """``(b, L)``: the integer tableau's right-hand side and variable scale.
 
-    Sign-normalized row i times D = lcm(dens) is ``factors[i] * matrix[i]``;
-    with every variable scaled by L, the lcm of the right-hand side
+    Sign-normalized row i times D = den is ``signs[i] * matrix[i]``; with
+    every variable scaled by L, the lcm of the right-hand side
     denominators, its right-hand side is the integer ``b[i]``.
     """
-    common = lcm(*dens)
     scale = lcm(*(v.denominator for v in rhs))
-    factors = [s * (common // d) for s, d in zip(signs, dens)]
-    b = [s * v.numerator * (scale * common // v.denominator) for s, v in zip(signs, rhs)]
-    return factors, b, scale
+    b = [s * v.numerator * (scale * den // v.denominator) for s, v in zip(signs, rhs)]
+    return b, scale
 
 
-def _integer_tableau(matrix: np.ndarray, factors: Sequence[int], b: Sequence[int], dtype) -> np.ndarray:
+def _integer_tableau(matrix: np.ndarray, signs: Sequence[int], b: Sequence[int], dtype) -> np.ndarray:
     """``[D A | I | L D b]`` with the cost row (minus the row sum, 0 on I) appended."""
     m, n = matrix.shape
     tab = np.zeros((m + 1, n + m + 1), dtype)
-    tab[:m, :n] = matrix * np.array(factors, dtype)[:, None]
+    tab[:m, :n] = matrix * np.array(signs, dtype)[:, None]
     tab[:m, -1] = b
     tab[np.arange(m), n + np.arange(m)] = 1
     tab[m] = -tab[:m].sum(axis=0)
@@ -224,11 +211,11 @@ def _integer_tableau(matrix: np.ndarray, factors: Sequence[int], b: Sequence[int
 
 
 def _int64_tableau(
-    matrix: np.ndarray, peaks: Sequence[int], factors: Sequence[int], b: Sequence[int]
+    matrix: np.ndarray, top: int, signs: Sequence[int], b: Sequence[int]
 ) -> np.ndarray | None:
     """The integer tableau in int64 when its entry bound E is below 2**31, else None.
 
-    ``peaks`` are the matrix's :func:`_row_peaks`.
+    ``top`` is ``peak(matrix)``.
 
     E = (m + 1) * H, with H the product of the m largest column 2-norms,
     bounds every entry the exact loop will see.  The m artificial columns
@@ -239,11 +226,9 @@ def _int64_tableau(
     m = len(matrix)
     if matrix.dtype.kind != "i":
         return None
-    scaled = [p * abs(f) for p, f in zip(peaks, factors)]
-    if (m + 1) * max(scaled + [abs(v) for v in b]) >= _INT64_SAFE:
+    if (m + 1) * max(top, *map(abs, b)) >= _INT64_SAFE:
         return None
-    # A zero row's factor may not fit int64; its products are 0 anyway.
-    tab = _integer_tableau(matrix, [f if p else 0 for f, p in zip(factors, peaks)], b, np.int64)
+    tab = _integer_tableau(matrix, signs, b, np.int64)
     squares = np.einsum("ij,ij->j", tab[:m], tab[:m])  # each under m * 2**62 / (m + 1)**2
     if (m + 1) ** 2 * prod(np.sort(squares)[-m:].tolist()) >= _INT64_SAFE**2:
         return None
@@ -335,14 +320,14 @@ def _solution(
 
 
 def _guided(
-    matrix: np.ndarray, dens: Sequence[int], rhs: Sequence[Fraction], signs: list[int]
+    matrix: np.ndarray, den: int, rhs: Sequence[Fraction], signs: list[int]
 ) -> tuple[list[int], int, bool] | None:
     """The float guide's proposal ``(basis, pivots, dual_first)``, or None when it stops early."""
     m, n = matrix.shape
     try:
         # Overflow to inf or nan only misguides; the exact checks catch it.
         with np.errstate(over="ignore", invalid="ignore"):
-            tab = _tableau(matrix, dens, rhs, signs)
+            tab = _tableau(matrix, den, rhs, signs)
             guide = _float_guide(tab, n, m)
     except OverflowError:  # an entry beyond float range
         return None
@@ -353,23 +338,23 @@ def _guided(
     return *guide, bool(tab[m, -1] < -_TOL)
 
 
-def _quotients(matrix: np.ndarray, dens: Sequence[int]) -> np.ndarray:
-    """``matrix[i] / dens[i]`` as correctly rounded floats.
+def _quotients(matrix: np.ndarray, den: int) -> np.ndarray:
+    """``matrix / den`` as correctly rounded floats.
 
     float64 division is correctly rounded when both operands are exact
     doubles (below 2**53 in magnitude); otherwise Python's int true
     division is, so either way each cell equals ``float(Fraction)``.
     """
-    if max(dens) < _EXACT_DOUBLE and np.abs(matrix).max(initial=0) < _EXACT_DOUBLE:
-        return matrix.astype(float) / np.array(dens, float)[:, None]
-    return (matrix.astype(object) / np.array(dens, object)[:, None]).astype(float)
+    if den < _EXACT_DOUBLE and peak(matrix) < _EXACT_DOUBLE:
+        return matrix.astype(float) / den
+    return (matrix.astype(object) / den).astype(float)
 
 
-def _tableau(matrix: np.ndarray, dens: Sequence[int], rhs: Sequence[Fraction], signs: list[int]) -> np.ndarray:
+def _tableau(matrix: np.ndarray, den: int, rhs: Sequence[Fraction], signs: list[int]) -> np.ndarray:
     """Sign-normalized float phase-1 tableau [A | I | b] with the cost row appended."""
     m, n = matrix.shape
     tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = _quotients(matrix, dens)
+    tab[:m, :n] = _quotients(matrix, den)
     tab[:m, -1] = rhs
     tab[:m] *= np.array(signs)[:, None]
     tab[np.arange(m), n + np.arange(m)] = 1.0
@@ -427,10 +412,9 @@ def _float_guide(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int] | Non
 def _certify(
     matrix: np.ndarray,
     top: int,
-    factors: Sequence[int],
+    signs: list[int],
     b: Sequence[int],
     scale: int,
-    signs: list[int],
     basis: list[int],
     pivots: int,
     dual_first: bool,
@@ -440,10 +424,10 @@ def _certify(
     ``top`` is ``peak(matrix)``, known to the caller.
 
     B is the basis block of the exact loop's integer tableau
-    (``factors[i] * matrix[i]`` on a structural column, e_i on an
+    (``signs[i] * matrix[i]`` on a structural column, e_i on an
     artificial one).  ``B x = b`` gives the final value column for
     ``_solution``; ``B^T y = c_B`` gives the phase-1 multipliers y and
-    the final cost row ``-(w * factors) . matrix | q - w | -w . b`` of
+    the final cost row ``-(w * signs) . matrix | q - w | -w . b`` of
     w = q y for ``_farkas``.  Both readers take any positive scaling q,
     so each solve hands them its integer numerators over q.
 
@@ -469,8 +453,10 @@ def _certify(
     if len(free) != len(structural):  # an artificial column repeats: B is singular
         return None
     columns = matrix[:, structural]
-    dtype = np.int64 if max(map(abs, factors)) * max(1, peak(columns)) <= _INT64_MAX else object
-    block = np.asarray(columns, dtype) * np.array(factors, dtype)[:, None]
+    # A sign of -1 takes int64's minimum -2**63 past int64, so the test is
+    # on the peak, not on the dtype.
+    dtype = np.int64 if peak(columns) <= _INT64_MAX else object
+    block = np.asarray(columns, dtype) * np.array(signs, dtype)[:, None]
     square, rest = block[free], block[covered]
 
     def primal(x: list[int], q: int) -> EqualityFeasibility | None:
@@ -482,7 +468,7 @@ def _certify(
         w = [q] * m
         for i, v in zip(free, y):
             w[i] = v
-        costs = product(integers([wi * f for wi, f in zip(w, factors)]), matrix, top)
+        costs = product(integers([wi * s for wi, s in zip(w, signs)]), matrix, top)
         cost = [*(-costs).tolist(), *(q - wi for wi in w), -sum(wi * bi for wi, bi in zip(w, b))]
         return _farkas(cost, n, q, signs, pivots)
 

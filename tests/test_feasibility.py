@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import random
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from jointfeas import (
     expectation,
     feasibility,
     geometry,
+    linalg,
     pm_one,
     reduce_then_test,
     verify_certificate,
@@ -246,10 +248,10 @@ class TestDecide:
         real = feasibility._constraint_rows
 
         def corrupt(*args, **kwargs):
-            matrix, dens, rhs = real(*args, **kwargs)
+            matrix, den, rhs = real(*args, **kwargs)
             matrix = matrix.copy()
             matrix[3, 1] += 1  # the XY monomial at atom (0, 0, 1): 1 becomes 2
-            return matrix, dens, rhs
+            return matrix, den, rhs
 
         monkeypatch.setattr(feasibility, "_constraint_rows", corrupt)
         with pytest.raises(AssertionError, match="witness violates"):
@@ -261,11 +263,11 @@ class TestDecide:
         # it need not sum to 1, and the gate, not JointDistribution's
         # input validation (exit 2), must refuse them.
         def unnormalized(*args, **kwargs):
-            matrix, dens, rhs = real(*args, **kwargs)
+            matrix, den, rhs = real(*args, **kwargs)
             matrix = matrix.copy()
             matrix[-1] = 2
             matrix[-1, 0] = 1
-            return matrix, dens, rhs
+            return matrix, den, rhs
 
         monkeypatch.setattr(feasibility, "_constraint_rows", unnormalized)
         with pytest.raises(AssertionError, match="witness masses sum to"):
@@ -523,9 +525,9 @@ def reference_rows(problem):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(moment_problems(), moment_problems(st.one_of(rationals, large))))
 def test_constraint_rows_match_monomial_values(problem):
-    matrix, dens, rhs = _constraint_rows(problem)
-    assert all(isinstance(d, int) and d > 0 for d in dens)
-    rows = [[F(v, d) for v in row] for row, d in zip(matrix.tolist(), dens)]
+    matrix, den, rhs = _constraint_rows(problem)
+    assert isinstance(den, int) and den > 0
+    rows = [[F(v, den) for v in row] for row in matrix.tolist()]
     assert (rows, rhs) == reference_rows(problem)
 
 
@@ -534,9 +536,76 @@ def test_constraint_rows_use_python_ints_past_int64():
     big = FiniteRandomVariable("X", (F(-(10**7)), F(10**7, 3)))
     large_rows = MomentProblem((big,), (MomentConstraint.of({"X": 3}, 0),), allow_higher_order=True)
     assert _constraint_rows(small)[0].dtype == np.int64
-    matrix, dens, _ = _constraint_rows(large_rows)
-    assert matrix.dtype == object and dens == [27, 1]
-    assert matrix.tolist() == [[-(27 * 10**21), 10**21], [1, 1]]
+    matrix, den, _ = _constraint_rows(large_rows)
+    assert matrix.dtype == object and den == 27
+    assert matrix.tolist() == [[-(27 * 10**21), 10**21], [27, 27]]
+
+
+def half_support_problem(n, pair):
+    """Variables on (-1, 1/2, 2) with means 1/2, squares 7/4 and every pair moment ``pair``.
+
+    The row denominators are 1 (normalization), 2 (means) and 4 (squares
+    and pairs).  Independent uniform variables meet pair = 1/4; no
+    distribution meets pair = -2, since |E(XY)| <= 7/4.
+    """
+    names = [f"X{i}" for i in range(n)]
+    support = (F(-1), F(1, 2), F(2))
+    exponents = [{v: 1} for v in names] + [{v: 2} for v in names]
+    exponents += [{a: 1, b: 1} for a, b in itertools.combinations(names, 2)]
+    targets = [F(1, 2)] * n + [F(7, 4)] * n + [pair] * (len(exponents) - 2 * n)
+    return MomentProblem(
+        tuple(FiniteRandomVariable(v, support) for v in names),
+        tuple(MomentConstraint.of(e, t) for e, t in zip(exponents, targets)),
+    )
+
+
+@pytest.mark.parametrize("pair,verdict", [(F(1, 4), "feasible"), (F(-2), "infeasible")])
+def test_rows_of_every_denominator_share_one_den(pair, verdict):
+    # Rows over 1, 2 and 4 go over den = 4; every consumer of the one
+    # denominator answers what the simplex answers on the rational rows.
+    problem = half_support_problem(2, pair)
+    matrix, den, rhs = _constraint_rows(problem)
+    assert den == 4 and matrix[-1].tolist() == [4] * 9
+    rows = [[F(v, den) for v in row] for row in matrix.tolist()]
+    assert (rows, rhs) == reference_rows(problem)
+    lp = solve_equality_feasibility(rows, rhs)
+    assert solve_equality_feasibility(matrix, rhs, den) == lp
+    assert lp.feasible == (verdict == "feasible")
+
+    result = decide(problem)
+    assert result.verdict == verdict
+    if lp.feasible:
+        assert result.witness.mass == {a: x for a, x in zip(problem.atom_space(), lp.solution) if x}
+    else:
+        assert result.certificate == lp.farkas
+    oracle = brute_force_oracle(problem)
+    assert oracle.verdict == verdict
+    if oracle.feasible:
+        masses = [oracle.witness.mass.get(a, 0) for a in problem.atom_space()]
+        assert [sum(map(operator.mul, row, masses)) for row in rows] == rhs
+    else:
+        u = oracle.certificate
+        assert all(sum(map(operator.mul, u, column)) >= 0 for column in zip(*rows))
+        assert sum(map(operator.mul, u, rhs)) < 0
+
+    # reduce_then_test derives E(f(X)) (determined: f is a function of X,
+    # and 1, X, X**2 span every function on three values) and finds
+    # E(f(X)f(Y)) undetermined, as a solve over the rational rows does.
+    problem = half_support_problem(4, pair)
+    sign = {F(-1): -1, F(1, 2): 1, F(2): 1}
+    reduced = reduce_then_test(problem, {v: sign for v in problem.names})
+    matrix, den, rhs = _constraint_rows(problem)
+    columns = [[F(v, den) for v in column] for column in matrix.T.tolist()]
+    atoms = [[sign[v.support[i]] for v, i in zip(problem.variables, atom)] for atom in problem.atom_space()]
+    wanted = {f"E(f({v}))": [atom[i] for atom in atoms] for i, v in enumerate(problem.names)}
+    wanted.update(
+        (f"E(f({a})f({b}))", [atom[i] * atom[j] for atom in atoms])
+        for (i, a), (j, b) in itertools.combinations(enumerate(problem.names), 2)
+    )
+    solved = dict(zip(wanted, linalg.solve(columns, list(wanted.values()))))
+    assert reduced.derived == {k: sum(map(operator.mul, lam, rhs)) for k, lam in solved.items() if lam}
+    assert set(reduced.missing) == {k for k, lam in solved.items() if lam is None} != set()
+    assert reduced.verdict == "underdetermined"
 
 
 def reference_verify_certificate(problem, certificate):
@@ -639,8 +708,8 @@ def test_witness_read_off_matches_the_column_scan(monkeypatch, rng):
         seen.clear()
         if decide(problem).method != "simplex" or not seen:
             continue
-        matrix, dens, rhs = _constraint_rows(problem)
-        solution = solve_equality_feasibility(matrix, rhs, dens).solution
+        matrix, den, rhs = _constraint_rows(problem)
+        solution = solve_equality_feasibility(matrix, rhs, den).solution
         shape = tuple(len(v.support) for v in problem.variables)
         expected = {
             tuple(int(i) for i in np.unravel_index(j, shape)): x
@@ -834,15 +903,14 @@ def test_structure_caches_do_not_change_results(problems):
 
 def test_cached_rows_are_read_only_and_lists_are_fresh():
     feasible, infeasible = triple([0] * 3, ["1/2", "-1/2", "-1/2"]), triple([0] * 3, ["-1/2"] * 3)
-    matrix, dens, rhs = _constraint_rows(feasible)
+    matrix, den, rhs = _constraint_rows(feasible)
     assert _constraint_rows(infeasible)[0] is matrix  # one structure, one matrix
     with pytest.raises(ValueError, match="read-only"):
         matrix[3, 1] += 1
-    dens.append(5)
     rhs[0] = F(7)
-    again, dens_again, rhs_again = _constraint_rows(feasible)
+    again, den_again, rhs_again = _constraint_rows(feasible)
     assert again is matrix
-    assert dens_again == [1] * 7
+    assert den == den_again == 1
     assert rhs_again == [F(0)] * 3 + [F(1, 2), F(-1, 2), F(-1, 2), F(1)]
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import subprocess_env
-from jointfeas import MomentConstraint, __version__, cli, expectation, pm_one, point_mass
+from jointfeas import MomentConstraint, __version__, cli, expectation, feasibility, files, pm_one, point_mass
 from jointfeas.algebraic import Surd, make_surd, sqrt_fraction
 from jointfeas.errors import ValidationError
 from jointfeas.files import (
@@ -121,8 +121,26 @@ class TestProblemParsing:
     def test_surd_targets_flagged_non_rational(self):
         obj = triple_file([{"minus_cos_degrees": 30}, "0", "0"])
         parsed = parse_problem(obj)
-        assert parsed["rational_targets"] is False
         assert "problem" not in parsed
+        assert len(parsed["constraints"]) == 6
+
+    @pytest.mark.parametrize(
+        "target", [{"minus_cos_degrees": 30}, "0", None], ids=["surd", "rational", "distribution"]
+    )
+    def test_each_finite_moment_load_checks_the_problem_once(self, monkeypatch, target):
+        # The file layer checks only what builds no MomentProblem, whose
+        # own check gives the same paths.
+        calls = []
+        real = feasibility._check_moment_problem
+        spy = lambda *args: calls.append(args) or real(*args)  # noqa: E731
+        monkeypatch.setattr(feasibility, "_check_moment_problem", spy)
+        monkeypatch.setattr(files, "_check_moment_problem", spy)
+        obj = triple_file([target, "0", "0"])
+        if target is None:
+            del obj["constraints"]
+            obj["distribution"] = {"mass": {"-1,-1,-1": "1"}}
+        parse_problem(obj)
+        assert len(calls) == 1
 
     def test_ghz_default_and_quadruples(self):
         parsed = parse_problem({"schema": PROBLEM_SCHEMA, "kind": "ghz"})
@@ -484,6 +502,20 @@ class TestCLI:
         assert err.value.path == path
         assert run(["inequalities", self.write(tmp_path, obj)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:")
+
+    def test_distribution_duplicate_variable_carries_its_path(self, tmp_path, capsys):
+        # The same path as a constraints file with the same variables.
+        obj = {
+            "schema": PROBLEM_SCHEMA,
+            "kind": "finite-moment",
+            "variables": [{"name": "X", "support": ["-1", "1"]}, {"name": "X", "support": ["0", "1"]}],
+            "distribution": {"mass": {"-1,0": "1"}},
+        }
+        with pytest.raises(ValidationError) as err:
+            parse_problem(obj)
+        assert err.value.path == "variables[1].name"
+        assert run(["hidden-variable", self.write(tmp_path, obj)]) == 2
+        assert capsys.readouterr().err.startswith("error: variables[1].name:")
 
     def test_boolean_exponent_is_status_2(self, tmp_path, capsys):
         obj = triple_file(["0", "0", "0"])

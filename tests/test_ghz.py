@@ -51,6 +51,9 @@ class TestProblem:
         assert problem.atom_count() == 256
         assert len(problem.constraints) == 6
         assert problem.names == GHZ_VARIABLE_ORDER
+        assert problem.variables == tuple(pm_one(n) for n in GHZ_VARIABLE_ORDER)
+        # Built once: every problem shares the same eight variables.
+        assert build_ghz_problem(GHZConfig(((0, 0, 0, 0),))).variables is problem.variables
 
     def test_single_constraint_feasible(self):
         result = prove_ghz_infeasible(GHZConfig(((0, 0, 0, 0),)))

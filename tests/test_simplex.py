@@ -94,31 +94,35 @@ def signs_of(rhs):
 
 
 def integer_lp(rows, rhs):
-    """``(matrix, dens, factors, b, scale, signs)`` of the integer tableau."""
-    matrix, dens = simplex._integral_rows(rows)
+    """``(matrix, den, signs, b, scale)`` of the integer tableau."""
+    matrix, den = simplex._integral_rows(rows)
     signs = signs_of(rhs)
-    return (matrix, dens, *simplex._scales(dens, rhs, signs), signs)
+    return (matrix, den, signs, *simplex._scales(den, rhs, signs))
 
 
 def exact_loop(rows, rhs):
     """The Python-int exact loop from a cold start, as the fallback runs it."""
-    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
-    tab = simplex._integer_tableau(matrix, factors, b, object)
+    matrix, den, signs, b, scale = integer_lp(rows, rhs)
+    tab = simplex._integer_tableau(matrix, signs, b, object)
     return simplex._exact_loop(tab, len(rows[0]), len(rows), signs, scale)
+
+
+def int64_tableau(matrix, signs, b):
+    return simplex._int64_tableau(matrix, linalg.peak(matrix), signs, b)
 
 
 def int64_path(rows, rhs):
     """The int64 loop's result, or None when the system is over the bound."""
-    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
-    tab = simplex._int64_tableau(matrix, simplex._row_peaks(matrix), factors, b)
+    matrix, den, signs, b, scale = integer_lp(rows, rhs)
+    tab = int64_tableau(matrix, signs, b)
     return None if tab is None else simplex._exact_loop(tab, len(rows[0]), len(rows), signs, scale)
 
 
 def guided_path(rows, rhs):
     """The float guide's basis settled by ``_certify``, or None when it proves nothing."""
-    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
-    guide = simplex._guided(matrix, dens, rhs, signs)
-    return None if guide is None else simplex._certify(matrix, linalg.peak(matrix), factors, b, scale, signs, *guide)
+    matrix, den, signs, b, scale = integer_lp(rows, rhs)
+    guide = simplex._guided(matrix, den, rhs, signs)
+    return None if guide is None else simplex._certify(matrix, linalg.peak(matrix), signs, b, scale, *guide)
 
 
 def force_guide(monkeypatch):
@@ -131,9 +135,9 @@ def force_bland(monkeypatch):
     monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 0)
 
 
-def fraction_rows(matrix, dens):
-    """The rational rows ``matrix[i] / dens[i]``."""
-    return [[F(v, d) for v in row] for row, d in zip(matrix.tolist(), dens)]
+def fraction_rows(matrix, den):
+    """The rational rows ``matrix / den``."""
+    return [[F(v, den) for v in row] for row in matrix.tolist()]
 
 
 def check_result(rows, rhs, res):
@@ -211,15 +215,15 @@ def test_guide_follows_bland_path_on_moment_problems(monkeypatch):
     # basis: no LP falls back to the Python-int loop.
     rng = random.Random(7)
     lps = [feasibility._constraint_rows(random_problem(rng)) for _ in range(150)]
-    expected = [exact_loop(fraction_rows(matrix, dens), rhs) for matrix, dens, rhs in lps]
+    expected = [exact_loop(fraction_rows(matrix, den), rhs) for matrix, den, rhs in lps]
     force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
-    for (matrix, dens, rhs), exact in zip(lps, expected):
-        res = solve_equality_feasibility(matrix, rhs, dens)
+    for (matrix, den, rhs), exact in zip(lps, expected):
+        res = solve_equality_feasibility(matrix, rhs, den)
         assert res.feasible == exact.feasible
-        check_result(fraction_rows(matrix, dens), rhs, res)
+        check_result(fraction_rows(matrix, den), rhs, res)
     force_bland(monkeypatch)
-    assert [solve_equality_feasibility(matrix, rhs, dens) for matrix, dens, rhs in lps] == expected
+    assert [solve_equality_feasibility(matrix, rhs, den) for matrix, den, rhs in lps] == expected
     assert calls == []
 
 
@@ -360,8 +364,8 @@ def equal_pair_moment_problem(n, pair):
 
 def equal_pair_moment_lp(n, pair):
     """The rational rows and right-hand side of ``equal_pair_moment_problem``."""
-    matrix, dens, rhs = feasibility._constraint_rows(equal_pair_moment_problem(n, pair))
-    return fraction_rows(matrix, dens), rhs
+    matrix, den, rhs = feasibility._constraint_rows(equal_pair_moment_problem(n, pair))
+    return fraction_rows(matrix, den), rhs
 
 
 # Verdicts and pivot counts recorded from an exact Bland loop written
@@ -383,8 +387,8 @@ def test_bland_path_is_pinned_on_equal_pair_moments(monkeypatch, n, pair, feasib
     signs = signs_of(rhs)
     # The capped guide first: a loop that leaves Bland's path fails here
     # rather than cycling in the uncapped exact loop.
-    matrix, dens = simplex._integral_rows(rows)
-    guide = simplex._float_guide(simplex._tableau(matrix, dens, rhs, signs), len(rows[0]), len(rows))
+    matrix, den = simplex._integral_rows(rows)
+    guide = simplex._float_guide(simplex._tableau(matrix, den, rhs, signs), len(rows[0]), len(rows))
     assert guide is not None and guide[1] == pivots
     res = solve_equality_feasibility(rows, rhs)
     assert (res.feasible, res.pivots) == (feasible, pivots)
@@ -400,10 +404,10 @@ def test_degenerate_guard_hands_over_to_bland_and_back(monkeypatch, n, pair, fea
     # Its basis still certifies without the fallback, with the exact
     # loop's verdict.
     rows, rhs = equal_pair_moment_lp(n, pair)
-    matrix, dens = simplex._integral_rows(rows)
+    matrix, den = simplex._integral_rows(rows)
 
     def guide_pivots():
-        tab = simplex._tableau(matrix, dens, rhs, signs_of(rhs))
+        tab = simplex._tableau(matrix, den, rhs, signs_of(rhs))
         return simplex._float_guide(tab, len(rows[0]), len(rows))[1]
 
     monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 10**9)
@@ -440,11 +444,11 @@ def test_guide_decides_eleven_pm_one_pairs_without_fallback(monkeypatch, pair, f
         assert check.verify_certificate(problem, result.certificate)
 
 
-def certify_both_orders(matrix, dens, rhs, basis, pivots):
+def certify_both_orders(matrix, den, rhs, basis, pivots):
     signs = signs_of(rhs)
-    factors, b, scale = simplex._scales(dens, rhs, signs)
+    b, scale = simplex._scales(den, rhs, signs)
     return [
-        simplex._certify(matrix, linalg.peak(matrix), factors, b, scale, signs, basis, pivots, dual_first)
+        simplex._certify(matrix, linalg.peak(matrix), signs, b, scale, basis, pivots, dual_first)
         for dual_first in (False, True)
     ]
 
@@ -456,21 +460,20 @@ def test_certify_result_does_not_depend_on_check_order(system, data):
     # runs first, the result is the same: on the guide's basis and on
     # arbitrary (possibly singular or wrong) ones.
     rows, rhs = system
-    matrix, dens = simplex._integral_rows(rows)
+    matrix, den, signs, b, _ = integer_lp(rows, rhs)
     m, n = len(rows), len(rows[0])
     arbitrary = data.draw(st.lists(st.integers(0, n + m - 1), min_size=m, max_size=m))
-    primal_first, dual_first = certify_both_orders(matrix, dens, rhs, arbitrary, 0)
+    primal_first, dual_first = certify_both_orders(matrix, den, rhs, arbitrary, 0)
     assert primal_first == dual_first
-    _, _, factors, b, _, _ = integer_lp(rows, rhs)
-    basis, pivots, _ = simplex._integer_bland(simplex._integer_tableau(matrix, factors, b, object), n, m)
-    primal_first, dual_first = certify_both_orders(matrix, dens, rhs, basis, pivots)
+    basis, pivots, _ = simplex._integer_bland(simplex._integer_tableau(matrix, signs, b, object), n, m)
+    primal_first, dual_first = certify_both_orders(matrix, den, rhs, basis, pivots)
     assert primal_first == dual_first == exact_loop(rows, rhs)
 
 
 @pytest.mark.parametrize("n,pair,feasible,pivots", PINNED_BLAND_PATHS)
 def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasible, pivots):
     rows, rhs = equal_pair_moment_lp(n, pair)
-    matrix, dens = simplex._integral_rows(rows)
+    matrix, den = simplex._integral_rows(rows)
     signs = signs_of(rhs)
     real_lift, real_echelon = simplex.lifted_solve, simplex.echelon
     # The guide under its own pricing, then held to Bland's rule, whose
@@ -478,8 +481,8 @@ def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasib
     for bland in (False, True):
         if bland:
             force_bland(monkeypatch)
-        guide = simplex._float_guide(simplex._tableau(matrix, dens, rhs, signs), len(rows[0]), len(rows))
-        primal_first, dual_first = certify_both_orders(matrix, dens, rhs, *guide)
+        guide = simplex._float_guide(simplex._tableau(matrix, den, rhs, signs), len(rows[0]), len(rows))
+        primal_first, dual_first = certify_both_orders(matrix, den, rhs, *guide)
         assert primal_first.feasible == feasible
         check_result(rows, rhs, primal_first)
         if bland:
@@ -502,7 +505,7 @@ def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasib
 # ---------------------------------------------------------------------------
 
 
-def whole_basis_bareiss(matrix, top, factors, b, scale, signs, basis, pivots, dual_first):
+def whole_basis_bareiss(matrix, top, signs, b, scale, basis, pivots, dual_first):
     """``_certify`` as Bareiss elimination on the whole m x m basis block B.
 
     A reference written without the reduction to the structural block:
@@ -510,7 +513,7 @@ def whole_basis_bareiss(matrix, top, factors, b, scale, signs, basis, pivots, du
     """
     m, n = matrix.shape
     columns = [
-        [f * v for f, v in zip(factors, matrix[:, j].tolist())] if j < n else [int(i == j - n) for i in range(m)]
+        [s * v for s, v in zip(signs, matrix[:, j].tolist())] if j < n else [int(i == j - n) for i in range(m)]
         for j in basis
     ]
 
@@ -529,7 +532,7 @@ def whole_basis_bareiss(matrix, top, factors, b, scale, signs, basis, pivots, du
         if solved is None:
             return None
         w, d = solved
-        structural = (np.array([-wi * f for wi, f in zip(w, factors)], object) @ matrix).tolist()
+        structural = (np.array([-wi * s for wi, s in zip(w, signs)], object) @ matrix).tolist()
         cost = [*structural, *(d - wi for wi in w), -sum(wi * bi for wi, bi in zip(w, b))]
         return simplex._farkas(cost, n, d, signs, pivots)
 
@@ -561,8 +564,8 @@ def assert_lift_equals_bareiss(args):
 
 
 def certify_args(rows, rhs, basis, pivots, dual_first):
-    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
-    return matrix, linalg.peak(matrix), factors, b, scale, signs, basis, pivots, dual_first
+    matrix, den, signs, b, scale = integer_lp(rows, rhs)
+    return matrix, linalg.peak(matrix), signs, b, scale, basis, pivots, dual_first
 
 
 @settings(max_examples=300, deadline=None)
@@ -572,12 +575,12 @@ def test_lifted_certificate_equals_bareiss_on_any_basis(system, data):
     # (possibly singular, or repeating a column), in both check orders.
     rows, rhs = system
     m, n = len(rows), len(rows[0])
-    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
+    matrix, den, signs, b, scale = integer_lp(rows, rhs)
     bases = [
         (data.draw(st.lists(st.integers(0, n + m - 1), min_size=m, max_size=m)), 0),
-        simplex._integer_bland(simplex._integer_tableau(matrix, factors, b, object), n, m)[:2],
+        simplex._integer_bland(simplex._integer_tableau(matrix, signs, b, object), n, m)[:2],
     ]
-    guide = simplex._guided(matrix, dens, rhs, signs)
+    guide = simplex._guided(matrix, den, rhs, signs)
     if guide is not None:
         bases.append(guide[:2])
     for basis, pivots in bases:
@@ -588,11 +591,11 @@ def test_lifted_certificate_equals_bareiss_on_any_basis(system, data):
 @pytest.mark.parametrize("n,pair,feasible,pivots", PINNED_BLAND_PATHS)
 def test_lifted_certificate_equals_bareiss_on_pinned_moment_lps(monkeypatch, n, pair, feasible, pivots):
     rows, rhs = equal_pair_moment_lp(n, pair)
-    matrix, dens = simplex._integral_rows(rows)
+    matrix, den = simplex._integral_rows(rows)
     for bland in (False, True):
         if bland:
             force_bland(monkeypatch)
-        guide = simplex._guided(matrix, dens, rhs, signs_of(rhs))
+        guide = simplex._guided(matrix, den, rhs, signs_of(rhs))
         result = assert_lift_equals_bareiss(certify_args(rows, rhs, *guide))
         assert result.feasible == feasible
 
@@ -602,10 +605,10 @@ def test_lifted_certificate_equals_bareiss_on_pinned_moment_lps(monkeypatch, n, 
 def test_lifted_certificate_equals_bareiss_on_large_pm_one_pairs(n, pair, feasible):
     # 4,096 to 16,384 atoms; ρ = -1/10 is infeasible at these n, as
     # -1/10 < -1/(n - 1).  The lift needs no Bareiss elimination.
-    matrix, dens, rhs = feasibility._constraint_rows(equal_pair_moment_problem(n, pair))
+    matrix, den, rhs = feasibility._constraint_rows(equal_pair_moment_problem(n, pair))
     signs = signs_of(rhs)
-    factors, b, scale = simplex._scales(dens, rhs, signs)
-    args = (matrix, linalg.peak(matrix), factors, b, scale, signs, *simplex._guided(matrix, dens, rhs, signs))
+    b, scale = simplex._scales(den, rhs, signs)
+    args = (matrix, linalg.peak(matrix), signs, b, scale, *simplex._guided(matrix, den, rhs, signs))
     lifted, eliminations = certify_lifted(*args)
     assert eliminations == 0 and lifted.feasible == feasible
     assert lifted == certify_by_bareiss(*args)
@@ -639,18 +642,18 @@ def test_block_singular_modulo_the_prime_takes_the_bareiss_path(rows, rhs, basis
         # entries past int64
         ([[F(2**70), F(1), F(0)], [F(1), F(1), F(1)]], [F(2**70), F(1)]),
         ([[F(2**70), F(1), F(0)], [F(1), F(1), F(1)]], [F(1), F(2)]),
-        # row factors past int64: D / dens[i] is 3**45 and 2**70
+        # over D = 2**70 * 3**45, rows scaled by 3**45 and 2**70: past int64
         ([[F(1, 2**70), F(1, 2**70), F(0)], [F(1, 3**45), F(0), F(1, 3**45)]], [F(1, 2**71), F(1, 3**46)]),
         ([[F(1, 2**70), F(-1, 2**70), F(0)], [F(1, 3**45), F(0), F(1, 3**45)]], [F(1, 2**71), F(-1, 3**46)]),
     ],
 )
 def test_wide_rows_and_factors_take_python_ints_and_agree(monkeypatch, rows, rhs):
-    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
+    matrix, den, signs, b, scale = integer_lp(rows, rhs)
     products = []
     real = simplex.product
     monkeypatch.setattr(simplex, "product", lambda *a: products.append(real(*a)) or products[-1])
     m, n = len(rows), len(rows[0])
-    final = simplex._integer_bland(simplex._integer_tableau(matrix, factors, b, object), n, m)
+    final = simplex._integer_bland(simplex._integer_tableau(matrix, signs, b, object), n, m)
     for dual_first in (False, True):
         result = assert_lift_equals_bareiss(certify_args(rows, rhs, *final[:2], dual_first))
         assert result == exact_loop(rows, rhs)
@@ -677,23 +680,39 @@ def test_a_repeated_basis_column_proves_nothing():
     ids=["int64", "uint64", "python-ints", "no-columns"],
 )
 def test_row_peaks_are_each_rows_largest_magnitude(matrix):
-    peaks = simplex._row_peaks(matrix)
-    assert peaks == [max(map(abs, row), default=0) for row in matrix.tolist()]
-    assert all(type(p) is int for p in peaks) and max(peaks) == linalg.peak(matrix)
+    # One peak of the whole matrix bounds both the int64 tableau and the
+    # certificate: the largest of the rows' largest magnitudes.
+    top = linalg.peak(matrix)
+    assert type(top) is int
+    assert top == max((max(map(abs, row), default=0) for row in matrix.tolist()), default=0)
+
+
+@pytest.mark.parametrize("dual_first", [False, True])
+@pytest.mark.parametrize("b", [F(-1), F(1)])
+def test_certify_block_of_the_int64_minimum_takes_python_ints(b, dual_first):
+    # A sign of -1 turns -2**63 into 2**63, past int64: the block's dtype
+    # follows peak(columns), not the matrix's dtype.
+    matrix = np.array([[-(2**63), 1]], np.int64)
+    signs = signs_of([b])
+    rhs, scale = simplex._scales(1, [b], signs)
+    args = (matrix, linalg.peak(matrix), signs, rhs, scale, [0], 1, dual_first)
+    lifted, _ = certify_lifted(*args)
+    assert lifted == whole_basis_bareiss(*args)
+    assert lifted is None or lifted.solution == (F(b, -(2**63)), F(0))
 
 
 def test_the_dual_takes_no_second_peak_of_the_matrix(monkeypatch):
     # An infeasible guided LP reads its Farkas vector off the dual's cost
     # row; its int64 bound uses the peak taken once per solve.
-    matrix, dens, rhs = feasibility._constraint_rows(equal_pair_moment_problem(6, F(-1, 4)))
+    matrix, den, rhs = feasibility._constraint_rows(equal_pair_moment_problem(6, F(-1, 4)))
     force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
     shapes = []
     real = linalg.peak
     monkeypatch.setattr(linalg, "peak", lambda a: shapes.append(a.shape) or real(a))
-    res = solve_equality_feasibility(matrix, rhs, dens)
+    res = solve_equality_feasibility(matrix, rhs, den)
     assert not res.feasible and calls == []
-    check_result(fraction_rows(matrix, dens), rhs, res)
+    check_result(fraction_rows(matrix, den), rhs, res)
     assert shapes and matrix.shape not in shapes
 
 
@@ -702,8 +721,8 @@ def test_the_dual_takes_no_second_peak_of_the_matrix(monkeypatch):
 def test_exact_loop_holds_only_python_ints(system):
     rows, rhs = system
     m, n = len(rows), len(rows[0])
-    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
-    tab = simplex._integer_tableau(matrix, factors, b, object)
+    matrix, den, signs, b, scale = integer_lp(rows, rhs)
+    tab = simplex._integer_tableau(matrix, signs, b, object)
     assert all(type(v) is int for v in tab.flat)
     assert simplex._integer_bland(tab, n, m) is not None
     assert all(type(v) is int for v in tab.flat)
@@ -727,12 +746,12 @@ wide = st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**30))
 
 @st.composite
 def integer_lps(draw):
-    """Integer rows with their denominators: cleared rational systems, or moment LPs."""
+    """Integer rows with their denominator: cleared rational systems, or moment LPs."""
     if draw(st.booleans()):
         rows, rhs = draw(systems())
         rows = [[draw(st.one_of(st.just(v), wide)) for v in row] for row in rows]
-        matrix, dens = simplex._integral_rows(rows)
-        return matrix, dens, rhs
+        matrix, den = simplex._integral_rows(rows)
+        return matrix, den, rhs
     values = st.builds(F, st.integers(-(10**9), 10**9), st.integers(1, 10**9))
     names = ["X", "Y"][: draw(st.integers(1, 2))]
     variables = tuple(
@@ -754,10 +773,10 @@ def integer_lps(draw):
 @settings(max_examples=300, deadline=None)
 @given(integer_lps())
 def test_float_tableau_is_bit_identical_to_fraction_fill(lp):
-    matrix, dens, rhs = lp
+    matrix, den, rhs = lp
     signs = signs_of(rhs)
-    rows = fraction_rows(matrix, dens)
-    tab = simplex._tableau(matrix, dens, rhs, signs)
+    rows = fraction_rows(matrix, den)
+    tab = simplex._tableau(matrix, den, rhs, signs)
     assert tab.tobytes() == fraction_filled_tableau(rows, rhs, signs).tobytes()
 
 
@@ -766,10 +785,10 @@ def test_float_tableau_uses_both_division_paths():
     # denominator that is not an exact double.
     small = np.array([[5, -(2**52)], [1, 1]], np.int64)
     large = np.array([[5, 2**53 + 1], [1, 1]], np.int64)
-    for matrix, dens in ((small, [7, 1]), (large, [3, 1]), (small, [3**40, 1])):
+    for matrix, den in ((small, 7), (large, 3), (small, 3**40)):
         rhs, signs = [F(1), F(1)], [1, 1]
-        expected = fraction_filled_tableau(fraction_rows(matrix, dens), rhs, signs)
-        assert simplex._tableau(matrix, dens, rhs, signs).tobytes() == expected.tobytes()
+        expected = fraction_filled_tableau(fraction_rows(matrix, den), rhs, signs)
+        assert simplex._tableau(matrix, den, rhs, signs).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +802,7 @@ def test_zero_column_systems(b):
     # vector; 10**40 is over the int64 bound and goes to the float guide.
     for res in (
         solve_equality_feasibility([[]], [b]),
-        solve_equality_feasibility(np.zeros((1, 0), np.int64), [b], [1]),
+        solve_equality_feasibility(np.zeros((1, 0), np.int64), [b], 1),
     ):
         if b == 0:
             assert res == simplex.EqualityFeasibility(True, (), None, 0)
@@ -791,43 +810,50 @@ def test_zero_column_systems(b):
             assert not res.feasible and res.farkas[0] * b < 0
 
 
-@pytest.mark.parametrize("dens", [[0], [-1], [True], [1.0], [F(1)], ["1"], [np.int64(1)]])
-def test_row_denominators_must_be_positive_ints(dens):
+BAD_DENOMINATORS = [0, -1, True, 1.0, F(1), "1", np.int64(1), [1]]
+
+
+@pytest.mark.parametrize("den", BAD_DENOMINATORS, ids=[f"dens{i}" for i in range(len(BAD_DENOMINATORS))])
+def test_row_denominators_must_be_positive_ints(den):
     with pytest.raises(ValueError, match="positive int"):
-        solve_equality_feasibility([[1]], [F(1)], dens)
+        solve_equality_feasibility([[1]], [F(1)], den)
+
+
+NOT_RATIONAL = [
+    ([[0.5, 1.0]], [F(1)], 1),
+    (np.array([[1 + 0j]]), [F(1)], 1),
+    (np.array([[True, False]]), [F(1)], 1),
+    (np.array([[1, 2.0]], object), [F(1)], 1),
+    (np.array([[1, True]], object), [F(1)], 1),
+    ([[0.5]], [F(1)], None),
+    ([[F(1), True]], [F(1)], None),
+    ([[F(1)]], [1.5], None),
+    ([[1]], [1.5], 1),
+    ([[F(1)]], [True], None),
+]
 
 
 @pytest.mark.parametrize(
-    "rows,rhs,dens",
-    [
-        ([[0.5, 1.0]], [F(1)], [1]),
-        (np.array([[1 + 0j]]), [F(1)], [1]),
-        (np.array([[True, False]]), [F(1)], [1]),
-        (np.array([[1, 2.0]], object), [F(1)], [1]),
-        (np.array([[1, True]], object), [F(1)], [1]),
-        ([[0.5]], [F(1)], None),
-        ([[F(1), True]], [F(1)], None),
-        ([[F(1)]], [1.5], None),
-        ([[1]], [1.5], [1]),
-        ([[F(1)]], [True], None),
-    ],
+    "rows,rhs,den",
+    NOT_RATIONAL,
+    ids=[f"rows{i}-rhs{i}-{'None' if den is None else f'dens{i}'}" for i, (_, _, den) in enumerate(NOT_RATIONAL)],
 )
-def test_inputs_that_are_not_rational_raise_value_error(rows, rhs, dens):
+def test_inputs_that_are_not_rational_raise_value_error(rows, rhs, den):
     # Rejected up front, not by a TypeError or AttributeError deep in the solve.
     with pytest.raises(ValueError, match="int"):
-        solve_equality_feasibility(rows, rhs, dens)
+        solve_equality_feasibility(rows, rhs, den)
 
 
 def test_integer_rows_of_any_int_dtype_are_accepted(monkeypatch):
     # Unsigned rows that fit int64 take the int64 path, so they get the
     # int64 rows' result; Python-int rows go to the float guide, whose
     # result checks exactly and has the same verdict.
-    expected = solve_equality_feasibility(np.array([[1, 2]], np.int64), [F(1, 2)], [3])
+    expected = solve_equality_feasibility(np.array([[1, 2]], np.int64), [F(1, 2)], 3)
     guides = spy_guide(monkeypatch)
     for dtype in (np.uint8, np.uint64):
-        assert solve_equality_feasibility(np.array([[1, 2]], dtype), [F(1, 2)], [3]) == expected
+        assert solve_equality_feasibility(np.array([[1, 2]], dtype), [F(1, 2)], 3) == expected
     assert guides == []
-    res = solve_equality_feasibility(np.array([[1, 2]], object), [F(1, 2)], [3])
+    res = solve_equality_feasibility(np.array([[1, 2]], object), [F(1, 2)], 3)
     assert res.feasible and len(guides) == 1
     check_result([[F(1, 3), F(2, 3)]], [F(1, 2)], res)
     assert solve_equality_feasibility([[F(1, 3), 2]], [1], None).feasible
@@ -842,11 +868,11 @@ def check_paths_agree(rows, rhs, *, same_path=False):
     """
     exact = exact_loop(rows, rhs)
     check_result(rows, rhs, exact)
-    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
-    tab = simplex._int64_tableau(matrix, simplex._row_peaks(matrix), factors, b)
+    matrix, den, signs, b, scale = integer_lp(rows, rhs)
+    tab = int64_tableau(matrix, signs, b)
     if tab is not None:
         # The int64 loop visits the Python-int loop's tableaux cell for cell.
-        reference = simplex._integer_tableau(matrix, factors, b, object)
+        reference = simplex._integer_tableau(matrix, signs, b, object)
         n, m = len(rows[0]), len(rows)
         assert tab.tolist() == reference.tolist()
         assert simplex._integer_bland(tab, n, m) == simplex._integer_bland(reference, n, m)
@@ -869,8 +895,8 @@ def test_int64_guided_and_python_int_paths_agree(system):
 @settings(max_examples=200, deadline=None)
 @given(integer_lps())
 def test_paths_agree_on_moment_lps(lp):
-    matrix, dens, rhs = lp
-    check_paths_agree(fraction_rows(matrix, dens), rhs)
+    matrix, den, rhs = lp
+    check_paths_agree(fraction_rows(matrix, den), rhs)
 
 
 @st.composite
@@ -921,8 +947,8 @@ def test_int64_bound_edge(monkeypatch, m):
     for value, exact in ((a, True), (a + 1, False)):
         rows = [[F(value) if i == j else F(0) for j in range(m)] for i in range(m)]
         rhs = [F(value)] * m
-        matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
-        assert (simplex._int64_tableau(matrix, simplex._row_peaks(matrix), factors, b) is not None) == exact
+        matrix, den, signs, b, scale = integer_lp(rows, rhs)
+        assert (int64_tableau(matrix, signs, b) is not None) == exact
         guides = spy_guide(monkeypatch)
         res = solve_equality_feasibility(rows, rhs)
         assert res == simplex.EqualityFeasibility(True, (F(1),) * m, None, m)
@@ -938,8 +964,8 @@ def test_int64_bound_is_strict(top, accepted):
     # far below it.
     rows = [[F(2**10), F(0), F(0)], [F(0), F(2**10), F(0)], [F(0), F(0), F(top)]]
     rhs = [F(top), F(0), F(0)]
-    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
-    assert (simplex._int64_tableau(matrix, simplex._row_peaks(matrix), factors, b) is not None) == accepted
+    matrix, den, signs, b, scale = integer_lp(rows, rhs)
+    assert (int64_tableau(matrix, signs, b) is not None) == accepted
     check_result(rows, rhs, solve_equality_feasibility(rows, rhs))
 
 
@@ -978,8 +1004,8 @@ INFEASIBLE_SYSTEMS = [
 
 def final_cost_row(rows, rhs):
     """``(cost, d, signs, pivots)`` of the exact loop's final tableau."""
-    matrix, dens, factors, b, scale, signs = integer_lp(rows, rhs)
-    tab = simplex._integer_tableau(matrix, factors, b, object)
+    matrix, den, signs, b, scale = integer_lp(rows, rhs)
+    tab = simplex._integer_tableau(matrix, signs, b, object)
     _, pivots, d = simplex._integer_bland(tab, len(rows[0]), len(rows))
     return tab[-1].tolist(), d, signs, pivots
 
