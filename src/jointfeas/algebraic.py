@@ -30,9 +30,6 @@ __all__ = [
     "ExactNumber",
     "Surd",
     "as_fraction",
-    "exact_abs",
-    "exact_min",
-    "exact_sign",
     "exact_text",
     "enclosure",
     "make_exact",
@@ -88,6 +85,25 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, d
 
 
+_ZERO = Fraction(0)
+
+
+def _sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Exact sign of a + b*sqrt(d), for a non-square integer d > 1.
+
+    With mixed signs it compares a^2 with b^2 d in integers.  Equality
+    cannot occur then, because sqrt(d) is irrational.
+    """
+    p, r = a.numerator, b.numerator
+    sa, sb = (p > 0) - (p < 0), (r > 0) - (r < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    q, s = a.denominator, b.denominator
+    return sa if (p * s) ** 2 > r * r * d * q * q else sb
+
+
 @dataclass(frozen=True)
 class Surd:
     """The exact real number ``a + b*sqrt(d)``.
@@ -117,7 +133,7 @@ class Surd:
                     f"cannot combine sqrt({self.d}) with sqrt({other.d})"
                 )
             return other.a, other.b * isqrt(self.d * other.d) / self.d
-        return as_fraction(other), Fraction(0)  # type: ignore[arg-type]
+        return as_fraction(other), _ZERO  # type: ignore[arg-type]
 
     def __add__(self, other: object) -> "ExactNumber":
         oa, ob = self._coerce(other)
@@ -161,24 +177,12 @@ class Surd:
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d); never consults floats."""
-        a, b = self.a, self.b
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Mixed signs: compare a^2 with b^2 d. Equality cannot occur for
-        # a non-square d > 1 because sqrt(d) is irrational.
-        if a * a > b * b * self.d:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
+        return _sign(self.a, self.b, self.d)
 
+    # The sign of the difference, from its two coefficients: no Surd is built.
     def _cmp(self, other: object) -> int:
-        diff = self - other
-        if isinstance(diff, Fraction):
-            return (diff > 0) - (diff < 0)
-        return diff.sign()
+        oa, ob = self._coerce(other)
+        return _sign(self.a - oa, self.b - ob, self.d)
 
     def __lt__(self, other: object) -> bool:
         return self._cmp(other) < 0
@@ -261,24 +265,6 @@ def make_exact(value: Union[int, str, Fraction, Surd]) -> ExactNumber:
     if isinstance(value, Surd):
         return value
     return as_fraction(value)
-
-
-def exact_sign(value: ExactNumber) -> int:
-    if isinstance(value, Surd):
-        return value.sign()
-    return (value > 0) - (value < 0)
-
-
-def exact_abs(value: ExactNumber) -> ExactNumber:
-    return value if exact_sign(value) >= 0 else -value
-
-
-def exact_min(*values: ExactNumber) -> ExactNumber:
-    best = values[0]
-    for v in values[1:]:
-        if exact_sign(v - best) < 0:
-            best = v
-    return best
 
 
 def exact_text(value: ExactNumber) -> str:

@@ -213,12 +213,17 @@ class MomentProblem:
         return value
 
     def monomial_range(self, constraint: MomentConstraint) -> tuple[Fraction, Fraction]:
-        """Sharp [min, max] of the constraint's monomial over the lattice.
+        """Sharp [min, max] of the constraint's monomial over the lattice."""
+        lo, hi, den = self._integer_range(constraint)
+        return Fraction(lo, den), Fraction(hi, den)
+
+    def _integer_range(self, constraint: MomentConstraint) -> tuple[int, int, int]:
+        """``(lo, hi, den)``: the monomial's sharp range is [lo / den, hi / den].
 
         Computed variable by variable on integer tables: each support is
         put over its common denominator D_v (:func:`_integer_support`),
         so the monomial is an integer product of numerators raised to
-        their exponents over the one denominator ``prod(D_v ** k)``.
+        their exponents over the one denominator ``den = prod(D_v ** k)``.
         Extremes of a product of values drawn from finite sets are
         attained at per-set extremes, and dividing by a positive
         denominator keeps the order.
@@ -231,7 +236,7 @@ class MomentProblem:
             candidates = [lo * vlo, lo * vhi, hi * vlo, hi * vhi]
             lo, hi = min(candidates), max(candidates)
             den *= d**k
-        return Fraction(lo, den), Fraction(hi, den)
+        return lo, hi, den
 
 
 @dataclass(frozen=True)
@@ -387,17 +392,21 @@ def _range_certificate(
     return tuple(cert)
 
 
-def _range_violated(constraint: MomentConstraint, lo: Fraction, hi: Fraction) -> bool:
+def _range_violated(constraint: MomentConstraint, lo: int, hi: int, den: int) -> bool:
     """Is the constraint unsatisfiable by achievable monomial values alone?
 
-    A <= bound only fails when even the smallest achievable value is too
-    big; a >= bound when even the largest is too small.
+    The achievable values are [lo / den, hi / den] (den > 0); the target
+    is compared with them by cross-multiplying.  A <= bound only fails
+    when even the smallest achievable value is too big; a >= bound when
+    even the largest is too small.
     """
+    target = constraint.target
+    scaled, q = target.numerator * den, target.denominator
     if constraint.relation == "<=":
-        return constraint.target < lo
+        return scaled < lo * q
     if constraint.relation == ">=":
-        return constraint.target > hi
-    return not lo <= constraint.target <= hi
+        return scaled > hi * q
+    return not lo * q <= scaled <= hi * q
 
 
 def _check_atom_cap(atom_cap: int, path: str | None = None) -> None:
@@ -430,8 +439,8 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
         )
 
     for idx, c in enumerate(problem.constraints):
-        lo, hi = problem.monomial_range(c)
-        if _range_violated(c, lo, hi):
+        if _range_violated(c, *problem._integer_range(c)):
+            lo, hi = problem.monomial_range(c)
             cert = check._checked_certificate(problem, _range_certificate(problem, idx, lo, hi), "range check")
             return FeasibilityResult(
                 "infeasible",

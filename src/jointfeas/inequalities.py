@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .algebraic import ExactNumber, exact_abs, exact_min, exact_sign, make_exact
+from .algebraic import ExactNumber, as_fraction, make_exact
 from .errors import ValidationError
 
 __all__ = [
@@ -27,6 +27,9 @@ __all__ = [
     "eval_triple_lower_bound_with_means",
     "eval_triple_moment_bounds",
 ]
+
+
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -45,12 +48,12 @@ class InequalityReport:
 
 def _report(inequality_id: str, inputs: Mapping[str, ExactNumber], slack: ExactNumber,
             notes: str = "", **detail) -> InequalityReport:
-    verdict = "violated" if exact_sign(slack) < 0 else "satisfied"
+    verdict = "violated" if slack < 0 else "satisfied"
     return InequalityReport(inequality_id, dict(inputs), verdict, slack, notes, dict(detail))
 
 
 def _within_unit(name: str, value: ExactNumber) -> ExactNumber:
-    if exact_sign(value - 1) > 0 or exact_sign(value + 1) < 0:
+    if value > 1 or value < -1:
         raise ValidationError(f"{name} = {value} is outside [-1, 1]")
     return value
 
@@ -67,8 +70,8 @@ def eval_triple_moment_bounds(exy, eyz, exz) -> InequalityReport:
     e = {k: _within_unit(k, make_exact(v)) for k, v in (("exy", exy), ("eyz", eyz), ("exz", exz))}
     total = e["exy"] + e["eyz"] + e["exz"]
     lower_slack = total + 1
-    upper_slack = 1 + 2 * exact_min(e["exy"], e["eyz"], e["exz"]) - total
-    slack = exact_min(lower_slack, upper_slack)
+    upper_slack = 1 + 2 * min(e["exy"], e["eyz"], e["exz"]) - total
+    slack = min(lower_slack, upper_slack)
     return _report(
         "triple_moment_bounds", e, slack,
         lower_slack=lower_slack, upper_slack=upper_slack, sum=total,
@@ -86,7 +89,7 @@ def eval_triple_lower_bound_with_means(exy, eyz, exz, x0, y0, z0) -> InequalityR
     e = {k: _within_unit(k, make_exact(v)) for k, v in (("exy", exy), ("eyz", eyz), ("exz", exz))}
     means = {k: make_exact(v) for k, v in (("x0", x0), ("y0", y0), ("z0", z0))}
     for k, v in means.items():
-        if exact_sign(v - 1) >= 0 or exact_sign(v + 1) <= 0:
+        if v >= 1 or v <= -1:
             raise ValidationError(f"{k} = {v} must lie strictly inside (-1, 1)")
     slack = (
         e["exy"] + e["eyz"] + e["exz"]
@@ -106,12 +109,12 @@ def eval_bell_original(exy, eyz, exz) -> InequalityReport:
     directions.
     """
     e = {k: _within_unit(k, make_exact(v)) for k, v in (("exy", exy), ("eyz", eyz), ("exz", exz))}
-    slack = 1 + e["eyz"] - exact_abs(e["exy"] - e["exz"])
+    slack = 1 + e["eyz"] - abs(e["exy"] - e["exz"])
     return _report("bell_original", e, slack)
 
 
 def eval_chsh(
-    eab, eabp, eapb, eapbp, j: Fraction = Fraction(1, 2), normalized: bool = False
+    eab, eabp, eapb, eapbp, j: Fraction = _HALF, normalized: bool = False
 ) -> InequalityReport:
     """CHSH-form inequalities for two settings per side.
 
@@ -130,32 +133,23 @@ def eval_chsh(
     is evaluated; with ``normalized=True`` the inputs are divided by
     j^2 (observables scaled to +-1) and the bound 2 applies.
     """
-    j = Fraction(j)
-    if j <= 0 or (2 * j).denominator != 1:
+    j = as_fraction(j)
+    if j <= 0 or j.denominator > 2:
         raise ValidationError(f"spin must be a positive half-integer, got {j}")
     e = {k: make_exact(v) for k, v in (("eab", eab), ("eabp", eabp), ("eapb", eapb), ("eapbp", eapbp))}
 
-    if j == Fraction(1, 2):
+    if j == _HALF:
         for k, v in e.items():
             _within_unit(k, v)
-        sums = {}
-        slacks = []
-        for flip in range(4):
-            signs = [1, 1, 1, 1]
-            signs[flip] = -1
-            s = (
-                signs[0] * e["eab"] + signs[1] * e["eabp"]
-                + signs[2] * e["eapb"] + signs[3] * e["eapbp"]
-            )
-            sums[f"combination_{flip}"] = s
-            slacks.append(2 - s)
-            slacks.append(s + 2)
-        slack = exact_min(*slacks)
+        # Combination k flips the sign of the k-th moment: the total minus twice it.
+        total = e["eab"] + e["eabp"] + e["eapb"] + e["eapbp"]
+        sums = {f"combination_{k}": total - 2 * v for k, v in enumerate(e.values())}
+        slack = 2 - max(abs(s) for s in sums.values())
         return _report("chsh", e, slack, notes="two-valued convention, four inequalities", **sums)
 
     bound = j * j
     for k, v in e.items():
-        if exact_sign(v - bound) > 0 or exact_sign(v + bound) < 0:
+        if v > bound or v < -bound:
             raise ValidationError(f"{k} = {v} is outside [-{bound}, {bound}] for spin {j}")
     if normalized:
         e = {k: v / bound for k, v in e.items()}
@@ -164,7 +158,7 @@ def eval_chsh(
     else:
         limit = 2 * j
         note = f"spin {j}, single absolute bound 2j = {limit}"
-    lhs = exact_abs(e["eab"] - e["eabp"]) + exact_abs(e["eapb"] + e["eapbp"])
+    lhs = abs(e["eab"] - e["eabp"]) + abs(e["eapb"] + e["eapbp"])
     return _report("chsh", e, limit - lhs, notes=note, lhs=lhs)
 
 
@@ -174,8 +168,8 @@ def eval_spin1_strengthened(eab, eabp, eapb, eapbp) -> InequalityReport:
     |E(AB)-E(AB')| + |E(A'B)+E(A'B')| + 2(|E(AB)|-1)(|E(AB')|-1) <= 2
     """
     e = {k: _within_unit(k, make_exact(v)) for k, v in (("eab", eab), ("eabp", eabp), ("eapb", eapb), ("eapbp", eapbp))}
-    extra = 2 * (exact_abs(e["eab"]) - 1) * (exact_abs(e["eabp"]) - 1)
-    lhs = exact_abs(e["eab"] - e["eabp"]) + exact_abs(e["eapb"] + e["eapbp"]) + extra
+    extra = 2 * (abs(e["eab"]) - 1) * (abs(e["eabp"]) - 1)
+    lhs = abs(e["eab"] - e["eabp"]) + abs(e["eapb"] + e["eapbp"]) + extra
     return _report("spin1_strengthened", e, 2 - lhs, lhs=lhs, extra_term=extra)
 
 

@@ -101,10 +101,10 @@ class JointDistribution:
                 if not 0 <= idx < size:
                     raise ValidationError(f"atom {atom} indexes outside a support")
             p = as_fraction(p)
-            if p < 0:
+            if p.numerator < 0:
                 raise ValidationError(f"negative probability {exact_text(p)} at atom {atom}")
-            if p > 0:
-                clean[atom] = clean.get(atom, Fraction(0)) + p
+            if p.numerator:
+                clean[atom] = clean[atom] + p if atom in clean else p
         # The total over one common denominator, as the witness gate takes it.
         scale = lcm(*[p.denominator for p in clean.values()])
         total = sum([p.numerator * (scale // p.denominator) for p in clean.values()])

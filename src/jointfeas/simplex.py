@@ -143,7 +143,7 @@ def solve_equality_feasibility(
     n = matrix.shape[1]
 
     # Normalize to b >= 0, remembering the sign applied to each row.
-    signs = [(-1 if b < 0 else 1) for b in rhs]
+    signs = [(-1 if b.numerator < 0 else 1) for b in rhs]
     b, scale = _scales(den, rhs, signs)
     top = peak(matrix)
     tab = _int64_tableau(matrix, top, signs, b)
@@ -151,7 +151,7 @@ def solve_equality_feasibility(
         result = _exact_loop(tab, n, m, signs, scale)
         if result is not None:
             return result
-    guide = _guided(matrix, den, rhs, signs)
+    guide = _guided(matrix, top, den, rhs, signs)
     result = None if guide is None else _certify(matrix, top, signs, b, scale, *guide)
     if result is None:
         result = _exact_loop(_integer_tableau(matrix, signs, b, object), n, m, signs, scale)
@@ -320,14 +320,17 @@ def _solution(
 
 
 def _guided(
-    matrix: np.ndarray, den: int, rhs: Sequence[Fraction], signs: list[int]
+    matrix: np.ndarray, top: int, den: int, rhs: Sequence[Fraction], signs: list[int]
 ) -> tuple[list[int], int, bool] | None:
-    """The float guide's proposal ``(basis, pivots, dual_first)``, or None when it stops early."""
+    """The float guide's proposal ``(basis, pivots, dual_first)``, or None when it stops early.
+
+    ``top`` is ``peak(matrix)``, known to the caller.
+    """
     m, n = matrix.shape
     try:
         # Overflow to inf or nan only misguides; the exact checks catch it.
         with np.errstate(over="ignore", invalid="ignore"):
-            tab = _tableau(matrix, den, rhs, signs)
+            tab = _tableau(matrix, top, den, rhs, signs)
             guide = _float_guide(tab, n, m)
     except OverflowError:  # an entry beyond float range
         return None
@@ -338,23 +341,25 @@ def _guided(
     return *guide, bool(tab[m, -1] < -_TOL)
 
 
-def _quotients(matrix: np.ndarray, den: int) -> np.ndarray:
-    """``matrix / den`` as correctly rounded floats.
+def _quotients(matrix: np.ndarray, top: int, den: int) -> np.ndarray:
+    """``matrix / den`` as correctly rounded floats; ``top`` is ``peak(matrix)``.
 
     float64 division is correctly rounded when both operands are exact
     doubles (below 2**53 in magnitude); otherwise Python's int true
     division is, so either way each cell equals ``float(Fraction)``.
     """
-    if den < _EXACT_DOUBLE and peak(matrix) < _EXACT_DOUBLE:
+    if den < _EXACT_DOUBLE and top < _EXACT_DOUBLE:
         return matrix.astype(float) / den
     return (matrix.astype(object) / den).astype(float)
 
 
-def _tableau(matrix: np.ndarray, den: int, rhs: Sequence[Fraction], signs: list[int]) -> np.ndarray:
+def _tableau(
+    matrix: np.ndarray, top: int, den: int, rhs: Sequence[Fraction], signs: list[int]
+) -> np.ndarray:
     """Sign-normalized float phase-1 tableau [A | I | b] with the cost row appended."""
     m, n = matrix.shape
     tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = _quotients(matrix, den)
+    tab[:m, :n] = _quotients(matrix, top, den)
     tab[:m, -1] = rhs
     tab[:m] *= np.array(signs)[:, None]
     tab[np.arange(m), n + np.arange(m)] = 1.0

@@ -8,9 +8,6 @@ from jointfeas.algebraic import (
     Surd,
     as_fraction,
     enclosure,
-    exact_abs,
-    exact_min,
-    exact_sign,
     make_surd,
     sqrt_fraction,
 )
@@ -53,13 +50,13 @@ def test_arithmetic_stays_in_field():
 
 def test_exact_signs_and_comparisons():
     r3 = sqrt_fraction(3)
-    assert exact_sign(r3 - Fraction(3, 2)) > 0  # sqrt3 > 1.5
-    assert exact_sign(r3 - Fraction(7, 4)) < 0  # sqrt3 < 1.75
+    assert Fraction(3, 2) < r3  # sqrt3 > 1.5
+    assert r3 < Fraction(7, 4)  # sqrt3 < 1.75
     assert (r3 / 2) > Fraction(4, 5)
-    assert exact_abs(-r3) == r3
-    assert exact_min(Fraction(1, 2), r3 - 1, Fraction(2)) == Fraction(1, 2)
+    assert abs(-r3) == r3
+    assert min(Fraction(1, 2), r3 - 1, Fraction(2)) == Fraction(1, 2)
     # sqrt3 - 1 ~ 0.732 > 1/2
-    assert exact_min(r3 - 1, Fraction(0)) == Fraction(0)
+    assert min(r3 - 1, Fraction(0)) == Fraction(0)
 
 
 def test_enclosure_width_and_membership():

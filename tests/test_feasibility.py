@@ -765,6 +765,49 @@ def test_range_check_certificates_still_verify(rng):
             assert verify_certificate(bad, result.certificate)
 
 
+def test_integer_range_check_matches_the_brute_force_range(rng):
+    # The integer bounds are the lattice's extremes over one denominator,
+    # and the cross-multiplied test agrees with the Fraction comparison.
+    violations = 0
+    for _ in range(150):
+        problem = random_range_problem(rng)
+        for c in problem.constraints:
+            values = [problem.monomial_value(c, atom) for atom in problem.atom_space()]
+            least, most = min(values), max(values)
+            lo, hi, den = problem._integer_range(c)
+            assert den > 0 and (F(lo, den), F(hi, den)) == (least, most)
+            for target in (least, most, least - F(1, 7), most + F(2, 9), (least + most) / 2, rng.choice(RANGE_POOL)):
+                for relation in ("==", "<=", ">="):
+                    bounded = MomentConstraint(c.exponents, target, relation)
+                    expected = {"==": not least <= target <= most, "<=": target < least, ">=": target > most}
+                    assert feasibility._range_violated(bounded, lo, hi, den) == expected[relation]
+                    if expected[relation]:
+                        violations += 1
+                        result = decide(MomentProblem(problem.variables, (bounded,), allow_higher_order=True))
+                        assert result.method == "range-check"
+                        assert result.detail["achievable"] == (least, most)
+    assert violations > 200
+
+
+@pytest.mark.parametrize("relation,target", [("==", 2), ("<=", -2), (">=", F(3, 2))])
+def test_range_check_runs_before_any_row_is_built(monkeypatch, relation, target):
+    # 16 +-1 variables: 65,536 atoms, far above the row cache's cell budget.
+    problem = MomentProblem(
+        tuple(pm_one(f"X{i}") for i in range(16)),
+        (MomentConstraint.of({"X0": 1}, 0), MomentConstraint.of({"X1": 1, "X2": 1}, target, relation)),
+    )
+    assert (len(problem.constraints) + 1) * problem.atom_count() > feasibility._ROW_CACHE_CELLS
+
+    def no_rows(structure):
+        raise AssertionError("rows built before the range check")
+
+    monkeypatch.setattr(feasibility, "_build_rows", no_rows)
+    monkeypatch.setattr(feasibility, "_cached_rows", no_rows)
+    result = decide(problem)
+    assert result.method == "range-check" and result.detail["achievable"] == (-1, 1)
+    assert verify_certificate(problem, result.certificate)
+
+
 class TestMonotonicity:
     def test_removing_constraints_preserves_feasibility(self, rng):
         for _ in range(60):

@@ -121,7 +121,7 @@ def int64_path(rows, rhs):
 def guided_path(rows, rhs):
     """The float guide's basis settled by ``_certify``, or None when it proves nothing."""
     matrix, den, signs, b, scale = integer_lp(rows, rhs)
-    guide = simplex._guided(matrix, den, rhs, signs)
+    guide = simplex._guided(matrix, linalg.peak(matrix), den, rhs, signs)
     return None if guide is None else simplex._certify(matrix, linalg.peak(matrix), signs, b, scale, *guide)
 
 
@@ -388,7 +388,8 @@ def test_bland_path_is_pinned_on_equal_pair_moments(monkeypatch, n, pair, feasib
     # The capped guide first: a loop that leaves Bland's path fails here
     # rather than cycling in the uncapped exact loop.
     matrix, den = simplex._integral_rows(rows)
-    guide = simplex._float_guide(simplex._tableau(matrix, den, rhs, signs), len(rows[0]), len(rows))
+    tab = simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs)
+    guide = simplex._float_guide(tab, len(rows[0]), len(rows))
     assert guide is not None and guide[1] == pivots
     res = solve_equality_feasibility(rows, rhs)
     assert (res.feasible, res.pivots) == (feasible, pivots)
@@ -407,7 +408,7 @@ def test_degenerate_guard_hands_over_to_bland_and_back(monkeypatch, n, pair, fea
     matrix, den = simplex._integral_rows(rows)
 
     def guide_pivots():
-        tab = simplex._tableau(matrix, den, rhs, signs_of(rhs))
+        tab = simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs_of(rhs))
         return simplex._float_guide(tab, len(rows[0]), len(rows))[1]
 
     monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 10**9)
@@ -481,7 +482,8 @@ def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasib
     for bland in (False, True):
         if bland:
             force_bland(monkeypatch)
-        guide = simplex._float_guide(simplex._tableau(matrix, den, rhs, signs), len(rows[0]), len(rows))
+        tab = simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs)
+        guide = simplex._float_guide(tab, len(rows[0]), len(rows))
         primal_first, dual_first = certify_both_orders(matrix, den, rhs, *guide)
         assert primal_first.feasible == feasible
         check_result(rows, rhs, primal_first)
@@ -580,7 +582,7 @@ def test_lifted_certificate_equals_bareiss_on_any_basis(system, data):
         (data.draw(st.lists(st.integers(0, n + m - 1), min_size=m, max_size=m)), 0),
         simplex._integer_bland(simplex._integer_tableau(matrix, signs, b, object), n, m)[:2],
     ]
-    guide = simplex._guided(matrix, den, rhs, signs)
+    guide = simplex._guided(matrix, linalg.peak(matrix), den, rhs, signs)
     if guide is not None:
         bases.append(guide[:2])
     for basis, pivots in bases:
@@ -595,7 +597,7 @@ def test_lifted_certificate_equals_bareiss_on_pinned_moment_lps(monkeypatch, n, 
     for bland in (False, True):
         if bland:
             force_bland(monkeypatch)
-        guide = simplex._guided(matrix, den, rhs, signs_of(rhs))
+        guide = simplex._guided(matrix, linalg.peak(matrix), den, rhs, signs_of(rhs))
         result = assert_lift_equals_bareiss(certify_args(rows, rhs, *guide))
         assert result.feasible == feasible
 
@@ -608,7 +610,8 @@ def test_lifted_certificate_equals_bareiss_on_large_pm_one_pairs(n, pair, feasib
     matrix, den, rhs = feasibility._constraint_rows(equal_pair_moment_problem(n, pair))
     signs = signs_of(rhs)
     b, scale = simplex._scales(den, rhs, signs)
-    args = (matrix, linalg.peak(matrix), signs, b, scale, *simplex._guided(matrix, den, rhs, signs))
+    top = linalg.peak(matrix)
+    args = (matrix, top, signs, b, scale, *simplex._guided(matrix, top, den, rhs, signs))
     lifted, eliminations = certify_lifted(*args)
     assert eliminations == 0 and lifted.feasible == feasible
     assert lifted == certify_by_bareiss(*args)
@@ -716,6 +719,22 @@ def test_the_dual_takes_no_second_peak_of_the_matrix(monkeypatch):
     assert shapes and matrix.shape not in shapes
 
 
+@pytest.mark.parametrize("pair,feasible", [(F(-1, 5), True), (F(-1, 4), False)])
+def test_a_guided_solve_takes_the_peak_of_the_matrix_once(monkeypatch, pair, feasible):
+    # The int64 bound, the float guide's quotients and the dual's cost row
+    # all read the one peak the solve takes.
+    matrix, den, rhs = feasibility._constraint_rows(equal_pair_moment_problem(6, pair))
+    force_guide(monkeypatch)
+    calls = spy_exact_loop(monkeypatch)
+    shapes = []
+    real = simplex.peak
+    monkeypatch.setattr(simplex, "peak", lambda a: shapes.append(a.shape) or real(a))
+    res = solve_equality_feasibility(matrix, rhs, den)
+    assert res.feasible == feasible and calls == []
+    check_result(fraction_rows(matrix, den), rhs, res)
+    assert shapes.count(matrix.shape) == 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(systems())
 def test_exact_loop_holds_only_python_ints(system):
@@ -776,7 +795,7 @@ def test_float_tableau_is_bit_identical_to_fraction_fill(lp):
     matrix, den, rhs = lp
     signs = signs_of(rhs)
     rows = fraction_rows(matrix, den)
-    tab = simplex._tableau(matrix, den, rhs, signs)
+    tab = simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs)
     assert tab.tobytes() == fraction_filled_tableau(rows, rhs, signs).tobytes()
 
 
@@ -788,7 +807,7 @@ def test_float_tableau_uses_both_division_paths():
     for matrix, den in ((small, 7), (large, 3), (small, 3**40)):
         rhs, signs = [F(1), F(1)], [1, 1]
         expected = fraction_filled_tableau(fraction_rows(matrix, den), rhs, signs)
-        assert simplex._tableau(matrix, den, rhs, signs).tobytes() == expected.tobytes()
+        assert simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
