@@ -123,21 +123,29 @@ class Surd:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _coerce(self, other: object) -> tuple[Fraction, Fraction]:
-        if isinstance(other, Surd):
-            if other.d == self.d:
-                return other.a, other.b
-            # sqrt(e) = sqrt(d*e) / d * sqrt(d) when d*e is a perfect square.
-            if not _is_square(self.d * other.d):
-                raise UnsupportedNumberError(
-                    f"cannot combine sqrt({self.d}) with sqrt({other.d})"
-                )
-            return other.a, other.b * isqrt(self.d * other.d) / self.d
-        return as_fraction(other), _ZERO  # type: ignore[arg-type]
+    def _coerce(self, other: object) -> tuple[Fraction, Fraction, Fraction, Fraction, int]:
+        """``(a, b, oa, ob, d)`` with self = a + b*sqrt(d) and other = oa + ob*sqrt(d).
+
+        Two spellings of one field, sqrt(d) and sqrt(e) with d*e a
+        perfect square, meet over the smaller radicand, so a result's
+        radicand does not depend on the order of the operands.
+        """
+        if not isinstance(other, Surd):
+            return self.a, self.b, as_fraction(other), _ZERO, self.d  # type: ignore[arg-type]
+        d, e = self.d, other.d
+        if d == e:
+            return self.a, self.b, other.a, other.b, d
+        if not _is_square(d * e):
+            raise UnsupportedNumberError(f"cannot combine sqrt({min(d, e)}) with sqrt({max(d, e)})")
+        # sqrt(e) = sqrt(d*e) / d * sqrt(d), and the other way round.
+        root = isqrt(d * e)
+        if d < e:
+            return self.a, self.b, other.a, other.b * root / d, d
+        return self.a, self.b * root / e, other.a, other.b, e
 
     def __add__(self, other: object) -> "ExactNumber":
-        oa, ob = self._coerce(other)
-        return make_surd(self.a + oa, self.b + ob, self.d)
+        a, b, oa, ob, d = self._coerce(other)
+        return make_surd(a + oa, b + ob, d)
 
     __radd__ = __add__
 
@@ -145,31 +153,27 @@ class Surd:
         return Surd(-self.a, -self.b, self.d)
 
     def __sub__(self, other: object) -> "ExactNumber":
-        oa, ob = self._coerce(other)
-        return make_surd(self.a - oa, self.b - ob, self.d)
+        a, b, oa, ob, d = self._coerce(other)
+        return make_surd(a - oa, b - ob, d)
 
     def __rsub__(self, other: object) -> "ExactNumber":
-        oa, ob = self._coerce(other)
-        return make_surd(oa - self.a, ob - self.b, self.d)
+        a, b, oa, ob, d = self._coerce(other)
+        return make_surd(oa - a, ob - b, d)
 
     def __mul__(self, other: object) -> "ExactNumber":
-        oa, ob = self._coerce(other)
-        return make_surd(
-            self.a * oa + self.b * ob * self.d,
-            self.a * ob + self.b * oa,
-            self.d,
-        )
+        a, b, oa, ob, d = self._coerce(other)
+        return make_surd(a * oa + b * ob * d, a * ob + b * oa, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "ExactNumber":
         if isinstance(other, Surd):
-            oa, ob = self._coerce(other)  # other == oa + ob*sqrt(self.d)
-            norm = oa * oa - ob * ob * self.d
+            # (a + b*sqrt(d)) / (oa + ob*sqrt(d)) = (a + b*sqrt(d)) (oa - ob*sqrt(d)) / norm
+            a, b, oa, ob, d = self._coerce(other)
+            norm = oa * oa - ob * ob * d
             if norm == 0:  # pragma: no cover - zero is never a Surd
                 raise ZeroDivisionError
-            inv = make_surd(oa / norm, -ob / norm, self.d)
-            return self * inv
+            return make_surd((a * oa - b * ob * d) / norm, (b * oa - a * ob) / norm, d)
         q = as_fraction(other)  # type: ignore[arg-type]
         return make_surd(self.a / q, self.b / q, self.d)
 
@@ -181,8 +185,8 @@ class Surd:
 
     # The sign of the difference, from its two coefficients: no Surd is built.
     def _cmp(self, other: object) -> int:
-        oa, ob = self._coerce(other)
-        return _sign(self.a - oa, self.b - ob, self.d)
+        a, b, oa, ob, d = self._coerce(other)
+        return _sign(a - oa, b - ob, d)
 
     def __lt__(self, other: object) -> bool:
         return self._cmp(other) < 0

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
@@ -339,7 +340,41 @@ def _build_rows(structure: tuple) -> tuple[np.ndarray, int]:
 # per structure.  A matrix above the cell budget is built and used but
 # not kept: at 16 +-1 variables with pair moments one is about 72 MB.
 _ROW_CACHE_CELLS = 1 << 15
-_cached_rows = functools.lru_cache(maxsize=64)(_build_rows)
+
+
+class _RowCache:
+    """:func:`_build_rows` per structure, bounded by the cells it keeps.
+
+    The kept matrices hold at most 64 * ``_ROW_CACHE_CELLS`` cells in
+    all; past that the least recently used go first.  Bounding cells
+    rather than entries lets a pass over many small structures (a
+    ladder of lattices, the subsets of a GHZ system) stay cached.
+    """
+
+    def __init__(self) -> None:
+        self.kept: OrderedDict[tuple, tuple[np.ndarray, int]] = OrderedDict()
+        self.cells = 0
+
+    def __call__(self, structure: tuple) -> tuple[np.ndarray, int]:
+        rows = self.kept.get(structure)
+        if rows is not None:
+            self.kept.move_to_end(structure)
+            return rows
+        rows = _build_rows(structure)
+        size = rows[0].size
+        if size <= _ROW_CACHE_CELLS:
+            self.kept[structure] = rows
+            self.cells += size
+            while self.cells > 64 * _ROW_CACHE_CELLS:
+                self.cells -= self.kept.popitem(last=False)[1][0].size
+        return rows
+
+    def clear(self) -> None:
+        self.kept.clear()
+        self.cells = 0
+
+
+_cached_rows = _RowCache()
 
 
 def _constraint_rows(problem: MomentProblem) -> tuple[np.ndarray, int, list[Fraction]]:
@@ -363,11 +398,8 @@ def _constraint_rows(problem: MomentProblem) -> tuple[np.ndarray, int, list[Frac
     come from a bounded cache keyed on it: the matrix is read-only, and
     ``rhs`` is a fresh list.
     """
-    constraints = problem.constraints
-    cells = (len(constraints) + 1) * (problem.atom_count() + sum(c.relation != "==" for c in constraints))
-    build = _cached_rows if cells <= _ROW_CACHE_CELLS else _build_rows
-    matrix, den = build(_row_structure(problem))
-    return matrix, den, [c.target for c in constraints] + [_ONE]
+    matrix, den = _cached_rows(_row_structure(problem))
+    return matrix, den, [c.target for c in problem.constraints] + [_ONE]
 
 
 def _atoms(shape: tuple[int, ...], indices: Sequence[int]) -> list[Atom]:

@@ -23,7 +23,14 @@ The dual description depends only on the generators, never on the
 target: :func:`dual_rays` computes it once per distinct generator set
 and keeps it in a bounded cache, so a sweep of targets over one set of
 monomials runs one double description in all, and every
-:func:`cone_membership` call still asks :func:`dual_rays` for it.
+:func:`cone_membership` call still asks :func:`dual_rays` for it.  The
+face descent's table is target-independent too: the value of every ray
+on every generator, by generator, and per ray an ``int`` bitmask of the
+generators it is positive on.  The first descent over a generator set
+builds it in the same cache entry, so a set that only ever rejects
+never pays for it.  A descent step then costs O(live rays) integer
+operations: the live rays' values are updated from the table, not
+recomputed as dot products in the whole dimension.
 
 Everything is exact and integer: generators are integer vectors, which
 :func:`cone_membership` scales to primitive form once (that leaves the
@@ -33,17 +40,18 @@ over the halfspace normals; and all linear algebra goes through the
 fraction-free kernel in :mod:`jointfeas.linalg`.  Only the target may
 be rational, and only the combination weights are ``Fraction`` values.
 
-Scale expectations, for one cold :func:`cone_membership` call (its
-generator set not yet cached) on one core of a 2-vCPU Xeon VM under
-CPython 3.11 (best of five, three target sets each): a +-1 problem on
+Scale expectations, on one core of a shared 2-vCPU Xeon VM under
+CPython 3.11 (best of five, three targets each).  A +-1 problem on
 four variables with means and pair moments (16 generators in dimension
-11, 56 dual rays) takes about 5 ms when feasible and 3 ms when not; a
-three-valued problem on three variables with means, squares and pair
-moments (27 generators in dimension 10, 173 rays) about 28 and 20 ms.
-Each inserted halfspace scans all pairs of rays on its two sides, and
-the ray count grows quickly with the dimension: the three-valued
-problem on four variables (81 generators in dimension 15) did not
-finish its double description within 10 minutes.
+11, 56 dual rays): a cold call (its generator set not yet cached) takes
+about 2-3 ms when feasible and 1.6-2.5 ms when not; a cached one about
+0.2 ms when feasible and 0.02 ms when not.  A three-valued problem on
+three variables with means, squares and pair moments (27 generators in
+dimension 10, 173 rays): about 11-14 ms cold either way, and 0.4 and
+0.03 ms cached.  Each inserted halfspace scans all pairs of rays on its
+two sides, and the ray count grows quickly with the dimension: the
+three-valued problem on four variables (81 generators in dimension 15)
+did not finish its double description within 10 minutes.
 """
 
 from __future__ import annotations
@@ -54,6 +62,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
+
+import numpy as np
 
 from . import linalg
 from .linalg import IntVec, independent_rows, integral, primitive
@@ -155,23 +165,52 @@ def dual_rays(generators: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[I
     The description is computed once per distinct tuple of generators
     (a bounded cache); each call returns fresh lists.
     """
-    lineality, rays = _dual_description(tuple(map(tuple, generators)))
-    return list(lineality), list(rays)
+    entry = _dual_description(tuple(map(tuple, generators)))
+    return list(entry.lineality), list(entry.rays)
+
+
+class _Description:
+    """The dual description of one generator set, and its face descent table.
+
+    The table is built by the first face descent over these generators,
+    so a generator set that only ever rejects never pays for it.
+    """
+
+    def __init__(
+        self, generators: tuple[IntVec, ...], lineality: tuple[IntVec, ...], rays: tuple[IntVec, ...]
+    ) -> None:
+        self.generators = generators
+        self.lineality = lineality
+        self.rays = rays
+
+    @functools.cached_property
+    def faces(self) -> tuple[list[list[int]], list[int]]:
+        """``(columns, support)``: columns[i][k] = rays[k].generators[i].
+
+        Bit i of support[k] is set when that entry is nonzero.  Every ray
+        lies in the dual cone, so its entries are >= 0: support[k] is also
+        the set of generators that ray k is positive on.
+        """
+        if not self.rays:
+            return [], []
+        table = linalg.product(np.array(self.rays, object), np.array(self.generators, object).T)
+        support = [sum(1 << i for i, x in enumerate(row) if x) for row in table.tolist()]
+        return table.T.tolist(), support
 
 
 @functools.lru_cache(maxsize=32)
-def _dual_description(generators: tuple[IntVec, ...]) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+def _dual_description(generators: tuple[IntVec, ...]) -> _Description:
     """:func:`dual_rays` of a tuple of integer tuples, as tuples, so it can be shared."""
     basis = [generators[i] for i in independent_rows(generators)]  # rows of the lift map
     if basis and len(basis) == len(generators[0]):
-        return (), tuple(_extreme_rays_pointed(generators))
+        return _Description(generators, (), tuple(_extreme_rays_pointed(generators)))
     lineality = tuple(linalg.nullspace(generators))
     if not basis:
-        return lineality, ()
+        return _Description(generators, lineality, ())
     reduced = [tuple(_dot(b, g) for b in basis) for g in generators]
     columns = list(zip(*basis))
     rays = tuple(primitive([_dot(z, col) for col in columns]) for z in _extreme_rays_pointed(reduced))
-    return lineality, rays
+    return _Description(generators, lineality, rays)
 
 
 @dataclass(frozen=True)
@@ -193,16 +232,30 @@ def cone_membership(
         val = _dot(line, t)
         if val != 0:
             return ConeMembership(False, None, line if val < 0 else tuple(-x for x in line))
+    values = []  # values[k] = rays[k].t
     for ray in rays:
-        if _dot(ray, t) < 0:
+        val = _dot(ray, t)
+        if val < 0:
             return ConeMembership(False, None, ray)
+        values.append(val)
+    # The descent's table depends only on the generators: it is kept with
+    # the dual description that dual_rays just read.
+    columns, support = _dual_description(tuple(gens)).faces
     # gens[i] is generators[i] over the gcd of its entries: rescale each weight.
-    combo = {i: w / gcd(*generators[i]) for i, w in _express_in_cone(t, den, gens, rays).items()}
+    combo = {
+        i: w / gcd(*generators[i])
+        for i, w in _express_in_cone(t, den, gens, values, columns, support).items()
+    }
     return ConeMembership(True, combo, None)
 
 
 def _express_in_cone(
-    cur: list[int], den: int, gens: list[IntVec], rays: list[IntVec]
+    cur: list[int],
+    den: int,
+    gens: list[IntVec],
+    vals: list[int],
+    columns: list[list[int]],
+    support: list[int],
 ) -> dict[int, Fraction]:
     """Conic combination of the generators equal to cur / den.
 
@@ -219,41 +272,48 @@ def _express_in_cone(
     contains a line, the descent may end on its lineality space, where
     no live ray is left; :func:`_express_in_span` finishes there.
 
-    The remainder is kept as one integer vector over one positive
-    denominator; only the returned weights are ``Fraction`` values.
+    ``vals[k]`` is rays[k].cur on entry, and ``columns`` and ``support``
+    are the table of :meth:`_Description.faces`.  The face's generators
+    are a bitmask, and each step updates the live values from the table
+    in integers, with no dot product.  The remainder is kept as one
+    integer vector over one positive denominator; only the returned
+    weights are ``Fraction`` values.
     """
-    table = [[_dot(r, g) for g in gens] for r in rays]  # table[k][i] = rays[k].gens[i]
-    active = [i for i, g in enumerate(gens) if any(g)]
-    live = [k for k, row in enumerate(table) if any(row[i] for i in active)]
-    vals = {k: _dot(rays[k], cur) for k in live}
+    active = sum(1 << i for i, g in enumerate(gens) if any(g))
+    live = [k for k, s in enumerate(support) if s & active]
     weights: dict[int, Fraction] = {}
 
     while any(cur):
         binding = next((k for k in live if vals[k] == 0), None)
         if binding is not None:
-            active = [i for i in active if table[binding][i] == 0]
+            active &= ~support[binding]
             if not active:
                 raise AssertionError("face descent lost all generators")
-            live = [k for k in live if any(table[k][i] for i in active)]
+            live = [k for k in live if support[k] & active]
             continue
 
         if not live:
             # No ray is positive on a generator of F, so F = span(F) is the
             # lineality space of C, and cur / den lies in it.
-            for i, w in _express_in_span(cur, den, [gens[i] for i in active]).items():
-                weights[active[i]] = weights.get(active[i], Fraction(0)) + w
+            face = [i for i in range(len(gens)) if active >> i & 1]
+            for i, w in _express_in_span(cur, den, [gens[i] for i in face]).items():
+                weights[face[i]] = weights.get(face[i], Fraction(0)) + w
             break
-        # The first generator with a live ray positive on it (in a pointed
-        # cone, active[0]), and the live ray minimizing r.cur / r.g over r.g > 0.
-        for g in active:
-            best = None
-            best_rc = best_rg = 0
-            for k in live:
-                rg = table[k][g]
-                if rg > 0 and (best is None or vals[k] * best_rg < best_rc * rg):
-                    best, best_rc, best_rg = k, vals[k], rg
-            if best is not None:
-                break
+        # The first generator of F with a live ray positive on it (in a
+        # pointed cone, F's first), and the live ray minimizing r.cur / r.g
+        # over r.g > 0.
+        reach = 0
+        for k in live:
+            reach |= support[k]
+        reach &= active
+        g = (reach & -reach).bit_length() - 1
+        column = columns[g]
+        best = None
+        best_rc = best_rg = 0
+        for k in live:
+            rg = column[k]
+            if rg > 0 and (best is None or vals[k] * best_rg < best_rc * rg):
+                best, best_rc, best_rg = k, vals[k], rg
         if best_rc <= 0:
             raise AssertionError("face descent produced a nonpositive step")
         # Subtract (best_rc / (den * best_rg)) * gens[g] from cur / den.
@@ -263,7 +323,10 @@ def _express_in_cone(
         common = gcd(den, *cur)
         cur = [c // common for c in cur]
         den //= common
-        vals = {k: _dot(rays[k], cur) for k in live}
+        # r.cur' = (best_rg * r.cur - best_rc * r.g) / common, exactly: cur'
+        # is an integer vector.
+        for k in live:
+            vals[k] = (best_rg * vals[k] - best_rc * column[k]) // common
     return weights
 
 

@@ -44,8 +44,10 @@ def test_arithmetic_stays_in_field():
     assert isinstance(v, Surd)
     assert v.a == -1 and v.b == 1 and v.d == 3
     assert (r3 * r3) == Fraction(3)
-    with pytest.raises(UnsupportedNumberError):
+    with pytest.raises(UnsupportedNumberError, match=r"sqrt\(2\) with sqrt\(3\)"):
         _ = r3 + sqrt_fraction(2)
+    with pytest.raises(UnsupportedNumberError, match=r"sqrt\(2\) with sqrt\(3\)"):
+        _ = sqrt_fraction(2) + r3
 
 
 def test_exact_signs_and_comparisons():
@@ -94,3 +96,25 @@ def test_square_factor_above_the_bound_still_cancels():
     assert sqrt_fraction(p * p) == p  # a perfect-square cofactor is absorbed
     with pytest.raises(UnsupportedNumberError):
         _ = big + sqrt_fraction(2)
+
+
+def test_two_spellings_of_one_field_meet_over_the_smaller_radicand():
+    p = 1009  # above the trial-division bound: sqrt(p*p*3) keeps its square factor
+    quarter = sqrt_fraction(3) / 4
+    spelled = sqrt_fraction(p * p * 3) / (4 * p)  # the same value over p*p*3
+    assert (quarter.d, spelled.d) == (3, p * p * 3) and quarter == spelled
+    third = Surd(Fraction(1), Fraction(2, p), p * p * 3)  # 1 + 2*sqrt(3)
+    results = [
+        (quarter + spelled, spelled + quarter),
+        (third - quarter, -(quarter - third)),
+        (quarter * third, third * quarter),
+        (third / quarter, third * 4 / sqrt_fraction(3)),
+        ((spelled + third) + quarter, spelled + (third + quarter)),
+    ]
+    for left, right in results:
+        assert isinstance(left, Surd) and left.d == right.d == 3
+        assert str(left) == str(right)
+    assert str(quarter + spelled) == "0 + 1/2*sqrt(3)"
+    assert str(third + quarter) == "1 + 9/4*sqrt(3)"
+    assert quarter - spelled == 0 and spelled - quarter == 0
+    assert quarter < third and third > spelled and not quarter < spelled

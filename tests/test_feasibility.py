@@ -894,7 +894,7 @@ class TestReduceThenTest:
 
 
 def clear_structure_caches():
-    feasibility._cached_rows.cache_clear()
+    feasibility._cached_rows.clear()
     geometry._dual_description.cache_clear()
 
 
@@ -960,12 +960,71 @@ def test_cached_rows_are_read_only_and_lists_are_fresh():
 def test_rows_over_the_cell_budget_are_not_kept(monkeypatch):
     problem = triple([0] * 3, ["-1/2"] * 3)  # 7 rows over 8 atoms: 56 cells
     monkeypatch.setattr(feasibility, "_ROW_CACHE_CELLS", 55)
-    feasibility._cached_rows.cache_clear()
+    feasibility._cached_rows.clear()
     first, second = _constraint_rows(problem)[0], _constraint_rows(problem)[0]
     assert first is not second and (first == second).all()
     assert not first.flags.writeable
-    assert feasibility._cached_rows.cache_info().currsize == 0
+    assert len(feasibility._cached_rows.kept) == 0 and feasibility._cached_rows.cells == 0
     assert decide(problem).verdict == "infeasible"
     monkeypatch.setattr(feasibility, "_ROW_CACHE_CELLS", 56)
     assert _constraint_rows(problem)[0] is _constraint_rows(problem)[0]
-    assert feasibility._cached_rows.cache_info().currsize == 1
+    assert len(feasibility._cached_rows.kept) == 1 and feasibility._cached_rows.cells == 56
+
+
+def ladder_structures(count):
+    """Problems with ``count`` distinct row structures, each a few thousand cells at most."""
+    problems = []
+    for n in range(2, 6):
+        for supports in itertools.product(((-1, 1), (-1, 0, 1)), repeat=2):
+            variables = tuple(
+                FiniteRandomVariable(f"X{i}", tuple(F(x) for x in supports[i % 2])) for i in range(n)
+            )
+            means = [MomentConstraint.of({f"X{i}": 1}, 0) for i in range(n)]
+            pairs = [MomentConstraint.of({f"X{i}": 1, f"X{j}": 1}, 0) for i, j in itertools.combinations(range(n), 2)]
+            for depth in range(len(pairs) + 1):
+                problems.append(MomentProblem(variables, tuple(means + pairs[:depth])))
+    assert len(problems) >= count
+    return problems[:count]
+
+
+def test_a_second_pass_over_71_structures_hits_every_time(monkeypatch):
+    # An entry-bounded cache of 64 misses on all 71 in a cyclic pass.
+    problems = ladder_structures(71)
+    assert len({feasibility._row_structure(p) for p in problems}) == 71
+    built = []
+    real = feasibility._build_rows
+
+    def counting(structure):
+        built.append(structure)
+        return real(structure)
+
+    monkeypatch.setattr(feasibility, "_build_rows", counting)
+    feasibility._cached_rows.clear()
+    first = [_constraint_rows(p)[0] for p in problems]
+    assert len(built) == 71
+    second = [_constraint_rows(p)[0] for p in problems]
+    assert len(built) == 71
+    assert all(a is b for a, b in zip(first, second))
+    assert feasibility._cached_rows.cells == sum(m.size for m in first)
+
+
+def test_row_cache_drops_the_least_recently_used_past_its_cell_total(monkeypatch):
+    # Fake structures ("s", i, cells) whose rows are `cells` zeros.
+    monkeypatch.setattr(feasibility, "_build_rows", lambda structure: (np.zeros(structure[2], np.int64), 1))
+    monkeypatch.setattr(feasibility, "_ROW_CACHE_CELLS", 10)
+    cache = feasibility._cached_rows
+    cache.clear()
+    for i in range(64):
+        cache(("s", i, 10))
+    assert len(cache.kept) == 64 and cache.cells == 640  # exactly 64 budgets: nothing dropped
+    first = cache(("s", 0, 10))[0]  # now the most recently used
+    cache(("s", 64, 4))
+    assert ("s", 1, 10) not in cache.kept and cache.cells == 634
+    cache(("s", 65, 10))
+    assert ("s", 2, 10) not in cache.kept and cache.cells == 634
+    assert cache(("s", 0, 10))[0] is first
+    cache(("s", 66, 11))  # over the single-matrix budget: used, not kept
+    assert ("s", 66, 11) not in cache.kept and cache.cells == 634
+    assert list(cache.kept)[-1] == ("s", 0, 10)
+    assert cache.cells == sum(rows[0].size for rows in cache.kept.values())
+    cache.clear()

@@ -588,6 +588,134 @@ def test_membership_in_cones_with_lines_matches_the_simplex(gens, data):
 
 
 # ---------------------------------------------------------------------------
+# Face descent on the cached table against a per-step dot product reference
+# ---------------------------------------------------------------------------
+
+
+def reference_membership(generators, target):
+    """cone_membership with the face descent that takes every value as a dot product.
+
+    It builds the ray x generator table for itself and recomputes r.cur
+    for every live ray after each step.  Same rays, same tie rules: the
+    combinations and separators must equal cone_membership's.
+    """
+    gens = [linalg.primitive(g) for g in generators]
+    den = lcm(*(x.denominator for x in target))
+    cur = linalg.integral(target)
+    lineality, rays = dual_rays(gens)
+    for line in lineality:
+        val = int_dot(line, cur)
+        if val != 0:
+            return geometry.ConeMembership(False, None, line if val < 0 else tuple(-x for x in line))
+    for ray in rays:
+        if int_dot(ray, cur) < 0:
+            return geometry.ConeMembership(False, None, ray)
+    table = [[int_dot(r, g) for g in gens] for r in rays]
+    active = [i for i, g in enumerate(gens) if any(g)]
+    live = [k for k, row in enumerate(table) if any(row[i] for i in active)]
+    vals = {k: int_dot(rays[k], cur) for k in live}
+    weights = {}
+    while any(cur):
+        binding = next((k for k in live if vals[k] == 0), None)
+        if binding is not None:
+            active = [i for i in active if table[binding][i] == 0]
+            live = [k for k in live if any(table[k][i] for i in active)]
+            continue
+        if not live:
+            span = geometry._express_in_span(cur, den, [gens[i] for i in active])
+            for i, w in span.items():
+                weights[active[i]] = weights.get(active[i], F(0)) + w
+            break
+        for g in active:
+            best, best_rc, best_rg = None, 0, 0
+            for k in live:
+                rg = table[k][g]
+                if rg > 0 and (best is None or vals[k] * best_rg < best_rc * rg):
+                    best, best_rc, best_rg = k, vals[k], rg
+            if best is not None:
+                break
+        weights[g] = weights.get(g, F(0)) + F(best_rc, den * best_rg)
+        cur = [best_rg * c - best_rc * x for c, x in zip(cur, gens[g])]
+        den *= best_rg
+        common = gcd(den, *cur)
+        cur = [c // common for c in cur]
+        den //= common
+        vals = {k: int_dot(rays[k], cur) for k in live}
+    combination = {i: w / gcd(*generators[i]) for i, w in weights.items()}
+    return geometry.ConeMembership(True, combination, None)
+
+
+@st.composite
+def padded_cones(draw):
+    """Generators with zero vectors and repeated (possibly rescaled) generators mixed in."""
+    gens = draw(st.one_of(pointed_cones(), cones_with_lines()))
+    dim = len(gens[0])
+    extra = draw(
+        st.lists(
+            st.one_of(
+                st.just((0,) * dim),
+                st.tuples(st.sampled_from(gens), st.integers(1, 3)).map(lambda p: tuple(p[1] * x for x in p[0])),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return draw(st.permutations(gens + extra))
+
+
+@st.composite
+def descent_targets(draw, cones):
+    """A cone and a target: a nonnegative combination of its generators, or any small vector."""
+    gens = draw(cones)
+    dim = len(gens[0])
+    if draw(st.booleans()):
+        weights = draw(
+            st.lists(st.fractions(0, 5, max_denominator=7), min_size=len(gens), max_size=len(gens))
+        )
+        return gens, tuple(sum((w * g[k] for w, g in zip(weights, gens)), F(0)) for k in range(dim))
+    return gens, tuple(F(x) for x in draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(descent_targets(pointed_cones()), descent_targets(cones_with_lines()), descent_targets(padded_cones())))
+def test_face_descent_matches_the_dot_product_reference(case):
+    gens, target = case
+    assert counted_membership(gens, target) == reference_membership(gens, target)
+
+
+def test_corpus_oracle_memberships_match_the_dot_product_reference(monkeypatch):
+    calls = []
+    real = feasibility.cone_membership
+
+    def spy(generators, target):
+        calls.append((generators, target))
+        return real(generators, target)
+
+    monkeypatch.setattr(feasibility, "cone_membership", spy)
+    for case in load_cases():
+        if case["kind"] == "decide" and "oracle_agrees" in case["expected"]:
+            feasibility.brute_force_oracle(parse_problem(case["problem"])["problem"])
+    assert any(real(g, t).member for g, t in calls) and not all(real(g, t).member for g, t in calls)
+    for generators, target in calls:
+        assert real(generators, target) == reference_membership(generators, target)
+
+
+def test_descent_table_is_built_once_and_only_for_members():
+    gens = [(1, x, y) for x in (0, 1) for y in (0, 1)]
+    geometry._dual_description.cache_clear()
+    assert not cone_membership(gens, (1, 2, 0)).member
+    entry = geometry._dual_description(tuple(gens))
+    assert "faces" not in vars(entry)  # rejecting builds no table
+    assert cone_membership(gens, vec(1, F(1, 3), F(2, 3))).member
+    faces = entry.faces
+    columns, support = faces
+    assert columns == [[int_dot(r, g) for r in entry.rays] for g in gens]
+    assert support == [sum(1 << i for i, g in enumerate(gens) if int_dot(r, g)) for r in entry.rays]
+    assert cone_membership(gens, vec(1, F(1, 2), F(1, 5))).member
+    assert geometry._dual_description(tuple(gens)).faces is faces
+
+
+# ---------------------------------------------------------------------------
 # The oracle's integer boundary against a Fraction reference
 # ---------------------------------------------------------------------------
 

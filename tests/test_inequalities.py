@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jointfeas import (
     eval_bell_original,
@@ -355,6 +355,9 @@ def test_means_evaluator_matches_the_sign_of_difference_reference(values, means)
 
 @settings(max_examples=400, deadline=None)
 @given(chsh_inputs)
+# sqrt(3) and sqrt(2) met in either order: the error names the smaller radicand first.
+@example([parse_exact({"minus_cos_degrees": deg}) for deg in (30, 30, 45, 30)])
+@example([F(-1), *(parse_exact({"minus_cos_degrees": deg}) for deg in (30, 150, 45))])
 def test_chsh_evaluators_match_the_sign_of_difference_reference(values):
     assert outcome(eval_chsh, *values) == outcome(reference_chsh, *values)
     assert outcome(eval_spin1_strengthened, *values) == outcome(reference_spin1_strengthened, *values)
