@@ -14,6 +14,16 @@ Two radicands whose product is a perfect square name the same field
 (sqrt(p*p*q) = p*sqrt(q)) and combine.  Mixing any other two radicands
 (say sqrt(2) + sqrt(3)) is not needed anywhere and raises
 :class:`UnsupportedNumberError`.
+
+So equal values may be spelled with different radicands when one hides
+a square factor above ``_SQUARE_FACTOR_BOUND``, and that is allowed.
+With ``q = sqrt(3)/4`` and ``s`` the same value over 1009*1009*3,
+``(q - q) + s`` keeps ``s``'s radicand (``q - q`` is the rational 0)
+while ``(q + s) - q`` meets over the smaller one.  Their ``str`` and the
+``interval`` of :func:`jointfeas.files.encode_exact` differ.  ``==``,
+``hash``, order and the ``poly`` agree: equality and the hash read only
+``a``, the sign of ``b`` and ``b*b*d``, order compares exact values, and
+the ``poly`` is built from ``a`` and ``b*b*d``.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ class ConstraintMismatchError(ValidationError):
 
 
 class SizeCapError(JointfeasError):
-    """The atom lattice exceeds the configured cap for this operation."""
+    """A problem exceeds a size cap: the atom cap, or the cone oracle's ray budget."""
 
 
 class UnsupportedNumberError(JointfeasError, TypeError):

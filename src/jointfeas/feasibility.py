@@ -29,11 +29,12 @@ so they are built once per structure and kept, read-only, in a bounded
 cache; a matrix above a fixed cell budget is built and used but not
 kept.  The
 cone oracle's dual description is cached the same way, per generator
-set (:func:`jointfeas.geometry.dual_rays`).  Every verdict then
-passes an exact gate in :mod:`jointfeas.check`, which shares no code
-with that builder: a witness has its masses and every moment rechecked,
-and a certificate passes :func:`verify_certificate` (re-exported here),
-which evaluates its functional over the whole lattice.
+set (:func:`jointfeas.geometry.dual_rays`).  Every decider hands its
+proof (masses by LP column, or a certificate) to one finisher,
+:func:`_proved`, which runs an exact gate in :mod:`jointfeas.check` that
+shares no code with the builder: a witness has its masses and every
+moment rechecked, and a certificate passes :func:`verify_certificate`
+(re-exported here), which evaluates its functional over the lattice.
 """
 
 from __future__ import annotations
@@ -441,6 +442,31 @@ def _range_violated(constraint: MomentConstraint, lo: int, hi: int, den: int) ->
     return not lo * q <= scaled <= hi * q
 
 
+# Each method's name in the soundness gate's message.
+_GATES = {"range-check": "range check", "simplex": "simplex", "cone-rays": "cone oracle"}
+
+
+def _proved(problem: MomentProblem, method: str, detail: dict, *, masses=None, certificate=None) -> FeasibilityResult:
+    """The verdict a decider's proof gives, once its gate in :mod:`jointfeas.check` accepts it.
+
+    ``masses`` maps LP columns (:func:`_constraint_rows` order) to
+    positive masses; slack columns are dropped.  ``certificate`` holds
+    one coefficient per constraint, then the normalization row's.
+    """
+    gate = _GATES[method]
+    if masses is not None:
+        count = problem.atom_count()
+        columns = [j for j in masses if j < count]
+        shape = tuple(len(v.support) for v in problem.variables)
+        mass = dict(zip(_atoms(shape, columns), (masses[j] for j in columns)))
+        check._checked_witness(problem, mass)
+        return FeasibilityResult("feasible", JointDistribution(problem.variables, mass), None, method, detail)
+    if certificate is None:
+        raise AssertionError(f"{gate} returned neither a witness nor a certificate")
+    cert = check._checked_certificate(problem, tuple(certificate), gate)
+    return FeasibilityResult("infeasible", None, cert, method, detail)
+
+
 def _check_atom_cap(atom_cap: int, path: str | None = None) -> None:
     """The one atom-cap rule; ``path`` names the field or flag that gave it."""
     if isinstance(atom_cap, bool) or not isinstance(atom_cap, int) or atom_cap <= 0:
@@ -459,8 +485,8 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
     cost row are solved exactly in the same integer scaling (or the exact
     loop reruns on Python ints when the basis proves nothing).  On every
     path one pair of exact readers turns the final column or row into the
-    solution or Farkas vector, and the verdict then passes the exact
-    witness recheck or :func:`verify_certificate`.
+    solution or Farkas vector, and :func:`_proved` passes it through the
+    exact witness recheck or :func:`verify_certificate`.
     """
     _check_atom_cap(atom_cap)
     count = problem.atom_count()
@@ -473,31 +499,12 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
     for idx, c in enumerate(problem.constraints):
         if _range_violated(c, *problem._integer_range(c)):
             lo, hi = problem.monomial_range(c)
-            cert = check._checked_certificate(problem, _range_certificate(problem, idx, lo, hi), "range check")
-            return FeasibilityResult(
-                "infeasible",
-                None,
-                cert,
-                "range-check",
-                {"constraint": c.describe(), "achievable": (lo, hi)},
-            )
+            detail = {"constraint": c.describe(), "achievable": (lo, hi)}
+            return _proved(problem, "range-check", detail, certificate=_range_certificate(problem, idx, lo, hi))
 
     matrix, den, rhs = _constraint_rows(problem)
     lp = solve_equality_feasibility(matrix, rhs, den)
-    if lp.feasible:
-        if lp.solution is None:
-            raise AssertionError("simplex reported feasible without a solution")
-        shape = tuple(len(v.support) for v in problem.variables)
-        # The certified solution is nonnegative, so nonzero means positive.
-        columns = list(itertools.compress(range(count), lp.solution))
-        mass = dict(zip(_atoms(shape, columns), (lp.solution[j] for j in columns)))
-        check._checked_witness(problem, mass)
-        witness = JointDistribution(problem.variables, mass)
-        return FeasibilityResult("feasible", witness, None, "simplex", {"pivots": lp.pivots})
-    if lp.farkas is None:
-        raise AssertionError("simplex reported infeasible without a Farkas vector")
-    cert = check._checked_certificate(problem, tuple(lp.farkas), "simplex")
-    return FeasibilityResult("infeasible", None, cert, "simplex", {"pivots": lp.pivots})
+    return _proved(problem, "simplex", {"pivots": lp.pivots}, masses=lp.solution, certificate=lp.farkas)
 
 
 # ---------------------------------------------------------------------------
@@ -523,41 +530,19 @@ def brute_force_oracle(
     if count > atom_cap:
         raise SizeCapError(f"oracle cap is {atom_cap} atoms, problem has {count}")
 
-    # Generators are the integer LP columns, normalization row first: den
-    # times each moment vector.  With the target den times the right-hand
-    # side, the weights are atom masses.  Atoms sharing a column merge
-    # into the first of them; slack columns (after the atoms) represent
-    # no atom.
+    # Generators are the integer LP columns, in row order: den times each
+    # moment vector, normalization last.  With the target den times the
+    # right-hand side, the weights are atom masses and a separator is a
+    # certificate.  Atoms sharing a column merge into the first of them.
     matrix, den, rhs = _constraint_rows(problem)
-    values = matrix.tolist()
     representatives: dict[tuple[int, ...], int] = {}
-    for j, column in enumerate(zip(values[-1], *values[:-1])):
+    for j, column in enumerate(zip(*matrix.tolist())):
         representatives.setdefault(column, j)
-    generators = list(representatives)
-    target = tuple(den * x for x in (rhs[-1], *rhs[:-1]))
-
-    membership = cone_membership(generators, target)
-    if membership.member:
-        if membership.combination is None:
-            raise AssertionError("cone oracle reported membership without a combination")
-        shape = tuple(len(v.support) for v in problem.variables)
-        column_of = list(representatives.values())
-        kept = {
-            column_of[g]: w
-            for g, w in membership.combination.items()
-            if w > 0 and column_of[g] < count
-        }
-        mass = dict(zip(_atoms(shape, list(kept)), kept.values()))
-        check._checked_witness(problem, mass)
-        witness = JointDistribution(problem.variables, mass)
-        return FeasibilityResult("feasible", witness, None, "cone-rays", {})
-    if membership.separator is None:
-        raise AssertionError("cone oracle reported non-membership without a separator")
-    # Separator coordinates are (normalization, constraints...); the
-    # certificate convention puts normalization last.
-    sep = membership.separator
-    cert = check._checked_certificate(problem, tuple(map(Fraction, (*sep[1:], sep[0]))), "cone oracle")
-    return FeasibilityResult("infeasible", None, cert, "cone-rays", {})
+    membership = cone_membership(list(representatives), [den * x for x in rhs])
+    column_of, combination = list(representatives.values()), membership.combination
+    masses = None if combination is None else {column_of[g]: w for g, w in combination.items()}
+    separator = None if membership.separator is None else tuple(map(Fraction, membership.separator))
+    return _proved(problem, "cone-rays", {}, masses=masses, certificate=separator)
 
 
 # ---------------------------------------------------------------------------

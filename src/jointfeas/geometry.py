@@ -2,8 +2,8 @@
 
 This is the second, simplex-independent decision path for moment
 feasibility.  A moment problem is feasible exactly when the homogenized
-target vector t~ = (1, targets) lies in the cone generated by the
-homogenized atom moment columns g_i = (1, monomial values at atom i).
+target vector t~ = (targets, 1) lies in the cone generated by the
+homogenized atom moment columns g_i = (monomial values at atom i, 1).
 
 Membership is decided by enumerating the generators' dual description
 (the extreme rays of {u : u.g_i >= 0 for all i}) with the classic
@@ -51,7 +51,8 @@ dimension 10, 173 rays): about 11-14 ms cold either way, and 0.4 and
 0.03 ms cached.  Each inserted halfspace scans all pairs of rays on its
 two sides, and the ray count grows quickly with the dimension: the
 three-valued problem on four variables (81 generators in dimension 15)
-did not finish its double description within 10 minutes.
+held 39,477 rays after 44 s, unfinished.  So past :data:`RAY_BUDGET` rays
+the double description raises :class:`~jointfeas.errors.SizeCapError`.
 """
 
 from __future__ import annotations
@@ -66,9 +67,14 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
+from .errors import SizeCapError
 from .linalg import IntVec, independent_rows, integral, primitive
 
-__all__ = ["ConeMembership", "cone_membership", "dual_rays"]
+__all__ = ["RAY_BUDGET", "ConeMembership", "cone_membership", "dual_rays"]
+
+# The most rays a double description may hold; the corpus, the tests and
+# the benchmark's oracle workload hold at most 288.
+RAY_BUDGET = 4096
 
 
 def _dot(u: Sequence, v: Sequence):
@@ -95,7 +101,8 @@ def _extreme_rays_pointed(halfspaces: list[IntVec]) -> list[IntVec]:
     cone from independent normals, insert the rest, keep only rays built
     from adjacent pairs (combinatorial adjacency test).  Bit k of a
     ray's zero set is set when the ray lies on the hyperplane of normal
-    k; only normals inserted so far are recorded.
+    k; only normals inserted so far are recorded.  Raises
+    :class:`SizeCapError` once more than :data:`RAY_BUDGET` rays are held.
     """
     dim = len(halfspaces[0])
     normals = list(dict.fromkeys(p for p in map(primitive, halfspaces) if any(p)))
@@ -144,6 +151,8 @@ def _extreme_rays_pointed(halfspaces: list[IntVec]) -> list[IntVec]:
                 vj = vals[j]
                 new_rays.append(primitive([vi * b - vj * a for a, b in zip(ri, rays[j])]))
                 new_zero_sets.append(common | bit)
+                if len(new_rays) > RAY_BUDGET:
+                    raise SizeCapError(f"double description holds more than {RAY_BUDGET} rays, the oracle's budget")
         rays = new_rays
         zero_sets = new_zero_sets
     return rays

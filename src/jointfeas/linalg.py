@@ -226,14 +226,18 @@ def lifted_solve(square: np.ndarray, rhs: Sequence[int]) -> tuple[list[int], int
     Dixon's p-adic lifting (Numer. Math. 40, 1982): ``square`` is
     inverted once modulo :data:`PRIME`, and each step takes one more
     p-adic digit of x from the residual, so after k steps X is x modulo
-    P = p**k.  After each step every entry of X is read back as a
-    rational by the half-extended Euclidean algorithm, one entry at a
-    time, with q the lcm of the denominators so far (Wang, SYMSAC 1981).
-    The candidate is returned only if ``square @ num == q * rhs`` holds
-    exactly, so the result is the unique solution.  Lifting stops once P
-    exceeds twice the Hadamard bounds on the numerators and on det
-    ``square`` multiplied together; reconstruction within those bounds
-    cannot fail, so reaching the stop returns None only on a fault.
+    P = p**k.  After steps 1, 2, 4, 8, ... and at the final step, every
+    entry of X is read back as a rational by the half-extended
+    Euclidean algorithm, one entry at a time, with q the lcm of the
+    denominators so far (Wang, SYMSAC 1981).  A reading costs more the
+    longer P is, so reading only at powers of two keeps the readings'
+    total within a small multiple of the last one's, at most
+    floor(log2(steps)) + 2 readings per solve.  A candidate is returned
+    only if ``square @ num == q * rhs`` holds exactly, so the result is
+    the unique solution.  Lifting stops once P exceeds twice the
+    Hadamard bounds on the numerators and on det ``square`` multiplied
+    together; reconstruction within those bounds cannot fail, so
+    reaching the stop returns None only on a fault.
 
     Returns None when ``square`` is singular modulo the prime, which it
     is whenever it is singular over the rationals; the caller then
@@ -256,13 +260,16 @@ def lifted_solve(square: np.ndarray, rhs: Sequence[int]) -> tuple[list[int], int
     column = isqrt(k * top * top) + 1  # above every column 2-norm
     den_limit = column**k
     num_limit = (isqrt(k * rhs_top * rhs_top) + 1) * column ** (k - 1)
-    digits_sum, modulus = [0] * k, 1
+    digits_sum, modulus, steps = [0] * k, 1, 0
     while True:
         digits = _mod_product(inverse_mod, np.asarray(residual % PRIME, np.int64))
         digits_sum = [s + x * modulus for s, x in zip(digits_sum, digits.tolist())]
         residual = (residual - matrix @ digits.astype(dtype)) // PRIME
         modulus *= PRIME
+        steps += 1
         final = modulus > 2 * num_limit * den_limit
+        if not final and steps & (steps - 1):  # read back only after a power of two steps
+            continue
         if final:
             num_bound, den_bound = num_limit, den_limit
         else:

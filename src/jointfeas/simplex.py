@@ -3,9 +3,7 @@
 Decides whether {x >= 0 : A x = b} is nonempty by minimizing the sum of
 artificial variables with Bland's smallest-index rule (finite, no
 cycling).  The rows arrive as integers over one positive denominator
-(``A = matrix / den``), as :mod:`jointfeas.feasibility` builds them;
-rational rows are put over the lcm of all their entries' denominators
-once, on entry.
+(``A = matrix / den``), as :mod:`jointfeas.feasibility` builds them.
 
 The exact loop (``_integer_bland``) runs Bland's rule on a fraction-free
 integer tableau (Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math. Comp.
@@ -20,8 +18,9 @@ gives the exactness argument), so the tableau stays d times the
 rational one, d being the determinant of the basis.  Every result is
 read off a final tableau by one of two readers, behind explicit checks:
 ``_solution`` reads x_B = ``N[:m, -1] / (d L)`` off the value column,
-and ``_farkas`` the Farkas vector off the cost row's artificial
-entries.  A system is decided on one of three paths:
+keeping its positive structural values by column, and ``_farkas`` the
+Farkas vector off the cost row's artificial entries.  A system is
+decided on one of three paths:
 
 1. **int64, when proven safe.**  Every entry of every tableau on the way
    is an m x m minor of the scaled block ``[D A | I | L D b]`` (Cramer's
@@ -59,14 +58,15 @@ entries.  A system is decided on one of three paths:
    or both readers refuse it, the exact loop runs from a cold start on
    Python ints (an object tableau).
 
-On success the basic feasible solution is returned; on failure the dual
-multipliers of the phase-1 optimum yield a Farkas vector u with
-u.A >= 0 componentwise and u.b < 0, an independently checkable
-certificate of emptiness.  The basis determines both.  The guide may
-end on another optimal basis than the exact loop's, so a guided
-result may hold another solution or Farkas vector, and another pivot
-count, than the exact loop would give; its verdict is the same, and
-both readers check it exactly.
+On success the basic feasible solution is returned, sparse: its
+positive entries as ``{column: value}`` in column order, at most m of
+them.  On failure the dual multipliers of the phase-1 optimum yield a
+Farkas vector u with u.A >= 0 componentwise and u.b < 0, an
+independently checkable certificate of emptiness.  The basis determines
+both.  The guide may end on another optimal basis than the exact
+loop's, so a guided result may hold another solution or Farkas vector,
+and another pivot count, than the exact loop would give; its verdict is
+the same, and both readers check it exactly.
 """
 
 from __future__ import annotations
@@ -81,8 +81,6 @@ import numpy as np
 from .linalg import echelon, integers, lifted_solve, peak, pivot, product
 
 __all__ = ["EqualityFeasibility", "solve_equality_feasibility"]
-
-_ZERO = Fraction(0)
 
 # Float guide: entries within _TOL of zero count as zero, ratios within
 # _TOL of the minimum as ties; at most _PIVOT_CAP_PER_COLUMN pivots per
@@ -103,43 +101,38 @@ _INT64_SAFE = 1 << 31
 @dataclass(frozen=True)
 class EqualityFeasibility:
     feasible: bool
-    solution: tuple[Fraction, ...] | None
+    solution: dict[int, Fraction] | None  # the positive entries of x, by column
     farkas: tuple[Fraction, ...] | None
     pivots: int
 
 
-def solve_equality_feasibility(
-    rows: Sequence[Sequence], rhs: Sequence[Fraction], den: int | None = None
-) -> EqualityFeasibility:
-    """Feasibility of {x >= 0 : rows . x = rhs}, exactly.
+def solve_equality_feasibility(rows: np.ndarray, rhs: Sequence[Fraction], den: int) -> EqualityFeasibility:
+    """Feasibility of {x >= 0 : (rows / den) . x = rhs}, exactly.
 
-    ``rows`` holds rationals (ints or Fractions), or, when ``den`` is
-    given, integers standing for ``rows / den`` (den a positive int);
-    ``rhs`` holds ints or Fractions.  Anything else raises
-    ``ValueError``.  The Farkas vector is expressed against the rows as
-    given (before the internal sign normalization).
+    ``rows`` is a 2-d array of integers (any int dtype, or Python ints in
+    an object array), ``den`` a positive int and ``rhs`` holds ints or
+    Fractions; anything else raises ``ValueError``.  The solution holds
+    the positive entries of x by column; the Farkas vector is expressed
+    against the rows as given (before the internal sign normalization).
     """
     m = len(rows)
     if m != len(rhs):
         raise ValueError("row/rhs length mismatch")
-    if not all(_rational(v) for v in rhs):
+    if not all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in rhs):
         raise ValueError(f"right-hand side entries must be ints or Fractions, got {list(rhs)!r}")
+    if isinstance(den, bool) or not isinstance(den, int) or den <= 0:
+        raise ValueError(f"the denominator must be a positive int, got {den!r}")
     if m == 0:
-        return EqualityFeasibility(True, (), None, 0)
-    if den is None:
-        matrix, den = _integral_rows(rows)
-    else:
-        matrix = np.asarray(rows)
-        if matrix.ndim != 2:
-            raise ValueError("integer rows need a 2-d matrix")
-        kind = matrix.dtype.kind
-        if kind not in "iuO" or kind == "O" and not all(type(v) is int for v in matrix.flat):
-            raise ValueError(f"integer rows must hold ints, got a matrix of dtype {matrix.dtype}")
-        if isinstance(den, bool) or not isinstance(den, int) or den <= 0:
-            raise ValueError(f"the denominator must be a positive int, got {den!r}")
-        if kind == "u" and matrix.max(initial=0) <= _INT64_MAX:
-            # Unsigned rows that fit int64 take the int64 path like signed ones.
-            matrix = matrix.astype(np.int64)
+        return EqualityFeasibility(True, {}, None, 0)
+    matrix = np.asarray(rows)
+    if matrix.ndim != 2:
+        raise ValueError("integer rows need a 2-d matrix")
+    kind = matrix.dtype.kind
+    if kind not in "iuO" or kind == "O" and not all(type(v) is int for v in matrix.flat):
+        raise ValueError(f"integer rows must hold ints, got a matrix of dtype {matrix.dtype}")
+    if kind == "u" and matrix.max(initial=0) <= _INT64_MAX:
+        # Unsigned rows that fit int64 take the int64 path like signed ones.
+        matrix = matrix.astype(np.int64)
     n = matrix.shape[1]
 
     # Normalize to b >= 0, remembering the sign applied to each row.
@@ -159,26 +152,6 @@ def solve_equality_feasibility(
         # An exact phase-1 optimum always exists and reads off.
         raise AssertionError("exact Bland loop ended without a result")
     return result
-
-
-def _integral_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[np.ndarray, int]:
-    """Rational rows over the lcm of all their entries' denominators: ``(matrix, den)``.
-
-    The matrix is int64 when every numerator fits, else Python ints.
-    """
-    n = len(rows[0])
-    if any(len(row) != n for row in rows):
-        raise ValueError("ragged constraint matrix")
-    if not all(_rational(v) for row in rows for v in row):
-        raise ValueError("rational rows must hold ints or Fractions")
-    den = lcm(*(v.denominator for row in rows for v in row))
-    values = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
-    fits = all(abs(v) <= _INT64_MAX for row in values for v in row)
-    return np.array(values, np.int64 if fits else object), den
-
-
-def _rational(value) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +277,15 @@ def _farkas(cost: list[int], n: int, d: int, signs: list[int], pivots: int) -> E
 def _solution(
     values: list[int], basis: list[int], n: int, d: int, scale: int, pivots: int
 ) -> EqualityFeasibility | None:
-    """x_B = values / (d L) off a final value column; None unless all >= 0, basic artificials 0."""
+    """x_B = values / (d L) off a final value column; None unless all >= 0, basic artificials 0.
+
+    The solution keeps the positive structural values, by column in
+    column order.
+    """
     if any(v < 0 for v in values) or any(v for j, v in zip(basis, values) if j >= n):
         return None
-    x = [_ZERO] * n
-    for j, v in zip(basis, values):
-        if j < n:
-            x[j] = Fraction(v, d * scale)
-    return EqualityFeasibility(True, tuple(x), None, pivots)
+    x = {j: Fraction(v, d * scale) for j, v in sorted(zip(basis, values)) if v and j < n}
+    return EqualityFeasibility(True, x, None, pivots)
 
 
 # ---------------------------------------------------------------------------

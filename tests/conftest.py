@@ -6,8 +6,10 @@ import itertools
 import os
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jointfeas import (
@@ -16,6 +18,19 @@ from jointfeas import (
     MomentConstraint,
     MomentProblem,
 )
+
+
+def rational_lp(rows, rhs):
+    """``solve_equality_feasibility``'s arguments ``(matrix, rhs, den)`` for rational rows.
+
+    The rows go over the lcm of all their entries' denominators; the
+    matrix is int64 when every numerator fits, else Python ints.
+    """
+    den = lcm(*[Fraction(v).denominator for row in rows for v in row])
+    values = [[Fraction(v).numerator * (den // Fraction(v).denominator) for v in row] for row in rows]
+    fits = all(abs(v) < 2**63 for row in values for v in row)
+    return np.array(values, np.int64 if fits else object), rhs, den
+
 
 def subprocess_env() -> dict[str, str]:
     """This process's environment with the repository's ``src`` first on ``PYTHONPATH``.

@@ -12,6 +12,7 @@ from jointfeas.algebraic import (
     sqrt_fraction,
 )
 from jointfeas.errors import UnsupportedNumberError, ValidationError
+from jointfeas.files import encode_exact
 
 
 def test_as_fraction_spellings():
@@ -118,3 +119,22 @@ def test_two_spellings_of_one_field_meet_over_the_smaller_radicand():
     assert str(third + quarter) == "1 + 9/4*sqrt(3)"
     assert quarter - spelled == 0 and spelled - quarter == 0
     assert quarter < third and third > spelled and not quarter < spelled
+
+
+def test_a_cancelled_partial_result_keeps_the_other_spelling():
+    # Allowed: (q - q) is the rational 0, so (q - q) + s keeps s's
+    # radicand, while (q + s) - q meets over the smaller one.  The text
+    # and the report interval differ; equality, hash, order and the
+    # report poly agree.
+    p = 1009  # above the trial-division bound
+    q = sqrt_fraction(3) / 4
+    s = sqrt_fraction(p * p * 3) / (4 * p)
+    late, early = (q - q) + s, (q + s) - q
+    assert (late.d, early.d) == (p * p * 3, 3)
+    assert str(late) == "0 + 1/4036*sqrt(3054243)" and str(early) == "0 + 1/4*sqrt(3)"
+    assert late == early and hash(late) == hash(early)
+    assert late <= early <= late and not late < early and not early < late
+    assert late - early == 0
+    late_json, early_json = encode_exact(late), encode_exact(early)
+    assert late_json["poly"] == early_json["poly"] == ["-3/16", "0", "1"]
+    assert late_json["interval"] != early_json["interval"]

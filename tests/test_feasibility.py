@@ -32,7 +32,7 @@ from jointfeas.feasibility import _constraint_rows
 from jointfeas.files import PROBLEM_SCHEMA
 from jointfeas.simplex import solve_equality_feasibility
 
-from conftest import random_problem, subprocess_env
+from conftest import random_problem, rational_lp, subprocess_env
 
 F = Fraction
 
@@ -480,6 +480,27 @@ class TestBoundedMoments:
         else:
             assert verify_certificate(prob, oracle.certificate)
 
+    @pytest.mark.parametrize("bound", ["-1/2", "-3/4"])
+    @pytest.mark.parametrize("square", ["1/2", "2"])
+    def test_oracle_certificate_from_a_lineality_vector_passes_the_gate(self, monkeypatch, bound, square):
+        # As above, but with X on (-1, 1): X**2 is 1 on every atom, so the
+        # generators span a plane and the oracle's separator for any other
+        # E(X**2) is a lineality vector of their dual, zero on each of them.
+        # Its coordinates follow the LP rows, normalization last, so it is
+        # the certificate as it stands.
+        prob = MomentProblem(
+            (pm_one("X"), pm_one("Y")),
+            (MomentConstraint.of({"X": 1}, bound, "<="), MomentConstraint.of({"X": 2}, square)),
+        )
+        seen = []
+        real = feasibility.cone_membership
+        monkeypatch.setattr(feasibility, "cone_membership", lambda g, t: seen.append(g) or real(g, t))
+        oracle = brute_force_oracle(prob)
+        assert oracle.verdict == decide(prob).verdict == "infeasible"
+        (generators,) = seen
+        assert all(sum(map(operator.mul, oracle.certificate, g)) == 0 for g in generators)
+        assert verify_certificate(prob, oracle.certificate)
+
 
 rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 # Numerators above 10**10: cubed, they overflow int64 and take the object path.
@@ -568,14 +589,15 @@ def test_rows_of_every_denominator_share_one_den(pair, verdict):
     assert den == 4 and matrix[-1].tolist() == [4] * 9
     rows = [[F(v, den) for v in row] for row in matrix.tolist()]
     assert (rows, rhs) == reference_rows(problem)
-    lp = solve_equality_feasibility(rows, rhs)
+    lp = solve_equality_feasibility(*rational_lp(rows, rhs))
     assert solve_equality_feasibility(matrix, rhs, den) == lp
     assert lp.feasible == (verdict == "feasible")
 
     result = decide(problem)
     assert result.verdict == verdict
     if lp.feasible:
-        assert result.witness.mass == {a: x for a, x in zip(problem.atom_space(), lp.solution) if x}
+        atoms = list(problem.atom_space())
+        assert result.witness.mass == {atoms[j]: x for j, x in lp.solution.items()}
     else:
         assert result.certificate == lp.farkas
     oracle = brute_force_oracle(problem)
@@ -710,15 +732,62 @@ def test_witness_read_off_matches_the_column_scan(monkeypatch, rng):
             continue
         matrix, den, rhs = _constraint_rows(problem)
         solution = solve_equality_feasibility(matrix, rhs, den).solution
+        # The reference reads a dense solution, one entry per LP column
+        # (slacks last), which solves the rows exactly.
+        dense = [solution.get(j, F(0)) for j in range(matrix.shape[1])]
+        assert [sum(F(v, den) * x for v, x in zip(row, dense)) for row in matrix.tolist()] == rhs
         shape = tuple(len(v.support) for v in problem.variables)
         expected = {
             tuple(int(i) for i in np.unravel_index(j, shape)): x
-            for j, x in enumerate(solution[: problem.atom_count()])
+            for j, x in enumerate(dense[: problem.atom_count()])
             if x > 0
         }
         assert seen == [list(expected.items())]
         checked += 1
     assert checked > 20
+
+
+# Each method and the name its gate reports.
+GATE_NAMES = {"range-check": "range check", "simplex": "simplex", "cone-rays": "cone oracle"}
+
+
+def test_every_verdict_passes_the_one_finisher_once(monkeypatch, rng):
+    # Range check, simplex and cone oracle, both verdicts each (the range
+    # check proves only infeasibility): each result is built by exactly
+    # one _proved call, which runs exactly one gate.
+    proved, gates = [], []
+    real_proved = feasibility._proved
+    real_witness, real_certificate = check._checked_witness, check._checked_certificate
+    monkeypatch.setattr(feasibility, "_proved", lambda *a, **k: proved.append(a[1]) or real_proved(*a, **k))
+    monkeypatch.setattr(check, "_checked_witness", lambda *a: gates.append("witness") or real_witness(*a))
+    monkeypatch.setattr(check, "_checked_certificate", lambda *a: gates.append(a[2]) or real_certificate(*a))
+    problems = [random_problem(rng) for _ in range(60)]
+    problems += [triple([0] * 3, ["-1/2"] * 3), triple([0] * 3, ["1/2"] * 3), triple([0] * 3, [2, 0, 0])]
+    seen = set()
+    for problem in problems:
+        for solve in (decide, brute_force_oracle):
+            proved.clear()
+            gates.clear()
+            result = solve(problem)
+            assert proved == [result.method]
+            assert gates == ["witness" if result.feasible else GATE_NAMES[result.method]]
+            seen.add((result.method, result.verdict))
+    assert seen == {
+        ("range-check", "infeasible"),
+        ("simplex", "feasible"),
+        ("simplex", "infeasible"),
+        ("cone-rays", "feasible"),
+        ("cone-rays", "infeasible"),
+    }
+
+
+@pytest.mark.parametrize("method,gate", GATE_NAMES.items())
+def test_a_solver_without_a_proof_fails_its_gate(method, gate):
+    problem = triple([0] * 3, ["-1/2"] * 3)
+    with pytest.raises(AssertionError, match=f"^{gate} returned neither a witness nor a certificate$"):
+        feasibility._proved(problem, method, {})
+    with pytest.raises(AssertionError, match=f"^{gate} produced an invalid infeasibility certificate$"):
+        feasibility._proved(problem, method, {}, certificate=(0, 0, 0, 0, 0, 0, 1))
 
 
 def test_problems_share_integer_support_tables():

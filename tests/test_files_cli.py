@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -14,6 +15,7 @@ from conftest import subprocess_env
 from jointfeas import MomentConstraint, __version__, cli, expectation, feasibility, files, pm_one, point_mass
 from jointfeas.algebraic import Surd, make_surd, sqrt_fraction
 from jointfeas.errors import ValidationError
+from jointfeas.geometry import RAY_BUDGET
 from jointfeas.files import (
     PROBLEM_SCHEMA,
     REPORT_SCHEMA,
@@ -256,6 +258,33 @@ class TestCLI:
         assert run(["inequalities", path, "--atom-cap", "7"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["cross_check"] == {"skipped": "atom cap exceeded"}
+
+    def test_oracle_over_its_ray_budget_is_status_2(self, tmp_path, capsys):
+        # {-1, 0, 1} on four variables with zero means, squares 1/2 and pair
+        # moments -1/10: 81 atoms, which decide settles at once, while the
+        # oracle's double description grows past 39,000 rays.  A child with
+        # a timeout fails, where the oracle without its budget would hang.
+        obj = {
+            "schema": PROBLEM_SCHEMA,
+            "kind": "finite-moment",
+            "variables": [{"name": n, "support": ["-1", "0", "1"]} for n in "ABCD"],
+            "constraints": [{"exponents": {n: 1}, "target": "0"} for n in "ABCD"]
+            + [{"exponents": {n: 2}, "target": "1/2"} for n in "ABCD"]
+            + [{"exponents": {a: 1, b: 1}, "target": "-1/10"} for a, b in itertools.combinations("ABCD", 2)],
+        }
+        path = self.write(tmp_path, obj)
+        assert run(["decide", path]) == 0
+        capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "jointfeas", "decide", path, "--oracle"],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: double description holds more than {RAY_BUDGET} rays, the oracle's budget\n"
 
     @pytest.mark.parametrize("names", [5, "XYZ", ["X", "Y", 3], ["X", "X", "Y"], ["X", "Y"]])
     def test_bad_gaussian_names_are_status_2(self, tmp_path, capsys, names):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 from unittest.mock import patch
 
@@ -10,11 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from jointfeas import feasibility, geometry, linalg, simplex
 from jointfeas.corpus import load_cases
+from jointfeas.errors import SizeCapError
 from jointfeas.files import parse_problem
 from jointfeas.geometry import _extreme_rays_pointed, cone_membership, dual_rays
 from jointfeas.simplex import solve_equality_feasibility
 
-from conftest import random_problem
+from conftest import random_problem, rational_lp
 
 F = Fraction
 
@@ -315,6 +316,26 @@ def test_lifted_solve_equals_solve(system, python_ints):
         assert [F(v, q) for v in num] == linalg.solve(rows, [rhs])[0]
 
 
+@pytest.mark.parametrize("digits", [1, 30, 300, 3000])
+@pytest.mark.parametrize("python_ints", [False, True])
+def test_lifting_reads_back_at_most_log2_steps_plus_two_times(monkeypatch, digits, python_ints):
+    # x = (q2, -1) / (q1 q2 - 1): numerators as long as q and a
+    # denominator twice as long, so the lifting takes about 0.4 steps per
+    # digit and only the final reading succeeds.  Reading back after
+    # every step made 3,000 digits take seconds.
+    q1, q2 = 10**digits + 7, 10**digits + 3 * 10 ** (digits // 2) + 1
+    rows, rhs = [[q1, 1], [1, q2]], [1, 0]
+    steps, readings = [], []
+    real_step, real_read = linalg._mod_product, linalg._reconstruct
+    monkeypatch.setattr(linalg, "_mod_product", lambda *a: steps.append(1) or real_step(*a))
+    monkeypatch.setattr(linalg, "_reconstruct", lambda *a: readings.append(1) or real_read(*a))
+    flat = [v for row in rows for v in row]
+    square = (np.array(flat, object) if python_ints else linalg.integers(flat)).reshape(2, 2)
+    num, q = linalg.lifted_solve(square, rhs)
+    assert [F(v, q) for v in num] == [F(q2, q1 * q2 - 1), F(-1, q1 * q2 - 1)]
+    assert 1 <= len(readings) <= len(steps).bit_length() + 1  # floor(log2(steps)) + 2
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -356,9 +377,20 @@ def test_exact_simplex_loop_updates_only_through_pivot(rows, data, python_ints):
         patch.object(simplex, "_guided", lambda *a: None),
         patch.object(simplex, "_INT64_SAFE", 0 if python_ints else simplex._INT64_SAFE),
     ):
-        result = solve_equality_feasibility(rows, rhs)
+        result = solve_equality_feasibility(*rational_lp(rows, rhs))
     assert len(calls) == result.pivots
     assert all(args[0].dtype == (object if python_ints else np.int64) for args in calls)
+
+
+def test_double_description_stops_past_its_ray_budget(monkeypatch):
+    # The cone over a cube: its dual is the cone over an octahedron, 6
+    # rays, and the double description holds 7 on the way.
+    cube = [(1, *signs) for signs in product((-1, 1), repeat=3)]
+    monkeypatch.setattr(geometry, "RAY_BUDGET", 7)
+    assert len(_extreme_rays_pointed(cube)) == 6
+    monkeypatch.setattr(geometry, "RAY_BUDGET", 6)
+    with pytest.raises(SizeCapError, match="more than 6 rays"):
+        _extreme_rays_pointed(cube)
 
 
 @settings(max_examples=150, deadline=None)
@@ -513,7 +545,7 @@ def test_membership_verdict_matches_the_simplex(gens, data):
     )
     res = counted_membership(gens, target)
     columns = [[g[k] for g in gens] for k in range(dim)]
-    assert res.member == solve_equality_feasibility(columns, list(target)).feasible
+    assert res.member == solve_equality_feasibility(*rational_lp(columns, list(target))).feasible
     if res.member:
         check_combination(gens, target, res.combination)
     else:
@@ -579,7 +611,7 @@ def test_membership_in_cones_with_lines_matches_the_simplex(gens, data):
     )
     res = cone_membership(gens, target)
     columns = [[g[k] for g in gens] for k in range(dim)]
-    assert res.member == solve_equality_feasibility(columns, list(target)).feasible
+    assert res.member == solve_equality_feasibility(*rational_lp(columns, list(target))).feasible
     if res.member:
         check_combination(gens, target, res.combination)
     else:
@@ -723,28 +755,27 @@ def test_descent_table_is_built_once_and_only_for_members():
 def fraction_oracle(problem):
     """Reference oracle on Fraction moment vectors: (verdict, certificate, masses).
 
-    One generator per distinct column, first seen first: (1, monomial
-    values) per atom in lattice order, then (0, +-1 at its row) per
+    One generator per distinct column, first seen first: (monomial
+    values, 1) per atom in lattice order, then (+-1 at its row, 0) per
     bounded constraint.  Each goes to cone_membership as its smallest
     integer multiple, and the weights are scaled back onto the vectors.
     """
     atoms = list(problem.atom_space())
     m = len(problem.constraints)
-    columns = [(F(1), *(problem.monomial_value(c, a) for c in problem.constraints)) for a in atoms]
+    columns = [(*(problem.monomial_value(c, a) for c in problem.constraints), F(1)) for a in atoms]
     for i, c in enumerate(problem.constraints):
         if c.relation != "==":
             sign = 1 if c.relation == "<=" else -1
-            columns.append((F(0), *(F(sign * (k == i)) for k in range(m))))
+            columns.append((*(F(sign * (k == i)) for k in range(m)), F(0)))
     first = {}
     for j, column in enumerate(columns):
         first.setdefault(column, j)
     gens = list(first)
     column_of = list(first.values())
-    target = (F(1), *(c.target for c in problem.constraints))
+    target = (*(c.target for c in problem.constraints), F(1))
     res = cone_membership([tuple(linalg.integral(g)) for g in gens], target)
     if not res.member:
-        sep = [F(x) for x in res.separator]
-        return "infeasible", (*sep[1:], sep[0]), None
+        return "infeasible", tuple(map(F, res.separator)), None
     masses = {
         atoms[column_of[i]]: w * lcm(*(x.denominator for x in gens[i]))
         for i, w in res.combination.items()
@@ -793,7 +824,7 @@ def test_oracle_hands_geometry_integer_tuples(monkeypatch, rng):
     assert len(calls) > 30
     for generators, target in calls:
         assert all(isinstance(g, tuple) and all(type(x) is int for x in g) for g in generators)
-        # Normalization first: L on every atom, 0 on every slack, L in the target.
-        assert {g[0] for g in generators} <= {0, target[0]}
+        # Normalization last: L on every atom, 0 on every slack, L in the target.
+        assert {g[-1] for g in generators} <= {0, target[-1]}
     assert all(type(x) is int for g in gens_seen for x in g)
     assert all(gcd(*g) == 1 for g in gens_seen if any(g))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_problem
+from conftest import random_problem, rational_lp
 from jointfeas import (
     FiniteRandomVariable, MomentConstraint, MomentProblem, check, decide, feasibility, linalg, pm_one, simplex
 )
@@ -24,25 +24,22 @@ def check_farkas(rows, rhs, farkas):
 
 
 def test_empty_system_is_feasible():
-    assert solve_equality_feasibility([], []) == simplex.EqualityFeasibility(True, (), None, 0)
+    assert solve_equality_feasibility([], [], 1) == simplex.EqualityFeasibility(True, {}, None, 0)
 
 
 def test_simple_feasible_system():
     # x1 + x2 = 1, x1 - x2 = 0  ->  x = (1/2, 1/2)
     rows = [[F(1), F(1)], [F(1), F(-1)]]
     rhs = [F(1), F(0)]
-    res = solve_equality_feasibility(rows, rhs)
-    assert res.feasible
-    x = res.solution
-    assert x[0] + x[1] == 1 and x[0] - x[1] == 0
-    assert all(v >= 0 for v in x)
+    res = solve_equality_feasibility(*rational_lp(rows, rhs))
+    assert res.feasible and res.solution == {0: F(1, 2), 1: F(1, 2)}
 
 
 def test_infeasible_system_gives_valid_farkas():
     # x1 + x2 = 1, x1 + x2 = 2 simultaneously
     rows = [[F(1), F(1)], [F(1), F(1)]]
     rhs = [F(1), F(2)]
-    res = solve_equality_feasibility(rows, rhs)
+    res = solve_equality_feasibility(*rational_lp(rows, rhs))
     assert not res.feasible
     check_farkas(rows, rhs, res.farkas)
 
@@ -51,24 +48,24 @@ def test_negative_rhs_normalization():
     # -x1 = -3 -> x1 = 3
     rows = [[F(-1), F(0)]]
     rhs = [F(-3)]
-    res = solve_equality_feasibility(rows, rhs)
-    assert res.feasible and res.solution[0] == 3
+    res = solve_equality_feasibility(*rational_lp(rows, rhs))
+    assert res.feasible and res.solution == {0: F(3)}
 
 
 def test_nonnegativity_binds():
     # x1 - x2 = -1 with x >= 0 is feasible (x2 = 1); x1 alone cannot be negative
-    res = solve_equality_feasibility([[F(1), F(-1)]], [F(-1)])
+    res = solve_equality_feasibility(*rational_lp([[F(1), F(-1)]], [F(-1)]))
     assert res.feasible
-    res = solve_equality_feasibility([[F(1)]], [F(-1)])
+    res = solve_equality_feasibility(*rational_lp([[F(1)]], [F(-1)]))
     assert not res.feasible
     check_farkas([[F(1)]], [F(-1)], res.farkas)
 
 
 def test_degenerate_zero_row():
     rows = [[F(0), F(0)], [F(1), F(1)]]
-    res = solve_equality_feasibility(rows, [F(0), F(1)])
+    res = solve_equality_feasibility(*rational_lp(rows, [F(0), F(1)]))
     assert res.feasible
-    res = solve_equality_feasibility(rows, [F(1), F(1)])
+    res = solve_equality_feasibility(*rational_lp(rows, [F(1), F(1)]))
     assert not res.feasible
     check_farkas(rows, [F(1), F(1)], res.farkas)
 
@@ -76,13 +73,7 @@ def test_degenerate_zero_row():
 def test_exactness_with_awkward_fractions():
     rows = [[F(1, 3), F(1, 7), F(2, 5)], [F(5, 11), F(-3, 13), F(1, 2)]]
     rhs = [F(9, 35), F(1, 4)]
-    res = solve_equality_feasibility(rows, rhs)
-    if res.feasible:
-        x = res.solution
-        for row, b in zip(rows, rhs):
-            assert sum(c * v for c, v in zip(row, x)) == b
-    else:
-        check_farkas(rows, rhs, res.farkas)
+    check_result(rows, rhs, solve_equality_feasibility(*rational_lp(rows, rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +86,7 @@ def signs_of(rhs):
 
 def integer_lp(rows, rhs):
     """``(matrix, den, signs, b, scale)`` of the integer tableau."""
-    matrix, den = simplex._integral_rows(rows)
+    matrix, _, den = rational_lp(rows, rhs)
     signs = signs_of(rhs)
     return (matrix, den, signs, *simplex._scales(den, rhs, signs))
 
@@ -145,9 +136,9 @@ def check_result(rows, rhs, res):
     if res.feasible:
         assert res.farkas is None
         x = res.solution
-        assert len(x) == len(rows[0]) and all(v >= 0 for v in x)
+        assert list(x) == sorted(x) and all(0 <= j < len(rows[0]) and v > 0 for j, v in x.items())
         for row, b in zip(rows, rhs):
-            assert sum((c * v for c, v in zip(row, x)), F(0)) == b
+            assert sum((row[j] * v for j, v in x.items()), F(0)) == b
     else:
         assert res.solution is None
         check_farkas(rows, rhs, res.farkas)
@@ -179,7 +170,7 @@ def systems(draw):
 @given(systems())
 def test_float_guided_result_checks_exactly_and_matches_exact_verdict(system):
     rows, rhs = system
-    res = solve_equality_feasibility(rows, rhs)
+    res = solve_equality_feasibility(*rational_lp(rows, rhs))
     check_result(rows, rhs, res)
     assert res.feasible == exact_loop(rows, rhs).feasible
 
@@ -243,11 +234,11 @@ def test_infeasible_basis_is_certified_without_fallback(monkeypatch, rows, rhs):
     assert not expected.feasible
     force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
-    res = solve_equality_feasibility(rows, rhs)
+    res = solve_equality_feasibility(*rational_lp(rows, rhs))
     assert not res.feasible
     check_result(rows, rhs, res)
     force_bland(monkeypatch)
-    assert solve_equality_feasibility(rows, rhs) == expected
+    assert solve_equality_feasibility(*rational_lp(rows, rhs)) == expected
     assert calls == []
 
 
@@ -271,7 +262,7 @@ def test_wrong_guide_basis_falls_back_to_exact_loop(monkeypatch, rows, rhs, wron
     force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
     monkeypatch.setattr(simplex, "_float_guide", lambda tab, n, m: wrong_basis(n, m))
-    res = solve_equality_feasibility(rows, rhs)
+    res = solve_equality_feasibility(*rational_lp(rows, rhs))
     assert res == expected
     check_result(rows, rhs, res)
     assert len(calls) == 1
@@ -282,7 +273,7 @@ def test_entries_beyond_float_range_fall_back_to_exact_loop(monkeypatch):
     rows = [[big, F(1), F(0)], [F(1), F(1), F(1)]]
     for rhs in ([big, F(1)], [-big, F(1)]):
         calls = spy_exact_loop(monkeypatch)
-        res = solve_equality_feasibility(rows, rhs)
+        res = solve_equality_feasibility(*rational_lp(rows, rhs))
         assert len(calls) == 1
         assert res == exact_loop(rows, rhs)
         check_result(rows, rhs, res)
@@ -295,7 +286,7 @@ def test_float_overflow_in_pivots_stays_silent_and_exact():
     big = F(10**200)
     rows = [[F(1), big, F(0)], [big, F(1), F(1)], [F(1), F(1), F(1)]]
     for rhs in ([F(0), F(1), F(1)], [F(0), F(1), F(2)], [F(1), -big, F(1)]):
-        res = solve_equality_feasibility(rows, rhs)
+        res = solve_equality_feasibility(*rational_lp(rows, rhs))
         check_result(rows, rhs, res)
         assert res.feasible == exact_loop(rows, rhs).feasible
 
@@ -308,7 +299,7 @@ def test_primal_infeasible_guide_basis_falls_back(monkeypatch):
     force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
     monkeypatch.setattr(simplex, "_float_guide", lambda tab, n, m: ([0], 1))
-    assert solve_equality_feasibility(rows, rhs) == expected
+    assert solve_equality_feasibility(*rational_lp(rows, rhs)) == expected
     assert expected.feasible and len(calls) == 1
 
 
@@ -319,7 +310,7 @@ def test_pivot_cap_falls_back_to_exact_loop(monkeypatch, rows, rhs):
     force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
     monkeypatch.setattr(simplex, "_PIVOT_CAP_PER_COLUMN", 0)
-    assert solve_equality_feasibility(rows, rhs) == expected
+    assert solve_equality_feasibility(*rational_lp(rows, rhs)) == expected
     assert len(calls) == 1
 
 
@@ -387,11 +378,11 @@ def test_bland_path_is_pinned_on_equal_pair_moments(monkeypatch, n, pair, feasib
     signs = signs_of(rhs)
     # The capped guide first: a loop that leaves Bland's path fails here
     # rather than cycling in the uncapped exact loop.
-    matrix, den = simplex._integral_rows(rows)
+    matrix, _, den = rational_lp(rows, rhs)
     tab = simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs)
     guide = simplex._float_guide(tab, len(rows[0]), len(rows))
     assert guide is not None and guide[1] == pivots
-    res = solve_equality_feasibility(rows, rhs)
+    res = solve_equality_feasibility(*rational_lp(rows, rhs))
     assert (res.feasible, res.pivots) == (feasible, pivots)
     check_result(rows, rhs, res)
     if n == 6:
@@ -405,7 +396,7 @@ def test_degenerate_guard_hands_over_to_bland_and_back(monkeypatch, n, pair, fea
     # Its basis still certifies without the fallback, with the exact
     # loop's verdict.
     rows, rhs = equal_pair_moment_lp(n, pair)
-    matrix, den = simplex._integral_rows(rows)
+    matrix, _, den = rational_lp(rows, rhs)
 
     def guide_pivots():
         tab = simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs_of(rhs))
@@ -417,7 +408,7 @@ def test_degenerate_guard_hands_over_to_bland_and_back(monkeypatch, n, pair, fea
     guarded = guide_pivots()
     assert guarded not in (dantzig, pivots)
     calls = spy_exact_loop(monkeypatch)
-    res = solve_equality_feasibility(rows, rhs)
+    res = solve_equality_feasibility(*rational_lp(rows, rhs))
     assert (res.feasible, res.pivots) == (feasible, guarded)
     check_result(rows, rhs, res)
     assert calls == []
@@ -474,7 +465,7 @@ def test_certify_result_does_not_depend_on_check_order(system, data):
 @pytest.mark.parametrize("n,pair,feasible,pivots", PINNED_BLAND_PATHS)
 def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasible, pivots):
     rows, rhs = equal_pair_moment_lp(n, pair)
-    matrix, den = simplex._integral_rows(rows)
+    matrix, _, den = rational_lp(rows, rhs)
     signs = signs_of(rhs)
     real_lift, real_echelon = simplex.lifted_solve, simplex.echelon
     # The guide under its own pricing, then held to Bland's rule, whose
@@ -496,7 +487,7 @@ def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasib
         solves, eliminations = [], []
         monkeypatch.setattr(simplex, "lifted_solve", lambda *a: solves.append(1) or real_lift(*a))
         monkeypatch.setattr(simplex, "echelon", lambda *a, **k: eliminations.append(1) or real_echelon(*a, **k))
-        assert primal_first == dual_first == solve_equality_feasibility(rows, rhs)
+        assert primal_first == dual_first == solve_equality_feasibility(*rational_lp(rows, rhs))
         assert len(solves) == 1 and eliminations == []
         monkeypatch.setattr(simplex, "lifted_solve", real_lift)
         monkeypatch.setattr(simplex, "echelon", real_echelon)
@@ -593,7 +584,7 @@ def test_lifted_certificate_equals_bareiss_on_any_basis(system, data):
 @pytest.mark.parametrize("n,pair,feasible,pivots", PINNED_BLAND_PATHS)
 def test_lifted_certificate_equals_bareiss_on_pinned_moment_lps(monkeypatch, n, pair, feasible, pivots):
     rows, rhs = equal_pair_moment_lp(n, pair)
-    matrix, den = simplex._integral_rows(rows)
+    matrix, _, den = rational_lp(rows, rhs)
     for bland in (False, True):
         if bland:
             force_bland(monkeypatch)
@@ -701,7 +692,7 @@ def test_certify_block_of_the_int64_minimum_takes_python_ints(b, dual_first):
     args = (matrix, linalg.peak(matrix), signs, rhs, scale, [0], 1, dual_first)
     lifted, _ = certify_lifted(*args)
     assert lifted == whole_basis_bareiss(*args)
-    assert lifted is None or lifted.solution == (F(b, -(2**63)), F(0))
+    assert lifted is None or lifted.solution == {0: F(b, -(2**63))}
 
 
 def test_the_dual_takes_no_second_peak_of_the_matrix(monkeypatch):
@@ -769,7 +760,7 @@ def integer_lps(draw):
     if draw(st.booleans()):
         rows, rhs = draw(systems())
         rows = [[draw(st.one_of(st.just(v), wide)) for v in row] for row in rows]
-        matrix, den = simplex._integral_rows(rows)
+        matrix, _, den = rational_lp(rows, rhs)
         return matrix, den, rhs
     values = st.builds(F, st.integers(-(10**9), 10**9), st.integers(1, 10**9))
     names = ["X", "Y"][: draw(st.integers(1, 2))]
@@ -820,11 +811,11 @@ def test_zero_column_systems(b):
     # No variable: feasible with x = () exactly when b = 0, else a Farkas
     # vector; 10**40 is over the int64 bound and goes to the float guide.
     for res in (
-        solve_equality_feasibility([[]], [b]),
+        solve_equality_feasibility(*rational_lp([[]], [b])),
         solve_equality_feasibility(np.zeros((1, 0), np.int64), [b], 1),
     ):
         if b == 0:
-            assert res == simplex.EqualityFeasibility(True, (), None, 0)
+            assert res == simplex.EqualityFeasibility(True, {}, None, 0)
         else:
             assert not res.feasible and res.farkas[0] * b < 0
 
@@ -844,6 +835,7 @@ NOT_RATIONAL = [
     (np.array([[True, False]]), [F(1)], 1),
     (np.array([[1, 2.0]], object), [F(1)], 1),
     (np.array([[1, True]], object), [F(1)], 1),
+    # Rows with no denominator are refused, rational or not.
     ([[0.5]], [F(1)], None),
     ([[F(1), True]], [F(1)], None),
     ([[F(1)]], [1.5], None),
@@ -875,7 +867,8 @@ def test_integer_rows_of_any_int_dtype_are_accepted(monkeypatch):
     res = solve_equality_feasibility(np.array([[1, 2]], object), [F(1, 2)], 3)
     assert res.feasible and len(guides) == 1
     check_result([[F(1, 3), F(2, 3)]], [F(1, 2)], res)
-    assert solve_equality_feasibility([[F(1, 3), 2]], [1], None).feasible
+    with pytest.raises(ValueError, match="must hold ints"):
+        solve_equality_feasibility(np.array([[F(1, 3), 2]], object), [1], 3)
 
 
 def check_paths_agree(rows, rhs, *, same_path=False):
@@ -969,8 +962,8 @@ def test_int64_bound_edge(monkeypatch, m):
         matrix, den, signs, b, scale = integer_lp(rows, rhs)
         assert (int64_tableau(matrix, signs, b) is not None) == exact
         guides = spy_guide(monkeypatch)
-        res = solve_equality_feasibility(rows, rhs)
-        assert res == simplex.EqualityFeasibility(True, (F(1),) * m, None, m)
+        res = solve_equality_feasibility(*rational_lp(rows, rhs))
+        assert res == simplex.EqualityFeasibility(True, dict.fromkeys(range(m), F(1)), None, m)
         assert len(guides) == (0 if exact else 1)
         monkeypatch.undo()
 
@@ -985,7 +978,7 @@ def test_int64_bound_is_strict(top, accepted):
     rhs = [F(top), F(0), F(0)]
     matrix, den, signs, b, scale = integer_lp(rows, rhs)
     assert (int64_tableau(matrix, signs, b) is not None) == accepted
-    check_result(rows, rhs, solve_equality_feasibility(rows, rhs))
+    check_result(rows, rhs, solve_equality_feasibility(*rational_lp(rows, rhs)))
 
 
 def test_read_off_rejects_a_corrupted_final_tableau(monkeypatch):
@@ -1004,7 +997,7 @@ def test_read_off_rejects_a_corrupted_final_tableau(monkeypatch):
         expected = exact_loop(rows, rhs)
         monkeypatch.setattr(simplex, "_integer_bland", corrupt)
         guides = spy_guide(monkeypatch)
-        assert solve_equality_feasibility(rows, rhs) == expected
+        assert solve_equality_feasibility(*rational_lp(rows, rhs)) == expected
         assert len(guides) == 1
         monkeypatch.undo()
 
@@ -1059,9 +1052,7 @@ def test_farkas_reader_accepts_negative_artificial_costs(rows, rhs):
 def test_solution_reader_needs_nonnegative_values_and_zero_basic_artificials():
     # Two structural columns, two rows; basis {x_1, artificial 0}, d = 2, L = 3.
     n, basis, d, scale = 2, [1, 2], 2, 3
-    assert simplex._solution([12, 0], basis, n, d, scale, 5) == simplex.EqualityFeasibility(
-        True, (F(0), F(2)), None, 5
-    )
+    assert simplex._solution([12, 0], basis, n, d, scale, 5) == simplex.EqualityFeasibility(True, {1: F(2)}, None, 5)
     assert simplex._solution([-12, 0], basis, n, d, scale, 5) is None
     assert simplex._solution([12, 1], basis, n, d, scale, 5) is None
     assert simplex._solution([12, -1], basis, n, d, scale, 5) is None
