@@ -6,8 +6,12 @@
     jointfeas corpus [--json] [--dir PATH]
 
 Exit status: 0 feasible (or success), 1 infeasible (or corpus drift),
-2 validation/usage error, 3 internal error (a bug, such as a failed
-soundness gate).  Reports are canonical JSON on stdout (or
+2 validation/usage error or a size cap, 3 internal error (a bug, such as
+a failed soundness gate).  A cross-check over its own limit is a skipped
+row, not an error: ``decide --oracle`` with the oracle past its atom cap
+or ray budget reports ``oracle`` as ``{"skipped": <the limit>}`` and
+exits by decide's verdict, as ``inequalities`` reports its LP
+cross-check past the atom cap.  Reports are canonical JSON on stdout (or
 ``--out``): a fixed build produces byte-identical reports for identical
 inputs.  The bundled corpus directory can be overridden with the
 ``JOINTFEAS_CORPUS`` environment variable or ``--dir``.
@@ -100,8 +104,12 @@ def cmd_decide(args: argparse.Namespace) -> int:
     result = decide(problem, atom_cap=_atom_cap(args, parsed))
     payload = _feasibility_payload(problem, result)
     if args.oracle:
-        oracle = brute_force_oracle(problem)
-        payload["oracle"] = {"verdict": oracle.verdict, "agrees": oracle.verdict == result.verdict}
+        try:
+            oracle = brute_force_oracle(problem)
+        except SizeCapError as exc:
+            payload["oracle"] = {"skipped": str(exc)}
+        else:
+            payload["oracle"] = {"verdict": oracle.verdict, "agrees": oracle.verdict == result.verdict}
     _emit(render_report("decide", parsed["echo"], payload), args.out)
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 

@@ -11,8 +11,8 @@ test suite:
 
 * :func:`decide` - phase-1 simplex (Bland's rule) on an exact
   fraction-free integer tableau, or, for LPs too large for int64, guided
-  in floating point (Dantzig's rule, with a Bland guard against
-  cycling) and settled by an exact basis solve
+  in floating point (Dantzig's rule alone, under a pivot cap past which
+  the exact loop decides) and settled by an exact basis solve
   (:mod:`jointfeas.simplex`).  Returns a witness distribution or a
   Farkas certificate.
 * :func:`brute_force_oracle` - dual-cone ray enumeration
@@ -480,10 +480,10 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
     lexicographic index order and every pivoting rule is deterministic.
     The simplex decides by Bland's rule on an exact fraction-free integer
     tableau, in int64 when a bound proves that safe; above the bound, a
-    float guide priced by Dantzig's rule (Bland's rule after a run of
-    degenerate pivots) only picks the final basis, whose value column and
-    cost row are solved exactly in the same integer scaling (or the exact
-    loop reruns on Python ints when the basis proves nothing).  On every
+    float guide priced by Dantzig's rule alone only picks the final
+    basis, whose value column and cost row are solved exactly in the same
+    integer scaling (or the exact loop reruns on Python ints when the
+    guide reaches its pivot cap or its basis proves nothing).  On every
     path one pair of exact readers turns the final column or row into the
     solution or Farkas vector, and :func:`_proved` passes it through the
     exact witness recheck or :func:`verify_certificate`.

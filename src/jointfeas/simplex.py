@@ -33,11 +33,11 @@ decided on one of three paths:
 2. **Float guide and exact certificate**, above that bound.  The guide
    (``_float_guide``) runs on a float64 copy of the rational tableau,
    with a tolerance on every sign test and a hard pivot cap.  It prices
-   by Dantzig's rule (the most negative reduced cost enters; ratio ties
-   go to the largest pivot element), which takes far fewer pivots than
-   Bland's rule on large moment LPs, and it falls back to Bland's rule
-   after a run of degenerate pivots until the next nondegenerate one,
-   so it cannot cycle.  Each cell is ``matrix[i, j] / den``
+   by Dantzig's rule alone (the most negative reduced cost enters; ratio
+   ties go to the largest pivot element), which takes far fewer pivots
+   than Bland's rule on large moment LPs.  Dantzig's rule can cycle;
+   the pivot cap bounds the guide, and past it the exact loop, which
+   cannot cycle, decides.  Each cell is ``matrix[i, j] / den``
    correctly rounded: float64 division when both are below 2**53 in
    magnitude, Python int division otherwise, so the tableau equals the
    one filled with ``float(Fraction)`` bit for bit.  Its only output is
@@ -87,8 +87,6 @@ __all__ = ["EqualityFeasibility", "solve_equality_feasibility"]
 # tableau column before the exact loop takes over.
 _TOL = 1e-9
 _PIVOT_CAP_PER_COLUMN = 50
-# Consecutive degenerate pivots after which the guide enters by Bland's rule.
-_DEGENERATE_RUN = 50
 
 _INT64_MAX = (1 << 63) - 1
 # Integers below this in magnitude are exact doubles.
@@ -346,15 +344,10 @@ def _float_guide(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int] | Non
     """Dantzig's rule on the float tableau, in place, from the all-artificial basis.
 
     The entering column has the most negative reduced cost, and ratio-test
-    ties go to the largest pivot element.  After ``_DEGENERATE_RUN``
-    consecutive degenerate pivots (minimum ratio within ``_TOL`` of zero)
-    Bland's rule takes over, smallest index entering and smallest basis
-    index leaving, until the next nondegenerate pivot: a cycle of bases
-    can only form within a degenerate run, and Bland's rule ends every
-    such run.  Entries within ``_TOL`` of zero count as zero and ratios
-    within ``_TOL`` of the minimum as ties.  Returns the final basis
-    (column index per row) and the pivot count, or None when the pivot
-    cap is reached or no leaving row exists.
+    ties go to the largest pivot element.  Entries within ``_TOL`` of zero
+    count as zero and ratios within ``_TOL`` of the minimum as ties.
+    Returns the final basis (column index per row) and the pivot count,
+    or None when the pivot cap is reached or no leaving row exists.
     """
     cap = _PIVOT_CAP_PER_COLUMN * (n + m)
     basis = np.arange(n, n + m)
@@ -362,10 +355,8 @@ def _float_guide(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int] | Non
     rhs = tab[:m, -1]
     update = np.empty_like(tab)
     pivots = 0
-    degenerate = 0  # consecutive degenerate pivots so far
     while True:
-        bland = degenerate >= _DEGENERATE_RUN
-        entering = int(np.argmax(cost < -_TOL) if bland else np.argmin(cost))
+        entering = int(np.argmin(cost))
         if cost[entering] >= -_TOL:
             return basis.tolist(), pivots
         if pivots >= cap:
@@ -375,10 +366,8 @@ def _float_guide(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int] | Non
         if candidates.size == 0:
             return None
         ratios = rhs[candidates] / column[candidates]
-        least = ratios.min()
-        ties = candidates[ratios <= least + _TOL]
-        leaving = int(ties[np.argmin(basis[ties])] if bland else ties[np.argmax(column[ties])])
-        degenerate = degenerate + 1 if least <= _TOL else 0
+        ties = candidates[ratios <= ratios.min() + _TOL]
+        leaving = int(ties[np.argmax(column[ties])])
 
         prow = tab[leaving] / tab[leaving, entering]
         np.multiply.outer(tab[:, entering], prow, out=update)

@@ -259,11 +259,13 @@ class TestCLI:
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["cross_check"] == {"skipped": "atom cap exceeded"}
 
-    def test_oracle_over_its_ray_budget_is_status_2(self, tmp_path, capsys):
+    def test_oracle_over_its_ray_budget_is_a_skipped_row(self, tmp_path, capsys):
         # {-1, 0, 1} on four variables with zero means, squares 1/2 and pair
         # moments -1/10: 81 atoms, which decide settles at once, while the
-        # oracle's double description grows past 39,000 rays.  A child with
-        # a timeout fails, where the oracle without its budget would hang.
+        # oracle's double description grows past 39,000 rays.  The oracle
+        # stops at its budget and the report says so; decide's verdict
+        # sets the exit status.  A child with a timeout fails, where the
+        # oracle without its budget would hang.
         obj = {
             "schema": PROBLEM_SCHEMA,
             "kind": "finite-moment",
@@ -274,7 +276,7 @@ class TestCLI:
         }
         path = self.write(tmp_path, obj)
         assert run(["decide", path]) == 0
-        capsys.readouterr()
+        plain = json.loads(capsys.readouterr().out)["results"]
         proc = subprocess.run(
             [sys.executable, "-m", "jointfeas", "decide", path, "--oracle"],
             capture_output=True,
@@ -282,9 +284,47 @@ class TestCLI:
             env=subprocess_env(),
             timeout=60,
         )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == f"error: double description holds more than {RAY_BUDGET} rays, the oracle's budget\n"
+        assert (proc.returncode, proc.stderr) == (0, "")
+        results = json.loads(proc.stdout)["results"]
+        assert results["verdict"] == "feasible" and results["witness"] == plain["witness"]
+        assert results["oracle"] == {"skipped": f"double description holds more than {RAY_BUDGET} rays, the oracle's budget"}
+
+    def test_oracle_over_its_atom_cap_is_a_skipped_row(self, tmp_path, capsys):
+        # 3**8 = 6,561 atoms, past the oracle's 4,096-atom cap; decide
+        # proves infeasibility by the range check.
+        obj = {
+            "schema": PROBLEM_SCHEMA,
+            "kind": "finite-moment",
+            "variables": [{"name": f"X{i}", "support": ["-1", "0", "1"]} for i in range(8)],
+            "constraints": [{"exponents": {"X0": 2}, "target": "2"}],
+        }
+        assert run(["decide", self.write(tmp_path, obj), "--oracle"]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["verdict"] == "infeasible" and results["certificate_verified"]
+        assert results["oracle"] == {"skipped": "oracle cap is 4096 atoms, problem has 6561"}
+
+    def test_decide_leaves_the_degenerate_vertex_of_the_eighteen_cycle(self, tmp_path):
+        # +-1 cycle n = 18 with every edge correlation -4/5: 262,144 atoms,
+        # feasible, and every guide pivot after the second is degenerate.
+        # The guide used to stall there; a child with a timeout fails
+        # instead of hanging.
+        names = [f"X{i}" for i in range(18)]
+        obj = {
+            "schema": PROBLEM_SCHEMA,
+            "kind": "finite-moment",
+            "variables": [{"name": n, "support": ["-1", "1"]} for n in names],
+            "constraints": [{"exponents": {n: 1}, "target": "0"} for n in names]
+            + [{"exponents": {a: 1, b: 1}, "target": "-4/5"} for a, b in zip(names, names[1:] + names[:1])],
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "jointfeas", "decide", self.write(tmp_path, obj)],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["results"]["verdict"] == "feasible"
 
     @pytest.mark.parametrize("names", [5, "XYZ", ["X", "Y", 3], ["X", "X", "Y"], ["X", "Y"]])
     def test_bad_gaussian_names_are_status_2(self, tmp_path, capsys, names):

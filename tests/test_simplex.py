@@ -121,9 +121,12 @@ def force_guide(monkeypatch):
     monkeypatch.setattr(simplex, "_INT64_SAFE", 0)
 
 
-def force_bland(monkeypatch):
-    """The guide's anti-cycling guard holds from the first pivot: Bland's rule throughout."""
-    monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 0)
+def bland_basis(matrix, den, rhs):
+    """The final basis and pivot count of Bland's rule, run by the exact loop on Python ints."""
+    m, n = matrix.shape
+    signs = signs_of(rhs)
+    b, _ = simplex._scales(den, rhs, signs)
+    return simplex._integer_bland(simplex._integer_tableau(matrix, signs, b, object), n, m)[:2]
 
 
 def fraction_rows(matrix, den):
@@ -198,12 +201,12 @@ def spy_guide(monkeypatch):
 
 
 def test_guide_follows_bland_path_on_moment_problems(monkeypatch):
-    # Small-denominator moment LPs.  Held to Bland's rule, the guide takes
-    # the exact loop's path, so every field (including the pivot count)
-    # matches it.  Under its own pricing it may end on another optimal
-    # basis, but with the exact loop's verdict and a result that checks
-    # exactly.  Either way the exact certificate accepts every final
-    # basis: no LP falls back to the Python-int loop.
+    # Small-denominator moment LPs.  Under its own pricing the guide may
+    # end on another optimal basis than Bland's rule, but with the exact
+    # loop's verdict and a result that checks exactly.  Bland's final
+    # basis, certified exactly, gives the exact loop's result field for
+    # field (the pivot count included).  Either way the exact certificate
+    # accepts every final basis: no LP falls back to the Python-int loop.
     rng = random.Random(7)
     lps = [feasibility._constraint_rows(random_problem(rng)) for _ in range(150)]
     expected = [exact_loop(fraction_rows(matrix, den), rhs) for matrix, den, rhs in lps]
@@ -213,8 +216,7 @@ def test_guide_follows_bland_path_on_moment_problems(monkeypatch):
         res = solve_equality_feasibility(matrix, rhs, den)
         assert res.feasible == exact.feasible
         check_result(fraction_rows(matrix, den), rhs, res)
-    force_bland(monkeypatch)
-    assert [solve_equality_feasibility(matrix, rhs, den) for matrix, den, rhs in lps] == expected
+        assert certify_both_orders(matrix, den, rhs, *bland_basis(matrix, den, rhs)) == [exact, exact]
     assert calls == []
 
 
@@ -228,8 +230,8 @@ def test_guide_follows_bland_path_on_moment_problems(monkeypatch):
 )
 def test_infeasible_basis_is_certified_without_fallback(monkeypatch, rows, rhs):
     # Under its own pricing the guide may end on another basis; its
-    # Farkas vector checks exactly.  Held to Bland's rule it ends on the
-    # exact loop's basis, the one whose Bareiss pivot is negative.
+    # Farkas vector checks exactly.  Bland's final basis, the one whose
+    # Bareiss pivot is negative, certifies to the exact loop's result.
     expected = exact_loop(rows, rhs)
     assert not expected.feasible
     force_guide(monkeypatch)
@@ -237,8 +239,8 @@ def test_infeasible_basis_is_certified_without_fallback(monkeypatch, rows, rhs):
     res = solve_equality_feasibility(*rational_lp(rows, rhs))
     assert not res.feasible
     check_result(rows, rhs, res)
-    force_bland(monkeypatch)
-    assert solve_equality_feasibility(*rational_lp(rows, rhs)) == expected
+    matrix, _, den = rational_lp(rows, rhs)
+    assert certify_both_orders(matrix, den, rhs, *bland_basis(matrix, den, rhs)) == [expected, expected]
     assert calls == []
 
 
@@ -341,7 +343,9 @@ def test_pivot_cap_fallback_keeps_decide_results(monkeypatch):
 def equal_pair_moment_problem(n, pair):
     """+-1 variables with zero means and every pair moment equal to ``pair``.
 
-    Feasible exactly when ``pair >= -1 / (n - 1)``.
+    Feasible exactly when ``pair >= -1 / (n - 1)`` for even n and
+    ``pair >= -1 / n`` for odd n, since an odd sum of +-1 values has a
+    square of at least 1.
     """
     names = [f"X{i}" for i in range(n)]
     return MomentProblem(
@@ -360,8 +364,8 @@ def equal_pair_moment_lp(n, pair):
 
 
 # Verdicts and pivot counts recorded from an exact Bland loop written
-# independently of _bland (a list-of-lists Fraction tableau); they pin
-# the entering and leaving choices, tie-breaks included.
+# independently of _integer_bland (a list-of-lists Fraction tableau);
+# they pin the entering and leaving choices, tie-breaks included.
 PINNED_BLAND_PATHS = [
     pytest.param(6, F(-1, 6), True, 76, id="n6-feasible"),
     pytest.param(6, F(-1, 4), False, 62, id="n6-infeasible"),
@@ -371,47 +375,16 @@ PINNED_BLAND_PATHS = [
 
 
 @pytest.mark.parametrize("n,pair,feasible,pivots", PINNED_BLAND_PATHS)
-def test_bland_path_is_pinned_on_equal_pair_moments(monkeypatch, n, pair, feasible, pivots):
-    # The guide held to Bland's rule, as its anti-cycling guard runs it.
-    force_bland(monkeypatch)
+def test_bland_path_is_pinned_on_equal_pair_moments(n, pair, feasible, pivots):
+    # The exact loop on Python ints, the fallback that runs Bland's rule.
     rows, rhs = equal_pair_moment_lp(n, pair)
-    signs = signs_of(rhs)
-    # The capped guide first: a loop that leaves Bland's path fails here
-    # rather than cycling in the uncapped exact loop.
-    matrix, _, den = rational_lp(rows, rhs)
-    tab = simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs)
-    guide = simplex._float_guide(tab, len(rows[0]), len(rows))
-    assert guide is not None and guide[1] == pivots
-    res = solve_equality_feasibility(*rational_lp(rows, rhs))
+    res = exact_loop(rows, rhs)
     assert (res.feasible, res.pivots) == (feasible, pivots)
     check_result(rows, rhs, res)
-    if n == 6:
-        assert exact_loop(rows, rhs) == res
-
-
-@pytest.mark.parametrize("n,pair,feasible,pivots", PINNED_BLAND_PATHS)
-def test_degenerate_guard_hands_over_to_bland_and_back(monkeypatch, n, pair, feasible, pivots):
-    # With the guard set off by a single degenerate pivot, the guide mixes
-    # both rules: its path is neither Bland's (pinned) nor Dantzig's alone.
-    # Its basis still certifies without the fallback, with the exact
-    # loop's verdict.
-    rows, rhs = equal_pair_moment_lp(n, pair)
-    matrix, _, den = rational_lp(rows, rhs)
-
-    def guide_pivots():
-        tab = simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs_of(rhs))
-        return simplex._float_guide(tab, len(rows[0]), len(rows))[1]
-
-    monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 10**9)
-    dantzig = guide_pivots()
-    monkeypatch.setattr(simplex, "_DEGENERATE_RUN", 1)
-    guarded = guide_pivots()
-    assert guarded not in (dantzig, pivots)
-    calls = spy_exact_loop(monkeypatch)
-    res = solve_equality_feasibility(*rational_lp(rows, rhs))
-    assert (res.feasible, res.pivots) == (feasible, guarded)
-    check_result(rows, rhs, res)
-    assert calls == []
+    # The solver as it runs, by the guide's own pricing, agrees.
+    solved = solve_equality_feasibility(*rational_lp(rows, rhs))
+    assert solved.feasible == feasible
+    check_result(rows, rhs, solved)
 
 
 @pytest.mark.parametrize("pair,feasible", [(F(-1, 20), True), (F(-1, 8), False)])
@@ -434,6 +407,30 @@ def test_guide_decides_eleven_pm_one_pairs_without_fallback(monkeypatch, pair, f
         check._checked_witness(problem, result.witness.mass)
     else:
         assert check.verify_certificate(problem, result.certificate)
+
+
+def pm_one_cycle_problem(n, c):
+    """+-1 variables with zero means and E[X_i X_(i+1 mod n)] = c: the chained Bell cycle."""
+    names = [f"X{i}" for i in range(n)]
+    return MomentProblem(
+        tuple(pm_one(v) for v in names),
+        tuple(
+            [MomentConstraint.of({v: 1}, 0) for v in names]
+            + [MomentConstraint.of({names[i]: 1, names[(i + 1) % n]: 1}, c) for i in range(n)]
+        ),
+    )
+
+
+def test_guide_leaves_the_degenerate_vertex_of_the_sixteen_cycle(monkeypatch):
+    # 65,536 atoms and 33 rows, over the int64 bound.  Dantzig's rule
+    # alone takes 56 pivots; switching to Bland's rule after a run of 50
+    # degenerate pivots took 842.
+    guides = spy_guide(monkeypatch)
+    calls = spy_exact_loop(monkeypatch)
+    result = decide(pm_one_cycle_problem(16, F(-4, 5)))
+    assert result.verdict == "feasible"
+    assert len(guides) == 1 and calls == []
+    assert result.detail["pivots"] <= 100
 
 
 def certify_both_orders(matrix, den, rhs, basis, pivots):
@@ -466,31 +463,28 @@ def test_certify_result_does_not_depend_on_check_order(system, data):
 def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasible, pivots):
     rows, rhs = equal_pair_moment_lp(n, pair)
     matrix, _, den = rational_lp(rows, rhs)
-    signs = signs_of(rhs)
-    real_lift, real_echelon = simplex.lifted_solve, simplex.echelon
-    # The guide under its own pricing, then held to Bland's rule, whose
-    # path (and pivot count) is pinned.
-    for bland in (False, True):
-        if bland:
-            force_bland(monkeypatch)
-        tab = simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs)
-        guide = simplex._float_guide(tab, len(rows[0]), len(rows))
-        primal_first, dual_first = certify_both_orders(matrix, den, rhs, *guide)
+    tab = simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs_of(rhs))
+    guide = simplex._float_guide(tab, len(rows[0]), len(rows))
+    # The guide's basis under its own pricing, then Bland's, whose path
+    # (and pivot count) is pinned.
+    results = []
+    for basis in (guide, bland_basis(matrix, den, rhs)):
+        primal_first, dual_first = certify_both_orders(matrix, den, rhs, *basis)
+        assert primal_first == dual_first
         assert primal_first.feasible == feasible
         check_result(rows, rhs, primal_first)
-        if bland:
-            assert primal_first.pivots == pivots
+        results.append(primal_first)
+    assert results[1].pivots == pivots
 
-        # The guide's objective points at the check that succeeds: one exact
-        # solve per LP, infeasible ones included, lifted with no Bareiss
-        # elimination.
-        solves, eliminations = [], []
-        monkeypatch.setattr(simplex, "lifted_solve", lambda *a: solves.append(1) or real_lift(*a))
-        monkeypatch.setattr(simplex, "echelon", lambda *a, **k: eliminations.append(1) or real_echelon(*a, **k))
-        assert primal_first == dual_first == solve_equality_feasibility(*rational_lp(rows, rhs))
-        assert len(solves) == 1 and eliminations == []
-        monkeypatch.setattr(simplex, "lifted_solve", real_lift)
-        monkeypatch.setattr(simplex, "echelon", real_echelon)
+    # The guide's objective points at the check that succeeds: one exact
+    # solve per LP, infeasible ones included, lifted with no Bareiss
+    # elimination.
+    real_lift, real_echelon = simplex.lifted_solve, simplex.echelon
+    solves, eliminations = [], []
+    monkeypatch.setattr(simplex, "lifted_solve", lambda *a: solves.append(1) or real_lift(*a))
+    monkeypatch.setattr(simplex, "echelon", lambda *a, **k: eliminations.append(1) or real_echelon(*a, **k))
+    assert solve_equality_feasibility(*rational_lp(rows, rhs)) == results[0]
+    assert len(solves) == 1 and eliminations == []
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +576,13 @@ def test_lifted_certificate_equals_bareiss_on_any_basis(system, data):
 
 
 @pytest.mark.parametrize("n,pair,feasible,pivots", PINNED_BLAND_PATHS)
-def test_lifted_certificate_equals_bareiss_on_pinned_moment_lps(monkeypatch, n, pair, feasible, pivots):
+def test_lifted_certificate_equals_bareiss_on_pinned_moment_lps(n, pair, feasible, pivots):
+    # The guide's basis and Bland's, each with the guide's check order.
     rows, rhs = equal_pair_moment_lp(n, pair)
     matrix, _, den = rational_lp(rows, rhs)
-    for bland in (False, True):
-        if bland:
-            force_bland(monkeypatch)
-        guide = simplex._guided(matrix, linalg.peak(matrix), den, rhs, signs_of(rhs))
-        result = assert_lift_equals_bareiss(certify_args(rows, rhs, *guide))
+    *guide, dual_first = simplex._guided(matrix, linalg.peak(matrix), den, rhs, signs_of(rhs))
+    for basis, count in (guide, bland_basis(matrix, den, rhs)):
+        result = assert_lift_equals_bareiss(certify_args(rows, rhs, basis, count, dual_first))
         assert result.feasible == feasible
 
 
@@ -871,12 +864,11 @@ def test_integer_rows_of_any_int_dtype_are_accepted(monkeypatch):
         solve_equality_feasibility(np.array([[F(1, 3), 2]], object), [1], 3)
 
 
-def check_paths_agree(rows, rhs, *, same_path=False):
+def check_paths_agree(rows, rhs):
     """Each path's result checks exactly; int64 and Python ints agree field for field.
 
-    The float guide may stop early, and under its own pricing it may end
-    on another optimal basis.  With ``same_path`` (small entries, and the
-    guide held to Bland's rule) it must return the exact loop's result.
+    The float guide may stop early, and it may end on another optimal
+    basis than the exact loop, with the same verdict.
     """
     exact = exact_loop(rows, rhs)
     check_result(rows, rhs, exact)
@@ -891,24 +883,9 @@ def check_paths_agree(rows, rhs, *, same_path=False):
         assert tab.tolist() == reference.tolist()
         assert int64_path(rows, rhs) == exact
     guided = guided_path(rows, rhs)
-    if same_path:
-        assert guided == exact
-    elif guided is not None:
+    if guided is not None:
         check_result(rows, rhs, guided)
         assert guided.feasible == exact.feasible
-
-
-@settings(max_examples=300, deadline=None)
-@given(systems())
-def test_int64_guided_and_python_int_paths_agree(system):
-    check_paths_agree(*system)
-
-
-@settings(max_examples=200, deadline=None)
-@given(integer_lps())
-def test_paths_agree_on_moment_lps(lp):
-    matrix, den, rhs = lp
-    check_paths_agree(fraction_rows(matrix, den), rhs)
 
 
 @st.composite
@@ -919,17 +896,16 @@ def small_systems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(
-    small_systems(),
-    st.integers(0, 2**32).map(
-        lambda seed: (lambda lp: (fraction_rows(lp[0], lp[1]), lp[2]))(
-            feasibility._constraint_rows(random_problem(random.Random(seed)))
-        )
-    ),
-))
-def test_all_three_paths_give_equal_results_on_small_entries(system):
-    with patch.object(simplex, "_DEGENERATE_RUN", 0):
-        check_paths_agree(*system, same_path=True)
+@given(st.one_of(systems(), small_systems()))
+def test_int64_guided_and_python_int_paths_agree(system):
+    check_paths_agree(*system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_lps())
+def test_paths_agree_on_moment_lps(lp):
+    matrix, den, rhs = lp
+    check_paths_agree(fraction_rows(matrix, den), rhs)
 
 
 def largest_under_bound(m):
