@@ -896,9 +896,31 @@ def small_systems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(systems(), small_systems()))
+@given(systems())
 def test_int64_guided_and_python_int_paths_agree(system):
     check_paths_agree(*system)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    small_systems(),
+    st.integers(0, 2**32).map(
+        lambda seed: (lambda lp: (fraction_rows(lp[0], lp[1]), lp[2]))(
+            feasibility._constraint_rows(random_problem(random.Random(seed)))
+        )
+    ),
+))
+def test_all_three_paths_give_equal_results_on_small_entries(system):
+    # On small entries the float guide settles every system, so the exact
+    # loop, the int64 loop (where the bound lets it run) and the guide all
+    # decide, with the same verdict.
+    rows, rhs = system
+    exact = exact_loop(rows, rhs)
+    guided = guided_path(rows, rhs)
+    assert guided is not None
+    check_result(rows, rhs, guided)
+    assert guided.feasible == exact.feasible
+    check_paths_agree(rows, rhs)
 
 
 @settings(max_examples=200, deadline=None)
