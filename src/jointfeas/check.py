@@ -1,22 +1,29 @@
 """Exact soundness gates for feasibility verdicts.
 
 Every verdict of :mod:`jointfeas.feasibility` passes one of two gates
-here before it is returned.  A witness's atom masses must be
-nonnegative, sum to exactly 1 and meet every moment
-(:func:`_checked_witness`).  A certificate must pass
-:func:`verify_certificate`, which evaluates its functional over the
-whole atom lattice.  Both read only the problem's supports, constraints
-and the proof itself, and build their integer tables with one helper,
-:func:`_monomial_tables`, which :func:`jointfeas.probability.expectation`
-and :func:`jointfeas.hidden_variable.verify_factorization` share.  This
-module imports nothing from the row builder, the simplex, the cone
-oracle or the exact linear algebra, so a fault in any of them cannot
-vouch for its own output.  A failed gate raises
+here before it is returned, and each gate makes one integer pass over
+what its proof touches.  A witness's atom masses are put over their
+common denominator once; they must be nonnegative, sum to exactly 1 and
+meet every moment, each moment compared with its target by
+cross-multiplying integers (:func:`_checked_witness`).  A certificate
+must pass :func:`verify_certificate`, which decides the sign of its
+constant term in integers and evaluates its functional by broadcasting
+each factor's table along its variable's axis, over only the variables
+the functional touches, in blocks of at most ``_CHUNK`` cells.  Both
+read only the problem's supports, constraints and the proof itself, and
+build their integer tables with one helper, :func:`_monomial_tables`.
+The witness gate's moment kernel, :func:`_weighted_moment`, is also the
+one :func:`jointfeas.probability.expectation` uses, and
+:func:`jointfeas.hidden_variable.verify_factorization` shares the
+tables.  This module imports nothing from the row builder, the simplex,
+the cone oracle or the exact linear algebra, so a fault in any of them
+cannot vouch for its own output.  A failed gate raises
 ``AssertionError`` from an explicit test, which survives ``python -O``.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import lcm, prod
 from typing import Mapping, Sequence
@@ -26,68 +33,98 @@ import numpy as np
 from .algebraic import as_fraction, exact_text
 from .errors import ValidationError
 
-_ZERO = Fraction(0)
 _INT64_MAX = (1 << 63) - 1
-# Atoms per vectorized step of the certificate gate.
+# Lattice cells per vectorized step of the certificate gate.
 _CHUNK = 1 << 16
 
 
-def _monomial_tables(variables: Sequence, exponents) -> tuple[list[tuple[int, list[int]]], int]:
+def _integer_support(support: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The support's common denominator D_v, and the support values times it."""
+    d = lcm(*[x.denominator for x in support])
+    return d, [x.numerator * (d // x.denominator) for x in support]
+
+
+def _monomial_tables(
+    variables: Sequence, exponents, supports: dict | None = None
+) -> tuple[list[tuple[int, list[int]]], int]:
     """Integer tables of the monomial prod X_i^k_i, and its denominator prod(D_v ** k).
 
     Per (variable position, k) pair, the table holds the support's
-    numerators over its common denominator D_v, raised to k.  lcm gets
-    lists, not generators: CPython unpacks a generator into a shrunk
-    10-slot tuple, and in a hot loop those pile up on its tuple free
-    lists (peak RSS).
+    numerators over its common denominator D_v, raised to k.  A caller
+    building several monomials passes one ``supports`` dict, which keeps
+    each variable's :func:`_integer_support` by position, so it is built
+    once.  lcm gets lists, not generators: CPython unpacks a generator
+    into a shrunk 10-slot tuple, and in a hot loop those pile up on its
+    tuple free lists (peak RSS).
     """
+    supports = {} if supports is None else supports
     factors, den = [], 1
     for position, k in exponents:
-        support = variables[position].support
-        d = lcm(*[x.denominator for x in support])
-        factors.append((position, [(x.numerator * (d // x.denominator)) ** k for x in support]))
+        if position not in supports:
+            supports[position] = _integer_support(variables[position].support)
+        d, numerators = supports[position]
+        factors.append((position, [x**k for x in numerators]))
         den *= d**k
     return factors, den
 
 
-def _moment(variables: Sequence, mass: Mapping, scale: int, exponents) -> Fraction:
-    """E(prod X_i^k_i) for atom masses in multiples of ``1 / scale``, summed in integers."""
-    factors, den = _monomial_tables(variables, exponents)
+def _weighted_moment(
+    variables: Sequence, atoms, weights: Sequence[int], exponents, supports: dict | None = None
+) -> tuple[int, int]:
+    """``(total, den)``: the sum over atoms of weight * prod X_i^k_i is total / den.
+
+    ``den`` is the monomial's denominator from :func:`_monomial_tables`;
+    every product and sum is in integers.
+    """
+    factors, den = _monomial_tables(variables, exponents, supports)
     total = 0
-    for atom, p in mass.items():
-        term = p.numerator * (scale // p.denominator)
+    for atom, term in zip(atoms, weights):
         for position, table in factors:
             term *= table[atom[position]]
         total += term
+    return total, den
+
+
+def _moment(variables: Sequence, mass: Mapping, scale: int, exponents) -> Fraction:
+    """E(prod X_i^k_i) for atom masses in multiples of ``1 / scale``, summed in integers."""
+    weights = [p.numerator * (scale // p.denominator) for p in mass.values()]
+    total, den = _weighted_moment(variables, mass, weights, exponents)
     return Fraction(total, scale * den)
 
 
-def _satisfies(value: Fraction, constraint) -> bool:
-    if constraint.relation == "<=":
-        return value <= constraint.target
-    if constraint.relation == ">=":
-        return value >= constraint.target
-    return value == constraint.target
+def _holds(got: int, relation: str, wanted: int) -> bool:
+    if relation == "<=":
+        return got <= wanted
+    if relation == ">=":
+        return got >= wanted
+    return got == wanted
 
 
 def _checked_witness(problem, mass: Mapping[tuple[int, ...], Fraction]) -> None:
     """Accept atom masses only if they form a distribution meeting every moment.
 
-    Each mass must be nonnegative and the total exactly 1; every moment
-    is then recomputed from one common denominator of the masses.
+    The masses are put over their common denominator ``scale`` once.
+    Each must be nonnegative and the total exactly 1.  A moment is then
+    ``got / (scale * den)`` in integers, and is compared with its target
+    p / q as ``got * q`` against ``p * scale * den``; a ``Fraction`` is
+    built only for a failure's message.
     """
-    for atom, p in mass.items():
-        if p < 0:
-            raise AssertionError(f"witness has negative mass {exact_text(p)} at atom {atom}")
     scale = lcm(*[p.denominator for p in mass.values()])
-    total = sum([p.numerator * (scale // p.denominator) for p in mass.values()])
+    weights = [p.numerator * (scale // p.denominator) for p in mass.values()]
+    for atom, w in zip(mass, weights):
+        if w < 0:
+            raise AssertionError(f"witness has negative mass {exact_text(mass[atom])} at atom {atom}")
+    total = sum(weights)
     if total != scale:
         raise AssertionError(f"witness masses sum to {exact_text(Fraction(total, scale))}, expected exactly 1")
     position = {v.name: i for i, v in enumerate(problem.variables)}
+    supports: dict = {}
     for c in problem.constraints:
-        got = _moment(problem.variables, mass, scale, [(position[name], k) for name, k in c.exponents])
-        if not _satisfies(got, c):
-            raise AssertionError(f"witness violates {c.describe()}: got {exact_text(got)}")
+        exponents = [(position[name], k) for name, k in c.exponents]
+        got, den = _weighted_moment(problem.variables, mass, weights, exponents, supports)
+        target = c.target
+        if not _holds(got * target.denominator, c.relation, target.numerator * scale * den):
+            raise AssertionError(f"witness violates {c.describe()}: got {exact_text(Fraction(got, scale * den))}")
 
 
 def _checked_certificate(problem, cert: tuple[Fraction, ...], method: str) -> tuple[Fraction, ...]:
@@ -118,43 +155,90 @@ def verify_certificate(problem, certificate: Sequence[Fraction]) -> bool:
             return False
         if c.relation == ">=" and w > 0:
             return False
-    constant = sum((c.target * w for c, w in zip(problem.constraints, cert)), _ZERO)
-    constant += cert[m]
+
+    # Integer weights: L, the lcm of the certificate's denominators,
+    # times each coefficient.  The constant term, times L and the lcm T
+    # of the used targets' denominators, is then an integer.
+    scale = lcm(*[w.denominator for w in cert])
+    weights = [w.numerator * (scale // w.denominator) for w in cert]
+    used = [(c, w) for c, w in zip(problem.constraints, weights) if w]
+    tden = lcm(*[c.target.denominator for c, _ in used])
+    constant = weights[m] * tden + sum([w * c.target.numerator * (tden // c.target.denominator) for c, w in used])
     if constant >= 0:
         return False
 
-    # Integer form: with L the lcm of the certificate's denominators and
-    # T the lcm of the value denominators of its monomials, T*L times the
-    # functional at an atom is  base + sum_i weight_i * M_i(atom), where
-    # M_i multiplies support numerators raised to their exponents.
-    scale = lcm(*[w.denominator for w in cert])
+    # With T now the lcm of the value denominators of the used monomials,
+    # T*L times the functional at an atom is  base + sum_i weight_i * M_i(atom),
+    # where M_i multiplies support numerators raised to their exponents.
     position = {v.name: i for i, v in enumerate(problem.variables)}
+    supports: dict = {}
     monomials = []
-    for c, w in zip(problem.constraints, cert):
-        if w:
-            exponents = [(position[name], k) for name, k in c.exponents]
-            factors, den = _monomial_tables(problem.variables, exponents)
-            monomials.append((w.numerator * (scale // w.denominator), den, factors))
+    for c, w in used:
+        exponents = [(position[name], k) for name, k in c.exponents]
+        factors, den = _monomial_tables(problem.variables, exponents, supports)
+        monomials.append((w, den, factors))
     common = lcm(*[den for _, den, _ in monomials])
-    base = cert[m].numerator * (scale // cert[m].denominator) * common
-    weights = [(w * (common // den), factors) for w, den, factors in monomials]
+    base = weights[m] * common
+    terms = [(w * (common // den), factors) for w, den, factors in monomials]
     # Every partial sum and product below is at most this in magnitude.
     bound = abs(base) + sum(
-        abs(w) * prod(max(1, *(abs(x) for x in table)) for _, table in factors) for w, factors in weights
+        [abs(w) * prod([max(1, max(table), -min(table)) for _, table in factors]) for w, factors in terms]
     )
     dtype = np.int64 if bound <= _INT64_MAX else object
-    terms = [(w, [(i, np.array(table, dtype)) for i, table in factors]) for w, factors in weights]
+    return _nonnegative(problem, base, terms, dtype)
 
-    shape = tuple(len(v.support) for v in problem.variables)
-    count = prod(shape)
-    for start in range(0, count, _CHUNK):
-        index = np.unravel_index(np.arange(start, min(start + _CHUNK, count)), shape)
-        value = np.full(len(index[0]), base, dtype)
-        for w, factors in terms:
-            term = np.full(len(index[0]), w, dtype)
-            for i, table in factors:
-                term *= table[index[i]]
-            value += term
-        if (value < 0).any():
-            return False
+
+def _nonnegative(problem, base: int, terms, dtype) -> bool:
+    """Is base + sum_t w_t * prod table_i[x_i] >= 0 on every atom?
+
+    The sum spans only the axes of the variables the terms touch; the
+    functional does not vary along the others.  Each factor's table lies
+    along its variable's axis, and the terms are added by broadcasting.
+    The trailing axes that fit in ``_CHUNK`` cells together are one
+    static array: the terms on those axes alone are added into it once.
+    The rest of the sub-lattice is walked in blocks of at most
+    ``_CHUNK`` cells: one index of each leading axis, which makes its
+    factors scalars, and one run of cells along the axis before the
+    trailing ones.
+    """
+    axes = sorted({i for _, factors in terms for i, _ in factors})
+    axis_of = {position: a for a, position in enumerate(axes)}
+    shape = [len(problem.variables[i].support) for i in axes]
+    first, tail = len(shape), 1  # the trailing axes are shape[first:], with tail cells
+    while first and tail * shape[first - 1] <= _CHUNK:
+        first -= 1
+        tail *= shape[first]
+    trailing = shape[first:]
+    static = np.full(trailing, base, dtype)
+    varying_terms = []
+    for w, factors in terms:
+        fixed, varying = w, []
+        for position, table in factors:
+            a = axis_of[position]
+            if a >= first:
+                along = [1] * len(trailing)
+                along[a - first] = -1
+                fixed = fixed * np.array(table, dtype).reshape(along)
+            elif a == first - 1:
+                varying.append((a, np.array(table, dtype).reshape([-1] + [1] * len(trailing))))
+            else:
+                varying.append((a, table))
+        if varying:
+            varying_terms.append((fixed, varying))
+        else:
+            static += fixed
+    if not varying_terms:
+        return not (static < 0).any()
+
+    split, run = first - 1, _CHUNK // tail
+    for lead in itertools.product(*[range(n) for n in shape[:split]]):
+        for start in range(0, shape[split], run):
+            stop = min(start + run, shape[split])
+            value = np.broadcast_to(static, [stop - start, *trailing]).copy()
+            for term, varying in varying_terms:
+                for a, table in varying:
+                    term = term * (table[lead[a]] if a < split else table[start:stop])
+                value += term
+            if (value < 0).any():
+                return False
     return True

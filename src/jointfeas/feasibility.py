@@ -27,14 +27,18 @@ depend only on the problem's structure (its supports, and each
 constraint's variables, exponents and relation), never on its targets,
 so they are built once per structure and kept, read-only, in a bounded
 cache; a matrix above a fixed cell budget is built and used but not
-kept.  The
+kept.  :func:`decide`'s range check reads each monomial's integer range
+from a table built once per structure too (:func:`_range_table`), from
+the integer supports and exponents alone, before any row is built.  The
 cone oracle's dual description is cached the same way, per generator
 set (:func:`jointfeas.geometry.dual_rays`).  Every decider hands its
 proof (masses by LP column, or a certificate) to one finisher,
 :func:`_proved`, which runs an exact gate in :mod:`jointfeas.check` that
 shares no code with the builder: a witness has its masses and every
 moment rechecked, and a certificate passes :func:`verify_certificate`
-(re-exported here), which evaluates its functional over the lattice.
+(re-exported here), which evaluates its functional over the variables
+it touches.  A certificate in a returned result has passed that gate,
+so callers need not run it again.
 """
 
 from __future__ import annotations
@@ -220,25 +224,9 @@ class MomentProblem:
         return Fraction(lo, den), Fraction(hi, den)
 
     def _integer_range(self, constraint: MomentConstraint) -> tuple[int, int, int]:
-        """``(lo, hi, den)``: the monomial's sharp range is [lo / den, hi / den].
-
-        Computed variable by variable on integer tables: each support is
-        put over its common denominator D_v (:func:`_integer_support`),
-        so the monomial is an integer product of numerators raised to
-        their exponents over the one denominator ``den = prod(D_v ** k)``.
-        Extremes of a product of values drawn from finite sets are
-        attained at per-set extremes, and dividing by a positive
-        denominator keeps the order.
-        """
-        lo = hi = den = 1
-        for name, k in constraint.exponents:
-            d, numerators = self._supports[self._position(name)]
-            values = [x**k for x in numerators]
-            vlo, vhi = min(values), max(values)
-            candidates = [lo * vlo, lo * vhi, hi * vlo, hi * vhi]
-            lo, hi = min(candidates), max(candidates)
-            den *= d**k
-        return lo, hi, den
+        """``(lo, hi, den)``: the monomial's sharp range is [lo / den, hi / den] (:func:`_monomial_range`)."""
+        exponents = [(self._position(name), k) for name, k in constraint.exponents]
+        return _monomial_range(self._supports, exponents)
 
 
 @dataclass(frozen=True)
@@ -270,6 +258,37 @@ def _integer_support(support: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...
     """The support's common denominator and the support values times it."""
     den = lcm(*(x.denominator for x in support))
     return den, tuple(x.numerator * (den // x.denominator) for x in support)
+
+
+def _monomial_range(supports: Sequence[tuple[int, Sequence[int]]], exponents) -> tuple[int, int, int]:
+    """``(lo, hi, den)``: the sharp range of prod X_i^k_i is [lo / den, hi / den].
+
+    ``exponents`` holds (variable position, k) pairs, and ``supports``
+    each variable's integer support (:func:`_integer_support`), so the
+    monomial is an integer product of numerators raised to their
+    exponents over the one denominator ``den = prod(D_v ** k)``.
+    Extremes of a product of values drawn from finite sets are attained
+    at per-set extremes, and dividing by a positive denominator keeps
+    the order.
+    """
+    lo = hi = den = 1
+    for i, k in exponents:
+        d, numerators = supports[i]
+        values = [x**k for x in numerators]
+        vlo, vhi = min(values), max(values)
+        candidates = [lo * vlo, lo * vhi, hi * vlo, hi * vhi]
+        lo, hi = min(candidates), max(candidates)
+        den *= d**k
+    return lo, hi, den
+
+
+# Sweeps decide many targets over one structure; the ranges depend on
+# the structure alone, so they are computed once per structure.
+@functools.lru_cache(maxsize=256)
+def _range_table(structure: tuple) -> tuple[tuple[int, int, int], ...]:
+    """Per constraint of :func:`_row_structure`, its :func:`_monomial_range`."""
+    supports, constraints = structure
+    return tuple(_monomial_range(supports, exponents) for exponents, _ in constraints)
 
 
 def _lattice_product(
@@ -478,15 +497,20 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
 
     Deterministic for a fixed problem: atoms are enumerated in
     lexicographic index order and every pivoting rule is deterministic.
-    The simplex decides by Bland's rule on an exact fraction-free integer
-    tableau, in int64 when a bound proves that safe; above the bound, a
+    First each constraint's target is compared with its monomial's
+    integer range, from :func:`_range_table` (one per structure); a
+    target out of range is proved infeasible without building any row.
+    Otherwise the simplex decides by Bland's rule on an exact
+    fraction-free integer tableau, in int64 when a bound proves that
+    safe; above the bound, a
     float guide priced by Dantzig's rule alone only picks the final
     basis, whose value column and cost row are solved exactly in the same
     integer scaling (or the exact loop reruns on Python ints when the
     guide reaches its pivot cap or its basis proves nothing).  On every
     path one pair of exact readers turns the final column or row into the
     solution or Farkas vector, and :func:`_proved` passes it through the
-    exact witness recheck or :func:`verify_certificate`.
+    exact witness recheck or :func:`verify_certificate`; a returned
+    certificate has passed it.
     """
     _check_atom_cap(atom_cap)
     count = problem.atom_count()
@@ -496,9 +520,10 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
             "eliminate variables or raise the cap"
         )
 
-    for idx, c in enumerate(problem.constraints):
-        if _range_violated(c, *problem._integer_range(c)):
-            lo, hi = problem.monomial_range(c)
+    ranges = _range_table(_row_structure(problem))
+    for idx, (c, (lo, hi, den)) in enumerate(zip(problem.constraints, ranges)):
+        if _range_violated(c, lo, hi, den):
+            lo, hi = Fraction(lo, den), Fraction(hi, den)
             detail = {"constraint": c.describe(), "achievable": (lo, hi)}
             return _proved(problem, "range-check", detail, certificate=_range_certificate(problem, idx, lo, hi))
 

@@ -1,10 +1,12 @@
 import itertools
 import json
+import math
 import operator
 import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -683,6 +685,166 @@ def test_certificate_gate_spans_chunks(monkeypatch):
     assert verify_certificate(prob, [F(-1)] * 10 + [F(10)])
     # 9 - sum(X) is negative only at the all-ones atom, the last of the last chunk
     assert not verify_certificate(prob, [F(-1)] * 10 + [F(9)])
+
+
+def unravel_verify_certificate(problem, certificate):
+    """The certificate check as one unravel and one gather per factor, 2**16 atoms at a time, over the whole lattice."""
+    m = len(problem.constraints)
+    cert = [F(c) for c in certificate]
+    for c, w in zip(problem.constraints, cert):
+        if (c.relation == "<=" and w < 0) or (c.relation == ">=" and w > 0):
+            return False
+    if sum((c.target * w for c, w in zip(problem.constraints, cert)), F(0)) + cert[m] >= 0:
+        return False
+    scale = math.lcm(*[w.denominator for w in cert])
+    position = {v.name: i for i, v in enumerate(problem.variables)}
+    monomials = []
+    for c, w in zip(problem.constraints, cert):
+        if w:
+            factors, den = check._monomial_tables(problem.variables, [(position[n], k) for n, k in c.exponents])
+            monomials.append((w.numerator * (scale // w.denominator), den, factors))
+    common = math.lcm(*[den for _, den, _ in monomials])
+    base = cert[m].numerator * (scale // cert[m].denominator) * common
+    weights = [(w * (common // den), factors) for w, den, factors in monomials]
+    bound = abs(base) + sum(abs(w) * math.prod(max(1, *map(abs, t)) for _, t in factors) for w, factors in weights)
+    dtype = np.int64 if bound < 2**63 else object
+    terms = [(w, [(i, np.array(t, dtype)) for i, t in factors]) for w, factors in weights]
+    shape = tuple(len(v.support) for v in problem.variables)
+    count = math.prod(shape)
+    for start in range(0, count, 1 << 16):
+        index = np.unravel_index(np.arange(start, min(start + (1 << 16), count)), shape)
+        value = np.full(len(index[0]), base, dtype)
+        for w, factors in terms:
+            term = np.full(len(index[0]), w, dtype)
+            for i, table in factors:
+                term *= table[index[i]]
+            value += term
+        if (value < 0).any():
+            return False
+    return True
+
+
+def pm_pairs(n, rho):
+    """n +-1 variables with zero means and every pair moment rho."""
+    variables = tuple(pm_one(f"X{i:02d}") for i in range(n))
+    constraints = [MomentConstraint.of({v.name: 1}, 0) for v in variables]
+    constraints += [MomentConstraint.of({a.name: 1, b.name: 1}, rho) for a, b in itertools.combinations(variables, 2)]
+    return MomentProblem(variables, tuple(constraints))
+
+
+@pytest.mark.parametrize("chunk", [None, 3000])
+def test_certificate_gate_above_one_chunk_matches_unravel_reference(chunk, monkeypatch):
+    # 2**17 atoms.  (sum X)**2 = 17 + 2 sum XiXj is odd squared, so at least 1.
+    if chunk:
+        monkeypatch.setattr(check, "_CHUNK", chunk)
+    problem = pm_pairs(17, F(-1, 8))
+    for norm, valid in ((17, True), (16, True), (15, False)):
+        cert = [F(0)] * 17 + [F(2)] * 136 + [F(norm)]
+        assert verify_certificate(problem, cert) is unravel_verify_certificate(problem, cert) is valid
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 1 << 16])
+@pytest.mark.parametrize("scale", [1, 2**70], ids=["int64", "object"])
+def test_certificate_gate_on_partial_lattices_matches_fraction_reference(chunk, scale, monkeypatch):
+    # Up to 5 variables, each constraint on at most 3 of them, so many
+    # certificates leave variables untouched; 2**70 forces object dtype.
+    monkeypatch.setattr(check, "_CHUNK", chunk)
+    rng = random.Random(chunk + scale)
+    for _ in range(40):
+        variables = tuple(
+            FiniteRandomVariable(f"V{i}", tuple(sorted(rng.sample(RANGE_POOL, rng.randint(1, 3)))))
+            for i in range(rng.randint(2, 5))
+        )
+        exponent_maps = {}
+        for _ in range(rng.randint(1, 4)):
+            chosen = rng.sample([v.name for v in variables], rng.randint(1, min(3, len(variables))))
+            exponent_maps[tuple(sorted(chosen))] = {n: rng.randint(1, 3) for n in chosen}
+        maps = list(exponent_maps.values())
+        weights = [scale * F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in maps]
+        if not any(weights):
+            continue
+        unit = MomentProblem(variables, tuple(MomentConstraint.of(e, 0) for e in maps), allow_higher_order=True)
+        lowest = min(
+            sum((w * unit.monomial_value(c, atom) for c, w in zip(unit.constraints, weights)), F(0))
+            for atom in unit.atom_space()
+        )
+        delta = rng.choice([F(0), F(1, 7), F(-1, 7)])
+        norm = -lowest + delta
+        # targets 0 but one, chosen so the constant term is -1/3
+        j = next(j for j, w in enumerate(weights) if w)
+        targets = [F(0)] * len(maps)
+        targets[j] = (-norm - F(1, 3)) / weights[j]
+        problem = MomentProblem(
+            variables, tuple(MomentConstraint.of(e, t) for e, t in zip(maps, targets)), allow_higher_order=True
+        )
+        cert = weights + [norm]
+        assert verify_certificate(problem, cert) is reference_verify_certificate(problem, cert) is (delta >= 0)
+
+
+def test_certificate_gate_slices_a_long_axis():
+    # X takes 200,000 values and Y is +-1: the blocks are runs along X,
+    # never one X value at a time.  X + XY = X(1 + Y) >= 0, and the constant is -1.
+    x = FiniteRandomVariable("X", tuple(F(i) for i in range(200_000)))
+    problem = MomentProblem(
+        (x, pm_one("Y")),
+        (MomentConstraint.of({"X": 1}, -1), MomentConstraint.of({"Y": 1}, 0), MomentConstraint.of({"X": 1, "Y": 1}, 0)),
+    )
+    valid, invalid = [F(1), F(0), F(1), F(0)], [F(1), F(0), F(1), F(-1)]
+    gate, reference = [], []
+    for _ in range(5):
+        start = time.perf_counter()
+        assert verify_certificate(problem, valid) and not verify_certificate(problem, invalid)
+        gate.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        assert unravel_verify_certificate(problem, valid) and not unravel_verify_certificate(problem, invalid)
+        reference.append(time.perf_counter() - start)
+    assert min(gate) <= min(reference)
+
+
+def test_certificate_gate_spans_only_the_touched_axes(monkeypatch):
+    # 100**20 atoms, of which the certificates touch the 2 * 100 of X00 and X01.
+    variables = (pm_one("X00"), pm_one("X01")) + tuple(
+        FiniteRandomVariable(f"X{i:02d}", tuple(map(F, range(100)))) for i in range(2, 20)
+    )
+    problem = MomentProblem(
+        variables,
+        (
+            MomentConstraint.of({"X00": 1}, -5),
+            MomentConstraint.of({"X01": 1}, 0),
+            MomentConstraint.of({"X00": 1, "X01": 1}, 0),
+            MomentConstraint.of({"X01": 1, "X02": 1}, 0),
+            MomentConstraint.of({"X02": 1}, 0),
+        ),
+    )
+    monkeypatch.setattr(check, "_CHUNK", 1)
+    assert verify_certificate(problem, [F(1), F(0), F(0), F(0), F(0), F(1)])  # X00 + 1 >= 0, constant -4
+    assert verify_certificate(problem, [F(1), F(1), F(1), F(0), F(0), F(1)])  # (1 + X00)(1 + X01) >= 0
+    assert not verify_certificate(problem, [F(1), F(1), F(1), F(0), F(0), F(1, 2)])  # -1/2 at (-1, 1)
+    # Three axes: X00 + 1 + X02 (X01 + 1) / 99 >= 0, but with 1/2 for the 1 it is -1/2 where X00 = -1, X02 = 0
+    assert verify_certificate(problem, [F(1), F(0), F(0), F(1, 99), F(1, 99), F(1)])
+    assert not verify_certificate(problem, [F(1), F(0), F(0), F(1, 99), F(1, 99), F(1, 2)])
+
+
+def test_range_check_on_a_large_lattice_builds_no_rows(monkeypatch):
+    def no_rows(structure):
+        raise AssertionError("rows built for a range-check verdict")
+
+    monkeypatch.setattr(feasibility, "_build_rows", no_rows)
+    variables = tuple(pm_one(f"X{i:02d}") for i in range(20))
+    constraints = (MomentConstraint.of({"X00": 1}, 2),)
+    constraints += tuple(MomentConstraint.of({v.name: 1}, 0) for v in variables[1:])
+    result = decide(MomentProblem(variables, constraints))
+    assert result.method == "range-check"
+    assert result.certificate == (F(-1),) + (F(0),) * 19 + (F(1),)
+
+
+def test_range_table_is_built_once_per_structure():
+    feasibility._range_table.cache_clear()
+    first, second = triple([0] * 3, ["1/2"] * 3), triple([0] * 3, ["-1/2"] * 3)
+    assert decide(first).feasible and not decide(second).feasible
+    info = feasibility._range_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert feasibility._range_table(feasibility._row_structure(first)) == ((-1, 1, 1),) * 6
 
 
 RANGE_POOL = [
