@@ -42,6 +42,7 @@ from .files import (
     load_problem_file,
     render_report,
     serialize_distribution,
+    serialize_mass,
 )
 from .gaussian import _check_tol, complete_correlations, det_inequality_3var, eigenvalue_feasible
 from .hidden_variable import (
@@ -121,7 +122,7 @@ def _serialize_model(model) -> dict[str, Any]:
             {
                 "label": pt.label,
                 "probability": exact_text(pt.probability),
-                "conditional": serialize_distribution(pt.conditional)["mass"],
+                "conditional": serialize_mass(pt.conditional),
             }
             for pt in model.points
         ],
@@ -164,14 +165,23 @@ def cmd_hidden_variable(args: argparse.Namespace) -> int:
 _NEEDS = {3: "exactly three variables", 4: "exactly four variables in the order A, A', B, B'"}
 
 
+def _determinant_applies(corr) -> bool:
+    """Is the matrix in ``correlation_determinant``'s domain (a fully known 3x3)?"""
+    return corr.dimension == 3 and corr.fully_known
+
+
 def _inequality_rows(
     parsed: dict[str, Any], which: list[str], tol: float | None = None
 ) -> list[dict[str, Any]]:
     rows: list[dict[str, Any]] = []
 
     if parsed["kind"] == "gaussian":
-        selected = which or ["eigenvalue_feasible", "correlation_determinant"]
         corr = parsed["correlations"]
+        selected = which or (
+            ["eigenvalue_feasible", "correlation_determinant"]
+            if _determinant_applies(corr)
+            else ["eigenvalue_feasible"]
+        )
         tol = parsed["tol"] if tol is None else tol
         for op in selected:
             if op == "eigenvalue_feasible":
@@ -197,7 +207,7 @@ def _inequality_rows(
                         }
                     )
             elif op == "correlation_determinant":
-                if corr.dimension != 3 or not corr.fully_known:
+                if not _determinant_applies(corr):
                     raise ValidationError(
                         "correlation_determinant needs a fully known 3x3 matrix"
                     )
@@ -216,9 +226,7 @@ def _inequality_rows(
         if relation == "=="  # a bounded moment does not pin a value
     }
     n = len(names)
-    selected = which or [
-        op for op, form in CLOSED_FORMS.items() if form.variables == (3 if n == 3 else 4)
-    ]
+    selected = which or [op for op, form in CLOSED_FORMS.items() if form.variables == n]
     for op in selected:
         form = CLOSED_FORMS.get(op)
         if form is None:

@@ -18,18 +18,21 @@ test suite:
 * :func:`brute_force_oracle` - dual-cone ray enumeration
   (double description) over the deduplicated atom moment vectors.
 
-Both paths, and :func:`reduce_then_test`, read their inputs from one
-integer row builder, :func:`_constraint_rows`: each support over its
-common denominator, each moment row a numpy product of numerator tables
+Both paths, and :func:`reduce_then_test`, read their rows from one
+integer row builder, :func:`_build_rows` (the oracle and the reduction
+through :func:`_constraint_rows`): each support over its common
+denominator, each moment row a numpy product of numerator tables
 over the lattice, every row over one common denominator, in int64 when
 a bound computed first fits and in Python ints otherwise.  The rows
 depend only on the problem's structure (its supports, and each
 constraint's variables, exponents and relation), never on its targets,
 so they are built once per structure and kept, read-only, in a bounded
 cache; a matrix above a fixed cell budget is built and used but not
-kept.  :func:`decide`'s range check reads each monomial's integer range
-from a table built once per structure too (:func:`_range_table`), from
-the integer supports and exponents alone, before any row is built.  The
+kept.  The only source of a monomial's range is a table built once per
+structure too (:func:`_range_table`), from the integer supports and
+exponents alone; :func:`decide` computes the structure key once and
+reads both the range table and the row cache with it, the range table
+first, so a target out of range is refuted before any row is built.  The
 cone oracle's dual description is cached the same way, per generator
 set (:func:`jointfeas.geometry.dual_rays`).  Every decider hands its
 proof (masses by LP column, or a certificate) to one finisher,
@@ -217,16 +220,6 @@ class MomentProblem:
             i = self._position(name)
             value *= self.variables[i].support[atom[i]] ** k
         return value
-
-    def monomial_range(self, constraint: MomentConstraint) -> tuple[Fraction, Fraction]:
-        """Sharp [min, max] of the constraint's monomial over the lattice."""
-        lo, hi, den = self._integer_range(constraint)
-        return Fraction(lo, den), Fraction(hi, den)
-
-    def _integer_range(self, constraint: MomentConstraint) -> tuple[int, int, int]:
-        """``(lo, hi, den)``: the monomial's sharp range is [lo / den, hi / den] (:func:`_monomial_range`)."""
-        exponents = [(self._position(name), k) for name, k in constraint.exponents]
-        return _monomial_range(self._supports, exponents)
 
 
 @dataclass(frozen=True)
@@ -428,37 +421,21 @@ def _atoms(shape: tuple[int, ...], indices: Sequence[int]) -> list[Atom]:
     return list(zip(*axes))
 
 
-def _range_certificate(
-    problem: MomentProblem, idx: int, lo: Fraction, hi: Fraction
-) -> tuple[Fraction, ...]:
-    """Certificate for a target outside the achievable monomial range."""
-    m = len(problem.constraints)
-    cert = [_ZERO] * (m + 1)
-    target = problem.constraints[idx].target
-    if target > hi:
-        cert[idx] = Fraction(-1)
-        cert[m] = hi
-    else:
-        cert[idx] = _ONE
-        cert[m] = -lo
-    return tuple(cert)
-
-
-def _range_violated(constraint: MomentConstraint, lo: int, hi: int, den: int) -> bool:
-    """Is the constraint unsatisfiable by achievable monomial values alone?
+def _range_side(constraint: MomentConstraint, lo: int, hi: int, den: int) -> str | None:
+    """The side of the achievable range that refutes the target: ``"above"``, ``"below"`` or None.
 
     The achievable values are [lo / den, hi / den] (den > 0); the target
-    is compared with them by cross-multiplying.  A <= bound only fails
-    when even the smallest achievable value is too big; a >= bound when
-    even the largest is too small.
+    is compared with each bound once, by cross-multiplying.  A <= bound
+    only fails when even the smallest achievable value is too big; a >=
+    bound when even the largest is too small.
     """
     target = constraint.target
     scaled, q = target.numerator * den, target.denominator
-    if constraint.relation == "<=":
-        return scaled < lo * q
-    if constraint.relation == ">=":
-        return scaled > hi * q
-    return not lo * q <= scaled <= hi * q
+    if constraint.relation != "<=" and scaled > hi * q:
+        return "above"
+    if constraint.relation != ">=" and scaled < lo * q:
+        return "below"
+    return None
 
 
 # Each method's name in the soundness gate's message.
@@ -497,10 +474,13 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
 
     Deterministic for a fixed problem: atoms are enumerated in
     lexicographic index order and every pivoting rule is deterministic.
-    First each constraint's target is compared with its monomial's
-    integer range, from :func:`_range_table` (one per structure); a
-    target out of range is proved infeasible without building any row.
-    Otherwise the simplex decides by Bland's rule on an exact
+    The problem's :func:`_row_structure` is computed once and keys both
+    the range table and the row cache.  First each constraint's target is compared, once
+    per bound, with its monomial's integer range from :func:`_range_table`
+    (:func:`_range_side`); a target out of range is proved infeasible by
+    a two-coefficient certificate (-1 and hi above the range, +1 and -lo
+    below it) without building any row.  Otherwise the rows come from the
+    row cache and the simplex decides by Bland's rule on an exact
     fraction-free integer tableau, in int64 when a bound proves that
     safe; above the bound, a
     float guide priced by Dantzig's rule alone only picks the final
@@ -520,14 +500,20 @@ def decide(problem: MomentProblem, *, atom_cap: int = DEFAULT_ATOM_CAP) -> Feasi
             "eliminate variables or raise the cap"
         )
 
-    ranges = _range_table(_row_structure(problem))
-    for idx, (c, (lo, hi, den)) in enumerate(zip(problem.constraints, ranges)):
-        if _range_violated(c, lo, hi, den):
+    structure = _row_structure(problem)
+    for idx, (c, (lo, hi, den)) in enumerate(zip(problem.constraints, _range_table(structure))):
+        side = _range_side(c, lo, hi, den)
+        if side is not None:
             lo, hi = Fraction(lo, den), Fraction(hi, den)
+            # Above: hi - monomial >= 0 on every atom; below: monomial - lo.
+            m = len(problem.constraints)
+            certificate = [_ZERO] * (m + 1)
+            certificate[idx], certificate[m] = (Fraction(-1), hi) if side == "above" else (_ONE, -lo)
             detail = {"constraint": c.describe(), "achievable": (lo, hi)}
-            return _proved(problem, "range-check", detail, certificate=_range_certificate(problem, idx, lo, hi))
+            return _proved(problem, "range-check", detail, certificate=certificate)
 
-    matrix, den, rhs = _constraint_rows(problem)
+    matrix, den = _cached_rows(structure)
+    rhs = [c.target for c in problem.constraints] + [_ONE]
     lp = solve_equality_feasibility(matrix, rhs, den)
     return _proved(problem, "simplex", {"pivots": lp.pivots}, masses=lp.solution, certificate=lp.farkas)
 
@@ -545,8 +531,8 @@ def brute_force_oracle(
     Feasibility holds exactly when the homogenized target vector lies in
     the convex cone of the atoms' homogenized moment vectors; that
     membership is decided by enumerating the dual cone's extreme rays.
-    It shares no pivoting with the simplex; both read their inputs from
-    :func:`_constraint_rows` and use the exact kernel in
+    It shares no pivoting with the simplex; both read their rows from
+    the one row cache and use the exact kernel in
     :mod:`jointfeas.linalg`, so the gates of :mod:`jointfeas.check`,
     which use neither, are the independent ones.
     """

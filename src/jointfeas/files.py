@@ -466,10 +466,14 @@ def serialize_distribution(dist: JointDistribution) -> dict[str, Any]:
         "variables": [
             {"name": v.name, "support": [exact_text(x) for x in v.support]} for v in dist.variables
         ],
-        "mass": {
-            ",".join(exact_text(x) for x in dist.values_at(atom)): exact_text(p)
-            for atom, p in dist.mass.items()
-        },
+        "mass": serialize_mass(dist),
+    }
+
+
+def serialize_mass(dist: JointDistribution) -> dict[str, str]:
+    """Each atom's mass, keyed by its comma-joined values."""
+    return {
+        ",".join(exact_text(x) for x in dist.values_at(atom)): exact_text(p) for atom, p in dist.mass.items()
     }
 
 

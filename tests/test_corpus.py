@@ -1,6 +1,7 @@
 import json
+import sys
 
-from jointfeas import corpus
+from jointfeas import check, corpus, feasibility
 from jointfeas.cli import run
 from jointfeas.corpus import corpus_dir, load_cases, run_case, run_corpus
 
@@ -144,3 +145,29 @@ def test_gaussian_completion_cases_pass_the_file_tolerance(monkeypatch):
     case = next(c for c in load_cases() if c["kind"] == "gaussian_completion")
     run_case({**case, "problem": {**case["problem"], "options": {"tol": 0.001}}})
     assert seen == [0.001]
+
+
+def test_corpus_verifies_each_certificate_once(monkeypatch):
+    # decide and the oracle return a certificate only once their gate has
+    # accepted it, so the corpus must not check it again under any name.
+    verified, infeasible = [], []
+    real_verify, real_proved = check.verify_certificate, feasibility._proved
+
+    def verify(problem, certificate):
+        verified.append(certificate)
+        return real_verify(problem, certificate)
+
+    def proved(*args, **kwargs):
+        result = real_proved(*args, **kwargs)
+        if not result.feasible:
+            infeasible.append(result.method)
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jointfeas") and getattr(module, "verify_certificate", None) is real_verify:
+            monkeypatch.setattr(module, "verify_certificate", verify)
+    monkeypatch.setattr(feasibility, "_proved", proved)
+    results = run_corpus()
+    assert all(r.passed for r in results)
+    assert "simplex" in infeasible
+    assert len(verified) == len(infeasible)

@@ -244,18 +244,18 @@ class TestDecide:
 
     @pytest.mark.parametrize("solver", [decide, brute_force_oracle])
     def test_gates_catch_a_corrupt_row_builder(self, solver, monkeypatch, tmp_path):
-        # Both solvers read their inputs from _constraint_rows; the witness
-        # and certificate gates must not, or a fault there would pass itself.
-        # The builder's matrix is read-only, so the fault goes into a copy.
-        real = feasibility._constraint_rows
+        # Both solvers read their rows from the row cache; the witness and
+        # certificate gates must not, or a fault there would pass itself.
+        # The cached matrix is read-only, so the fault goes into a copy.
+        real = feasibility._cached_rows
 
-        def corrupt(*args, **kwargs):
-            matrix, den, rhs = real(*args, **kwargs)
+        def corrupt(structure):
+            matrix, den = real(structure)
             matrix = matrix.copy()
             matrix[3, 1] += 1  # the XY monomial at atom (0, 0, 1): 1 becomes 2
-            return matrix, den, rhs
+            return matrix, den
 
-        monkeypatch.setattr(feasibility, "_constraint_rows", corrupt)
+        monkeypatch.setattr(feasibility, "_cached_rows", corrupt)
         with pytest.raises(AssertionError, match="witness violates"):
             solver(triple([0] * 3, ["1/2", "-1/2", "-1/2"]))
         with pytest.raises(AssertionError, match="invalid .*certificate"):
@@ -264,14 +264,14 @@ class TestDecide:
         # A normalization row of 2s, but 1 at atom (0, 0): masses meeting
         # it need not sum to 1, and the gate, not JointDistribution's
         # input validation (exit 2), must refuse them.
-        def unnormalized(*args, **kwargs):
-            matrix, den, rhs = real(*args, **kwargs)
+        def unnormalized(structure):
+            matrix, den = real(structure)
             matrix = matrix.copy()
             matrix[-1] = 2
             matrix[-1, 0] = 1
-            return matrix, den, rhs
+            return matrix, den
 
-        monkeypatch.setattr(feasibility, "_constraint_rows", unnormalized)
+        monkeypatch.setattr(feasibility, "_cached_rows", unnormalized)
         with pytest.raises(AssertionError, match="witness masses sum to"):
             solver(MomentProblem((pm_one("X"), pm_one("Y")), (MomentConstraint.of({"X": 1}, 0),)))
         problem_file = {
@@ -959,8 +959,6 @@ def test_problems_share_integer_support_tables():
     assert all(a is b for a, b in zip(first._supports, second._supports))
     halves = triple([0] * 3, ["1/2"] * 3, values=("-1/2", "1/3"))
     assert halves._supports[0] == (6, (-3, 2))
-    with pytest.raises(ConstraintMismatchError):
-        first.monomial_range(MomentConstraint.of({"W": 1}, 0))
 
 
 def test_monomial_value_rejects_an_unknown_variable():
@@ -970,19 +968,25 @@ def test_monomial_value_rejects_an_unknown_variable():
         problem.monomial_value(MomentConstraint.of({"W": 1}, 0), (0,))
 
 
+def range_table(problem):
+    """Per constraint, its (lo, hi, den) from the range table, the one range source."""
+    return feasibility._range_table(feasibility._row_structure(problem))
+
+
 def test_monomial_range_is_the_brute_force_range(rng):
     for _ in range(300):
         problem = random_range_problem(rng)
-        for c in problem.constraints:
+        for c, (lo, hi, den) in zip(problem.constraints, range_table(problem)):
             values = [problem.monomial_value(c, atom) for atom in problem.atom_space()]
-            assert problem.monomial_range(c) == (min(values), max(values))
+            assert den > 0 and (F(lo, den), F(hi, den)) == (min(values), max(values))
 
 
 def test_range_check_certificates_still_verify(rng):
     for _ in range(100):
         problem = random_range_problem(rng)
-        c = rng.choice(problem.constraints)
-        lo, hi = problem.monomial_range(c)
+        idx = rng.randrange(len(problem.constraints))
+        c, (lo, hi, den) = problem.constraints[idx], range_table(problem)[idx]
+        lo, hi = F(lo, den), F(hi, den)
         outside = ((hi + F(1, 5), "=="), (lo - F(1, 7), "=="), (lo - F(1, 3), "<="), (hi + F(2, 9), ">="))
         for target, relation in outside:
             bad = MomentProblem(
@@ -996,28 +1000,80 @@ def test_range_check_certificates_still_verify(rng):
             assert verify_certificate(bad, result.certificate)
 
 
+def range_certificate(side, lo, hi):
+    """The range check's coefficients, on the refuted constraint and on normalization."""
+    return (F(-1), hi) if side == "above" else (F(1), -lo)
+
+
 def test_integer_range_check_matches_the_brute_force_range(rng):
     # The integer bounds are the lattice's extremes over one denominator,
-    # and the cross-multiplied test agrees with the Fraction comparison.
+    # and the cross-multiplied side agrees with the Fraction comparison.
     violations = 0
     for _ in range(150):
         problem = random_range_problem(rng)
-        for c in problem.constraints:
+        for c, (lo, hi, den) in zip(problem.constraints, range_table(problem)):
             values = [problem.monomial_value(c, atom) for atom in problem.atom_space()]
             least, most = min(values), max(values)
-            lo, hi, den = problem._integer_range(c)
             assert den > 0 and (F(lo, den), F(hi, den)) == (least, most)
             for target in (least, most, least - F(1, 7), most + F(2, 9), (least + most) / 2, rng.choice(RANGE_POOL)):
+                above = "above" if target > most else None
+                below = "below" if target < least else None
                 for relation in ("==", "<=", ">="):
                     bounded = MomentConstraint(c.exponents, target, relation)
-                    expected = {"==": not least <= target <= most, "<=": target < least, ">=": target > most}
-                    assert feasibility._range_violated(bounded, lo, hi, den) == expected[relation]
-                    if expected[relation]:
+                    expected = {"==": above or below, "<=": below, ">=": above}[relation]
+                    assert feasibility._range_side(bounded, lo, hi, den) == expected
+                    if expected:
                         violations += 1
                         result = decide(MomentProblem(problem.variables, (bounded,), allow_higher_order=True))
                         assert result.method == "range-check"
                         assert result.detail["achievable"] == (least, most)
+                        assert result.certificate == range_certificate(expected, least, most)
     assert violations > 200
+
+
+# X^1 Y^2 over X in {-2/3, 1/2}, Y in {-1, 3/5}: achievable [-2/3, 1/2].
+# The first constraint, E(Y^2) <= 1, holds everywhere and shifts the
+# tested one to index 1.
+BOUND_STEP = F(1, 10**40)
+
+
+@pytest.mark.parametrize(
+    "relation, bound, side",
+    [("==", F(-2, 3), "below"), ("==", F(1, 2), "above"), ("<=", F(-2, 3), "below"), (">=", F(1, 2), "above")],
+)
+def test_range_check_accepts_its_bound_and_refuses_one_step_past(relation, bound, side):
+    variables = (
+        FiniteRandomVariable("X", (F(-2, 3), F(1, 2))),
+        FiniteRandomVariable("Y", (F(-1), F(3, 5))),
+    )
+
+    def problem(target):
+        return MomentProblem(
+            variables,
+            (MomentConstraint.of({"Y": 2}, 1, "<="), MomentConstraint.of({"X": 1, "Y": 2}, target, relation)),
+        )
+
+    on_bound = decide(problem(bound))
+    assert on_bound.feasible and on_bound.method == "simplex"
+    step = BOUND_STEP if side == "above" else -BOUND_STEP
+    past = problem(bound + step)
+    result = decide(past)
+    assert result.method == "range-check" and result.detail["achievable"] == (F(-2, 3), F(1, 2))
+    assert result.certificate == (F(0), *range_certificate(side, F(-2, 3), F(1, 2)))
+    assert verify_certificate(past, result.certificate)
+
+
+def test_decide_computes_the_row_structure_once(monkeypatch):
+    calls = []
+    real = feasibility._row_structure
+    monkeypatch.setattr(feasibility, "_row_structure", lambda problem: calls.append(problem) or real(problem))
+    methods = []
+    for problem in (triple([0] * 3, ["1/2"] * 3), triple([0] * 3, ["-1/2"] * 3), triple([0] * 3, [2, 0, 0])):
+        calls.clear()
+        result = decide(problem)
+        assert calls == [problem]
+        methods.append((result.method, result.verdict))
+    assert methods == [("simplex", "feasible"), ("simplex", "infeasible"), ("range-check", "infeasible")]
 
 
 @pytest.mark.parametrize("relation,target", [("==", 2), ("<=", -2), (">=", F(3, 2))])

@@ -762,6 +762,48 @@ class TestCLI:
         assert rows["eigenvalue_feasible"]["verdict"] == "violated"
         assert rows["correlation_determinant"]["verdict"] == "violated"
 
+    def test_inequalities_all_on_a_partial_gaussian_matrix(self, tmp_path, capsys):
+        # The README's gaussian example: `all` skips correlation_determinant,
+        # which needs a fully known 3x3 matrix.
+        obj = {
+            "schema": PROBLEM_SCHEMA,
+            "kind": "gaussian",
+            "matrix": [["1", "9/10", None], ["9/10", "1", "9/10"], [None, "9/10", "1"]],
+            "means": ["0", "1/2", "0"],
+            "variances": ["1", "4", "1/4"],
+            "options": {"tol": 1e-10},
+        }
+        assert run(["inequalities", self.write(tmp_path, obj)]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["results"]["inequalities"]
+        assert (row["inequality"], row["method"]) == ("eigenvalue_feasible", "closed-form-midpoint")
+
+    def test_inequalities_all_on_a_two_by_two_gaussian_matrix(self, tmp_path, capsys):
+        obj = {"schema": PROBLEM_SCHEMA, "kind": "gaussian", "matrix": [["1", "1/2"], ["1/2", "1"]]}
+        assert run(["inequalities", self.write(tmp_path, obj)]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["results"]["inequalities"]
+        assert (row["inequality"], row["verdict"]) == ("eigenvalue_feasible", "satisfied")
+
+    def test_named_determinant_on_a_partial_matrix_is_status_2(self, tmp_path, capsys):
+        obj = {"schema": PROBLEM_SCHEMA, "kind": "gaussian", "matrix": self.PARTIAL}
+        assert run(["inequalities", self.write(tmp_path, obj), "--which", "correlation_determinant"]) == 2
+        assert capsys.readouterr().err == "error: correlation_determinant needs a fully known 3x3 matrix\n"
+
+    def test_inequalities_all_on_two_variables_runs_no_form(self, tmp_path, capsys):
+        obj = {
+            "schema": PROBLEM_SCHEMA,
+            "kind": "finite-moment",
+            "variables": [{"name": n, "support": ["-1", "1"]} for n in "XY"],
+            "constraints": [{"exponents": {"X": 1, "Y": 1}, "target": "1/2"}],
+        }
+        path = self.write(tmp_path, obj)
+        assert run(["inequalities", path]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["inequalities"] == []
+        assert results["cross_check"]["decide_verdict"] == "feasible"
+        # A named form outside its domain is still refused.
+        assert run(["inequalities", path, "--which", "chsh"]) == 2
+        assert capsys.readouterr().err == "error: chsh needs exactly four variables in the order A, A', B, B'\n"
+
     def test_zero_moment_file_all_satisfied(self, tmp_path, capsys):
         path = self.write(tmp_path, triple_file(["0", "0", "0"]))
         assert run(["inequalities", path]) == 0
