@@ -28,6 +28,7 @@ the ``poly`` is built from ``a`` and ``b*b*d``.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +48,38 @@ __all__ = [
 ]
 
 
+# A string that is not a rational number is quoted up to this many
+# characters in the error.
+_QUOTED = 40
+
+
+def _quoted(value: str) -> str:
+    """``repr(value)``, cut to its first ``_QUOTED`` characters (and its length given) when longer."""
+    if len(value) <= _QUOTED:
+        return repr(value)
+    return f"{value[:_QUOTED]!r}... ({len(value)} characters)"
+
+
+# A run of digits, as int() reads one: underscores may separate digits.
+_DIGITS = re.compile(r"\d+(?:_\d+)*")
+
+
+def _too_many_digits(value: str) -> str | None:
+    """Why ``value`` holds an integer past Python's limit on the digits it reads, or None.
+
+    Python refuses to read an integer of more digits than
+    ``sys.get_int_max_str_digits()`` (0: no limit).  Only a string longer
+    than the limit can hold one, so shorter ones are not scanned.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit or len(value) <= limit:
+        return None
+    digits = max((len(run.replace("_", "")) for run in _DIGITS.findall(value)), default=0)
+    if digits <= limit:
+        return None
+    return f"an integer in it has {digits} digits, past Python's limit of {limit} digits for reading one"
+
+
 def as_fraction(value: Union[int, str, Fraction]) -> Fraction:
     """Coerce an exact rational input. Floats are rejected on purpose."""
     if isinstance(value, Fraction):
@@ -59,11 +92,14 @@ def as_fraction(value: Union[int, str, Fraction]) -> Fraction:
         # Fraction would expand an exponent into an integer with that many
         # digits, with no bound on time or memory.
         if "e" in value or "E" in value:
-            raise ValidationError(f"not a rational number: {value!r}; exponents are not accepted")
+            raise ValidationError(f"not a rational number: {_quoted(value)}; exponents are not accepted")
+        reason = _too_many_digits(value)
+        if reason is not None:
+            raise ValidationError(f"not a rational number: {_quoted(value)}: {reason}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not a rational number: {value!r}") from exc
+            raise ValidationError(f"not a rational number: {_quoted(value)}") from exc
     raise ValidationError(f"not a rational number: {value!r}")
 
 

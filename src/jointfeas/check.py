@@ -2,21 +2,24 @@
 
 Every verdict of :mod:`jointfeas.feasibility` passes one of two gates
 here before it is returned, and each gate makes one integer pass over
-what its proof touches.  A witness's atom masses are put over their
-common denominator once; they must be nonnegative, sum to exactly 1 and
-meet every moment, each moment compared with its target by
-cross-multiplying integers (:func:`_checked_witness`).  A certificate
+what its proof touches.  A witness's atoms must be points of the
+lattice, and its masses, put over their common denominator once, must
+be nonnegative, sum to exactly 1 and meet every moment, each moment
+compared with its target by cross-multiplying integers
+(:func:`_checked_witness`).  The gate is the witness's only validation:
+:mod:`jointfeas.feasibility` builds the returned distribution without
+checking it again.  A certificate
 must pass :func:`verify_certificate`, which decides the sign of its
 constant term in integers and evaluates its functional by broadcasting
 each factor's table along its variable's axis, over only the variables
 the functional touches, in blocks of at most ``_CHUNK`` cells.  Both
 read only the problem's supports, constraints and the proof itself, and
-build their integer tables with one helper, :func:`_monomial_tables`.
-The witness gate's moment kernel, :func:`_weighted_moment`, is also the
-one :func:`jointfeas.probability.expectation` uses, and
-:func:`jointfeas.hidden_variable.verify_factorization` shares the
-tables.  This module imports nothing from the row builder, the simplex,
-the cone oracle or the exact linear algebra, so a fault in any of them
+build their integer tables with one helper, :func:`_monomial_tables`,
+which :func:`jointfeas.hidden_variable.verify_factorization` and the
+moment kernel of :func:`jointfeas.probability.expectation`
+(:func:`_weighted_moment`) share.  This module imports nothing from the
+row builder, the simplex, the cone oracle or the exact linear algebra,
+so a fault in any of them
 cannot vouch for its own output.  A failed gate raises
 ``AssertionError`` from an explicit test, which survives ``python -O``.
 """
@@ -26,6 +29,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -103,27 +107,51 @@ def _holds(got: int, relation: str, wanted: int) -> bool:
 def _checked_witness(problem, mass: Mapping[tuple[int, ...], Fraction]) -> None:
     """Accept atom masses only if they form a distribution meeting every moment.
 
+    Every atom must hold one support index per variable, each in range.
     The masses are put over their common denominator ``scale`` once.
-    Each must be nonnegative and the total exactly 1.  A moment is then
+    Each must be nonnegative and the total exactly 1.  Per (variable, k)
+    pair the atoms' values of X_i^k, as support numerators over
+    D_v ** k, are read off once into one column; a moment is then
+    the sum over atoms of weight times the product of its columns,
     ``got / (scale * den)`` in integers, and is compared with its target
     p / q as ``got * q`` against ``p * scale * den``; a ``Fraction`` is
     built only for a failure's message.
     """
-    scale = lcm(*[p.denominator for p in mass.values()])
-    weights = [p.numerator * (scale // p.denominator) for p in mass.values()]
-    for atom, w in zip(mass, weights):
+    variables = problem.variables
+    atoms = list(mass)
+    for atom in atoms:
+        if len(atom) != len(variables):
+            raise AssertionError(f"witness atom {atom} has wrong arity")
+    indices = list(zip(*atoms))  # per variable, its support index at each atom
+    for column, v in zip(indices, variables):
+        if min(column) < 0 or max(column) >= len(v.support):
+            atom = next(a for a, i in zip(atoms, column) if not 0 <= i < len(v.support))
+            raise AssertionError(f"witness atom {atom} indexes outside a support")
+    ratios = [p.as_integer_ratio() for p in mass.values()]
+    scale = lcm(*[q for _, q in ratios])
+    weights = [p * (scale // q) for p, q in ratios]
+    for atom, w in zip(atoms, weights):
         if w < 0:
             raise AssertionError(f"witness has negative mass {exact_text(mass[atom])} at atom {atom}")
     total = sum(weights)
     if total != scale:
         raise AssertionError(f"witness masses sum to {exact_text(Fraction(total, scale))}, expected exactly 1")
-    position = {v.name: i for i, v in enumerate(problem.variables)}
+    position = {v.name: i for i, v in enumerate(variables)}
     supports: dict = {}
+    columns: dict = {}  # (name, k) -> (the atoms' support numerators to the k, D_v ** k)
     for c in problem.constraints:
-        exponents = [(position[name], k) for name, k in c.exponents]
-        got, den = _weighted_moment(problem.variables, mass, weights, exponents, supports)
-        target = c.target
-        if not _holds(got * target.denominator, c.relation, target.numerator * scale * den):
+        got, den = weights, 1
+        for name_k in c.exponents:
+            column = columns.get(name_k)
+            if column is None:
+                i = position[name_k[0]]
+                ((_, table),), d = _monomial_tables(variables, [(i, name_k[1])], supports)
+                column = columns[name_k] = [table[j] for j in indices[i]], d
+            got = list(map(mul, got, column[0]))
+            den *= column[1]
+        got = sum(got)
+        p, q = c.target.as_integer_ratio()
+        if not _holds(got * q, c.relation, p * scale * den):
             raise AssertionError(f"witness violates {c.describe()}: got {exact_text(Fraction(got, scale * den))}")
 
 

@@ -28,17 +28,21 @@ depend only on the problem's structure (its supports, and each
 constraint's variables, exponents and relation), never on its targets,
 so they are built once per structure and kept, read-only, in a bounded
 cache; a matrix above a fixed cell budget is built and used but not
-kept.  The only source of a monomial's range is a table built once per
-structure too (:func:`_range_table`), from the integer supports and
-exponents alone; :func:`decide` computes the structure key once and
-reads both the range table and the row cache with it, the range table
-first, so a target out of range is refuted before any row is built.  The
+kept.  The simplex keeps what it reads of a read-only matrix (its peak,
+column norms and int64 block) for as long as the matrix lives, so a
+sweep over one structure pays only per-target work there.  The only
+source of a monomial's range is a table built once per structure too
+(:func:`_range_table`), from the integer supports and exponents alone;
+:func:`decide` computes the structure key once and reads both the range
+table and the row cache with it, the range table first, so a target out
+of range is refuted before any row is built.  The
 cone oracle's dual description is cached the same way, per generator
 set (:func:`jointfeas.geometry.dual_rays`).  Every decider hands its
 proof (masses by LP column, or a certificate) to one finisher,
 :func:`_proved`, which runs an exact gate in :mod:`jointfeas.check` that
-shares no code with the builder: a witness has its masses and every
-moment rechecked, and a certificate passes :func:`verify_certificate`
+shares no code with the builder: a witness has its atoms, its masses
+and every moment rechecked, and is then wrapped in its distribution
+with no second validation; a certificate passes :func:`verify_certificate`
 (re-exported here), which evaluates its functional over the variables
 it touches.  A certificate in a returned result has passed that gate,
 so callers need not run it again.
@@ -447,16 +451,20 @@ def _proved(problem: MomentProblem, method: str, detail: dict, *, masses=None, c
 
     ``masses`` maps LP columns (:func:`_constraint_rows` order) to
     positive masses; slack columns are dropped.  ``certificate`` holds
-    one coefficient per constraint, then the normalization row's.
+    one coefficient per constraint, then the normalization row's.  A
+    witness is validated by its gate alone: the distribution is built
+    with ``JointDistribution._trusted``, which does not check it again.
     """
     gate = _GATES[method]
     if masses is not None:
-        count = problem.atom_count()
-        columns = [j for j in masses if j < count]
         shape = tuple(len(v.support) for v in problem.variables)
-        mass = dict(zip(_atoms(shape, columns), (masses[j] for j in columns)))
+        count = prod(shape)
+        columns = [j for j in masses if j < count]
+        mass = dict(zip(_atoms(shape, columns), [masses[j] for j in columns]))
         check._checked_witness(problem, mass)
-        return FeasibilityResult("feasible", JointDistribution(problem.variables, mass), None, method, detail)
+        # The gate has checked all that JointDistribution's constructor would.
+        witness = JointDistribution._trusted(problem.variables, mass)
+        return FeasibilityResult("feasible", witness, None, method, detail)
     if certificate is None:
         raise AssertionError(f"{gate} returned neither a witness nor a certificate")
     cert = check._checked_certificate(problem, tuple(certificate), gate)

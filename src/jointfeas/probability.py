@@ -84,10 +84,35 @@ def _check_variables(variables: Sequence[FiniteRandomVariable]) -> tuple[FiniteR
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Exact probability assignment over the atom lattice of its variables."""
+    """Exact probability assignment over the atom lattice of its variables.
+
+    The constructor validates its input: each atom indexes one support
+    value per variable, each mass is a nonnegative rational and the
+    total is exactly 1.  Zero masses are dropped, masses on one atom
+    added, and the atoms kept in sorted order.  A witness that
+    :func:`jointfeas.check._checked_witness` has accepted has passed
+    every one of those checks, so :mod:`jointfeas.feasibility` wraps it
+    with :meth:`_trusted`, which skips them and builds an equal object.
+    """
 
     variables: tuple[FiniteRandomVariable, ...]
     mass: Mapping[Atom, Fraction]
+
+    @classmethod
+    def _trusted(
+        cls, variables: tuple[FiniteRandomVariable, ...], mass: Mapping[Atom, Fraction]
+    ) -> JointDistribution:
+        """The distribution of masses a gate has accepted, built without ``__post_init__``.
+
+        ``variables`` is a checked tuple (a problem's) and ``mass`` maps
+        distinct atoms, tuples of in-range support indices, to
+        nonnegative ``Fraction``s summing to exactly 1.  The result
+        equals ``JointDistribution(variables, mass)``.
+        """
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "variables", variables)
+        object.__setattr__(dist, "mass", MappingProxyType({a: p for a, p in sorted(mass.items()) if p}))
+        return dist
 
     def __post_init__(self) -> None:
         variables = _check_variables(self.variables)

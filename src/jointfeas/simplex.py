@@ -26,10 +26,12 @@ decided on one of three paths:
    is an m x m minor of the scaled block ``[D A | I | L D b]`` (Cramer's
    rule), or in the cost row a sum of at most m + 1 of them, so by
    Hadamard's inequality each is at most E = (m + 1) times the product
-   of the m largest column 2-norms.  E is computed once, before the
-   first pivot, from exact squared norms; when E < 2**31 every
-   ``p N - f r`` fits int64 and the whole loop runs in int64 with no
-   runtime check.
+   of the m largest column 2-norms.  When E < 2**31 every ``p N - f r``
+   fits int64 and the whole loop runs in int64 with no runtime check.
+   Row signs change no column norm, and every column but the last is
+   the rows', so E is decided from exact squared norms kept per row
+   matrix (:class:`_Template`) and the squared norm of the target's b
+   column, before any tableau is allocated.
 2. **Float guide and exact certificate**, above that bound.  The guide
    (``_float_guide``) runs on a float64 copy of the rational tableau,
    with a tolerance on every sign test and a hard pivot cap.  It prices
@@ -58,6 +60,16 @@ decided on one of three paths:
    or both readers refuse it, the exact loop runs from a cold start on
    Python ints (an object tableau).
 
+Whatever depends on the rows alone is built once per row matrix: the
+check of its dtype, its peak, the squared column norms of ``[D A | I]``
+and, once a target passes the int64 bound, the int64 block
+``[D A | I | 0]`` with its cost row.  A read-only matrix that owns its
+data keeps that state for as long as it lives (:func:`_template`); any
+other matrix gets it built afresh on every call.  A target then pays
+only for its own column: the bound test, a copy of the block with the
+rows of negative targets negated (and the cost row adjusted), and its
+b column.
+
 On success the basic feasible solution is returned, sparse: its
 positive entries as ``{column: value}`` in column order, at most m of
 them.  On failure the dual multipliers of the phase-1 optimum yield a
@@ -71,6 +83,7 @@ the same, and both readers check it exactly.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -125,25 +138,20 @@ def solve_equality_feasibility(rows: np.ndarray, rhs: Sequence[Fraction], den: i
     matrix = np.asarray(rows)
     if matrix.ndim != 2:
         raise ValueError("integer rows need a 2-d matrix")
-    kind = matrix.dtype.kind
-    if kind not in "iuO" or kind == "O" and not all(type(v) is int for v in matrix.flat):
-        raise ValueError(f"integer rows must hold ints, got a matrix of dtype {matrix.dtype}")
-    if kind == "u" and matrix.max(initial=0) <= _INT64_MAX:
-        # Unsigned rows that fit int64 take the int64 path like signed ones.
-        matrix = matrix.astype(np.int64)
+    template = _template(matrix)
+    if template.rows is not None:
+        matrix = template.rows
     n = matrix.shape[1]
 
     # Normalize to b >= 0, remembering the sign applied to each row.
-    signs = [(-1 if b.numerator < 0 else 1) for b in rhs]
-    b, scale = _scales(den, rhs, signs)
-    top = peak(matrix)
-    tab = _int64_tableau(matrix, top, signs, b)
+    signs, b, scale = _scales(den, rhs)
+    tab = template.tableau(matrix, signs, b)
     if tab is not None:
         result = _exact_loop(tab, n, m, signs, scale)
         if result is not None:
             return result
-    guide = _guided(matrix, top, den, rhs, signs)
-    result = None if guide is None else _certify(matrix, top, signs, b, scale, *guide)
+    guide = _guided(matrix, template.top, den, rhs, signs)
+    result = None if guide is None else _certify(matrix, template.top, signs, b, scale, *guide)
     if result is None:
         result = _exact_loop(_integer_tableau(matrix, signs, b, object), n, m, signs, scale)
     if result is None:
@@ -153,20 +161,135 @@ def solve_equality_feasibility(rows: np.ndarray, rhs: Sequence[Fraction], den: i
 
 
 # ---------------------------------------------------------------------------
+# Per row matrix: what every target's solve reads
+# ---------------------------------------------------------------------------
+
+
+class _Template:
+    """What the solve reads of one row matrix, whatever the target.
+
+    ``rows`` is an int64 copy of unsigned rows that fit int64 (None when
+    the rows are read as given), ``top`` their :func:`peak`.  ``norms``
+    holds, of the squared 2-norms of the columns of ``[D A | I]``, the
+    smallest of the m largest, their product and the product of the
+    other m - 1; it is None for rows that are not int64, or whose
+    squares do not fit int64 (then E >= 2**31 for every target).
+    ``block`` is :func:`_block`'s int64 ``[D A | I | 0]`` and cost row,
+    built for the first target the bound admits.
+    """
+
+    __slots__ = ("rows", "top", "norms", "block")
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        kind = matrix.dtype.kind
+        if kind not in "iuO" or kind == "O" and not all(type(v) is int for v in matrix.flat):
+            raise ValueError(f"integer rows must hold ints, got a matrix of dtype {matrix.dtype}")
+        self.rows = None
+        if kind == "u" and matrix.max(initial=0) <= _INT64_MAX:
+            # Unsigned rows that fit int64 take the int64 path like signed ones.
+            matrix = self.rows = matrix.astype(np.int64)
+        self.top = peak(matrix)
+        self.norms = None
+        self.block = None
+        m = len(matrix)
+        # Squares past int64 put E past 2**31: E**2 >= (m + 1)**2 * top**2 > 2**63.
+        if matrix.dtype.kind == "i" and m * self.top**2 <= _INT64_MAX:
+            squares = np.sort(np.einsum("ij,ij->j", matrix, matrix))[-m:]  # each at most m * top**2
+            largest = sorted(squares.tolist() + [1] * m)[-m:]  # the m artificial columns have norm 1
+            full = prod(largest)
+            self.norms = largest[0], full, full // largest[0]
+
+    def tableau(self, matrix: np.ndarray, signs: Sequence[int], b: Sequence[int]) -> np.ndarray | None:
+        """The int64 tableau for one target when its entry bound E is below 2**31, else None.
+
+        ``matrix`` holds the rows this template was built from.  E is
+        (m + 1) times H, the product of the m largest column 2-norms of
+        ``[D A | I | L D b]``.  Every column but the last is the rows', so
+        H**2 is the kept product, with its smallest factor traded for the
+        b column's squared norm when that is larger.  Both sides are
+        exact integers, so the test is exact, and it runs before any
+        tableau is allocated.  E is at least (m + 1) times every entry,
+        the target's too, so an admitted target fills and negates in
+        int64.
+        """
+        if self.norms is None:
+            return None
+        m = len(b)
+        low, full, rest = self.norms
+        column = sum([v * v for v in b])
+        if (m + 1) ** 2 * (rest * column if column > low else full) >= _INT64_SAFE**2:
+            return None
+        if self.block is None:
+            self.block = _block(matrix)
+        tab = self.block.copy()
+        n = matrix.shape[1]
+        cost = tab[m, :n]
+        for i, s in enumerate(signs):
+            if s < 0:  # the cost row is minus the sum of the signed rows
+                row = tab[i, :n]
+                cost += row
+                cost += row
+                np.negative(row, out=row)
+        tab[:m, -1] = b
+        tab[m, -1] = -sum(b)
+        return tab
+
+
+def _block(matrix: np.ndarray) -> np.ndarray:
+    """The int64 tableau of a target whose rows all keep their sign, but for its b column.
+
+    That is ``[D A | I | 0]``, with the cost row minus the sum of the
+    rows (0 on I).
+    """
+    m, n = matrix.shape
+    block = np.zeros((m + 1, n + m + 1), np.int64)
+    block[:m, :n] = matrix
+    block[np.arange(m), n + np.arange(m)] = 1
+    block[m, :n] = -matrix.sum(axis=0)
+    return block
+
+
+# Per-matrix state of read-only row matrices, by id.  Each entry is
+# dropped when its matrix is collected, so whoever holds the matrix (the
+# row cache of :mod:`jointfeas.feasibility`) sets its lifetime.
+_templates: dict[int, _Template] = {}
+
+
+def _template(matrix: np.ndarray) -> _Template:
+    """The matrix's :class:`_Template`: kept while a read-only matrix lives, else built afresh.
+
+    Only a read-only array that owns its data is known not to change
+    between calls: a read-only view may still change through its base.
+    No entry holds a reference to its matrix, or the matrix would never
+    be collected.
+    """
+    if matrix.flags.writeable or not matrix.flags.owndata:
+        return _Template(matrix)
+    key = id(matrix)
+    template = _templates.get(key)
+    if template is None:
+        template = _templates[key] = _Template(matrix)
+        weakref.finalize(matrix, _templates.pop, key, None)
+    return template
+
+
+# ---------------------------------------------------------------------------
 # The exact loop: Bland's rule on a fraction-free integer tableau
 # ---------------------------------------------------------------------------
 
 
-def _scales(den: int, rhs: Sequence[Fraction], signs: list[int]) -> tuple[list[int], int]:
-    """``(b, L)``: the integer tableau's right-hand side and variable scale.
+def _scales(den: int, rhs: Sequence[Fraction]) -> tuple[list[int], list[int], int]:
+    """``(signs, b, L)``: the row signs, the integer tableau's right-hand side and variable scale.
 
-    Sign-normalized row i times D = den is ``signs[i] * matrix[i]``; with
-    every variable scaled by L, the lcm of the right-hand side
+    Row i is negated where its target is negative, so that b >= 0.
+    Sign-normalized row i times D = den is ``signs[i] * matrix[i]``;
+    with every variable scaled by L, the lcm of the right-hand side
     denominators, its right-hand side is the integer ``b[i]``.
     """
-    scale = lcm(*(v.denominator for v in rhs))
-    b = [s * v.numerator * (scale * den // v.denominator) for s, v in zip(signs, rhs)]
-    return b, scale
+    ratios = [v.as_integer_ratio() for v in rhs]
+    scale = lcm(*[q for _, q in ratios])
+    unit = scale * den
+    return [-1 if p < 0 else 1 for p, _ in ratios], [abs(p) * (unit // q) for p, q in ratios], scale
 
 
 def _integer_tableau(matrix: np.ndarray, signs: Sequence[int], b: Sequence[int], dtype) -> np.ndarray:
@@ -178,31 +301,6 @@ def _integer_tableau(matrix: np.ndarray, signs: Sequence[int], b: Sequence[int],
     tab[np.arange(m), n + np.arange(m)] = 1
     tab[m] = -tab[:m].sum(axis=0)
     tab[m, n : n + m] = 0  # cost 1 minus the column sum 1
-    return tab
-
-
-def _int64_tableau(
-    matrix: np.ndarray, top: int, signs: Sequence[int], b: Sequence[int]
-) -> np.ndarray | None:
-    """The integer tableau in int64 when its entry bound E is below 2**31, else None.
-
-    ``top`` is ``peak(matrix)``.
-
-    E = (m + 1) * H, with H the product of the m largest column 2-norms,
-    bounds every entry the exact loop will see.  The m artificial columns
-    have norm 1, so H is at least the largest norm and E at least
-    (m + 1) times the largest entry: that cheaper test runs first, and
-    once it holds the int64 fill and its squared norms are exact.
-    """
-    m = len(matrix)
-    if matrix.dtype.kind != "i":
-        return None
-    if (m + 1) * max(top, *map(abs, b)) >= _INT64_SAFE:
-        return None
-    tab = _integer_tableau(matrix, signs, b, np.int64)
-    squares = np.einsum("ij,ij->j", tab[:m], tab[:m])  # each under m * 2**62 / (m + 1)**2
-    if (m + 1) ** 2 * prod(np.sort(squares)[-m:].tolist()) >= _INT64_SAFE**2:
-        return None
     return tab
 
 

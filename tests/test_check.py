@@ -107,3 +107,19 @@ def test_each_proof_is_checked_once_per_solver(argv, checks, monkeypatch, tmp_pa
     assert cli.run([argv[0], str(path), *argv[1:], "--out", str(out)]) == cli.EXIT_INFEASIBLE
     assert len(calls) == checks
     assert json.loads(out.read_text())["results"]["certificate_verified"] is True
+
+
+@pytest.mark.parametrize(
+    "atom,message",
+    [((0, 2), "indexes outside a support"), ((-1, 0), "indexes outside a support"), ((0,), "wrong arity"),
+     ((0, 0, 0), "wrong arity")],
+)
+def test_witness_gate_refuses_an_atom_off_the_lattice(atom, message):
+    # The gate is a witness's only validation, so it checks what
+    # JointDistribution's constructor would: a negative index would
+    # otherwise read another support value.
+    x, y = (FiniteRandomVariable(n, (F(-1), F(1))) for n in "XY")
+    problem = MomentProblem((x, y), (MomentConstraint.of({"X": 1}, -1),))
+    check._checked_witness(problem, {(0, 1): F(1)})
+    with pytest.raises(AssertionError, match=message):
+        check._checked_witness(problem, {atom: F(1)})

@@ -32,7 +32,8 @@ from jointfeas import (
 from jointfeas.errors import ConstraintMismatchError, SizeCapError, ValidationError
 from jointfeas.feasibility import _constraint_rows
 from jointfeas.files import PROBLEM_SCHEMA
-from jointfeas.simplex import solve_equality_feasibility
+from jointfeas.probability import JointDistribution
+from jointfeas.simplex import EqualityFeasibility, solve_equality_feasibility
 
 from conftest import random_problem, rational_lp, subprocess_env
 
@@ -1315,3 +1316,58 @@ def test_row_cache_drops_the_least_recently_used_past_its_cell_total(monkeypatch
     assert list(cache.kept)[-1] == ("s", 0, 10)
     assert cache.cells == sum(rows[0].size for rows in cache.kept.values())
     cache.clear()
+
+
+def test_a_gated_witness_equals_the_validated_distribution(rng):
+    # decide wraps the gated masses without JointDistribution's checks;
+    # the object is the one the validating constructor builds.
+    checked = 0
+    for _ in range(80):
+        problem = random_problem(rng)
+        for solve in (decide, brute_force_oracle):
+            result = solve(problem)
+            if not result.feasible:
+                continue
+            validated = JointDistribution(problem.variables, dict(result.witness.mass))
+            assert result.witness == validated
+            assert list(result.witness.mass.items()) == list(validated.mass.items())
+            assert all(type(p) is Fraction for p in result.witness.mass.values())
+            assert result.witness.variables is problem.variables
+            checked += 1
+    assert checked > 20
+
+
+def test_trusted_distribution_sorts_and_drops_zero_masses_as_the_constructor_does():
+    variables = (pm_one("X"), pm_one("Y"))
+    mass = {(1, 1): F(1, 2), (0, 1): F(0), (0, 0): F(1, 2)}
+    trusted = JointDistribution._trusted(variables, mass)
+    validated = JointDistribution(variables, mass)
+    assert trusted == validated and list(trusted.mass.items()) == list(validated.mass.items())
+    assert repr(trusted) == repr(validated)
+
+
+def test_decide_validates_a_witness_only_at_its_gate(monkeypatch):
+    constructed = []
+    real = JointDistribution.__post_init__
+    monkeypatch.setattr(JointDistribution, "__post_init__", lambda self: constructed.append(1) or real(self))
+    result = decide(triple([0] * 3, ["1/2", "-1/2", "-1/2"]))
+    assert result.feasible and constructed == []
+
+
+@pytest.mark.parametrize(
+    "masses,message",
+    [
+        ({0: F(1, 2), 1: F(-1, 2), 2: F(1)}, "negative mass"),
+        ({0: F(1, 2), 1: F(1, 4)}, "witness masses sum to 3/4"),
+        ({0: F(1)}, "witness violates"),
+    ],
+    ids=["negative", "short", "moment"],
+)
+def test_a_corrupt_solvers_witness_is_refused_by_the_gate(monkeypatch, masses, message):
+    # With no second validation, the gate alone stands between a faulty
+    # solver and a returned witness.
+    monkeypatch.setattr(
+        feasibility, "solve_equality_feasibility", lambda *a: EqualityFeasibility(True, masses, None, 0)
+    )
+    with pytest.raises(AssertionError, match=message):
+        decide(triple([0] * 3, ["1/2", "-1/2", "-1/2"]))

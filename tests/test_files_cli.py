@@ -517,6 +517,22 @@ class TestCLI:
             assert all(results["verification"].values())
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+    @pytest.mark.parametrize("spelling", ["1/{}", "{}", "-0.{}"])
+    def test_a_target_past_the_int_digit_limit_is_named_and_cut(self, tmp_path, capsys, spelling):
+        # Exit 2 at the target's field; the message names the limit and
+        # quotes only the start of the value, not all of its digits.
+        digits = sys.get_int_max_str_digits() + 700
+        target = spelling.format("7" * digits)
+        obj = triple_file(["0", "0", "0"])
+        obj["constraints"][3]["target"] = target
+        assert run(["decide", self.write(tmp_path, obj)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: constraints[3].target: not a rational number: {target[:40]!r}... ")
+        assert f"({len(target)} characters)" in err
+        assert f"has {digits} digits, past Python's limit of {digits - 700} digits" in err
+        assert len(err) < 300
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
     @pytest.mark.parametrize("command", ["decide", "hidden-variable", "inequalities"])
     def test_error_values_past_the_int_digit_limit(self, tmp_path, capsys, command):
         # the masses do not sum to 1, and their sum's denominator is near q1 * q2

@@ -1,6 +1,8 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 from unittest.mock import patch
 
 import numpy as np
@@ -87,8 +89,7 @@ def signs_of(rhs):
 def integer_lp(rows, rhs):
     """``(matrix, den, signs, b, scale)`` of the integer tableau."""
     matrix, _, den = rational_lp(rows, rhs)
-    signs = signs_of(rhs)
-    return (matrix, den, signs, *simplex._scales(den, rhs, signs))
+    return (matrix, den, *simplex._scales(den, rhs))
 
 
 def exact_loop(rows, rhs):
@@ -99,7 +100,8 @@ def exact_loop(rows, rhs):
 
 
 def int64_tableau(matrix, signs, b):
-    return simplex._int64_tableau(matrix, linalg.peak(matrix), signs, b)
+    """The int64 tableau the solve admits for this target, or None."""
+    return simplex._Template(matrix).tableau(matrix, signs, b)
 
 
 def int64_path(rows, rhs):
@@ -124,8 +126,7 @@ def force_guide(monkeypatch):
 def bland_basis(matrix, den, rhs):
     """The final basis and pivot count of Bland's rule, run by the exact loop on Python ints."""
     m, n = matrix.shape
-    signs = signs_of(rhs)
-    b, _ = simplex._scales(den, rhs, signs)
+    signs, b, _ = simplex._scales(den, rhs)
     return simplex._integer_bland(simplex._integer_tableau(matrix, signs, b, object), n, m)[:2]
 
 
@@ -434,8 +435,7 @@ def test_guide_leaves_the_degenerate_vertex_of_the_sixteen_cycle(monkeypatch):
 
 
 def certify_both_orders(matrix, den, rhs, basis, pivots):
-    signs = signs_of(rhs)
-    b, scale = simplex._scales(den, rhs, signs)
+    signs, b, scale = simplex._scales(den, rhs)
     return [
         simplex._certify(matrix, linalg.peak(matrix), signs, b, scale, basis, pivots, dual_first)
         for dual_first in (False, True)
@@ -592,8 +592,7 @@ def test_lifted_certificate_equals_bareiss_on_large_pm_one_pairs(n, pair, feasib
     # 4,096 to 16,384 atoms; ρ = -1/10 is infeasible at these n, as
     # -1/10 < -1/(n - 1).  The lift needs no Bareiss elimination.
     matrix, den, rhs = feasibility._constraint_rows(equal_pair_moment_problem(n, pair))
-    signs = signs_of(rhs)
-    b, scale = simplex._scales(den, rhs, signs)
+    signs, b, scale = simplex._scales(den, rhs)
     top = linalg.peak(matrix)
     args = (matrix, top, signs, b, scale, *simplex._guided(matrix, top, den, rhs, signs))
     lifted, eliminations = certify_lifted(*args)
@@ -681,7 +680,7 @@ def test_certify_block_of_the_int64_minimum_takes_python_ints(b, dual_first):
     # follows peak(columns), not the matrix's dtype.
     matrix = np.array([[-(2**63), 1]], np.int64)
     signs = signs_of([b])
-    rhs, scale = simplex._scales(1, [b], signs)
+    _, rhs, scale = simplex._scales(1, [b])
     args = (matrix, linalg.peak(matrix), signs, rhs, scale, [0], 1, dual_first)
     lifted, _ = certify_lifted(*args)
     assert lifted == whole_basis_bareiss(*args)
@@ -704,18 +703,22 @@ def test_the_dual_takes_no_second_peak_of_the_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("pair,feasible", [(F(-1, 5), True), (F(-1, 4), False)])
-def test_a_guided_solve_takes_the_peak_of_the_matrix_once(monkeypatch, pair, feasible):
+def test_two_solves_of_one_read_only_matrix_take_its_peak_once(monkeypatch, pair, feasible):
     # The int64 bound, the float guide's quotients and the dual's cost row
-    # all read the one peak the solve takes.
-    matrix, den, rhs = feasibility._constraint_rows(equal_pair_moment_problem(6, pair))
+    # all read the one peak kept for the matrix, however many targets it
+    # is solved for.  Rows built afresh, so no earlier solve kept them.
+    problem = equal_pair_moment_problem(6, pair)
+    matrix, den = feasibility._build_rows(feasibility._row_structure(problem))
+    rhs = [c.target for c in problem.constraints] + [F(1)]
     force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
     shapes = []
     real = simplex.peak
     monkeypatch.setattr(simplex, "peak", lambda a: shapes.append(a.shape) or real(a))
-    res = solve_equality_feasibility(matrix, rhs, den)
-    assert res.feasible == feasible and calls == []
-    check_result(fraction_rows(matrix, den), rhs, res)
+    for _ in range(2):
+        res = solve_equality_feasibility(matrix, rhs, den)
+        assert res.feasible == feasible and calls == []
+        check_result(fraction_rows(matrix, den), rhs, res)
     assert shapes.count(matrix.shape) == 1
 
 
@@ -1054,3 +1057,171 @@ def test_solution_reader_needs_nonnegative_values_and_zero_basic_artificials():
     assert simplex._solution([-12, 0], basis, n, d, scale, 5) is None
     assert simplex._solution([12, 1], basis, n, d, scale, 5) is None
     assert simplex._solution([12, -1], basis, n, d, scale, 5) is None
+
+
+# ---------------------------------------------------------------------------
+# Per-matrix templates
+# ---------------------------------------------------------------------------
+
+
+def reference_int64_tableau(matrix, top, signs, b):
+    """The int64 tableau as the solve admitted it when it built one per call, or None.
+
+    The whole tableau is filled first and its column norms taken from
+    it; ``top`` is ``peak(matrix)``.
+    """
+    m = len(matrix)
+    if matrix.dtype.kind != "i":
+        return None
+    if (m + 1) * max(top, *map(abs, b)) >= simplex._INT64_SAFE:
+        return None
+    tab = simplex._integer_tableau(matrix, signs, b, np.int64)
+    squares = np.einsum("ij,ij->j", tab[:m], tab[:m])
+    if (m + 1) ** 2 * prod(np.sort(squares)[-m:].tolist()) >= simplex._INT64_SAFE**2:
+        return None
+    return tab
+
+
+@st.composite
+def template_cases(draw):
+    """A signed, unsigned or Python-int matrix, a denominator and two mixed-sign targets.
+
+    Entry and target sizes are drawn per case, so the bound E < 2**31
+    both holds and fails.
+    """
+    m, n = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["int64", "uint64", "object"]))
+    bits = draw(st.integers(0, 34))
+    if kind == "uint64":
+        top = draw(st.sampled_from([2**bits, 2**64 - 1]))
+        entries = st.integers(0, top)
+    elif kind == "object":
+        entries = st.integers(-(2 ** (bits + 40)), 2 ** (bits + 40))
+    else:
+        entries = st.integers(-(2**bits), 2**bits)
+    matrix = np.array([[draw(entries) for _ in range(n)] for _ in range(m)], kind if kind != "int64" else np.int64)
+    matrix = matrix.reshape(m, n)
+    size = 2 ** draw(st.integers(0, 34))
+    target = st.builds(F, st.integers(-size, size), st.integers(1, 6))
+    rhs = [draw(st.lists(target, min_size=m, max_size=m)) for _ in range(2)]
+    return matrix, draw(st.integers(1, 6)), rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(template_cases())
+def test_template_admits_and_fills_as_the_per_call_tableau(case):
+    # One template serves both targets: its block is built for the first
+    # one admitted and copied for each, so the second sees it unchanged.
+    matrix, den, targets = case
+    template = simplex._Template(matrix)
+    old = matrix
+    if matrix.dtype.kind == "u" and matrix.max(initial=0) < 2**63:
+        old = matrix.astype(np.int64)
+    rows = matrix if template.rows is None else template.rows
+    assert rows.dtype == old.dtype and rows.tolist() == old.tolist()
+    assert template.top == linalg.peak(old)
+    for rhs in targets:
+        signs, b, scale = simplex._scales(den, rhs)
+        assert signs == signs_of(rhs)
+        assert scale == lcm(*[v.denominator for v in rhs])
+        assert b == [s * v.numerator * (scale * den // v.denominator) for s, v in zip(signs, rhs)]
+        expected = reference_int64_tableau(old, linalg.peak(old), signs, b)
+        got = template.tableau(rows, signs, b)
+        if expected is None:
+            assert got is None
+        else:
+            assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("a", [2**30, 3 * 10**9])
+@pytest.mark.parametrize("rhs", [[F(1)], [F(-1, 2)]])
+def test_a_small_target_does_not_hide_rows_over_the_bound(a, rhs):
+    # E = 2 a >= 2**31 from the rows alone.  The b column's norm replaces
+    # the smallest kept one only when it is larger, so a small target
+    # leaves the rows' product, and the bound, as they are.
+    matrix = np.array([[a]], np.int64)
+    signs, b, _ = simplex._scales(1, rhs)
+    assert reference_int64_tableau(matrix, linalg.peak(matrix), signs, b) is None
+    assert int64_tableau(matrix, signs, b) is None
+
+
+def read_only(matrix):
+    matrix.setflags(write=False)
+    return matrix
+
+
+def test_only_read_only_rows_that_own_their_data_are_kept(monkeypatch):
+    monkeypatch.setattr(simplex, "_templates", {})
+    writable = np.array([[1, 2], [3, 4]], np.int64)
+    view = writable.view()
+    view.setflags(write=False)  # read-only, but it changes with writable
+    for rows in (writable, view):
+        solve_equality_feasibility(rows, [F(1), F(2)], 1)
+    assert simplex._templates == {}
+    # A writable matrix changed between two solves is read afresh.
+    writable[0, 0] = -1
+    assert solve_equality_feasibility(view, [F(1), F(2)], 1) == solve_equality_feasibility(
+        np.array([[-1, 2], [3, 4]]), [F(1), F(2)], 1
+    )
+    owned = read_only(np.array([[1, 2], [3, 4]], np.int64))
+    solve_equality_feasibility(owned, [F(1), F(2)], 1)
+    assert list(simplex._templates) == [id(owned)]
+
+
+def test_a_kept_template_goes_with_its_matrix(monkeypatch):
+    monkeypatch.setattr(simplex, "_templates", {})
+    matrix = read_only(np.array([[1, 2], [3, 4]], np.int64))
+    solve_equality_feasibility(matrix, [F(1), F(2)], 1)
+    key = id(matrix)
+    assert key in simplex._templates
+    del matrix
+    gc.collect()
+    assert simplex._templates == {}
+
+
+def test_the_row_cache_sets_the_lifetime_of_its_templates(monkeypatch):
+    monkeypatch.setattr(simplex, "_templates", {})
+    monkeypatch.setattr(feasibility, "_cached_rows", feasibility._RowCache())
+    problem = equal_pair_moment_problem(4, F(-1, 5))
+    decide(problem)
+    (matrix, _), = feasibility._cached_rows.kept.values()
+    assert list(simplex._templates) == [id(matrix)]
+    del matrix
+    feasibility._cached_rows.clear()
+    gc.collect()
+    assert simplex._templates == {}
+
+
+def spy_block(monkeypatch):
+    """Record the shape of each int64 block built."""
+    shapes = []
+    real = simplex._block
+    monkeypatch.setattr(simplex, "_block", lambda matrix: shapes.append(matrix.shape) or real(matrix))
+    return shapes
+
+
+def test_one_block_serves_every_target_of_a_read_only_matrix(monkeypatch):
+    problem = equal_pair_moment_problem(4, F(-1, 5))
+    matrix, den = feasibility._build_rows(feasibility._row_structure(problem))
+    blocks = spy_block(monkeypatch)
+    guides = spy_guide(monkeypatch)
+    for pair in (F(-1, 5), F(-1, 2), F(1, 3)):
+        rhs = [F(0)] * 4 + [pair] * 6 + [F(1)]
+        expected = exact_loop(fraction_rows(matrix, den), rhs)
+        assert solve_equality_feasibility(matrix, rhs, den) == expected
+    assert blocks == [matrix.shape] and guides == []
+
+
+@pytest.mark.parametrize("n,pair,feasible", [(5, F(-1, 5), True), (6, F(-1, 4), False)])
+def test_a_guided_system_allocates_no_int64_tableau(monkeypatch, n, pair, feasible):
+    # Over the bound, the solve decides that from the kept norms and the
+    # target's column alone: no int64 block or tableau is built.
+    matrix, den, rhs = feasibility._constraint_rows(equal_pair_moment_problem(n, pair))
+    blocks = spy_block(monkeypatch)
+    tableaux = []
+    real = simplex._integer_tableau
+    monkeypatch.setattr(simplex, "_integer_tableau", lambda *a: tableaux.append(a[-1]) or real(*a))
+    guides = spy_guide(monkeypatch)
+    res = solve_equality_feasibility(matrix, rhs, den)
+    assert res.feasible == feasible
+    assert len(guides) == 1 and blocks == [] and tableaux == []
