@@ -12,9 +12,11 @@ solved faster by :func:`lifted_solve` (Dixon, Numer. Math. 40, 1982):
 one inverse modulo :data:`PRIME`, in int64, then p-adic lifting and
 rational reconstruction, accepted only after an exact integer check.
 When the system is singular modulo the prime it returns None, and
-:func:`echelon` decides.  :func:`product` multiplies integer arrays in
-int64 when a bound computed first allows it, and on Python ints
-otherwise.
+:func:`echelon` decides.  Where floats already approximate the answer,
+:func:`rationalize` reads integer numerators over one denominator off
+them by continued fractions, for a caller to accept only after an exact
+check.  :func:`product` multiplies integer arrays in int64 when a bound
+computed first allows it, and on Python ints otherwise.
 
 Rational input is scaled to integers one row at a time
 (:func:`integral`); that changes neither a row space, nor a nullspace,
@@ -24,7 +26,7 @@ nor the solutions of a linear system.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isfinite, isqrt, lcm
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +43,7 @@ __all__ = [
     "pivot",
     "primitive",
     "product",
+    "rationalize",
     "solve",
 ]
 
@@ -51,6 +54,10 @@ _INT64_MAX = (1 << 63) - 1
 # so int64 sums of up to _SPAN such products cannot overflow.
 PRIME = 67_108_859
 _SPAN = (_INT64_MAX - PRIME) // (PRIME - 1) ** 2
+# rationalize: a float within 2**-30 (about 1e-9) of a rational, relative
+# to max(1, |value|), reads as it; no common denominator past 2**53.
+_GUESS_BITS = 30
+_GUESS_LIMIT = 1 << 53
 
 
 def integral(v: Sequence[Fraction | int]) -> list[int]:
@@ -341,6 +348,39 @@ def _reconstruct(residues: list[int], modulus: int, num_bound: int, den_bound: i
         if q > den_bound:
             return None
     return [_balanced(q * r, modulus) for r in residues], q
+
+
+def rationalize(values: Sequence[float]) -> tuple[list[int], int] | None:
+    """``(num, q)`` with each value close to ``num[i] / q``, read off floats by continued fractions.
+
+    Entry by entry, as in :func:`_reconstruct`: when q times a value v is
+    not within 2**-_GUESS_BITS of an integer, relative to max(1, |q v|),
+    the half-extended Euclidean algorithm on the exact binary fraction of
+    q v finds the smallest extra denominator t of a continued-fraction
+    convergent s / t that is that close to q v, and q becomes q t.  The
+    numerators are then ``round(q * v)``.  Returns None on a value that
+    is not finite, or so large that q times it might not be, or once q
+    passes 2**53, past which a float cannot pin a rational.  Nothing is
+    checked: a caller accepts the rationals only after an exact test.
+    """
+    if not all(isfinite(v * _GUESS_LIMIT) for v in values):
+        return None
+    q = 1
+    for v in values:
+        f = q * v
+        if abs(f - round(f)) * (1 << _GUESS_BITS) <= max(1.0, abs(f)):
+            continue  # t = 1, without the exact fraction
+        num, den = f.as_integer_ratio()
+        scale = max(den, abs(num))  # den * max(1, |q v|)
+        # r1 / den = |t1 q v - s|, shrinking as |t1| grows
+        r0, r1, t0, t1 = den, num % den, 0, 1
+        while r1 << _GUESS_BITS > abs(t1) * scale:
+            f = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - f * r1, t1, t0 - f * t1
+            if q * abs(t1) > _GUESS_LIMIT:
+                return None
+        q *= abs(t1)
+    return [round(q * v) for v in values], q
 
 
 def _balanced(value: int, modulus: int) -> int:

@@ -42,23 +42,30 @@ decided on one of three paths:
    cannot cycle, decides.  Each cell is ``matrix[i, j] / den``
    correctly rounded: float64 division when both are below 2**53 in
    magnitude, Python int division otherwise, so the tableau equals the
-   one filled with ``float(Fraction)`` bit for bit.  Its only output is
-   a final basis B, which ``_certify`` solves exactly in the integer
-   tableau's scaling: ``B x = b`` gives the final value column for
-   ``_solution``, ``B^T w = c_B`` the final cost row for ``_farkas``.
-   Both reduce to one square block of the structural basis columns,
-   solved by p-adic lifting (:func:`jointfeas.linalg.lifted_solve`),
-   which checks its result exactly; a block singular modulo the lifting
-   prime goes to Bareiss elimination instead.  A nonsingular basis
-   fixes the solution, so either solver gives the same result.
-   The guide's phase-1 objective picks which solve runs first (the dual
-   one when it is positive); no basis passes both readers, so the order
-   changes the cost, never the result.  No float value reaches a result;
-   only the basis and that order do.
+   one filled with ``float(Fraction)`` bit for bit.  It hands over a
+   final basis B and, as a candidate, copies of its final value column
+   and of its cost row on the artificial columns.  ``_certify`` settles
+   B exactly in the integer tableau's scaling: ``B x = b`` gives the
+   final value column for ``_solution``, ``B^T w = c_B`` the final cost
+   row for ``_farkas``.  Both reduce to one square block of the
+   structural basis columns.  Each system first reads its candidate off
+   the guide's floats (:func:`jointfeas.linalg.rationalize`) and accepts
+   it only when an exact integer check shows that it solves the system.
+   Where the floats cannot pin the values, so that the check fails, the
+   system is solved by p-adic lifting
+   (:func:`jointfeas.linalg.lifted_solve`), which checks its result
+   exactly; a block singular modulo the lifting prime goes to Bareiss
+   elimination instead.  A nonsingular basis fixes the solution, so the
+   candidate and either solver give the same result.  The guide's
+   phase-1 objective picks which system is settled first (the dual one
+   when it is positive); no basis passes both readers, so the order
+   changes the cost, never the result.  A float reaches a result only
+   through a candidate that the exact check has accepted.
 3. **Python-int fallback.**  When the guide stops early (pivot cap, no
-   leaving row, an entry beyond float range), or its basis is singular
-   or both readers refuse it, the exact loop runs from a cold start on
-   Python ints (an object tableau).
+   leaving row, a nan ratio, an entry beyond float range), or its basis
+   proves nothing (singular with no exact candidate, or refused by both
+   readers), the exact loop runs from a cold start on Python ints (an
+   object tableau).
 
 Whatever depends on the rows alone is built once per row matrix: the
 check of its dtype, its peak, the squared column norms of ``[D A | I]``
@@ -86,12 +93,12 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import isnan, lcm, prod
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import echelon, integers, lifted_solve, peak, pivot, product
+from .linalg import echelon, integers, lifted_solve, peak, pivot, product, rationalize
 
 __all__ = ["EqualityFeasibility", "solve_equality_feasibility"]
 
@@ -391,14 +398,18 @@ def _solution(
 
 def _guided(
     matrix: np.ndarray, top: int, den: int, rhs: Sequence[Fraction], signs: list[int]
-) -> tuple[list[int], int, bool] | None:
-    """The float guide's proposal ``(basis, pivots, dual_first)``, or None when it stops early.
+) -> tuple[list[int], int, bool, tuple[list[float], list[float]]] | None:
+    """The float guide's proposal ``(basis, pivots, dual_first, guess)``, or None when it stops early.
 
-    ``top`` is ``peak(matrix)``, known to the caller.
+    ``top`` is ``peak(matrix)``, known to the caller.  ``guess`` holds
+    copies of the guide's final value column and of its cost row on the
+    artificial columns, as Python floats, so that the tableau is freed
+    before ``_certify`` runs.
     """
     m, n = matrix.shape
     try:
-        # Overflow to inf or nan only misguides; the exact checks catch it.
+        # Overflow to inf or nan only misguides, or stops the guide at a
+        # nan ratio; the exact checks catch the rest.
         with np.errstate(over="ignore", invalid="ignore"):
             tab = _tableau(matrix, top, den, rhs, signs)
             guide = _float_guide(tab, n, m)
@@ -408,7 +419,7 @@ def _guided(
         return None
     # tab[m, -1] is minus the guide's phase-1 objective: a positive
     # objective points at the Farkas check, so that one runs first.
-    return *guide, bool(tab[m, -1] < -_TOL)
+    return *guide, bool(tab[m, -1] < -_TOL), (tab[:m, -1].tolist(), tab[m, n : n + m].tolist())
 
 
 def _quotients(matrix: np.ndarray, top: int, den: int) -> np.ndarray:
@@ -442,30 +453,36 @@ def _float_guide(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int] | Non
     """Dantzig's rule on the float tableau, in place, from the all-artificial basis.
 
     The entering column has the most negative reduced cost, and ratio-test
-    ties go to the largest pivot element.  Entries within ``_TOL`` of zero
-    count as zero and ratios within ``_TOL`` of the minimum as ties.
+    ties go to the largest pivot element (the first row among equals).
+    Entries within ``_TOL`` of zero count as zero and ratios within
+    ``_TOL`` of the minimum as ties.  The ratio test reads the entering
+    column and the value column once per pivot, as Python floats.
     Returns the final basis (column index per row) and the pivot count,
-    or None when the pivot cap is reached or no leaving row exists.
+    or None when the pivot cap is reached, no leaving row exists or a
+    ratio is nan.
     """
     cap = _PIVOT_CAP_PER_COLUMN * (n + m)
-    basis = np.arange(n, n + m)
+    basis = list(range(n, n + m))
     cost = tab[m, : n + m]
-    rhs = tab[:m, -1]
     update = np.empty_like(tab)
     pivots = 0
     while True:
         entering = int(np.argmin(cost))
         if cost[entering] >= -_TOL:
-            return basis.tolist(), pivots
+            return basis, pivots
         if pivots >= cap:
             return None
-        column = tab[:m, entering]
-        candidates = np.flatnonzero(column > _TOL)
-        if candidates.size == 0:
+        column = tab[:m, entering].tolist()
+        values = tab[:m, -1].tolist()
+        rows = [i for i, a in enumerate(column) if a > _TOL]
+        ratios = [values[i] / column[i] for i in rows]
+        if not rows or any(map(isnan, ratios)):  # no leaving row, or a nan ratio
             return None
-        ratios = rhs[candidates] / column[candidates]
-        ties = candidates[ratios <= ratios.min() + _TOL]
-        leaving = int(ties[np.argmax(column[ties])])
+        low = min(ratios) + _TOL
+        leaving, largest = -1, 0.0
+        for i, r in zip(rows, ratios):
+            if r <= low and column[i] > largest:
+                leaving, largest = i, column[i]
 
         prow = tab[leaving] / tab[leaving, entering]
         np.multiply.outer(tab[:, entering], prow, out=update)
@@ -484,6 +501,7 @@ def _certify(
     basis: list[int],
     pivots: int,
     dual_first: bool,
+    guess: tuple[Sequence[float], Sequence[float]] | None = None,
 ) -> EqualityFeasibility | None:
     """Settle the guide's final basis exactly, or None when it proves nothing.
 
@@ -502,21 +520,35 @@ def _certify(
     that no basic artificial covers (R are the covered rows, in basis
     order).  ``B x = b`` is ``S x_S = b_C`` with the basic artificials
     ``x_R = b_R - S_R x_S``, and ``B^T y = c_B`` is ``y_R = 1`` with
-    ``S^T y_C = -S_R^T 1``.  Each is solved by p-adic lifting
+    ``S^T y_C = -S_R^T 1``.  A basis whose artificials repeat leaves S
+    not square, and one with a repeated structural column leaves it
+    singular: B is singular then, and proves nothing.
+
+    ``guess`` is the guide's final value column and its cost row on the
+    artificial columns, in the rational tableau's scaling: there x_S is
+    the integer tableau's x_S over L, and the cost of artificial i is
+    1 - y_i.  Each system first tries the candidate these point to:
+    :func:`jointfeas.linalg.rationalize` reads the floats back over one
+    denominator q (x_S in target space, its numerators then multiplied
+    by L in exact integers), and the candidate is accepted only when
+    ``S num == q rhs`` holds exactly.  A system without a guess, or whose
+    candidate fails that check, is solved by p-adic lifting
     (:func:`jointfeas.linalg.lifted_solve`), or by Bareiss elimination
-    when S is singular modulo the lifting prime.  A basis whose
-    artificials repeat leaves S not square, and one with a repeated
-    structural column leaves it singular: B is singular then, and proves
-    nothing.  A nonsingular B fixes x and y uniquely, so the solver
-    changes the cost, never the result.  No basis passes both readers
-    (the Farkas alternative), so ``dual_first`` changes which solve runs
-    first, never the result.
+    when S is singular modulo the lifting prime.  A nonsingular B fixes
+    x and y uniquely, so the candidate and both solvers give one result.
+    No basis passes both readers (the Farkas alternative), so
+    ``dual_first`` changes which system is settled first, never the
+    result.  A singular S with no repeated column proves nothing by
+    either solver, but an exact candidate still settles it, and a result
+    read off it passes the same readers' checks.
     """
     m, n = matrix.shape
     structural = [j for j in basis if j < n]
     covered = [j - n for j in basis if j >= n]
     free = sorted(set(range(m)).difference(covered))
-    if len(free) != len(structural):  # an artificial column repeats: B is singular
+    # Repeated artificials leave S not square; a repeated structural
+    # column leaves it singular, and would read as one variable.
+    if len(free) != len(structural) or len(set(structural)) != len(structural):
         return None
     columns = matrix[:, structural]
     # A sign of -1 takes int64's minimum -2**63 past int64, so the test is
@@ -539,12 +571,19 @@ def _certify(
         return _farkas(cost, n, q, signs, pivots)
 
     ones = np.ones(len(covered), np.int64)
+    primal_guess = dual_guess = None
+    if guess is not None:
+        values, costs = guess
+        primal_guess = [v for v, j in zip(values, basis) if j < n], scale
+        dual_guess = [1.0 - costs[i] for i in free], 1
     checks = [
-        (primal, square, [b[i] for i in free]),
-        (dual, square.T, [-v for v in product(ones, rest).tolist()]),
+        (primal, square, [b[i] for i in free], primal_guess),
+        (dual, square.T, [-v for v in product(ones, rest).tolist()], dual_guess),
     ]
-    for read, system, rhs in reversed(checks) if dual_first else checks:
-        solved = lifted_solve(system, rhs)
+    for read, system, rhs, candidate in reversed(checks) if dual_first else checks:
+        solved = None if candidate is None else _candidate(system, rhs, *candidate)
+        if solved is None:
+            solved = lifted_solve(system, rhs)
         if solved is None:  # singular modulo the prime: Bareiss decides
             solved = _bareiss(system, rhs)
         if solved is None:
@@ -553,6 +592,16 @@ def _certify(
         if result is not None:
             return result
     return None
+
+
+def _candidate(system: np.ndarray, rhs: list[int], floats: list[float], unit: int) -> tuple[list[int], int] | None:
+    """``(num, q)`` read off ``floats`` times ``unit``, if ``system @ num == q * rhs`` exactly, else None."""
+    found = rationalize(floats)
+    if found is None:
+        return None
+    num, q = found
+    num = [unit * v for v in num]
+    return (num, q) if product(system, integers(num)).tolist() == [q * v for v in rhs] else None
 
 
 def _bareiss(square: np.ndarray, rhs: list[int]) -> tuple[list[int], int] | None:

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import e, gcd, lcm, pi, sqrt
 from unittest.mock import patch
 
 import numpy as np
@@ -347,6 +347,37 @@ def test_lifting_reads_back_at_most_log2_steps_plus_two_times(monkeypatch, digit
 )
 def test_lifted_solve_is_none_on_singular_blocks(rows):
     assert linalg.lifted_solve(np.array(rows, object), [1] * len(rows)) is None
+
+
+small_rationals = st.integers(1, 2**10).flatmap(
+    lambda d: st.lists(st.integers(-(2**8) * d, 2**8 * d).map(lambda p: F(p, d)), max_size=8)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_rationals)
+def test_rationalize_reads_small_rationals_back_from_their_floats(values):
+    # Over one denominator d <= 2**10 and at most 2**8 in size, a false
+    # convergent s / t would need 1 / d below 2**-30 * t * |q v|.
+    num, q = linalg.rationalize([float(v) for v in values])
+    assert q > 0 and all(type(v) is int for v in [*num, q])
+    assert [F(v, q) for v in num] == values
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [float("nan")],
+        [0.5, float("inf")],
+        [-float("inf")],
+        [1 / 3, 1e308],  # finite, but 3 * 1e308 overflows
+        # each needs a denominator near 2**15, and each q v stays below 1
+        [pi / 10, e * 1e-6, sqrt(2) * 1e-11, sqrt(3) * 1e-16, sqrt(5) * 1e-21],
+    ],
+    ids=["nan", "inf", "minus-inf", "near-overflow", "past-2**53"],
+)
+def test_rationalize_gives_up_on_floats_that_pin_no_rational(values):
+    assert linalg.rationalize(values) is None
 
 
 @settings(max_examples=150, deadline=None)

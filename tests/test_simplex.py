@@ -112,7 +112,7 @@ def int64_path(rows, rhs):
 
 
 def guided_path(rows, rhs):
-    """The float guide's basis settled by ``_certify``, or None when it proves nothing."""
+    """The float guide's basis settled by ``_certify`` from its own final floats, or None."""
     matrix, den, signs, b, scale = integer_lp(rows, rhs)
     guide = simplex._guided(matrix, linalg.peak(matrix), den, rhs, signs)
     return None if guide is None else simplex._certify(matrix, linalg.peak(matrix), signs, b, scale, *guide)
@@ -434,10 +434,90 @@ def test_guide_leaves_the_degenerate_vertex_of_the_sixteen_cycle(monkeypatch):
     assert result.detail["pivots"] <= 100
 
 
-def certify_both_orders(matrix, den, rhs, basis, pivots):
+def reference_float_guide(tab, n, m):
+    """The float guide as it ran with a numpy ratio test, on every row at once.
+
+    It raises ``ValueError`` on a nan ratio, where the guide returns None.
+    """
+    cap = simplex._PIVOT_CAP_PER_COLUMN * (n + m)
+    basis = np.arange(n, n + m)
+    cost = tab[m, : n + m]
+    rhs = tab[:m, -1]
+    update = np.empty_like(tab)
+    pivots = 0
+    while True:
+        entering = int(np.argmin(cost))
+        if cost[entering] >= -simplex._TOL:
+            return basis.tolist(), pivots
+        if pivots >= cap:
+            return None
+        column = tab[:m, entering]
+        candidates = np.flatnonzero(column > simplex._TOL)
+        if candidates.size == 0:
+            return None
+        ratios = rhs[candidates] / column[candidates]
+        ties = candidates[ratios <= ratios.min() + simplex._TOL]
+        leaving = int(ties[np.argmax(column[ties])])
+
+        prow = tab[leaving] / tab[leaving, entering]
+        np.multiply.outer(tab[:, entering], prow, out=update)
+        tab -= update
+        tab[leaving] = prow
+        basis[leaving] = entering
+        pivots += 1
+
+
+def assert_guide_is_the_reference(matrix, den, rhs):
+    """The guide and the reference make the same choices: equal bases, pivot counts and final tableaux."""
+    m, n = matrix.shape
+    tab = simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs_of(rhs))
+    expected = tab.copy()
+    assert simplex._float_guide(tab, n, m) == reference_float_guide(expected, n, m)
+    assert np.array_equal(tab, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_guide_makes_the_reference_choices(system):
+    matrix, rhs, den = rational_lp(*system)
+    assert_guide_is_the_reference(matrix, den, rhs)
+
+
+@pytest.mark.parametrize(
+    "n,pair",
+    [pytest.param(*p.values[:2], id=p.id) for p in PINNED_BLAND_PATHS]
+    + [pytest.param(12, F(-1, 20), id="n12-feasible"), pytest.param(12, F(-1, 10), id="n12-infeasible")],
+)
+def test_guide_makes_the_reference_choices_on_pm_one_pairs(n, pair):
+    matrix, den, rhs = feasibility._constraint_rows(equal_pair_moment_problem(n, pair))
+    assert_guide_is_the_reference(matrix, den, rhs)
+
+
+def nan_tableau():
+    """The 2 x 3 phase-1 tableau of x_0 = b, with a nan in its value column."""
+    return np.array([[1.0, 1.0, np.nan], [-1.0, 0.0, np.nan]])
+
+
+def test_a_nan_ratio_stops_the_guide():
+    assert simplex._float_guide(nan_tableau(), 1, 1) is None
+    with pytest.raises(ValueError):
+        reference_float_guide(nan_tableau(), 1, 1)
+
+
+def test_a_nan_ratio_in_the_guide_falls_back_to_exact_loop(monkeypatch):
+    rows, rhs = [[F(1)]], [F(1)]
+    expected = exact_loop(rows, rhs)
+    force_guide(monkeypatch)
+    calls = spy_exact_loop(monkeypatch)
+    monkeypatch.setattr(simplex, "_tableau", lambda *args: nan_tableau())
+    assert solve_equality_feasibility(*rational_lp(rows, rhs)) == expected
+    assert expected.feasible and len(calls) == 1
+
+
+def certify_both_orders(matrix, den, rhs, basis, pivots, guess=None):
     signs, b, scale = simplex._scales(den, rhs)
     return [
-        simplex._certify(matrix, linalg.peak(matrix), signs, b, scale, basis, pivots, dual_first)
+        simplex._certify(matrix, linalg.peak(matrix), signs, b, scale, basis, pivots, dual_first, guess)
         for dual_first in (False, True)
     ]
 
@@ -463,28 +543,28 @@ def test_certify_result_does_not_depend_on_check_order(system, data):
 def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasible, pivots):
     rows, rhs = equal_pair_moment_lp(n, pair)
     matrix, _, den = rational_lp(rows, rhs)
-    tab = simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs_of(rhs))
-    guide = simplex._float_guide(tab, len(rows[0]), len(rows))
+    basis, count, _, guess = simplex._guided(matrix, linalg.peak(matrix), den, rhs, signs_of(rhs))
     # The guide's basis under its own pricing, then Bland's, whose path
     # (and pivot count) is pinned.
     results = []
-    for basis in (guide, bland_basis(matrix, den, rhs)):
-        primal_first, dual_first = certify_both_orders(matrix, den, rhs, *basis)
+    for final in ((basis, count), bland_basis(matrix, den, rhs)):
+        primal_first, dual_first = certify_both_orders(matrix, den, rhs, *final)
         assert primal_first == dual_first
         assert primal_first.feasible == feasible
         check_result(rows, rhs, primal_first)
         results.append(primal_first)
     assert results[1].pivots == pivots
 
-    # The guide's objective points at the check that succeeds: one exact
-    # solve per LP, infeasible ones included, lifted with no Bareiss
-    # elimination.
+    # The guide's own final floats settle its basis in either order, and
+    # the solve reads its result off them: no lift and no Bareiss
+    # elimination, infeasible LPs included.
     real_lift, real_echelon = simplex.lifted_solve, simplex.echelon
     solves, eliminations = [], []
     monkeypatch.setattr(simplex, "lifted_solve", lambda *a: solves.append(1) or real_lift(*a))
     monkeypatch.setattr(simplex, "echelon", lambda *a, **k: eliminations.append(1) or real_echelon(*a, **k))
+    assert certify_both_orders(matrix, den, rhs, basis, count, guess) == [results[0]] * 2
     assert solve_equality_feasibility(*rational_lp(rows, rhs)) == results[0]
-    assert len(solves) == 1 and eliminations == []
+    assert solves == [] and eliminations == []
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +624,78 @@ def certify_lifted(*args):
         return simplex._certify(*args), len(eliminations)
 
 
-def assert_lift_equals_bareiss(args):
+def certify_counted(*args):
+    """``_certify`` as it runs, with every lift and every Bareiss elimination counted."""
+    solves = []
+    real_lift, real_echelon = simplex.lifted_solve, simplex.echelon
+    with patch.object(simplex, "lifted_solve", lambda *a: solves.append(1) or real_lift(*a)), patch.object(
+        simplex, "echelon", lambda *a, **k: solves.append(1) or real_echelon(*a, **k)
+    ):
+        return simplex._certify(*args), len(solves)
+
+
+def exact_values(rows, rhs, basis):
+    """``(x, y)`` at ``basis`` on the rational tableau, or None when B is singular.
+
+    On ``[A | I | b]`` with its rows signed so that b >= 0, the guide's
+    final value column is x with B x = b, and its cost on artificial i
+    is 1 - y_i with B^T y = c_B.
+    """
+    m, n = len(rows), len(rows[0])
+    signs = signs_of(rhs)
+    columns = [
+        [s * row[j] for s, row in zip(signs, rows)] if j < n else [F(int(i == j - n)) for i in range(m)]
+        for j in basis
+    ]
+    square = [list(row) for row in zip(*columns)]
+    if len(linalg.independent_rows([linalg.integral(row) for row in square])) < m:
+        return None
+    (x,) = linalg.solve(square, [[abs(v) for v in rhs]])
+    (y,) = linalg.solve(columns, [[F(int(j >= n)) for j in basis]])
+    return x, y
+
+
+def floats_pin(args, exact):
+    """Whether ``rationalize`` reads the exact values back from the floats ``_certify`` reads.
+
+    Those are the float copy of x on the structural rows, and 1 minus
+    the float copy of the artificial cost 1 - y on the rows no basic
+    artificial covers, as ``assert_lift_equals_bareiss`` passes them.
+    """
+    matrix, basis = args[0], args[5]
+    n = matrix.shape[1]
+    x, y = exact
+    read = (
+        [(v, float(v)) for v, j in zip(x, basis) if j < n],
+        [(v, 1.0 - float(1 - v)) for i, v in enumerate(y) if n + i not in basis],
+    )
+    for pairs in read:
+        found = linalg.rationalize([f for _, f in pairs])
+        if found is None or [F(v, found[1]) for v in found[0]] != [v for v, _ in pairs]:
+            return False
+    return True
+
+
+def assert_lift_equals_bareiss(args, exact):
+    """The lift and Bareiss agree; so does the candidate of a float copy of ``exact``.
+
+    ``exact`` is ``exact_values`` at the basis, None for a singular B.
+    Its float copy gives the lifted result, with no lift or elimination
+    where the floats pin the values; a perturbed copy falls back to them,
+    and still gives it.
+    """
     lifted, _ = certify_lifted(*args)
     assert lifted == certify_by_bareiss(*args) == whole_basis_bareiss(*args)
+    if exact is not None:
+        x, y = exact
+        guess = [float(v) for v in x], [float(1 - v) for v in y]
+        settled, solves = certify_counted(*args, guess)
+        assert settled == lifted
+        assert solves == 0 or not floats_pin(args, exact)
+        moved = tuple([v + (abs(v) + 1) / 1024 for v in floats] for floats in guess)
+        settled, solves = certify_counted(*args, moved)
+        assert settled == lifted
+        assert solves > 0 or all(j >= args[0].shape[1] for j in args[5])
     return lifted
 
 
@@ -571,18 +720,22 @@ def test_lifted_certificate_equals_bareiss_on_any_basis(system, data):
     if guide is not None:
         bases.append(guide[:2])
     for basis, pivots in bases:
+        exact = exact_values(rows, rhs, basis)
         for dual_first in (False, True):
-            assert_lift_equals_bareiss(certify_args(rows, rhs, basis, pivots, dual_first))
+            assert_lift_equals_bareiss(certify_args(rows, rhs, basis, pivots, dual_first), exact)
 
 
 @pytest.mark.parametrize("n,pair,feasible,pivots", PINNED_BLAND_PATHS)
 def test_lifted_certificate_equals_bareiss_on_pinned_moment_lps(n, pair, feasible, pivots):
-    # The guide's basis and Bland's, each with the guide's check order.
+    # The guide's basis and Bland's, each with the guide's check order;
+    # the floats of both pin their values.
     rows, rhs = equal_pair_moment_lp(n, pair)
     matrix, _, den = rational_lp(rows, rhs)
-    *guide, dual_first = simplex._guided(matrix, linalg.peak(matrix), den, rhs, signs_of(rhs))
+    *guide, dual_first, _ = simplex._guided(matrix, linalg.peak(matrix), den, rhs, signs_of(rhs))
     for basis, count in (guide, bland_basis(matrix, den, rhs)):
-        result = assert_lift_equals_bareiss(certify_args(rows, rhs, basis, count, dual_first))
+        args, exact = certify_args(rows, rhs, basis, count, dual_first), exact_values(rows, rhs, basis)
+        assert floats_pin(args, exact)
+        result = assert_lift_equals_bareiss(args, exact)
         assert result.feasible == feasible
 
 
@@ -594,7 +747,7 @@ def test_lifted_certificate_equals_bareiss_on_large_pm_one_pairs(n, pair, feasib
     matrix, den, rhs = feasibility._constraint_rows(equal_pair_moment_problem(n, pair))
     signs, b, scale = simplex._scales(den, rhs)
     top = linalg.peak(matrix)
-    args = (matrix, top, signs, b, scale, *simplex._guided(matrix, top, den, rhs, signs))
+    args = (matrix, top, signs, b, scale, *simplex._guided(matrix, top, den, rhs, signs)[:3])
     lifted, eliminations = certify_lifted(*args)
     assert eliminations == 0 and lifted.feasible == feasible
     assert lifted == certify_by_bareiss(*args)
@@ -641,7 +794,8 @@ def test_wide_rows_and_factors_take_python_ints_and_agree(monkeypatch, rows, rhs
     m, n = len(rows), len(rows[0])
     final = simplex._integer_bland(simplex._integer_tableau(matrix, signs, b, object), n, m)
     for dual_first in (False, True):
-        result = assert_lift_equals_bareiss(certify_args(rows, rhs, *final[:2], dual_first))
+        args = certify_args(rows, rhs, *final[:2], dual_first)
+        result = assert_lift_equals_bareiss(args, exact_values(rows, rhs, final[0]))
         assert result == exact_loop(rows, rhs)
     assert any(p.dtype == object for p in products)
 
