@@ -45,16 +45,17 @@ decided on one of three paths:
    one filled with ``float(Fraction)`` bit for bit.  It hands over a
    final basis B and, as a candidate, copies of its final value column
    and of its cost row on the artificial columns.  ``_certify`` settles
-   B exactly in the integer tableau's scaling: ``B x = b`` gives the
-   final value column for ``_solution``, ``B^T w = c_B`` the final cost
-   row for ``_farkas``.  Both reduce to one square block of the
-   structural basis columns.  Each system first reads its candidate off
-   the guide's floats (:func:`jointfeas.linalg.rationalize`) and accepts
-   it only when an exact integer check shows that it solves the system.
-   Where the floats cannot pin the values, so that the check fails, the
+   B exactly in the integer tableau's scaling, as the m x m matrix it
+   is (a signed column of the rows per structural variable, a unit
+   vector per artificial one): ``B x = b`` gives the final value column
+   for ``_solution``, ``B^T w = c_B`` the final cost row for
+   ``_farkas``.  Each system first reads its candidate off the guide's
+   floats (:func:`jointfeas.linalg.rationalize`) and accepts it only
+   when an exact integer check shows that it solves the system.  Where
+   the floats cannot pin the values, so that the check fails, the
    system is solved by p-adic lifting
    (:func:`jointfeas.linalg.lifted_solve`), which checks its result
-   exactly; a block singular modulo the lifting prime goes to Bareiss
+   exactly; a B singular modulo the lifting prime goes to Bareiss
    elimination instead.  A nonsingular basis fixes the solution, so the
    candidate and either solver give the same result.  The guide's
    phase-1 objective picks which system is settled first (the dual one
@@ -129,9 +130,11 @@ def solve_equality_feasibility(rows: np.ndarray, rhs: Sequence[Fraction], den: i
 
     ``rows`` is a 2-d array of integers (any int dtype, or Python ints in
     an object array), ``den`` a positive int and ``rhs`` holds ints or
-    Fractions; anything else raises ``ValueError``.  The solution holds
-    the positive entries of x by column; the Farkas vector is expressed
-    against the rows as given (before the internal sign normalization).
+    Fractions; anything else raises ``ValueError``.  Rows of an int
+    dtype other than int64 are read once as int64 when their peak fits,
+    else as Python ints.  The solution holds the positive entries of x
+    by column; the Farkas vector is expressed against the rows as given
+    (before the internal sign normalization).
     """
     m = len(rows)
     if m != len(rhs):
@@ -142,12 +145,10 @@ def solve_equality_feasibility(rows: np.ndarray, rhs: Sequence[Fraction], den: i
         raise ValueError(f"the denominator must be a positive int, got {den!r}")
     if m == 0:
         return EqualityFeasibility(True, {}, None, 0)
-    matrix = np.asarray(rows)
+    matrix = _widened(np.asarray(rows))
     if matrix.ndim != 2:
         raise ValueError("integer rows need a 2-d matrix")
     template = _template(matrix)
-    if template.rows is not None:
-        matrix = template.rows
     n = matrix.shape[1]
 
     # Normalize to b >= 0, remembering the sign applied to each row.
@@ -158,7 +159,7 @@ def solve_equality_feasibility(rows: np.ndarray, rhs: Sequence[Fraction], den: i
         if result is not None:
             return result
     guide = _guided(matrix, template.top, den, rhs, signs)
-    result = None if guide is None else _certify(matrix, template.top, signs, b, scale, *guide)
+    result = None if guide is None else _certify(matrix, template.top, den, signs, b, scale, *guide)
     if result is None:
         result = _exact_loop(_integer_tableau(matrix, signs, b, object), n, m, signs, scale)
     if result is None:
@@ -172,35 +173,41 @@ def solve_equality_feasibility(rows: np.ndarray, rhs: Sequence[Fraction], den: i
 # ---------------------------------------------------------------------------
 
 
+def _widened(matrix: np.ndarray) -> np.ndarray:
+    """Rows of an int dtype other than int64 as int64 when their peak fits, else as Python ints.
+
+    A narrower dtype would square the column norms in its own width, and
+    wrap; unsigned rows past 2**63 do not fit int64.
+    """
+    if matrix.dtype.kind not in "iu" or matrix.dtype == np.int64:
+        return matrix
+    return matrix.astype(np.int64 if peak(matrix) <= _INT64_MAX else object)
+
+
 class _Template:
     """What the solve reads of one row matrix, whatever the target.
 
-    ``rows`` is an int64 copy of unsigned rows that fit int64 (None when
-    the rows are read as given), ``top`` their :func:`peak`.  ``norms``
-    holds, of the squared 2-norms of the columns of ``[D A | I]``, the
-    smallest of the m largest, their product and the product of the
-    other m - 1; it is None for rows that are not int64, or whose
-    squares do not fit int64 (then E >= 2**31 for every target).
-    ``block`` is :func:`_block`'s int64 ``[D A | I | 0]`` and cost row,
+    The rows are int64 or Python ints; ``top`` is their :func:`peak`.
+    ``norms`` holds, of the squared 2-norms of the columns of
+    ``[D A | I]``, the smallest of the m largest, their product and the
+    product of the other m - 1; it is None for Python-int rows, or rows
+    whose squares do not fit int64 (then E >= 2**31 for every target).
+    ``block`` is the int64 tableau ``[D A | I | 0]`` with its cost row,
     built for the first target the bound admits.
     """
 
-    __slots__ = ("rows", "top", "norms", "block")
+    __slots__ = ("top", "norms", "block")
 
     def __init__(self, matrix: np.ndarray) -> None:
         kind = matrix.dtype.kind
-        if kind not in "iuO" or kind == "O" and not all(type(v) is int for v in matrix.flat):
+        if kind not in "iO" or kind == "O" and not all(type(v) is int for v in matrix.flat):
             raise ValueError(f"integer rows must hold ints, got a matrix of dtype {matrix.dtype}")
-        self.rows = None
-        if kind == "u" and matrix.max(initial=0) <= _INT64_MAX:
-            # Unsigned rows that fit int64 take the int64 path like signed ones.
-            matrix = self.rows = matrix.astype(np.int64)
         self.top = peak(matrix)
         self.norms = None
         self.block = None
         m = len(matrix)
         # Squares past int64 put E past 2**31: E**2 >= (m + 1)**2 * top**2 > 2**63.
-        if matrix.dtype.kind == "i" and m * self.top**2 <= _INT64_MAX:
+        if kind == "i" and m * self.top**2 <= _INT64_MAX:
             squares = np.sort(np.einsum("ij,ij->j", matrix, matrix))[-m:]  # each at most m * top**2
             largest = sorted(squares.tolist() + [1] * m)[-m:]  # the m artificial columns have norm 1
             full = prod(largest)
@@ -222,12 +229,12 @@ class _Template:
         if self.norms is None:
             return None
         m = len(b)
-        low, full, rest = self.norms
+        low, full, others = self.norms
         column = sum([v * v for v in b])
-        if (m + 1) ** 2 * (rest * column if column > low else full) >= _INT64_SAFE**2:
+        if (m + 1) ** 2 * (others * column if column > low else full) >= _INT64_SAFE**2:
             return None
         if self.block is None:
-            self.block = _block(matrix)
+            self.block = _integer_tableau(matrix, [1] * m, [0] * m, np.int64)
         tab = self.block.copy()
         n = matrix.shape[1]
         cost = tab[m, :n]
@@ -240,20 +247,6 @@ class _Template:
         tab[:m, -1] = b
         tab[m, -1] = -sum(b)
         return tab
-
-
-def _block(matrix: np.ndarray) -> np.ndarray:
-    """The int64 tableau of a target whose rows all keep their sign, but for its b column.
-
-    That is ``[D A | I | 0]``, with the cost row minus the sum of the
-    rows (0 on I).
-    """
-    m, n = matrix.shape
-    block = np.zeros((m + 1, n + m + 1), np.int64)
-    block[:m, :n] = matrix
-    block[np.arange(m), n + np.arange(m)] = 1
-    block[m, :n] = -matrix.sum(axis=0)
-    return block
 
 
 # Per-matrix state of read-only row matrices, by id.  Each entry is
@@ -495,6 +488,7 @@ def _float_guide(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int] | Non
 def _certify(
     matrix: np.ndarray,
     top: int,
+    den: int,
     signs: list[int],
     b: Sequence[int],
     scale: int,
@@ -507,78 +501,67 @@ def _certify(
 
     ``top`` is ``peak(matrix)``, known to the caller.
 
-    B is the basis block of the exact loop's integer tableau
-    (``signs[i] * matrix[i]`` on a structural column, e_i on an
-    artificial one).  ``B x = b`` gives the final value column for
-    ``_solution``; ``B^T y = c_B`` gives the phase-1 multipliers y and
-    the final cost row ``-(w * signs) . matrix | q - w | -w . b`` of
-    w = q y for ``_farkas``.  Both readers take any positive scaling q,
-    so each solve hands them its integer numerators over q.
-
-    The artificial columns of B are unit vectors, so both systems reduce
-    to one square block S: the structural basis columns on the rows C
-    that no basic artificial covers (R are the covered rows, in basis
-    order).  ``B x = b`` is ``S x_S = b_C`` with the basic artificials
-    ``x_R = b_R - S_R x_S``, and ``B^T y = c_B`` is ``y_R = 1`` with
-    ``S^T y_C = -S_R^T 1``.  A basis whose artificials repeat leaves S
-    not square, and one with a repeated structural column leaves it
-    singular: B is singular then, and proves nothing.
+    B is the m x m basis block of the exact loop's integer tableau: its
+    column k is ``signs * matrix[:, j]`` for a structural j and e_(j - n)
+    for an artificial one.  ``B x = b`` gives the final value column x
+    for ``_solution``; ``B^T w = q c_B``, with c_B 1 on the artificial
+    columns and 0 on the structural ones, gives the phase-1 multipliers
+    y = w / q and the final cost row ``-(w * signs) . matrix | q - w |
+    -w . b`` for ``_farkas``.  Both readers take any positive scaling q,
+    so each solve hands them its integer numerators over q.  A basis
+    that repeats a column leaves B singular, and would read one variable
+    twice: it proves nothing.
 
     ``guess`` is the guide's final value column and its cost row on the
-    artificial columns, in the rational tableau's scaling: there x_S is
-    the integer tableau's x_S over L, and the cost of artificial i is
-    1 - y_i.  Each system first tries the candidate these point to:
+    artificial columns, in the rational tableau's scaling.  The integer
+    tableau ``[D A | I | L D b]`` scales a structural value by L and an
+    artificial one by L D, so x holds the guide's values times those
+    units; y is the same in both scalings, and the cost of artificial i
+    is 1 - y_i.  Each system first tries the candidate these point to:
     :func:`jointfeas.linalg.rationalize` reads the floats back over one
-    denominator q (x_S in target space, its numerators then multiplied
-    by L in exact integers), and the candidate is accepted only when
-    ``S num == q rhs`` holds exactly.  A system without a guess, or whose
-    candidate fails that check, is solved by p-adic lifting
+    denominator q, its numerators are multiplied by their units in exact
+    integers, and the candidate is accepted only when it solves the
+    system exactly.  A system without a guess, or whose candidate fails
+    that check, is solved by p-adic lifting
     (:func:`jointfeas.linalg.lifted_solve`), or by Bareiss elimination
-    when S is singular modulo the lifting prime.  A nonsingular B fixes
+    when B is singular modulo the lifting prime.  A nonsingular B fixes
     x and y uniquely, so the candidate and both solvers give one result.
     No basis passes both readers (the Farkas alternative), so
     ``dual_first`` changes which system is settled first, never the
-    result.  A singular S with no repeated column proves nothing by
+    result.  A singular B with no repeated column proves nothing by
     either solver, but an exact candidate still settles it, and a result
     read off it passes the same readers' checks.
     """
     m, n = matrix.shape
-    structural = [j for j in basis if j < n]
-    covered = [j - n for j in basis if j >= n]
-    free = sorted(set(range(m)).difference(covered))
-    # Repeated artificials leave S not square; a repeated structural
-    # column leaves it singular, and would read as one variable.
-    if len(free) != len(structural) or len(set(structural)) != len(structural):
+    if len(set(basis)) != m:
         return None
-    columns = matrix[:, structural]
     # A sign of -1 takes int64's minimum -2**63 past int64, so the test is
     # on the peak, not on the dtype.
-    dtype = np.int64 if peak(columns) <= _INT64_MAX else object
-    block = np.asarray(columns, dtype) * np.array(signs, dtype)[:, None]
-    square, rest = block[free], block[covered]
+    dtype = np.int64 if top <= _INT64_MAX else object
+    square = np.zeros((m, m), dtype)
+    for k, j in enumerate(basis):
+        if j < n:
+            square[:, k] = matrix[:, j]
+        else:
+            square[j - n, k] = signs[j - n]  # the row signs below take it back to 1
+    square *= np.array(signs, dtype)[:, None]
 
     def primal(x: list[int], q: int) -> EqualityFeasibility | None:
-        solved, shift = iter(x), iter(product(rest, integers(x)).tolist())
-        values = [next(solved) if j < n else q * b[j - n] - next(shift) for j in basis]
-        return _solution(values, basis, n, q, scale, pivots)
+        return _solution(x, basis, n, q, scale, pivots)
 
-    def dual(y: list[int], q: int) -> EqualityFeasibility | None:
-        w = [q] * m
-        for i, v in zip(free, y):
-            w[i] = v
+    def dual(w: list[int], q: int) -> EqualityFeasibility | None:
         costs = product(integers([wi * s for wi, s in zip(w, signs)]), matrix, top)
         cost = [*(-costs).tolist(), *(q - wi for wi in w), -sum(wi * bi for wi, bi in zip(w, b))]
         return _farkas(cost, n, q, signs, pivots)
 
-    ones = np.ones(len(covered), np.int64)
     primal_guess = dual_guess = None
     if guess is not None:
         values, costs = guess
-        primal_guess = [v for v, j in zip(values, basis) if j < n], scale
-        dual_guess = [1.0 - costs[i] for i in free], 1
+        primal_guess = values, [scale if j < n else scale * den for j in basis]
+        dual_guess = [1.0 - c for c in costs], [1] * m
     checks = [
-        (primal, square, [b[i] for i in free], primal_guess),
-        (dual, square.T, [-v for v in product(ones, rest).tolist()], dual_guess),
+        (primal, square, b, primal_guess),
+        (dual, square.T, [int(j >= n) for j in basis], dual_guess),
     ]
     for read, system, rhs, candidate in reversed(checks) if dual_first else checks:
         solved = None if candidate is None else _candidate(system, rhs, *candidate)
@@ -594,13 +577,15 @@ def _certify(
     return None
 
 
-def _candidate(system: np.ndarray, rhs: list[int], floats: list[float], unit: int) -> tuple[list[int], int] | None:
-    """``(num, q)`` read off ``floats`` times ``unit``, if ``system @ num == q * rhs`` exactly, else None."""
+def _candidate(
+    system: np.ndarray, rhs: list[int], floats: Sequence[float], units: list[int]
+) -> tuple[list[int], int] | None:
+    """``(num, q)`` read off ``floats`` times their ``units``, if ``system @ num == q * rhs`` exactly, else None."""
     found = rationalize(floats)
     if found is None:
         return None
     num, q = found
-    num = [unit * v for v in num]
+    num = [unit * v for unit, v in zip(units, num)]
     return (num, q) if product(system, integers(num)).tolist() == [q * v for v in rhs] else None
 
 

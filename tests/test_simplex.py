@@ -115,7 +115,7 @@ def guided_path(rows, rhs):
     """The float guide's basis settled by ``_certify`` from its own final floats, or None."""
     matrix, den, signs, b, scale = integer_lp(rows, rhs)
     guide = simplex._guided(matrix, linalg.peak(matrix), den, rhs, signs)
-    return None if guide is None else simplex._certify(matrix, linalg.peak(matrix), signs, b, scale, *guide)
+    return None if guide is None else simplex._certify(matrix, linalg.peak(matrix), den, signs, b, scale, *guide)
 
 
 def force_guide(monkeypatch):
@@ -517,7 +517,7 @@ def test_a_nan_ratio_in_the_guide_falls_back_to_exact_loop(monkeypatch):
 def certify_both_orders(matrix, den, rhs, basis, pivots, guess=None):
     signs, b, scale = simplex._scales(den, rhs)
     return [
-        simplex._certify(matrix, linalg.peak(matrix), signs, b, scale, basis, pivots, dual_first, guess)
+        simplex._certify(matrix, linalg.peak(matrix), den, signs, b, scale, basis, pivots, dual_first, guess)
         for dual_first in (False, True)
     ]
 
@@ -539,13 +539,40 @@ def test_certify_result_does_not_depend_on_check_order(system, data):
     assert primal_first == dual_first == exact_loop(rows, rhs)
 
 
-@pytest.mark.parametrize("n,pair,feasible,pivots", PINNED_BLAND_PATHS)
-def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasible, pivots):
-    rows, rhs = equal_pair_moment_lp(n, pair)
-    matrix, _, den = rational_lp(rows, rhs)
+def three_valued_moment_problem(mean, square, pair):
+    """Three variables on {-1, 1/2, 2} with equal means, equal squares and equal pair moments.
+
+    Its rows hold halves and quarters, so den > 1, and the artificial
+    columns' unit L D differs from the structural columns' L.
+    """
+    names = ["X0", "X1", "X2"]
+    return MomentProblem(
+        tuple(FiniteRandomVariable(v, (F(-1), F(1, 2), F(2))) for v in names),
+        tuple(
+            [MomentConstraint.of({v: 1}, mean) for v in names]
+            + [MomentConstraint.of({v: 2}, square) for v in names]
+            + [MomentConstraint.of({a: 1, b: 1}, pair) for a, b in combinations(names, 2)]
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "problem,feasible,pivots",
+    [pytest.param(equal_pair_moment_problem(*p.values[:2]), *p.values[2:], id=p.id) for p in PINNED_BLAND_PATHS]
+    + [
+        # the moments of three independent uniform variables
+        pytest.param(three_valued_moment_problem(F(1, 2), F(7, 4), F(1, 4)), True, None, id="three-valued-feasible"),
+        # E[(X0 + X1 + X2)**2] = 3 - 18/5 < 0
+        pytest.param(three_valued_moment_problem(F(0), F(1), F(-3, 5)), False, None, id="three-valued-infeasible"),
+    ],
+)
+def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, problem, feasible, pivots):
+    matrix, den, rhs = feasibility._constraint_rows(problem)
+    rows = fraction_rows(matrix, den)
     basis, count, _, guess = simplex._guided(matrix, linalg.peak(matrix), den, rhs, signs_of(rhs))
-    # The guide's basis under its own pricing, then Bland's, whose path
-    # (and pivot count) is pinned.
+    # The guide's basis under its own pricing, then Bland's, which
+    # certifies to the exact loop's result (its pivot count pinned on the
+    # +-1 LPs).
     results = []
     for final in ((basis, count), bland_basis(matrix, den, rhs)):
         primal_first, dual_first = certify_both_orders(matrix, den, rhs, *final)
@@ -553,7 +580,8 @@ def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasib
         assert primal_first.feasible == feasible
         check_result(rows, rhs, primal_first)
         results.append(primal_first)
-    assert results[1].pivots == pivots
+    assert results[1] == exact_loop(rows, rhs)
+    assert pivots is None or results[1].pivots == pivots
 
     # The guide's own final floats settle its basis in either order, and
     # the solve reads its result off them: no lift and no Bareiss
@@ -563,7 +591,7 @@ def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasib
     monkeypatch.setattr(simplex, "lifted_solve", lambda *a: solves.append(1) or real_lift(*a))
     monkeypatch.setattr(simplex, "echelon", lambda *a, **k: eliminations.append(1) or real_echelon(*a, **k))
     assert certify_both_orders(matrix, den, rhs, basis, count, guess) == [results[0]] * 2
-    assert solve_equality_feasibility(*rational_lp(rows, rhs)) == results[0]
+    assert solve_equality_feasibility(matrix, rhs, den) == results[0]
     assert solves == [] and eliminations == []
 
 
@@ -572,11 +600,11 @@ def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, n, pair, feasib
 # ---------------------------------------------------------------------------
 
 
-def whole_basis_bareiss(matrix, top, signs, b, scale, basis, pivots, dual_first):
+def whole_basis_bareiss(matrix, top, den, signs, b, scale, basis, pivots, dual_first):
     """``_certify`` as Bareiss elimination on the whole m x m basis block B.
 
-    A reference written without the reduction to the structural block:
-    ``B x = b`` and ``B^T w = c_B`` are each one ``echelon`` run.
+    A reference with no candidate and no lift: ``B x = b`` and
+    ``B^T w = c_B`` are each one ``echelon`` run.
     """
     m, n = matrix.shape
     columns = [
@@ -658,17 +686,15 @@ def exact_values(rows, rhs, basis):
 def floats_pin(args, exact):
     """Whether ``rationalize`` reads the exact values back from the floats ``_certify`` reads.
 
-    Those are the float copy of x on the structural rows, and 1 minus
-    the float copy of the artificial cost 1 - y on the rows no basic
-    artificial covers, as ``assert_lift_equals_bareiss`` passes them.
+    Those are the float copy of every basic value of x, and 1 minus the
+    float copy of the artificial cost 1 - y on every row, as
+    ``assert_lift_equals_bareiss`` passes them.  ``_certify`` multiplies
+    each read numerator by its unit (L, or L D on an artificial column,
+    and 1 for y); a unit scales a value and its reading alike, so it
+    leaves the comparison as it is.
     """
-    matrix, basis = args[0], args[5]
-    n = matrix.shape[1]
     x, y = exact
-    read = (
-        [(v, float(v)) for v, j in zip(x, basis) if j < n],
-        [(v, 1.0 - float(1 - v)) for i, v in enumerate(y) if n + i not in basis],
-    )
+    read = [(v, float(v)) for v in x], [(v, 1.0 - float(1 - v)) for v in y]
     for pairs in read:
         found = linalg.rationalize([f for _, f in pairs])
         if found is None or [F(v, found[1]) for v in found[0]] != [v for v, _ in pairs]:
@@ -695,13 +721,13 @@ def assert_lift_equals_bareiss(args, exact):
         moved = tuple([v + (abs(v) + 1) / 1024 for v in floats] for floats in guess)
         settled, solves = certify_counted(*args, moved)
         assert settled == lifted
-        assert solves > 0 or all(j >= args[0].shape[1] for j in args[5])
+        assert solves > 0
     return lifted
 
 
 def certify_args(rows, rhs, basis, pivots, dual_first):
     matrix, den, signs, b, scale = integer_lp(rows, rhs)
-    return matrix, linalg.peak(matrix), signs, b, scale, basis, pivots, dual_first
+    return matrix, linalg.peak(matrix), den, signs, b, scale, basis, pivots, dual_first
 
 
 @settings(max_examples=300, deadline=None)
@@ -747,7 +773,7 @@ def test_lifted_certificate_equals_bareiss_on_large_pm_one_pairs(n, pair, feasib
     matrix, den, rhs = feasibility._constraint_rows(equal_pair_moment_problem(n, pair))
     signs, b, scale = simplex._scales(den, rhs)
     top = linalg.peak(matrix)
-    args = (matrix, top, signs, b, scale, *simplex._guided(matrix, top, den, rhs, signs)[:3])
+    args = (matrix, top, den, signs, b, scale, *simplex._guided(matrix, top, den, rhs, signs)[:3])
     lifted, eliminations = certify_lifted(*args)
     assert eliminations == 0 and lifted.feasible == feasible
     assert lifted == certify_by_bareiss(*args)
@@ -761,7 +787,7 @@ def test_lifted_certificate_equals_bareiss_on_large_pm_one_pairs(n, pair, feasib
         ([[F(linalg.PRIME)]], [F(1)], [0]),
         ([[F(1), F(2)], [F(3), F(6 + linalg.PRIME)]], [F(3), F(9 + linalg.PRIME)], [0, 1]),
         ([[F(1), F(2)], [F(3), F(6 + linalg.PRIME)]], [F(1), F(1)], [0, 1]),  # proves nothing
-        # a 1 x 1 block under one basic artificial: det = p again
+        # one basic artificial beside a column whose other entry is p: |det| = p again
         ([[F(1), F(2)], [F(2 * linalg.PRIME), F(linalg.PRIME)]], [F(2), F(linalg.PRIME)], [1, 2]),
     ],
 )
@@ -800,6 +826,16 @@ def test_wide_rows_and_factors_take_python_ints_and_agree(monkeypatch, rows, rhs
     assert any(p.dtype == object for p in products)
 
 
+def test_an_artificial_value_the_floats_cannot_pin_is_lifted():
+    # The float of 1/51964 reads back as 1/51963, within 2**-30 of it.
+    rows, rhs, basis = [[F(0)]], [F(1, 51964)], [1]
+    exact = exact_values(rows, rhs, basis)
+    for dual_first in (False, True):
+        args = certify_args(rows, rhs, basis, 0, dual_first)
+        assert not floats_pin(args, exact)
+        assert assert_lift_equals_bareiss(args, exact).feasible is False
+
+
 def test_a_repeated_basis_column_proves_nothing():
     rows, rhs = [[F(1), F(1)], [F(1), F(-1)]], [F(1), F(0)]
     for basis in ([0, 0], [2, 2], [3, 3]):
@@ -830,12 +866,12 @@ def test_row_peaks_are_each_rows_largest_magnitude(matrix):
 @pytest.mark.parametrize("dual_first", [False, True])
 @pytest.mark.parametrize("b", [F(-1), F(1)])
 def test_certify_block_of_the_int64_minimum_takes_python_ints(b, dual_first):
-    # A sign of -1 turns -2**63 into 2**63, past int64: the block's dtype
-    # follows peak(columns), not the matrix's dtype.
+    # A sign of -1 turns -2**63 into 2**63, past int64: B's dtype follows
+    # the matrix's peak, not its dtype.
     matrix = np.array([[-(2**63), 1]], np.int64)
     signs = signs_of([b])
     _, rhs, scale = simplex._scales(1, [b])
-    args = (matrix, linalg.peak(matrix), signs, rhs, scale, [0], 1, dual_first)
+    args = (matrix, linalg.peak(matrix), 1, signs, rhs, scale, [0], 1, dual_first)
     lifted, _ = certify_lifted(*args)
     assert lifted == whole_basis_bareiss(*args)
     assert lifted is None or lifted.solution == {0: F(b, -(2**63))}
@@ -1006,12 +1042,13 @@ def test_inputs_that_are_not_rational_raise_value_error(rows, rhs, den):
 
 
 def test_integer_rows_of_any_int_dtype_are_accepted(monkeypatch):
-    # Unsigned rows that fit int64 take the int64 path, so they get the
-    # int64 rows' result; Python-int rows go to the float guide, whose
-    # result checks exactly and has the same verdict.
+    # Rows of any other int dtype that fit int64 are read as int64 and
+    # take the int64 path, so they get the int64 rows' result; Python-int
+    # rows go to the float guide, whose result checks exactly and has the
+    # same verdict.
     expected = solve_equality_feasibility(np.array([[1, 2]], np.int64), [F(1, 2)], 3)
     guides = spy_guide(monkeypatch)
-    for dtype in (np.uint8, np.uint64):
+    for dtype in (np.int8, np.int16, np.int32, np.uint8, np.uint64):
         assert solve_equality_feasibility(np.array([[1, 2]], dtype), [F(1, 2)], 3) == expected
     assert guides == []
     res = solve_equality_feasibility(np.array([[1, 2]], object), [F(1, 2)], 3)
@@ -1019,6 +1056,24 @@ def test_integer_rows_of_any_int_dtype_are_accepted(monkeypatch):
     check_result([[F(1, 3), F(2, 3)]], [F(1, 2)], res)
     with pytest.raises(ValueError, match="must hold ints"):
         solve_equality_feasibility(np.array([[F(1, 3), 2]], object), [1], 3)
+
+
+def test_int32_rows_are_bounded_by_their_exact_column_norms():
+    # Column norms squared in int32 wrap (to 1, 345414069, 345414069
+    # here), which let these rows into the int64 loop, whose pivots then
+    # overflowed into a vector that was no Farkas certificate.
+    matrix = np.array(
+        [
+            [-914711844, -722287172, -338890505, -1036900656, 1293247302],
+            [-1731845101, -1323069042, -1372700560, 1606298192, -1054497252],
+            [-97008859, 1457497106, -485378934, -1197326419, -1429141001],
+        ],
+        np.int32,
+    )
+    rhs = [F(4), F(-1), F(3)]
+    res = solve_equality_feasibility(matrix, rhs, 1)
+    check_result(fraction_rows(matrix, 1), rhs, res)
+    assert res == solve_equality_feasibility(matrix.astype(object), rhs, 1)
 
 
 def check_paths_agree(rows, rhs):
@@ -1241,10 +1296,10 @@ def template_cases(draw):
     """A signed, unsigned or Python-int matrix, a denominator and two mixed-sign targets.
 
     Entry and target sizes are drawn per case, so the bound E < 2**31
-    both holds and fails.
+    both holds and fails; int8 to int32 entries reach their dtype's limits.
     """
     m, n = draw(st.integers(1, 5)), draw(st.integers(0, 6))
-    kind = draw(st.sampled_from(["int64", "uint64", "object"]))
+    kind = draw(st.sampled_from(["int8", "int16", "int32", "int64", "uint64", "object"]))
     bits = draw(st.integers(0, 34))
     if kind == "uint64":
         top = draw(st.sampled_from([2**bits, 2**64 - 1]))
@@ -1252,8 +1307,9 @@ def template_cases(draw):
     elif kind == "object":
         entries = st.integers(-(2 ** (bits + 40)), 2 ** (bits + 40))
     else:
-        entries = st.integers(-(2**bits), 2**bits)
-    matrix = np.array([[draw(entries) for _ in range(n)] for _ in range(m)], kind if kind != "int64" else np.int64)
+        info = np.iinfo(kind)
+        entries = st.integers(max(info.min, -(2**bits)), min(info.max, 2**bits))
+    matrix = np.array([[draw(entries) for _ in range(n)] for _ in range(m)], kind)
     matrix = matrix.reshape(m, n)
     size = 2 ** draw(st.integers(0, 34))
     target = st.builds(F, st.integers(-size, size), st.integers(1, 6))
@@ -1264,22 +1320,23 @@ def template_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(template_cases())
 def test_template_admits_and_fills_as_the_per_call_tableau(case):
-    # One template serves both targets: its block is built for the first
-    # one admitted and copied for each, so the second sees it unchanged.
+    # Rows of any int dtype are read as int64 when they fit, else as
+    # Python ints.  One template serves both targets: its block is built
+    # for the first one admitted and copied for each, so the second sees
+    # it unchanged.
     matrix, den, targets = case
-    template = simplex._Template(matrix)
-    old = matrix
-    if matrix.dtype.kind == "u" and matrix.max(initial=0) < 2**63:
-        old = matrix.astype(np.int64)
-    rows = matrix if template.rows is None else template.rows
-    assert rows.dtype == old.dtype and rows.tolist() == old.tolist()
-    assert template.top == linalg.peak(old)
+    rows = simplex._widened(matrix)
+    top = linalg.peak(matrix)
+    assert rows.dtype == (np.int64 if matrix.dtype != object and top < 2**63 else object)
+    assert rows.tolist() == matrix.tolist()
+    template = simplex._Template(rows)
+    assert template.top == top
     for rhs in targets:
         signs, b, scale = simplex._scales(den, rhs)
         assert signs == signs_of(rhs)
         assert scale == lcm(*[v.denominator for v in rhs])
         assert b == [s * v.numerator * (scale * den // v.denominator) for s, v in zip(signs, rhs)]
-        expected = reference_int64_tableau(old, linalg.peak(old), signs, b)
+        expected = reference_int64_tableau(rows, top, signs, b)
         got = template.tableau(rows, signs, b)
         if expected is None:
             assert got is None
@@ -1346,24 +1403,23 @@ def test_the_row_cache_sets_the_lifetime_of_its_templates(monkeypatch):
     assert simplex._templates == {}
 
 
-def spy_block(monkeypatch):
-    """Record the shape of each int64 block built."""
-    shapes = []
-    real = simplex._block
-    monkeypatch.setattr(simplex, "_block", lambda matrix: shapes.append(matrix.shape) or real(matrix))
-    return shapes
+def spy_tableau(monkeypatch):
+    """Record the shape and dtype of each integer tableau built."""
+    built = []
+    real = simplex._integer_tableau
+    monkeypatch.setattr(simplex, "_integer_tableau", lambda *a: built.append((a[0].shape, a[-1])) or real(*a))
+    return built
 
 
 def test_one_block_serves_every_target_of_a_read_only_matrix(monkeypatch):
     problem = equal_pair_moment_problem(4, F(-1, 5))
     matrix, den = feasibility._build_rows(feasibility._row_structure(problem))
-    blocks = spy_block(monkeypatch)
+    targets = [[F(0)] * 4 + [pair] * 6 + [F(1)] for pair in (F(-1, 5), F(-1, 2), F(1, 3))]
+    expected = [exact_loop(fraction_rows(matrix, den), rhs) for rhs in targets]
+    built = spy_tableau(monkeypatch)
     guides = spy_guide(monkeypatch)
-    for pair in (F(-1, 5), F(-1, 2), F(1, 3)):
-        rhs = [F(0)] * 4 + [pair] * 6 + [F(1)]
-        expected = exact_loop(fraction_rows(matrix, den), rhs)
-        assert solve_equality_feasibility(matrix, rhs, den) == expected
-    assert blocks == [matrix.shape] and guides == []
+    assert [solve_equality_feasibility(matrix, rhs, den) for rhs in targets] == expected
+    assert built == [(matrix.shape, np.int64)] and guides == []
 
 
 @pytest.mark.parametrize("n,pair,feasible", [(5, F(-1, 5), True), (6, F(-1, 4), False)])
@@ -1371,11 +1427,8 @@ def test_a_guided_system_allocates_no_int64_tableau(monkeypatch, n, pair, feasib
     # Over the bound, the solve decides that from the kept norms and the
     # target's column alone: no int64 block or tableau is built.
     matrix, den, rhs = feasibility._constraint_rows(equal_pair_moment_problem(n, pair))
-    blocks = spy_block(monkeypatch)
-    tableaux = []
-    real = simplex._integer_tableau
-    monkeypatch.setattr(simplex, "_integer_tableau", lambda *a: tableaux.append(a[-1]) or real(*a))
+    built = spy_tableau(monkeypatch)
     guides = spy_guide(monkeypatch)
     res = solve_equality_feasibility(matrix, rhs, den)
     assert res.feasible == feasible
-    assert len(guides) == 1 and blocks == [] and tableaux == []
+    assert len(guides) == 1 and built == []
