@@ -65,7 +65,7 @@ from .algebraic import as_fraction, exact_text
 from .check import verify_certificate
 from .errors import ConstraintMismatchError, SizeCapError, ValidationError
 from .geometry import cone_membership
-from .linalg import solve
+from .linalg import solve, width
 from .probability import Atom, FiniteRandomVariable, JointDistribution
 from .simplex import solve_equality_feasibility
 
@@ -87,9 +87,6 @@ ORACLE_ATOM_CAP = 4096
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-_INT64_MAX = (1 << 63) - 1
-
 
 _RELATIONS = ("==", "<=", ">=")
 
@@ -340,7 +337,7 @@ def _build_rows(structure: tuple) -> tuple[np.ndarray, int]:
             scale = 1
         specs.append(factors)
         bound = max(bound, top)
-    dtype = np.int64 if bound <= _INT64_MAX else object
+    dtype = width(bound)
 
     owners = [i for i, (_, relation) in enumerate(constraints) if relation != "=="]
     matrix = np.zeros((len(specs) + 1, count + len(owners)), dtype)
@@ -365,7 +362,11 @@ class _RowCache:
     The kept matrices hold at most 64 * ``_ROW_CACHE_CELLS`` cells in
     all; past that the least recently used go first.  Bounding cells
     rather than entries lets a pass over many small structures (a
-    ladder of lattices, the subsets of a GHZ system) stay cached.
+    ladder of lattices, the subsets of a GHZ system) stay cached.  The
+    bound counts only the matrices: while a kept m x n matrix lives, the
+    simplex keeps its template too, and once a target passes the int64
+    bound that holds an (m + 1) x (n + m + 1) int64 block (on CHSH, 260
+    cells beside the matrix's 144).
     """
 
     def __init__(self) -> None:

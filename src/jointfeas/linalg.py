@@ -7,16 +7,17 @@ the exact simplex loop of :mod:`jointfeas.simplex` pivots its integer
 tableau with it.  Rank and independent rows, nullspaces, solves and
 inverses are all read off :func:`echelon`'s result.
 
-A square nonsingular system, the simplex's certificate solve, is
-solved faster by :func:`lifted_solve` (Dixon, Numer. Math. 40, 1982):
-one inverse modulo :data:`PRIME`, in int64, then p-adic lifting and
-rational reconstruction, accepted only after an exact integer check.
-When the system is singular modulo the prime it returns None, and
-:func:`echelon` decides.  Where floats already approximate the answer,
-:func:`rationalize` reads integer numerators over one denominator off
-them by continued fractions, for a caller to accept only after an exact
-check.  :func:`product` multiplies integer arrays in int64 when a bound
-computed first allows it, and on Python ints otherwise.
+A square system, the simplex's certificate solve, is solved by
+:func:`lifted_solve` (Dixon, Numer. Math. 40, 1982): one inverse modulo
+:data:`PRIME`, in int64, then p-adic lifting and rational
+reconstruction, accepted only after an exact integer check, or by
+Bareiss elimination when the system is singular modulo the prime; it
+returns None only on a singular system.  Where floats already
+approximate the answer, :func:`rationalize` reads integer numerators
+over one denominator off them by continued fractions, for a caller to
+accept only after an exact check.  One rule, :func:`width`, picks int64
+when a bound computed first fits and Python ints otherwise, for
+:func:`product`, :func:`integers`, the lifting, the rows and the simplex.
 
 Rational input is scaled to integers one row at a time
 (:func:`integral`); that changes neither a row space, nor a nullspace,
@@ -45,6 +46,7 @@ __all__ = [
     "product",
     "rationalize",
     "solve",
+    "width",
 ]
 
 IntVec = tuple[int, ...]
@@ -198,6 +200,11 @@ def inverse(square: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
 # ---------------------------------------------------------------------------
 
 
+def width(bound: int) -> type:
+    """``np.int64`` when every integer of magnitude at most ``bound`` fits it, else ``object`` (Python ints)."""
+    return np.int64 if bound <= _INT64_MAX else object
+
+
 def peak(a: np.ndarray) -> int:
     """The largest entry magnitude of an integer array, as a Python int (0 when empty)."""
     if not a.size:
@@ -209,8 +216,7 @@ def peak(a: np.ndarray) -> int:
 
 def integers(values: Sequence[int]) -> np.ndarray:
     """Python ints as an int64 array when every one fits, else as an object array."""
-    fits = max(map(abs, values), default=0) <= _INT64_MAX
-    return np.array(values, np.int64 if fits else object)
+    return np.array(values, width(max(map(abs, values), default=0)))
 
 
 def product(a: np.ndarray, b: np.ndarray, top_b: int | None = None) -> np.ndarray:
@@ -223,7 +229,7 @@ def product(a: np.ndarray, b: np.ndarray, top_b: int | None = None) -> np.ndarra
     """
     if top_b is None:
         top_b = peak(b)
-    dtype = np.int64 if max(peak(a), 1) * max(top_b, 1) * a.shape[-1] <= _INT64_MAX else object
+    dtype = width(max(peak(a), 1) * max(top_b, 1) * a.shape[-1])
     return np.asarray(a, dtype) @ np.asarray(b, dtype)
 
 
@@ -243,24 +249,24 @@ def lifted_solve(square: np.ndarray, rhs: Sequence[int]) -> tuple[list[int], int
     only if ``square @ num == q * rhs`` holds exactly, so the result is
     the unique solution.  Lifting stops once P exceeds twice the
     Hadamard bounds on the numerators and on det ``square`` multiplied
-    together; reconstruction within those bounds cannot fail, so
-    reaching the stop returns None only on a fault.
+    together; reconstruction within those bounds cannot fail.
 
-    Returns None when ``square`` is singular modulo the prime, which it
-    is whenever it is singular over the rationals; the caller then
-    decides with :func:`echelon`.  ``square`` is an int64 or object
-    array, ``rhs`` holds Python ints.
+    A ``square`` singular modulo the prime (every one singular over the
+    rationals is) goes to Bareiss elimination by :func:`echelon`
+    instead, and so would a lifting that a fault ended without a checked
+    reading.  So the result is None exactly when ``square`` is singular.
+    ``square`` is an int64 or object array, ``rhs`` holds Python ints.
     """
     k = len(square)
     if not k:
         return [], 1
     inverse_mod = _inverse_mod(np.asarray(square % PRIME, np.int64))
     if inverse_mod is None:
-        return None
+        return _bareiss(square, rhs)
     top, rhs_top = peak(square), max(map(abs, rhs))
     # Each residual stays within max(rhs_top, k * top), and before its
     # division by p within that plus k * top * (p - 1).
-    dtype = np.int64 if max(rhs_top, k * top) + k * top * (PRIME - 1) <= _INT64_MAX else object
+    dtype = width(max(rhs_top, k * top) + k * top * (PRIME - 1))
     matrix, residual = np.asarray(square, dtype), np.array(rhs, dtype)
     # Hadamard: |det square| < den_limit and, by Cramer's rule, every
     # numerator of x over det square is below num_limit in magnitude.
@@ -287,7 +293,17 @@ def lifted_solve(square: np.ndarray, rhs: Sequence[int]) -> tuple[list[int], int
             if product(square, integers(num)).tolist() == [q * v for v in rhs]:
                 return num, q
         if final:
-            return None
+            return _bareiss(square, rhs)
+
+
+def _bareiss(square: np.ndarray, rhs: Sequence[int]) -> tuple[list[int], int] | None:
+    """``(|det| x, |det|)`` for ``square @ x = rhs`` by Bareiss elimination, or None if singular."""
+    k = len(square)
+    mat, piv, det = echelon([[*row, v] for row, v in zip(square.tolist(), rhs)], pivot_cols=k)
+    if len(piv) != k:
+        return None
+    sign = 1 if det > 0 else -1
+    return [sign * row[k] for row in mat], abs(det)
 
 
 def _inverse_mod(residues: np.ndarray) -> np.ndarray | None:

@@ -1,10 +1,13 @@
 """Exact finite probability: variables, joint distributions, moments.
 
 All arithmetic in this module is exact: values and masses are
-`fractions.Fraction`.  Moments are computed by the witness gate's own
-helper in :mod:`jointfeas.check`, which sums integer numerators
-(supports over their common denominators, masses over theirs) and
-builds one `Fraction` at the end.  Feasibility verdicts and probability-1
+`fractions.Fraction`.  Moments are computed by a helper in
+:mod:`jointfeas.check`, which sums integer numerators (supports over
+their common denominators, masses over theirs) and builds one
+`Fraction` at the end.  It shares only its integer support tables with
+the witness gate, which sums each moment in its own loop, so a moment
+read off a witness here is an independent recheck of that gate.
+Feasibility verdicts and probability-1
 statements elsewhere in the package lean on that exactness, so nothing
 here may round.  Values are immutable after construction and every
 operation is a pure function.

@@ -53,14 +53,13 @@ decided on one of three paths:
    floats (:func:`jointfeas.linalg.rationalize`) and accepts it only
    when an exact integer check shows that it solves the system.  Where
    the floats cannot pin the values, so that the check fails, the
-   system is solved by p-adic lifting
-   (:func:`jointfeas.linalg.lifted_solve`), which checks its result
-   exactly; a B singular modulo the lifting prime goes to Bareiss
-   elimination instead.  A nonsingular basis fixes the solution, so the
-   candidate and either solver give the same result.  The guide's
-   phase-1 objective picks which system is settled first (the dual one
-   when it is positive); no basis passes both readers, so the order
-   changes the cost, never the result.  A float reaches a result only
+   system is solved by :func:`jointfeas.linalg.lifted_solve`: p-adic
+   lifting with an exact check of its result, or Bareiss elimination
+   where B is singular modulo the lifting prime.  A nonsingular basis
+   fixes the solution, so the candidate and the solve give the same
+   result.  The guide's phase-1 objective picks which system is settled
+   first (the dual one when it is positive); no basis passes both
+   readers, so the order changes the cost, never the result.  A float reaches a result only
    through a candidate that the exact check has accepted.
 3. **Python-int fallback.**  When the guide stops early (pivot cap, no
    leaving row, a nan ratio, an entry beyond float range), or its basis
@@ -99,7 +98,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import echelon, integers, lifted_solve, peak, pivot, product, rationalize
+from .linalg import integers, lifted_solve, peak, pivot, product, rationalize, width
 
 __all__ = ["EqualityFeasibility", "solve_equality_feasibility"]
 
@@ -109,7 +108,6 @@ __all__ = ["EqualityFeasibility", "solve_equality_feasibility"]
 _TOL = 1e-9
 _PIVOT_CAP_PER_COLUMN = 50
 
-_INT64_MAX = (1 << 63) - 1
 # Integers below this in magnitude are exact doubles.
 _EXACT_DOUBLE = 1 << 53
 # The int64 loop runs only when the entry bound E is below this: then
@@ -161,7 +159,7 @@ def solve_equality_feasibility(rows: np.ndarray, rhs: Sequence[Fraction], den: i
     guide = _guided(matrix, template.top, den, rhs, signs)
     result = None if guide is None else _certify(matrix, template.top, den, signs, b, scale, *guide)
     if result is None:
-        result = _exact_loop(_integer_tableau(matrix, signs, b, object), n, m, signs, scale)
+        result = _exact_loop(_tableau(matrix, signs, b, object), n, m, signs, scale)
     if result is None:
         # An exact phase-1 optimum always exists and reads off.
         raise AssertionError("exact Bland loop ended without a result")
@@ -181,7 +179,7 @@ def _widened(matrix: np.ndarray) -> np.ndarray:
     """
     if matrix.dtype.kind not in "iu" or matrix.dtype == np.int64:
         return matrix
-    return matrix.astype(np.int64 if peak(matrix) <= _INT64_MAX else object)
+    return matrix.astype(width(peak(matrix)))
 
 
 class _Template:
@@ -207,7 +205,7 @@ class _Template:
         self.block = None
         m = len(matrix)
         # Squares past int64 put E past 2**31: E**2 >= (m + 1)**2 * top**2 > 2**63.
-        if kind == "i" and m * self.top**2 <= _INT64_MAX:
+        if kind == "i" and width(m * self.top**2) is np.int64:
             squares = np.sort(np.einsum("ij,ij->j", matrix, matrix))[-m:]  # each at most m * top**2
             largest = sorted(squares.tolist() + [1] * m)[-m:]  # the m artificial columns have norm 1
             full = prod(largest)
@@ -234,7 +232,7 @@ class _Template:
         if (m + 1) ** 2 * (others * column if column > low else full) >= _INT64_SAFE**2:
             return None
         if self.block is None:
-            self.block = _integer_tableau(matrix, [1] * m, [0] * m, np.int64)
+            self.block = _tableau(matrix, [1] * m, [0] * m, np.int64)
         tab = self.block.copy()
         n = matrix.shape[1]
         cost = tab[m, :n]
@@ -292,13 +290,21 @@ def _scales(den: int, rhs: Sequence[Fraction]) -> tuple[list[int], list[int], in
     return [-1 if p < 0 else 1 for p, _ in ratios], [abs(p) * (unit // q) for p, q in ratios], scale
 
 
-def _integer_tableau(matrix: np.ndarray, signs: Sequence[int], b: Sequence[int], dtype) -> np.ndarray:
-    """``[D A | I | L D b]`` with the cost row (minus the row sum, 0 on I) appended."""
-    m, n = matrix.shape
+def _tableau(body: np.ndarray, signs: Sequence[int], b: Sequence, dtype) -> np.ndarray:
+    """The sign-normalized phase-1 tableau ``[body | I | b]``, with the cost row (minus the row sum, 0 on I).
+
+    The exact loops pass the rows D A as ``body`` and the integer L D b,
+    in int64 or as Python ints (``object``); the float guide passes A as
+    floats and the right-hand side's magnitudes.  The signs multiply the
+    body and the artificial columns before the unit diagonal and b are
+    written, so a negated float row keeps its signed zeros.
+    """
+    m, n = body.shape
     tab = np.zeros((m + 1, n + m + 1), dtype)
-    tab[:m, :n] = matrix * np.array(signs, dtype)[:, None]
-    tab[:m, -1] = b
+    tab[:m, :n] = body
+    tab[:m, :-1] *= np.array(signs, dtype)[:, None]
     tab[np.arange(m), n + np.arange(m)] = 1
+    tab[:m, -1] = b
     tab[m] = -tab[:m].sum(axis=0)
     tab[m, n : n + m] = 0  # cost 1 minus the column sum 1
     return tab
@@ -404,7 +410,7 @@ def _guided(
         # Overflow to inf or nan only misguides, or stops the guide at a
         # nan ratio; the exact checks catch the rest.
         with np.errstate(over="ignore", invalid="ignore"):
-            tab = _tableau(matrix, top, den, rhs, signs)
+            tab = _tableau(_quotients(matrix, top, den), signs, [abs(float(v)) for v in rhs], float)
             guide = _float_guide(tab, n, m)
     except OverflowError:  # an entry beyond float range
         return None
@@ -425,21 +431,6 @@ def _quotients(matrix: np.ndarray, top: int, den: int) -> np.ndarray:
     if den < _EXACT_DOUBLE and top < _EXACT_DOUBLE:
         return matrix.astype(float) / den
     return (matrix.astype(object) / den).astype(float)
-
-
-def _tableau(
-    matrix: np.ndarray, top: int, den: int, rhs: Sequence[Fraction], signs: list[int]
-) -> np.ndarray:
-    """Sign-normalized float phase-1 tableau [A | I | b] with the cost row appended."""
-    m, n = matrix.shape
-    tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = _quotients(matrix, top, den)
-    tab[:m, -1] = rhs
-    tab[:m] *= np.array(signs)[:, None]
-    tab[np.arange(m), n + np.arange(m)] = 1.0
-    tab[m] = -tab[:m].sum(axis=0)
-    tab[m, n : n + m] = 0.0  # cost 1 minus the column sum 1
-    return tab
 
 
 def _float_guide(tab: np.ndarray, n: int, m: int) -> tuple[list[int], int] | None:
@@ -522,22 +513,22 @@ def _certify(
     denominator q, its numerators are multiplied by their units in exact
     integers, and the candidate is accepted only when it solves the
     system exactly.  A system without a guess, or whose candidate fails
-    that check, is solved by p-adic lifting
-    (:func:`jointfeas.linalg.lifted_solve`), or by Bareiss elimination
-    when B is singular modulo the lifting prime.  A nonsingular B fixes
-    x and y uniquely, so the candidate and both solvers give one result.
-    No basis passes both readers (the Farkas alternative), so
-    ``dual_first`` changes which system is settled first, never the
-    result.  A singular B with no repeated column proves nothing by
-    either solver, but an exact candidate still settles it, and a result
-    read off it passes the same readers' checks.
+    that check, is solved by :func:`jointfeas.linalg.lifted_solve`,
+    which settles every nonsingular B (by Bareiss elimination where B is
+    singular modulo the lifting prime).  A nonsingular B fixes x and y
+    uniquely, so the candidate and the solve give one result.  No basis
+    passes both readers (the Farkas alternative), so ``dual_first``
+    changes which system is settled first, never the result.  A singular
+    B with no repeated column proves nothing by the solve, but an exact
+    candidate still settles it, and a result read off it passes the same
+    readers' checks.
     """
     m, n = matrix.shape
     if len(set(basis)) != m:
         return None
     # A sign of -1 takes int64's minimum -2**63 past int64, so the test is
     # on the peak, not on the dtype.
-    dtype = np.int64 if top <= _INT64_MAX else object
+    dtype = width(top)
     square = np.zeros((m, m), dtype)
     for k, j in enumerate(basis):
         if j < n:
@@ -567,9 +558,7 @@ def _certify(
         solved = None if candidate is None else _candidate(system, rhs, *candidate)
         if solved is None:
             solved = lifted_solve(system, rhs)
-        if solved is None:  # singular modulo the prime: Bareiss decides
-            solved = _bareiss(system, rhs)
-        if solved is None:
+        if solved is None:  # B is singular
             return None
         result = read(*solved)
         if result is not None:
@@ -587,13 +576,3 @@ def _candidate(
     num, q = found
     num = [unit * v for unit, v in zip(units, num)]
     return (num, q) if product(system, integers(num)).tolist() == [q * v for v in rhs] else None
-
-
-def _bareiss(square: np.ndarray, rhs: list[int]) -> tuple[list[int], int] | None:
-    """``(|det| x, |det|)`` for ``square @ x = rhs`` by Bareiss elimination, or None if singular."""
-    k = len(square)
-    mat, piv, det = echelon([[*row, v] for row, v in zip(square.tolist(), rhs)], pivot_cols=k)
-    if len(piv) != k:
-        return None
-    sign = 1 if det > 0 else -1
-    return [sign * row[k] for row in mat], abs(det)

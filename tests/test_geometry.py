@@ -308,9 +308,7 @@ def test_lifted_solve_equals_solve(system, python_ints):
     _, pivots, det = linalg.echelon(rows)
     if len(pivots) < k:
         assert got is None
-    elif det % linalg.PRIME == 0:
-        assert got is None  # singular modulo the prime: the caller's Bareiss solve decides
-    else:
+    else:  # singular modulo the prime or not, the solve settles it
         num, q = got
         assert q > 0 and all(type(v) is int for v in [*num, q])
         assert [F(v, q) for v in num] == linalg.solve(rows, [rhs])[0]
@@ -342,11 +340,24 @@ def test_lifting_reads_back_at_most_log2_steps_plus_two_times(monkeypatch, digit
         [[1, 2], [2, 4]],
         [[0, 0], [3, 1]],
         [[2**70, 1, 0], [1, 2**70, 0], [2**70 + 1, 2**70 + 1, 0]],
-        [[linalg.PRIME, 0], [0, 1]],  # nonsingular, but singular modulo the prime
     ],
 )
 def test_lifted_solve_is_none_on_singular_blocks(rows):
     assert linalg.lifted_solve(np.array(rows, object), [1] * len(rows)) is None
+
+
+def test_lifted_solve_settles_a_block_singular_modulo_the_prime():
+    # Nonsingular over the rationals, singular modulo the prime: Bareiss
+    # elimination solves it, and the result is (|det| x, |det|).
+    p = linalg.PRIME
+    assert linalg.lifted_solve(np.array([[p, 0], [0, 1]], object), [1, 1]) == ([1, p], p)
+
+
+def test_lifted_solve_ends_in_bareiss_when_no_reading_checks(monkeypatch):
+    # Reconstruction within the Hadamard bounds cannot fail; were a fault
+    # to leave every reading unchecked, the solve still ends exact.
+    monkeypatch.setattr(linalg, "_reconstruct", lambda *a: None)
+    assert linalg.lifted_solve(np.array([[2, 1], [1, 3]], object), [1, 0]) == ([3, -1], 5)
 
 
 small_rationals = st.integers(1, 2**10).flatmap(

@@ -95,7 +95,7 @@ def integer_lp(rows, rhs):
 def exact_loop(rows, rhs):
     """The Python-int exact loop from a cold start, as the fallback runs it."""
     matrix, den, signs, b, scale = integer_lp(rows, rhs)
-    tab = simplex._integer_tableau(matrix, signs, b, object)
+    tab = simplex._tableau(matrix, signs, b, object)
     return simplex._exact_loop(tab, len(rows[0]), len(rows), signs, scale)
 
 
@@ -127,7 +127,13 @@ def bland_basis(matrix, den, rhs):
     """The final basis and pivot count of Bland's rule, run by the exact loop on Python ints."""
     m, n = matrix.shape
     signs, b, _ = simplex._scales(den, rhs)
-    return simplex._integer_bland(simplex._integer_tableau(matrix, signs, b, object), n, m)[:2]
+    return simplex._integer_bland(simplex._tableau(matrix, signs, b, object), n, m)[:2]
+
+
+def float_tableau(matrix, den, rhs, signs):
+    """The float guide's tableau, from the one tableau builder as the guide calls it."""
+    quotients = simplex._quotients(matrix, linalg.peak(matrix), den)
+    return simplex._tableau(quotients, signs, [abs(float(v)) for v in rhs], float)
 
 
 def fraction_rows(matrix, den):
@@ -470,7 +476,7 @@ def reference_float_guide(tab, n, m):
 def assert_guide_is_the_reference(matrix, den, rhs):
     """The guide and the reference make the same choices: equal bases, pivot counts and final tableaux."""
     m, n = matrix.shape
-    tab = simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs_of(rhs))
+    tab = float_tableau(matrix, den, rhs, signs_of(rhs))
     expected = tab.copy()
     assert simplex._float_guide(tab, n, m) == reference_float_guide(expected, n, m)
     assert np.array_equal(tab, expected)
@@ -509,7 +515,8 @@ def test_a_nan_ratio_in_the_guide_falls_back_to_exact_loop(monkeypatch):
     expected = exact_loop(rows, rhs)
     force_guide(monkeypatch)
     calls = spy_exact_loop(monkeypatch)
-    monkeypatch.setattr(simplex, "_tableau", lambda *args: nan_tableau())
+    real = simplex._tableau  # the exact loop's object tableau comes from the same builder
+    monkeypatch.setattr(simplex, "_tableau", lambda *a: nan_tableau() if a[-1] is float else real(*a))
     assert solve_equality_feasibility(*rational_lp(rows, rhs)) == expected
     assert expected.feasible and len(calls) == 1
 
@@ -534,7 +541,7 @@ def test_certify_result_does_not_depend_on_check_order(system, data):
     arbitrary = data.draw(st.lists(st.integers(0, n + m - 1), min_size=m, max_size=m))
     primal_first, dual_first = certify_both_orders(matrix, den, rhs, arbitrary, 0)
     assert primal_first == dual_first
-    basis, pivots, _ = simplex._integer_bland(simplex._integer_tableau(matrix, signs, b, object), n, m)
+    basis, pivots, _ = simplex._integer_bland(simplex._tableau(matrix, signs, b, object), n, m)
     primal_first, dual_first = certify_both_orders(matrix, den, rhs, basis, pivots)
     assert primal_first == dual_first == exact_loop(rows, rhs)
 
@@ -586,13 +593,13 @@ def test_certify_order_is_free_on_pinned_moment_lps(monkeypatch, problem, feasib
     # The guide's own final floats settle its basis in either order, and
     # the solve reads its result off them: no lift and no Bareiss
     # elimination, infeasible LPs included.
-    real_lift, real_echelon = simplex.lifted_solve, simplex.echelon
-    solves, eliminations = [], []
-    monkeypatch.setattr(simplex, "lifted_solve", lambda *a: solves.append(1) or real_lift(*a))
-    monkeypatch.setattr(simplex, "echelon", lambda *a, **k: eliminations.append(1) or real_echelon(*a, **k))
+    real_inverse, real_echelon = linalg._inverse_mod, linalg.echelon
+    lifts, eliminations = [], []
+    monkeypatch.setattr(linalg, "_inverse_mod", lambda *a: lifts.append(1) or real_inverse(*a))
+    monkeypatch.setattr(linalg, "echelon", lambda *a, **k: eliminations.append(1) or real_echelon(*a, **k))
     assert certify_both_orders(matrix, den, rhs, basis, count, guess) == [results[0]] * 2
     assert solve_equality_feasibility(matrix, rhs, den) == results[0]
-    assert solves == [] and eliminations == []
+    assert lifts == [] and eliminations == []
 
 
 # ---------------------------------------------------------------------------
@@ -639,25 +646,25 @@ def whole_basis_bareiss(matrix, top, den, signs, b, scale, basis, pivots, dual_f
 
 
 def certify_by_bareiss(*args):
-    """``_certify`` with the lift reporting every block singular, so Bareiss solves it."""
-    with patch.object(simplex, "lifted_solve", lambda square, rhs: None):
+    """``_certify`` with every block singular modulo the prime, so ``lifted_solve`` solves it by Bareiss."""
+    with patch.object(linalg, "_inverse_mod", lambda residues: None):
         return simplex._certify(*args)
 
 
 def certify_lifted(*args):
     """``_certify`` as it runs, with every Bareiss elimination counted."""
     eliminations = []
-    real = simplex.echelon
-    with patch.object(simplex, "echelon", lambda *a, **k: eliminations.append(1) or real(*a, **k)):
+    real = linalg.echelon
+    with patch.object(linalg, "echelon", lambda *a, **k: eliminations.append(1) or real(*a, **k)):
         return simplex._certify(*args), len(eliminations)
 
 
 def certify_counted(*args):
-    """``_certify`` as it runs, with every lift and every Bareiss elimination counted."""
+    """``_certify`` as it runs, with every lift (one inverse modulo the prime) and elimination counted."""
     solves = []
-    real_lift, real_echelon = simplex.lifted_solve, simplex.echelon
-    with patch.object(simplex, "lifted_solve", lambda *a: solves.append(1) or real_lift(*a)), patch.object(
-        simplex, "echelon", lambda *a, **k: solves.append(1) or real_echelon(*a, **k)
+    real_inverse, real_echelon = linalg._inverse_mod, linalg.echelon
+    with patch.object(linalg, "_inverse_mod", lambda *a: solves.append(1) or real_inverse(*a)), patch.object(
+        linalg, "echelon", lambda *a, **k: solves.append(1) or real_echelon(*a, **k)
     ):
         return simplex._certify(*args), len(solves)
 
@@ -740,7 +747,7 @@ def test_lifted_certificate_equals_bareiss_on_any_basis(system, data):
     matrix, den, signs, b, scale = integer_lp(rows, rhs)
     bases = [
         (data.draw(st.lists(st.integers(0, n + m - 1), min_size=m, max_size=m)), 0),
-        simplex._integer_bland(simplex._integer_tableau(matrix, signs, b, object), n, m)[:2],
+        simplex._integer_bland(simplex._tableau(matrix, signs, b, object), n, m)[:2],
     ]
     guide = simplex._guided(matrix, linalg.peak(matrix), den, rhs, signs)
     if guide is not None:
@@ -818,7 +825,7 @@ def test_wide_rows_and_factors_take_python_ints_and_agree(monkeypatch, rows, rhs
     real = simplex.product
     monkeypatch.setattr(simplex, "product", lambda *a: products.append(real(*a)) or products[-1])
     m, n = len(rows), len(rows[0])
-    final = simplex._integer_bland(simplex._integer_tableau(matrix, signs, b, object), n, m)
+    final = simplex._integer_bland(simplex._tableau(matrix, signs, b, object), n, m)
     for dual_first in (False, True):
         args = certify_args(rows, rhs, *final[:2], dual_first)
         result = assert_lift_equals_bareiss(args, exact_values(rows, rhs, final[0]))
@@ -918,7 +925,7 @@ def test_exact_loop_holds_only_python_ints(system):
     rows, rhs = system
     m, n = len(rows), len(rows[0])
     matrix, den, signs, b, scale = integer_lp(rows, rhs)
-    tab = simplex._integer_tableau(matrix, signs, b, object)
+    tab = simplex._tableau(matrix, signs, b, object)
     assert all(type(v) is int for v in tab.flat)
     assert simplex._integer_bland(tab, n, m) is not None
     assert all(type(v) is int for v in tab.flat)
@@ -972,7 +979,7 @@ def test_float_tableau_is_bit_identical_to_fraction_fill(lp):
     matrix, den, rhs = lp
     signs = signs_of(rhs)
     rows = fraction_rows(matrix, den)
-    tab = simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs)
+    tab = float_tableau(matrix, den, rhs, signs)
     assert tab.tobytes() == fraction_filled_tableau(rows, rhs, signs).tobytes()
 
 
@@ -984,7 +991,7 @@ def test_float_tableau_uses_both_division_paths():
     for matrix, den in ((small, 7), (large, 3), (small, 3**40)):
         rhs, signs = [F(1), F(1)], [1, 1]
         expected = fraction_filled_tableau(fraction_rows(matrix, den), rhs, signs)
-        assert simplex._tableau(matrix, linalg.peak(matrix), den, rhs, signs).tobytes() == expected.tobytes()
+        assert float_tableau(matrix, den, rhs, signs).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1088,7 +1095,7 @@ def check_paths_agree(rows, rhs):
     tab = int64_tableau(matrix, signs, b)
     if tab is not None:
         # The int64 loop visits the Python-int loop's tableaux cell for cell.
-        reference = simplex._integer_tableau(matrix, signs, b, object)
+        reference = simplex._tableau(matrix, signs, b, object)
         n, m = len(rows[0]), len(rows)
         assert tab.tolist() == reference.tolist()
         assert simplex._integer_bland(tab, n, m) == simplex._integer_bland(reference, n, m)
@@ -1227,7 +1234,7 @@ INFEASIBLE_SYSTEMS = [
 def final_cost_row(rows, rhs):
     """``(cost, d, signs, pivots)`` of the exact loop's final tableau."""
     matrix, den, signs, b, scale = integer_lp(rows, rhs)
-    tab = simplex._integer_tableau(matrix, signs, b, object)
+    tab = simplex._tableau(matrix, signs, b, object)
     _, pivots, d = simplex._integer_bland(tab, len(rows[0]), len(rows))
     return tab[-1].tolist(), d, signs, pivots
 
@@ -1284,7 +1291,7 @@ def reference_int64_tableau(matrix, top, signs, b):
         return None
     if (m + 1) * max(top, *map(abs, b)) >= simplex._INT64_SAFE:
         return None
-    tab = simplex._integer_tableau(matrix, signs, b, np.int64)
+    tab = simplex._tableau(matrix, signs, b, np.int64)
     squares = np.einsum("ij,ij->j", tab[:m], tab[:m])
     if (m + 1) ** 2 * prod(np.sort(squares)[-m:].tolist()) >= simplex._INT64_SAFE**2:
         return None
@@ -1404,10 +1411,10 @@ def test_the_row_cache_sets_the_lifetime_of_its_templates(monkeypatch):
 
 
 def spy_tableau(monkeypatch):
-    """Record the shape and dtype of each integer tableau built."""
+    """Record the body shape and dtype of each tableau built, integer or float."""
     built = []
-    real = simplex._integer_tableau
-    monkeypatch.setattr(simplex, "_integer_tableau", lambda *a: built.append((a[0].shape, a[-1])) or real(*a))
+    real = simplex._tableau
+    monkeypatch.setattr(simplex, "_tableau", lambda *a: built.append((a[0].shape, a[-1])) or real(*a))
     return built
 
 
@@ -1425,10 +1432,11 @@ def test_one_block_serves_every_target_of_a_read_only_matrix(monkeypatch):
 @pytest.mark.parametrize("n,pair,feasible", [(5, F(-1, 5), True), (6, F(-1, 4), False)])
 def test_a_guided_system_allocates_no_int64_tableau(monkeypatch, n, pair, feasible):
     # Over the bound, the solve decides that from the kept norms and the
-    # target's column alone: no int64 block or tableau is built.
+    # target's column alone: no int64 block or tableau is built, and the
+    # one tableau built is the guide's float one.
     matrix, den, rhs = feasibility._constraint_rows(equal_pair_moment_problem(n, pair))
     built = spy_tableau(monkeypatch)
     guides = spy_guide(monkeypatch)
     res = solve_equality_feasibility(matrix, rhs, den)
     assert res.feasible == feasible
-    assert len(guides) == 1 and built == []
+    assert len(guides) == 1 and built == [(matrix.shape, float)]
